@@ -46,7 +46,6 @@ from .cutset import (
     power_profile,
     select_cut_width,
     snr_total,
-    upper_bound_exponent,
 )
 from .schemes import (
     CellGrid,

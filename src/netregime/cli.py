@@ -11,14 +11,13 @@ import math
 import sys
 
 from . import rng
-from .cutset import CUTSET_CSV_HEADER, evaluate_cutset
+from .cutset import CUT_MODES, CUTSET_CSV_HEADER, PathologicalCutError
 from .harness import (ConfigError, Constants, ExperimentConfig, emit_phase_diagram,
-                      emit_sweep, fit_exponent, params_for_snr)
-from .network import generate_network
+                      emit_sweep, fit_exponent, run_cutset, run_scheme, write_lines)
+from .network import DegenerateInstanceError, generate_network
 from .percolation import (CROSSING_CSV_HEADER, build_occupancy_grid,
                           crossing_probability, extract_cut, find_open_crossing)
-from .schemes import (SCHEME_CSV_HEADER, hc_throughput, hybrid_cell_size,
-                      multihop_throughput, scheme_csv_row, simulate_hybrid)
+from .schemes import SCHEME_CSV_HEADER, scheme_csv_row
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -56,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutset", help="evaluate the cutset bound on one instance")
     _add_common(p)
     _add_constants(p)
-    p.add_argument("--mode", choices=("idealized", "percolation"),
-                   default="idealized")
+    p.add_argument("--mode", choices=CUT_MODES, default="idealized")
 
     p = sub.add_parser("scheme", help="closed-form scheme throughput over n")
     _add_common(p)
@@ -89,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an experiment described by a config file")
     p.add_argument("--config", type=str, required=True)
-    p.add_argument("--workers", type=int, default=1)
     return top
 
 
@@ -99,12 +96,10 @@ def _constants(args) -> Constants:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_lines(out, lines[0], lines[1:])
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -115,29 +110,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cutset(args) -> int:
-    snr_s = float(args.n) ** args.beta
-    params, area = params_for_snr(snr_s, args.alpha, args.n)
-    inst = generate_network(args.n, area, args.seed)
-    report = evaluate_cutset(inst, params, trials=args.trials,
-                             phase_seed=rng.derived_seed(args.seed, rng.PHASES),
-                             mode=args.mode, c=args.c, delta=args.delta,
-                             epsilon=args.eps, K1=args.k1)
+    report = run_cutset(args.n, args.alpha, args.beta, _constants(args),
+                        args.trials, args.mode, seed=args.seed,
+                        phase_seed=rng.derived_seed(args.seed, rng.PHASES))
     _emit([CUTSET_CSV_HEADER, report.csv_row()], args.out)
     return 0
 
 
 def cmd_scheme(args) -> int:
-    n_list = args.n_list or [args.n]
-    rows = []
-    for n in n_list:
-        snr_s = float(n) ** args.beta
-        if args.name == "multihop":
-            est, m = multihop_throughput(n, snr_s, args.k2), 1
-        elif args.name == "hc":
-            est, m = hc_throughput(n, snr_s, args.alpha, args.eps, args.k3), n
-        else:
-            est, m = hc_throughput(n, snr_s, args.alpha, args.eps, args.k3,
-                                   bursty=True), n
+    k, rows = _constants(args), []
+    for n in args.n_list or [args.n]:
+        est, m, _ = run_scheme(args.name, n, args.alpha, args.beta, k, args.seed)
         rows.append(scheme_csv_row(n, args.alpha, args.beta, est, m, 0, 0,
                                    args.seed))
     _emit([SCHEME_CSV_HEADER] + rows, args.out)
@@ -145,17 +128,11 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    n = args.n
-    snr_s = float(n) ** args.beta
-    m = hybrid_cell_size(snr_s, args.alpha, n)
-    params, area = params_for_snr(snr_s, args.alpha, n)
-    rows = []
+    k, rows = _constants(args), []
     for t in range(args.seeds):
         seed = rng.derived_seed(args.seed, rng.EXPERIMENT, t)
-        inst = generate_network(n, area, seed)
-        est, plan, _ = simulate_hybrid(inst, snr_s, args.alpha, args.eps,
-                                       args.k3, args.k4, M=m, route_seed=seed)
-        rows.append(scheme_csv_row(n, args.alpha, args.beta, est, m,
+        est, m, plan = run_scheme("hybrid", args.n, args.alpha, args.beta, k, seed)
+        rows.append(scheme_csv_row(args.n, args.alpha, args.beta, est, m,
                                    plan.max_cell_load, plan.reroutes, seed))
     _emit([SCHEME_CSV_HEADER] + rows, args.out)
     return 0
@@ -173,9 +150,7 @@ def cmd_percolation(args) -> int:
             print("no open crossing for the first seed; nothing exported",
                   file=sys.stderr)
             return 3
-        cut = extract_cut(crossing, grid, inst)
-        with open(args.export_cut, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(cut.to_json() + "\n")
+        _emit([extract_cut(crossing, grid, inst).to_json()], args.export_cut)
     return 0
 
 
@@ -212,7 +187,7 @@ def cmd_sweep(args) -> int:
     if config.kind == "phase-diagram":
         emit_phase_diagram(config)
     else:
-        emit_sweep(config, workers=args.workers)
+        emit_sweep(config)
     return 0
 
 
@@ -232,7 +207,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (PathologicalCutError, DegenerateInstanceError) as exc:
+        # ValueErrors raised by random draws: the experiment failed
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:   # ConfigError, OutOfRegimeError, bad arguments
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -48,6 +48,7 @@ from .network import (NetworkInstance, PhysicalParams, channel_matrix,
 logger = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
+CUT_MODES = ("idealized", "percolation")
 
 
 class PathologicalCutError(ValueError):
@@ -239,19 +240,6 @@ def dof_term_realized(instance: NetworkInstance, partition: CutPartition,
     return fsum(math.log2(1.0 + n * snr_s * float(di)) for di in d)
 
 
-def upper_bound_exponent(alpha: float, beta: float) -> float:
-    """Scaling exponent of the cutset upper bound at (alpha, beta)."""
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
-    if beta >= alpha / 2.0 - 1.0:
-        return 1.0
-    if alpha < 3.0:
-        return 2.0 - alpha / 2.0 + beta
-    if beta <= 0.0:
-        return 0.5 + beta
-    return 0.5 + beta / (alpha - 2.0)
-
-
 def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
     """log2 det(I + snr_s * H H*) via Hermitian eigenvalues of the smaller Gram."""
     m, k = entries.shape
@@ -305,12 +293,7 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
             logger.warning("discarded non-finite log-det trial %d", t)
     if not values:
         raise ArithmeticError("every Monte-Carlo trial was non-finite")
-    mean = fsum(values) / len(values)
-    if len(values) >= 2:
-        var = fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        stderr = math.sqrt(var / len(values))
-    else:
-        stderr = math.nan
+    mean, stderr = rng.mean_stderr(values)
     return MCLogdet(mean, stderr, tuple(values), trials, discarded)
 
 
@@ -365,20 +348,21 @@ def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
                     mode: str = "idealized", c: float = 0.25,
                     delta: float = 0.05, epsilon: float = 0.05,
                     K1: float = 1.0) -> CutsetReport:
-    """Full cutset evaluation of one instance: partition, terms and Monte-Carlo."""
+    """Full cutset evaluation of one instance: partition, terms and Monte-Carlo.
+
+    ``mode`` is one of :data:`CUT_MODES`; any other value raises ValueError.
+    """
     n = instance.n_pairs
     snr_s = snr_short(params, n, instance.area_A)
     w_hat = select_cut_width(snr_s, n, params.alpha)
+    cut = grid = None
     if mode == "percolation":
         grid = perc.build_occupancy_grid(instance, c)
         crossing = perc.find_open_crossing(grid)
         if crossing is None:
             raise PathologicalCutError("no node-free crossing in the slab")
         cut = perc.extract_cut(crossing, grid, instance)
-        part = partition_nodes(instance, w_hat, mode="percolation",
-                               cut=cut, grid=grid)
-    else:
-        part = partition_nodes(instance, w_hat, mode="idealized")
+    part = partition_nodes(instance, w_hat, mode=mode, cut=cut, grid=grid)
 
     snr_tot = snr_total(instance, part, snr_s, params.alpha)
     dof_real = dof_term_realized(instance, part, snr_s, params.alpha)

@@ -2,10 +2,10 @@
 
 An experiment is a pure function of its configuration.  Per-point seeds
 are derived from (master_seed, point index, trial index) on counter-based
-substreams, so running trials concurrently, or changing the worker count,
-cannot change any output byte.  For regime sweeps the nearest-neighbor
-SNR is pinned to n^beta exactly at every point, with the physical
-parameters back-solved so the SNR definition stays consistent.
+substreams, so no output byte depends on the order units run in.  For
+regime sweeps the nearest-neighbor SNR is pinned to n^beta exactly at
+every point, with the physical parameters back-solved so the SNR
+definition stays consistent.
 """
 
 from __future__ import annotations
@@ -13,20 +13,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import __version__
 from . import rng
-from .cutset import evaluate_cutset
-from .network import PhysicalParams, generate_network
+from .cutset import CUT_MODES, PathologicalCutError, evaluate_cutset
+from .network import DegenerateInstanceError, PhysicalParams, generate_network
 from .percolation import crossing_probability
-from .regimes import phase_diagram, phase_diagram_csv_rows, PHASE_DIAGRAM_HEADER
-from .schemes import hc_throughput, multihop_throughput, simulate_hybrid
+from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
+                      phase_diagram_csv_rows)
+from .schemes import (OutOfRegimeError, hc_throughput, multihop_throughput,
+                      simulate_hybrid)
 
 KINDS = ("cutset", "scheme", "percolation", "phase-diagram")
+SCHEMES = tuple(s.value for s in Scheme)
 
 
 class ConfigError(ValueError):
@@ -74,6 +76,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.mode not in CUT_MODES:
+            raise ConfigError(f"mode must be one of {CUT_MODES}, got {self.mode!r}")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
         if self.kind != "phase-diagram":
@@ -140,118 +146,111 @@ class PointRow:
 SWEEP_CSV_HEADER = "n,metric,stderr"
 
 
-def _cutset_unit(config: ExperimentConfig, i_point: int, n: int, i_inst: int):
-    snr_s = float(n) ** config.beta
-    params, area = params_for_snr(snr_s, config.alpha, n)
-    seed = rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_inst)
+def operating_point(n: int, alpha: float, beta: float):
+    """(snr_s, params, area) of a sweep point: snr_s = n^beta, realized exactly."""
+    snr_s = float(n) ** beta
+    params, area = params_for_snr(snr_s, alpha, n)
+    return snr_s, params, area
+
+
+def run_cutset(n: int, alpha: float, beta: float, k: Constants, trials: int,
+               mode: str, seed: int, phase_seed: int):
+    """Draw an instance from ``seed`` and evaluate its cutset bound."""
+    _, params, area = operating_point(n, alpha, beta)
     inst = generate_network(n, area, seed)
-    report = evaluate_cutset(
-        inst, params, trials=config.trials,
-        phase_seed=rng.derived_seed(config.master_seed, rng.PHASES, i_point, i_inst),
-        mode=config.mode, c=config.constants.c,
-        delta=config.constants.delta, epsilon=config.constants.epsilon,
-        K1=config.constants.K1)
-    return report.mc_logdet, report.mc_stderr
+    return evaluate_cutset(inst, params, trials=trials, phase_seed=phase_seed,
+                           mode=mode, c=k.c, delta=k.delta, epsilon=k.epsilon,
+                           K1=k.K1)
+
+
+def run_scheme(scheme: str, n: int, alpha: float, beta: float,
+               k: Constants, seed: int):
+    """One evaluation of a scheme at n: (estimate, cell size M, relay plan).
+
+    The closed forms ignore ``seed`` and return no plan; the hybrid scheme
+    draws its instance and routes its lines from ``seed``.
+    """
+    snr_s, _, area = operating_point(n, alpha, beta)
+    if scheme == "multihop":
+        return multihop_throughput(n, snr_s, k.K2), 1, None
+    if scheme in ("hc", "bursty_hc"):
+        return hc_throughput(n, snr_s, alpha, k.epsilon, k.K3,
+                             bursty=scheme == "bursty_hc"), n, None
+    if scheme != "hybrid":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    inst = generate_network(n, area, seed)
+    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, k.k4,
+                                   route_seed=seed)
+    return est, est.constants["M"], plan
+
+
+def _cutset_unit(config: ExperimentConfig, i_point: int, n: int, i_inst: int):
+    report = run_cutset(
+        n, config.alpha, config.beta, config.constants, config.trials, config.mode,
+        seed=rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_inst),
+        phase_seed=rng.derived_seed(config.master_seed, rng.PHASES, i_point, i_inst))
+    return PointRow(n, report.mc_logdet, report.mc_stderr)
 
 
 def _scheme_unit(config: ExperimentConfig, i_point: int, n: int, i_trial: int):
-    snr_s = float(n) ** config.beta
-    k = config.constants
-    if config.scheme == "multihop":
-        return multihop_throughput(n, snr_s, k.K2).aggregate_T
-    if config.scheme == "hc":
-        return hc_throughput(n, snr_s, config.alpha, k.epsilon, k.K3).aggregate_T
-    if config.scheme == "bursty_hc":
-        return hc_throughput(n, snr_s, config.alpha, k.epsilon, k.K3,
-                             bursty=True).aggregate_T
-    if config.scheme == "hybrid":
-        seed = rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_trial)
-        snr = float(n) ** config.beta
-        params, area = params_for_snr(snr, config.alpha, n)
-        inst = generate_network(n, area, seed)
-        est, _, _ = simulate_hybrid(inst, snr, config.alpha, k.epsilon, k.K3,
-                                    k.k4, route_seed=seed)
-        return est.aggregate_T
-    raise ConfigError(f"unknown scheme {config.scheme!r}")
+    seed = rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_trial)
+    est, _, _ = run_scheme(config.scheme, n, config.alpha, config.beta,
+                           config.constants, seed)
+    return PointRow(n, est.aggregate_T, 0.0)
+
+
+def _percolation_unit(config: ExperimentConfig, i_point: int, n: int, _: int):
+    study = crossing_probability(
+        n, config.constants.c, config.trials,
+        rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point))
+    rate = study.empirical_rate
+    se = math.sqrt(max(rate * (1 - rate), 0.0) / study.trials)
+    return PointRow(n, rate, se, {"analytic_bound": study.analytic_bound,
+                                  "decay_ok": study.decay_ok})
+
+
+# kind -> (unit, units per point).  A unit returns the PointRow of its own
+# draw; only the hybrid scheme is random among the schemes.
+_UNITS = {
+    "cutset": (_cutset_unit, lambda config: config.instances),
+    "scheme": (_scheme_unit,
+               lambda config: config.trials if config.scheme == "hybrid" else 1),
+    "percolation": (_percolation_unit, lambda config: 1),
+}
+
+# Errors of a bad draw, a non-finite Monte-Carlo value or a point outside
+# the hybrid regime; a unit that raises one is tallied as failed.
+# Anything else is a bug and propagates.
+_UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
+                OutOfRegimeError, ArithmeticError)
 
 
 def run_scaling_experiment(config: ExperimentConfig,
                            workers: int = 1) -> list[PointRow]:
-    """One aggregated row per n; deterministic for any worker count.
+    """One aggregated row per n; units run serially in a fixed order.
 
-    Points where more than 10% of trials fail are skipped with a stderr
-    of NaN recorded; a fully failing experiment raises.
+    ``workers`` has no effect; it is accepted so existing callers keep
+    working.  Points where more than 10% of units fail are skipped with
+    a NaN metric and stderr; a fully failing experiment raises.
     """
     if config.kind == "phase-diagram":
         raise ConfigError("phase-diagram configs are emitted, not swept")
-
-    tasks = []
-    if config.kind == "cutset":
-        for i, n in enumerate(config.n_list):
-            for j in range(config.instances):
-                tasks.append((i, n, j, _cutset_unit))
-    elif config.kind == "scheme":
-        deterministic = config.scheme in ("multihop", "hc", "bursty_hc")
-        per_point = 1 if deterministic else config.trials
-        for i, n in enumerate(config.n_list):
-            for j in range(per_point):
-                tasks.append((i, n, j, _scheme_unit))
-    elif config.kind == "percolation":
-        for i, n in enumerate(config.n_list):
-            tasks.append((i, n, 0, None))
-
-    def run_task(task):
-        i, n, j, fn = task
-        if config.kind == "percolation":
-            study = crossing_probability(
-                n, config.constants.c, config.trials,
-                rng.derived_seed(config.master_seed, rng.EXPERIMENT, i))
-            return (i, j), study
-        try:
-            return (i, j), fn(config, i, n, j)
-        except Exception as exc:   # per-unit failure, tallied below
-            return (i, j), exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_task, tasks))
-    else:
-        results = dict(map(run_task, tasks))
-
+    unit, per_point = _UNITS[config.kind]
     rows = []
     for i, n in enumerate(config.n_list):
-        units = [results[key] for key in sorted(results) if key[0] == i]
-        if config.kind == "percolation":
-            study = units[0]
-            se = math.sqrt(max(study.empirical_rate * (1 - study.empirical_rate), 0.0)
-                           / study.trials)
-            rows.append(PointRow(n, study.empirical_rate, se, {
-                "analytic_bound": study.analytic_bound,
-                "decay_ok": study.decay_ok}))
+        count, good = per_point(config), []
+        for j in range(count):
+            try:
+                good.append(unit(config, i, n, j))
+            except _UNIT_ERRORS:
+                pass
+        failed = count - len(good)
+        if failed > 0.1 * count or not good:
+            rows.append(PointRow(n, math.nan, math.nan, {"failed": failed}))
             continue
-        failures = [u for u in units if isinstance(u, Exception)]
-        good = [u for u in units if not isinstance(u, Exception)]
-        if len(failures) > 0.1 * len(units) or not good:
-            rows.append(PointRow(n, math.nan, math.nan,
-                                 {"failed": len(failures)}))
-            continue
-        if config.kind == "cutset":
-            means = [g[0] for g in good]
-            metric = math.fsum(means) / len(means)
-            if len(means) >= 2:
-                var = math.fsum((m - metric) ** 2 for m in means) / (len(means) - 1)
-                stderr = math.sqrt(var / len(means))
-            else:
-                stderr = good[0][1]
-        else:
-            vals = [float(g) for g in good]
-            metric = math.fsum(vals) / len(vals)
-            if len(vals) >= 2:
-                var = math.fsum((v - metric) ** 2 for v in vals) / (len(vals) - 1)
-                stderr = math.sqrt(var / len(vals))
-            else:
-                stderr = 0.0
-        rows.append(PointRow(n, metric, stderr))
+        metric, stderr = rng.mean_stderr([g.metric for g in good],
+                                         single=good[0].stderr)
+        rows.append(PointRow(n, metric, stderr, good[0].extra))
     if all(math.isnan(r.metric) for r in rows):
         raise ExperimentError("every point of the experiment failed")
     return rows
@@ -338,9 +337,10 @@ def write_manifest(out_path: str, config: ExperimentConfig) -> str:
 
 
 def emit_sweep(config: ExperimentConfig, workers: int = 1) -> str:
+    """Write the sweep CSV and its manifest; ``workers`` has no effect."""
     if not config.out:
         raise ConfigError("config.out must name an output file")
-    rows = run_scaling_experiment(config, workers=workers)
+    rows = run_scaling_experiment(config)
     write_lines(config.out, SWEEP_CSV_HEADER, [r.csv_row() for r in rows])
     write_manifest(config.out, config)
     return config.out

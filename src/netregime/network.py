@@ -152,7 +152,8 @@ def generate_network(n_pairs: int, area_A: float, seed: int,
 
     Deterministic given ``seed``.  Draws with exactly coincident nodes (a
     probability-zero event that floating point makes merely improbable) are
-    rejected and retried with an offset seed.
+    rejected and redrawn; attempt k > 0 appends k to the substream paths, so
+    a redraw does not repeat the first draw of seed + k.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -160,16 +161,17 @@ def generate_network(n_pairs: int, area_A: float, seed: int,
         raise ValueError(f"area_A must be positive, got {area_A}")
     side = math.sqrt(area_A)
     for attempt in range(max_retries):
-        s = seed + attempt
-        gen = rng.substream(s, rng.POSITIONS)
+        retry = (attempt,) if attempt else ()
+        gen = rng.substream(seed, rng.POSITIONS, *retry)
         positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
         if _has_coincident_nodes(positions):
-            logger.warning("coincident nodes for seed %d, retrying with seed %d", s, s + 1)
+            logger.warning("coincident nodes for seed %d, attempt %d; redrawing",
+                           seed, attempt)
             continue
-        role_perm = rng.substream(s, rng.ROLES).permutation(2 * n_pairs)
+        role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
         source_ids = np.sort(role_perm[:n_pairs])
         dest_pool = np.sort(role_perm[n_pairs:])
-        dest_ids = rng.substream(s, rng.PAIRING).permutation(dest_pool)
+        dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(dest_pool)
         return NetworkInstance(n_pairs, float(area_A), seed, positions,
                                source_ids, dest_ids)
     raise DegenerateInstanceError(

@@ -70,22 +70,19 @@ class RegimePoint:
 def classify(alpha: float, beta: float, tol: float = BOUNDARY_TOL) -> RegimePoint:
     """Classify an (alpha, beta) operating point and return its exponent.
 
-    The row inequalities are applied verbatim: regime I is closed at
-    beta = alpha/2 - 1, regime III is closed at beta = 0, and alpha = 3
-    belongs to regime II.  At alpha = 3 the regime II and III/IV formulas
-    coincide in value, so the closure convention never changes the exponent.
+    The regime is the one whose scheme :func:`scheme_exponents` names
+    optimal, and its exponent is that scheme's row there.  At alpha = 3
+    the regime II and III/IV formulas coincide in value, so the closure
+    convention never changes the exponent.
     """
-    if alpha < 2:
-        raise ValueError(f"alpha must be >= 2, got {alpha}")
+    s = scheme_exponents(alpha, beta)
+    regime, exponent = {
+        Scheme.HC: (Regime.I, s.hierarchical),
+        Scheme.BURSTY_HC: (Regime.II, s.hierarchical),
+        Scheme.MULTIHOP: (Regime.III, s.multihop),
+        Scheme.HYBRID: (Regime.IV, s.hybrid),
+    }[s.optimal]
     edge = alpha / 2.0 - 1.0
-    if beta >= edge:
-        regime, exponent = Regime.I, 1.0
-    elif alpha <= 3.0:
-        regime, exponent = Regime.II, 2.0 - alpha / 2.0 + beta
-    elif beta <= 0.0:
-        regime, exponent = Regime.III, 0.5 + beta
-    else:
-        regime, exponent = Regime.IV, 0.5 + beta / (alpha - 2.0)
     flags = BoundaryFlags(
         dof_power=abs(beta - edge) <= tol,
         zero_beta=abs(beta) <= tol,
@@ -143,7 +140,12 @@ class SchemeExponents:
 
 
 def scheme_exponents(alpha: float, beta: float) -> SchemeExponents:
-    """Per-scheme scaling exponents and the optimal scheme for the regime."""
+    """Per-scheme scaling exponents and the optimal scheme for the regime.
+
+    The regime row inequalities are applied verbatim: regime I is closed
+    at beta = alpha/2 - 1, regime III is closed at beta = 0, and alpha = 3
+    belongs to regime II.
+    """
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
     mh = 0.5 if beta > 0 else 0.5 + beta
@@ -151,12 +153,14 @@ def scheme_exponents(alpha: float, beta: float) -> SchemeExponents:
     hc = 1.0 if beta >= edge else 2.0 - alpha / 2.0 + beta
     hybrid_valid = alpha > 2 and 0.0 < beta <= edge
     hyb = 0.5 + beta / (alpha - 2.0) if hybrid_valid else math.nan
-    optimal = {
-        Regime.I: Scheme.HC,
-        Regime.II: Scheme.BURSTY_HC,
-        Regime.III: Scheme.MULTIHOP,
-        Regime.IV: Scheme.HYBRID,
-    }[classify(alpha, beta).regime]
+    if beta >= edge:
+        optimal = Scheme.HC                 # regime I
+    elif alpha <= 3.0:
+        optimal = Scheme.BURSTY_HC          # regime II
+    elif beta <= 0.0:
+        optimal = Scheme.MULTIHOP           # regime III
+    else:
+        optimal = Scheme.HYBRID             # regime IV
     return SchemeExponents(mh, hc, hyb, hybrid_valid, optimal)
 
 
@@ -164,6 +168,13 @@ def scheme_exponents(alpha: float, beta: float) -> SchemeExponents:
 class DiagramCell:
     point: RegimePoint
     schemes: SchemeExponents
+
+
+def _axis(bounds, count: int) -> list[float]:
+    """``count`` evenly spaced values from bounds[0] to bounds[1], both included."""
+    lo, hi = bounds
+    return [lo] if count == 1 else [lo + i * (hi - lo) / (count - 1)
+                                    for i in range(count)]
 
 
 def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
@@ -177,14 +188,9 @@ def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
         raise ValueError("resolution entries must be >= 1")
     if alpha_range[0] < 2:
         raise ValueError("alpha range must stay within alpha >= 2")
-    alphas = [alpha_range[0]] if n_alpha == 1 else [
-        alpha_range[0] + i * (alpha_range[1] - alpha_range[0]) / (n_alpha - 1)
-        for i in range(n_alpha)]
-    betas = [beta_range[0]] if n_beta == 1 else [
-        beta_range[0] + j * (beta_range[1] - beta_range[0]) / (n_beta - 1)
-        for j in range(n_beta)]
+    betas = _axis(beta_range, n_beta)
     cells = []
-    for a in alphas:
+    for a in _axis(alpha_range, n_alpha):
         for b in betas:
             cells.append(DiagramCell(classify(a, b), scheme_exponents(a, b)))
     return cells

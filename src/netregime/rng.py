@@ -4,9 +4,12 @@ All randomness in the package flows through numpy's counter-based Philox
 generator. Every consumer derives an independent substream from a
 (seed, *path) tuple of non-negative integers, so trials can be evaluated
 in any order, or in parallel, without changing a single bit of output.
+Independent draws are summarized by one sample mean and standard error.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,3 +43,16 @@ def derived_seed(seed: int, *path: int) -> int:
         raise ValueError(f"seed path must be non-negative, got {entropy}")
     state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
     return int(state >> np.uint64(1))
+
+
+def mean_stderr(values, single: float = math.nan) -> tuple[float, float]:
+    """Sample mean and standard error of the mean of independent draws.
+
+    Sums are exact (``math.fsum``).  One draw has no sample variance; its
+    stderr is ``single``, which a caller sets when it knows a better value.
+    """
+    mean = math.fsum(values) / len(values)
+    if len(values) < 2:
+        return mean, single
+    var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return mean, math.sqrt(var / len(values))

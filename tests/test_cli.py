@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from netregime import NetworkInstance
+from netregime import (DegenerateInstanceError, NetworkInstance,
+                       PathologicalCutError, cli, harness)
 from netregime.cli import main
 
 
@@ -27,6 +28,12 @@ class TestGen:
     def test_bad_n_is_config_error(self):
         assert run(["gen", "--n", "0"]) == 2
 
+    def test_degenerate_draw_is_experiment_failure(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInstanceError("coincident nodes")
+        monkeypatch.setattr(cli, "generate_network", degenerate)
+        assert run(["gen", "--n", "8"]) == 3
+
 
 class TestCutset:
     def test_csv_shape(self, tmp_path):
@@ -37,6 +44,12 @@ class TestCutset:
         header, row = out.read_text().splitlines()
         assert header.split(",")[0] == "n"
         assert len(row.split(",")) == len(header.split(","))
+
+    def test_pathological_cut_is_experiment_failure(self, monkeypatch):
+        def empty_side(*args, **kwargs):
+            raise PathologicalCutError("draw left one side of the cut empty")
+        monkeypatch.setattr(harness, "evaluate_cutset", empty_side)
+        assert run(["cutset", "--n", "16", "--trials", "1"]) == 3
 
     def test_percolation_mode(self, tmp_path):
         out = tmp_path / "cutp.csv"
@@ -132,6 +145,15 @@ class TestSweep:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"kind": "scheme", "n_list": [8, 4], "out": "x.csv"}')
         assert run(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("field", [{"kind": "cutset", "mode": "ideal"},
+                                       {"kind": "scheme", "scheme": "multi"}])
+    def test_misspelled_mode_or_scheme_exit_2(self, tmp_path, field):
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(field, n_list=[16, 32], out=str(out))))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run(["sweep", "--config", str(tmp_path / "nope.json")]) == 3

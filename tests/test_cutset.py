@@ -7,7 +7,7 @@ from netregime import (PathologicalCutError, PhysicalParams, dof_term,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        power_profile, select_cut_width, snr_total,
-                       upper_bound_exponent, classify, evaluate_cutset)
+                       classify, evaluate_cutset)
 from netregime.cutset import CUTSET_CSV_HEADER, identity_logdet
 from netregime.network import channel_matrix
 from netregime.harness import params_for_snr
@@ -274,6 +274,7 @@ class TestMonteCarlo:
 
 
 class TestUpperBoundExponent:
+    # the cutset bound's exponent is the classifier's exponent
     @pytest.mark.parametrize("alpha,beta,expected", [
         (2.5, 1.0, 1.0),
         (4.0, -0.5, 0.0),
@@ -282,14 +283,7 @@ class TestUpperBoundExponent:
         (3.0, -0.25, 0.25),
     ])
     def test_rows(self, alpha, beta, expected):
-        assert upper_bound_exponent(alpha, beta) == pytest.approx(expected)
-
-    def test_agrees_with_classifier_values(self):
-        # the alpha = 3 row assignment differs, the exponent never does
-        for alpha in np.linspace(2.0, 6.0, 17):
-            for beta in np.linspace(-1.0, 3.0, 17):
-                assert upper_bound_exponent(alpha, beta) == pytest.approx(
-                    classify(alpha, beta).exponent, abs=1e-12)
+        assert classify(alpha, beta).exponent == pytest.approx(expected)
 
 
 class TestStripSemantics:
@@ -334,3 +328,9 @@ class TestEvaluateCutset:
         assert report.mode == "percolation"
         assert report.size_B >= 0
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
+
+    def test_unknown_mode_rejected(self):
+        params, area = params_for_snr(2.0, 3.0, 16)
+        inst = generate_network(16, area, seed=1)
+        with pytest.raises(ValueError, match="unknown cut mode"):
+            evaluate_cutset(inst, params, trials=1, mode="ideal")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from netregime import (ConfigError, Constants, ExperimentConfig, fit_exponent,
-                       emit_phase_diagram, emit_sweep, params_for_snr,
+from netregime import (ConfigError, Constants, DegenerateInstanceError,
+                       ExperimentConfig, ExperimentError, fit_exponent,
+                       emit_phase_diagram, emit_sweep, harness, params_for_snr,
                        run_scaling_experiment, snr_short)
 from netregime.harness import fit_full_and_tail, tail_points, write_manifest
 
@@ -87,6 +88,10 @@ class TestConfig:
             ExperimentConfig(kind="scheme", n_list=[])
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="scheme", n_list=[4, 8], alpha=1.0)
+        with pytest.raises(ConfigError, match="scheme"):
+            ExperimentConfig(kind="scheme", n_list=[4, 8], scheme="multi")
+        with pytest.raises(ConfigError, match="mode"):
+            ExperimentConfig(kind="cutset", n_list=[4, 8], mode="ideal")
 
     def test_k4_defaults_to_quarter_k3(self):
         assert Constants(K3=2.0).k4 == pytest.approx(0.5)
@@ -112,6 +117,23 @@ class TestRunExperiment:
         metrics = [r.metric for r in rows]
         assert all(b > a for a, b in zip(metrics, metrics[1:]))
 
+    def test_bug_in_a_unit_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+        monkeypatch.setattr(harness, "generate_network", broken)
+        config = ExperimentConfig(kind="scheme", scheme="hybrid", n_list=[64],
+                                  alpha=4.0, beta=0.5, trials=2)
+        with pytest.raises(TypeError, match="bug"):
+            run_scaling_experiment(config)
+
+    def test_failed_percolation_draw_is_tallied(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInstanceError("draw")
+        monkeypatch.setattr(harness, "crossing_probability", degenerate)
+        config = ExperimentConfig(kind="percolation", n_list=[16, 32], trials=2)
+        with pytest.raises(ExperimentError):
+            run_scaling_experiment(config)
+
     def test_workers_do_not_change_results(self):
         config = ExperimentConfig(kind="cutset", n_list=[8, 16, 32],
                                   alpha=3.0, beta=0.5, trials=3, instances=2,
@@ -136,7 +158,6 @@ class TestRunExperiment:
         assert rows[0].extra["decay_ok"]
 
     def test_all_points_failing_raises(self):
-        from netregime import ExperimentError
         # hybrid cells are undefined at beta < 0, so every trial fails
         config = ExperimentConfig(kind="scheme", scheme="hybrid",
                                   n_list=[32, 64], alpha=4.0, beta=-0.5,

@@ -8,6 +8,7 @@ from scipy import stats
 from netregime import (DegenerateInstanceError, NetworkInstance, PhysicalParams,
                        beta_of, channel_matrix, generate_network, min_separation,
                        separation_diagnostic, snr_long, snr_short)
+from netregime import network
 from netregime.network import node_phases
 
 from helpers import hand_instance
@@ -70,6 +71,21 @@ class TestGenerate:
         inst = generate_network(4, 4.0, seed=0)
         with pytest.raises(ValueError):
             inst.positions[0, 0] = 5.0
+
+    def test_retry_does_not_repeat_next_seed(self, monkeypatch):
+        first = generate_network(16, 16.0, seed=5).positions
+        next_seed = generate_network(16, 16.0, seed=6).positions
+        draws = []
+
+        def reject_first(positions):
+            draws.append(positions)
+            return len(draws) == 1
+        monkeypatch.setattr(network, "_has_coincident_nodes", reject_first)
+        inst = generate_network(16, 16.0, seed=5)
+        assert len(draws) == 2 and inst.seed == 5
+        assert np.array_equal(draws[0], first)
+        assert not np.array_equal(inst.positions, first)
+        assert not np.array_equal(inst.positions, next_seed)
 
 
 class TestSnrQuantities:
