@@ -38,7 +38,6 @@ from .cutset import (
     CutsetReport,
     PathologicalCutError,
     closed_form_snr_total_bound,
-    dof_term,
     dof_term_realized,
     evaluate_cutset,
     mc_cutset_logdet,

@@ -12,8 +12,9 @@ import sys
 
 from . import rng
 from .cutset import CUT_MODES, CUTSET_CSV_HEADER, PathologicalCutError
-from .harness import (ConfigError, Constants, ExperimentConfig, emit_phase_diagram,
-                      emit_sweep, fit_exponent, run_cutset, run_scheme, write_lines)
+from .harness import (ConfigError, Constants, ExperimentConfig, ExperimentError,
+                      emit_phase_diagram, emit_sweep, fit_exponent, run_cutset,
+                      run_scheme, write_lines)
 from .network import DegenerateInstanceError, generate_network
 from .percolation import (CROSSING_CSV_HEADER, build_occupancy_grid,
                           crossing_probability, extract_cut, find_open_crossing)
@@ -36,7 +37,6 @@ def _add_constants(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k3", type=float, default=1.0)
     p.add_argument("--k4", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--c", type=float, default=0.25,
                    help="percolation cell-size fraction")
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _constants(args) -> Constants:
     return Constants(K1=args.k1, K2=args.k2, K3=args.k3, K4=args.k4,
-                     epsilon=args.eps, delta=args.delta, c=args.c)
+                     epsilon=args.eps, c=args.c)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -207,8 +207,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (PathologicalCutError, DegenerateInstanceError) as exc:
-        # ValueErrors raised by random draws: the experiment failed
+    except (PathologicalCutError, DegenerateInstanceError, ArithmeticError,
+            ExperimentError) as exc:
+        # bad draws, non-finite Monte-Carlo values, a sweep with no usable point
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:   # ConfigError, OutOfRegimeError, bad arguments
@@ -216,9 +217,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:    # experiment failure
-        print(f"experiment failed: {exc}", file=sys.stderr)
         return 3
 
 

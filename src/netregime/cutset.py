@@ -18,7 +18,7 @@ independent unit-power signalling from the left:
     w_hat = snr_s^(1/(alpha - 2))  for 1 <= snr_s < n^(alpha/2 - 1)
 
 Two cut modes are supported.  The "idealized" mode clears the unit strip
-immediately right of the cut (those nodes are excluded and reported); the
+immediately right of the cut (those nodes are excluded from D); the
 "percolation" mode uses a node-free polyline cut from
 :mod:`netregime.percolation` and accounts the slab's right-side nodes (the
 B set) on the power side.
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import percolation as perc
 from . import rng
-from .network import (NetworkInstance, PhysicalParams, channel_matrix,
-                      snr_short)
+from .network import (NetworkInstance, PhysicalParams, beta_of, channel_matrix,
+                      distances, snr_short)
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +70,6 @@ class CutPartition:
     strip_VD: np.ndarray
     far_D: np.ndarray
     excluded_E: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    b_set: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    mode: str = "idealized"
 
     @property
     def right_D(self) -> np.ndarray:
@@ -102,8 +100,8 @@ def partition_nodes(instance: NetworkInstance, w_hat: float,
 
     Idealized mode cuts at the midline x = sqrt(A) and drops right-side
     nodes at rescaled distance < 1 (the assumed-empty strip).  Percolation
-    mode classifies nodes against the polyline cut; B-set nodes stay in
-    ``far_D`` and are reported separately.
+    mode classifies nodes against the polyline cut; B-set nodes go to
+    ``far_D``.
     """
     n = instance.n_pairs
     if not 1.0 <= w_hat <= math.sqrt(n) * (1 + 1e-12):
@@ -126,8 +124,7 @@ def partition_nodes(instance: NetworkInstance, w_hat: float,
         in_strip = (xhat >= 1.0) & (xhat <= w_hat)
         vd = right_out[in_strip]
         far = np.sort(np.concatenate([right_out[~in_strip], b_set]))
-        part = CutPartition(mid, w_hat, left, vd, far, b_set=b_set,
-                            mode="percolation")
+        part = CutPartition(mid, w_hat, left, vd, far)
     else:
         raise ValueError(f"unknown cut mode {mode!r}")
 
@@ -143,9 +140,7 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
     """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free."""
     if len(targets) == 0:
         return np.empty(0)
-    diff = (instance.positions[targets][:, None, :]
-            - instance.positions[sources][None, :, :])
-    rhat = np.sqrt(np.sum(diff * diff, axis=2)) / instance.nn_scale
+    rhat = distances(instance, targets, sources) / instance.nn_scale
     if np.any(rhat == 0.0):
         raise PathologicalCutError("coincident nodes across the cut")
     return np.sum(rhat ** (-alpha), axis=1)
@@ -208,23 +203,6 @@ def closed_form_snr_total_bound(snr_s: float, n: int, alpha: float,
     return K1 * snr_s * w_hat ** (3.0 - alpha) * math.sqrt(n) * ln_n ** 2
 
 
-def dof_term(partition: CutPartition, snr_s: float, n: int, alpha: float,
-             delta: float = 0.05) -> float:
-    """High-probability strip bound (w-1)*sqrt(n)*ln(n)*log2(1 + n^(1+alpha(1/2+delta))*snr_s).
-
-    Zero when the strip is empty.  The count factor (w-1)*sqrt(n)*ln(n) is
-    a with-high-probability bound; for per-realization chains use
-    :func:`dof_term_realized`.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if partition.strip_VD.size == 0:
-        return 0.0
-    count = (partition.w_hat - 1.0) * math.sqrt(n) * math.log(n)
-    level = n ** (1.0 + alpha * (0.5 + delta)) * snr_s
-    return count * math.log2(1.0 + level)
-
-
 def dof_term_realized(instance: NetworkInstance, partition: CutPartition,
                       snr_s: float, alpha: float) -> float:
     """Realized strip bound sum_i log2(1 + n * snr_s * d_hat_i) over V_D.
@@ -257,7 +235,6 @@ class MCLogdet:
     mean: float
     stderr: float
     values: tuple
-    trials_requested: int
     discarded: int
 
     @property
@@ -294,7 +271,7 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     if not values:
         raise ArithmeticError("every Monte-Carlo trial was non-finite")
     mean, stderr = rng.mean_stderr(values)
-    return MCLogdet(mean, stderr, tuple(values), trials, discarded)
+    return MCLogdet(mean, stderr, tuple(values), discarded)
 
 
 @dataclass
@@ -302,7 +279,6 @@ class CutsetReport:
     """Everything measured for one cut: analytic terms, bound, and Monte-Carlo value.
 
     ``dof_term`` is the realized strip sum used in per-realization chains;
-    ``dof_term_whp`` is the closed-form high-probability count bound.
     ``power_term`` is n^epsilon * snr_total / ln 2, in bits;
     ``closed_form_bound`` is NaN when w_hat = sqrt(n).
     """
@@ -313,7 +289,6 @@ class CutsetReport:
     w_hat: float
     size_VD: int
     dof_term: float
-    dof_term_whp: float
     snr_total: float
     power_term: float
     mc_logdet: float
@@ -321,10 +296,6 @@ class CutsetReport:
     closed_form_bound: float
     trials: int
     seed: int
-    size_B: int = 0
-    excluded: int = 0
-    discarded: int = 0
-    mode: str = "idealized"
 
     def csv_row(self) -> str:
         cols = [str(self.n)]
@@ -346,7 +317,7 @@ CUTSET_CSV_HEADER = ("n,alpha,beta,w_hat,size_VD,dof_term,snr_total,power_term,"
 def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
                     trials: int = 20, phase_seed: int = 0,
                     mode: str = "idealized", c: float = 0.25,
-                    delta: float = 0.05, epsilon: float = 0.05,
+                    epsilon: float = 0.05,
                     K1: float = 1.0) -> CutsetReport:
     """Full cutset evaluation of one instance: partition, terms and Monte-Carlo.
 
@@ -366,7 +337,6 @@ def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
 
     snr_tot = snr_total(instance, part, snr_s, params.alpha)
     dof_real = dof_term_realized(instance, part, snr_s, params.alpha)
-    dof_whp = dof_term(part, snr_s, n, params.alpha, delta)
     power = n ** epsilon * snr_tot / LN2
     try:
         bound = closed_form_snr_total_bound(snr_s, n, params.alpha, w_hat, K1)
@@ -374,12 +344,10 @@ def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
         bound = math.nan
     mc = mc_cutset_logdet(instance, part, params, trials, phase_seed)
     return CutsetReport(
-        n=n, alpha=params.alpha, beta=math.log(snr_s) / math.log(n) if n > 1 else 0.0,
+        n=n, alpha=params.alpha, beta=beta_of(snr_s, n),
         w_hat=w_hat, size_VD=int(part.strip_VD.size),
-        dof_term=dof_real, dof_term_whp=dof_whp,
+        dof_term=dof_real,
         snr_total=snr_tot, power_term=power,
         mc_logdet=mc.mean, mc_stderr=mc.stderr,
         closed_form_bound=bound, trials=mc.trials_used,
-        seed=instance.seed, size_B=int(part.b_set.size),
-        excluded=int(part.excluded_E.size), discarded=mc.discarded,
-        mode=mode)
+        seed=instance.seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -27,6 +28,8 @@ from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
 from .schemes import (OutOfRegimeError, hc_throughput, multihop_throughput,
                       simulate_hybrid)
 
+logger = logging.getLogger(__name__)
+
 KINDS = ("cutset", "scheme", "percolation", "phase-diagram")
 SCHEMES = tuple(s.value for s in Scheme)
 
@@ -41,7 +44,10 @@ class ExperimentError(RuntimeError):
 
 @dataclass
 class Constants:
-    """Scheme and bound constants; they shift intercepts, not slopes."""
+    """Scheme and bound constants; they shift intercepts, not slopes.
+
+    ``delta`` is accepted and recorded in the manifest but read by nothing.
+    """
 
     K1: float = 1.0
     K2: float = 1.0
@@ -137,7 +143,6 @@ class PointRow:
     n: int
     metric: float
     stderr: float
-    extra: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
         return f"{self.n},{self.metric:.17g},{self.stderr:.17g}"
@@ -159,8 +164,7 @@ def run_cutset(n: int, alpha: float, beta: float, k: Constants, trials: int,
     _, params, area = operating_point(n, alpha, beta)
     inst = generate_network(n, area, seed)
     return evaluate_cutset(inst, params, trials=trials, phase_seed=phase_seed,
-                           mode=mode, c=k.c, delta=k.delta, epsilon=k.epsilon,
-                           K1=k.K1)
+                           mode=mode, c=k.c, epsilon=k.epsilon, K1=k.K1)
 
 
 def run_scheme(scheme: str, n: int, alpha: float, beta: float,
@@ -205,8 +209,7 @@ def _percolation_unit(config: ExperimentConfig, i_point: int, n: int, _: int):
         rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point))
     rate = study.empirical_rate
     se = math.sqrt(max(rate * (1 - rate), 0.0) / study.trials)
-    return PointRow(n, rate, se, {"analytic_bound": study.analytic_bound,
-                                  "decay_ok": study.decay_ok})
+    return PointRow(n, rate, se)
 
 
 # kind -> (unit, units per point).  A unit returns the PointRow of its own
@@ -219,7 +222,7 @@ _UNITS = {
 }
 
 # Errors of a bad draw, a non-finite Monte-Carlo value or a point outside
-# the hybrid regime; a unit that raises one is tallied as failed.
+# the hybrid regime; a unit that raises one is logged and counted as failed.
 # Anything else is a bug and propagates.
 _UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
                 OutOfRegimeError, ArithmeticError)
@@ -230,8 +233,10 @@ def run_scaling_experiment(config: ExperimentConfig,
     """One aggregated row per n; units run serially in a fixed order.
 
     ``workers`` has no effect; it is accepted so existing callers keep
-    working.  Points where more than 10% of units fail are skipped with
-    a NaN metric and stderr; a fully failing experiment raises.
+    working.  Each failed unit is logged at WARNING with its seed path
+    (master_seed, EXPERIMENT, point, unit).  Points where more than 10% of
+    units fail get a NaN metric and stderr; a fully failing experiment
+    raises.
     """
     if config.kind == "phase-diagram":
         raise ConfigError("phase-diagram configs are emitted, not swept")
@@ -242,15 +247,17 @@ def run_scaling_experiment(config: ExperimentConfig,
         for j in range(count):
             try:
                 good.append(unit(config, i, n, j))
-            except _UNIT_ERRORS:
-                pass
-        failed = count - len(good)
-        if failed > 0.1 * count or not good:
-            rows.append(PointRow(n, math.nan, math.nan, {"failed": failed}))
+            except _UNIT_ERRORS as exc:
+                logger.warning("%s unit failed at n=%d (point %d, unit %d): %s; "
+                               "seed path (%d, %d, %d, %d)", config.kind, n, i, j,
+                               type(exc).__name__, config.master_seed,
+                               rng.EXPERIMENT, i, j)
+        if count - len(good) > 0.1 * count or not good:
+            rows.append(PointRow(n, math.nan, math.nan))
             continue
         metric, stderr = rng.mean_stderr([g.metric for g in good],
                                          single=good[0].stderr)
-        rows.append(PointRow(n, metric, stderr, good[0].extra))
+        rows.append(PointRow(n, metric, stderr))
     if all(math.isnan(r.metric) for r in rows):
         raise ExperimentError("every point of the experiment failed")
     return rows

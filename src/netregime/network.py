@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -209,16 +209,11 @@ def beta_of(snr_s: float, n: int) -> float:
 class ChannelMatrix:
     """Complex gains between a transmit and a receive node set.
 
-    ``entries[i, k]`` is the gain from ``tx_ids[k]`` to ``rx_ids[i]``.  The
-    ``rescaled`` flag selects between physical-unit magnitudes
-    sqrt(G) * r^(-alpha/2) and rescaled magnitudes rhat^(-alpha/2).
+    ``entries[i, k]`` is the gain from the k-th transmitter to the i-th
+    receiver, in the order the sets were given.
     """
 
     entries: np.ndarray
-    phase_seed: int
-    rescaled: bool
-    tx_ids: np.ndarray = field(repr=False, default=None)
-    rx_ids: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -235,10 +230,20 @@ def node_phases(n_nodes: int, phase_seed: int) -> np.ndarray:
     return gen.uniform(0.0, 2.0 * math.pi, size=(n_nodes, n_nodes))
 
 
+def distances(instance: NetworkInstance, rx, tx) -> np.ndarray:
+    """Unscaled distances r[i, k] from node rx[i] to node tx[k]."""
+    diff = instance.positions[rx][:, None, :] - instance.positions[tx][None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
                    tx_set, rx_set, phase_seed: int,
                    rescaled: bool = True) -> ChannelMatrix:
-    """Channel matrix between two disjoint node sets for one fading draw."""
+    """Channel matrix between two disjoint node sets for one fading draw.
+
+    ``rescaled`` selects rescaled magnitudes rhat^(-alpha/2) over
+    physical-unit magnitudes sqrt(G) * r^(-alpha/2).
+    """
     tx = np.asarray(tx_set, dtype=np.intp)
     rx = np.asarray(rx_set, dtype=np.intp)
     if tx.size == 0 or rx.size == 0:
@@ -246,8 +251,7 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 
-    diff = instance.positions[rx][:, None, :] - instance.positions[tx][None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
+    r = distances(instance, rx, tx)
     if np.any(r == 0.0):
         raise DegenerateInstanceError("coincident transmitter/receiver positions")
 
@@ -258,8 +262,7 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
         magnitude = math.sqrt(params.gain_G) * r ** (-alpha / 2.0)
 
     theta = node_phases(instance.n_nodes, phase_seed)[np.ix_(rx, tx)]
-    entries = magnitude * np.exp(1j * theta)
-    return ChannelMatrix(entries, phase_seed, rescaled, tx, rx)
+    return ChannelMatrix(magnitude * np.exp(1j * theta))
 
 
 def min_separation(instance: NetworkInstance, rescaled: bool = True) -> float:

@@ -46,8 +46,6 @@ class PercolationGrid:
     total_rows: int
     slab_x0: float           # x coordinate of the slab's left edge
     closed: np.ndarray       # bool, shape (total_rows, slab_columns)
-    area_A: float
-    n_pairs: int
 
     @property
     def slab_x1(self) -> float:
@@ -111,17 +109,22 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
 
-    closed = np.zeros((rows, cols), dtype=bool)
+    grid = PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
+    _, row, col = _slab_cells(grid, instance)
+    grid.closed[row, col] = True
+    return grid
+
+
+def _slab_cells(grid: PercolationGrid, instance: NetworkInstance):
+    """Ids of the nodes inside the slab and the (row, col) cell of each."""
     x = instance.positions[:, 0]
     y = instance.positions[:, 1]
-    in_slab = (x >= x0) & (x < x0 + cols * cell)
-    if np.any(in_slab):
-        col = np.floor((x[in_slab] - x0) / cell).astype(np.intp)
-        row_up = np.minimum(np.floor(y[in_slab] / cell).astype(np.intp), rows - 1)
-        row = rows - 1 - row_up
-        np.clip(col, 0, cols - 1, out=col)
-        closed[row, col] = True
-    return PercolationGrid(c, cell, cols, rows, x0, closed, instance.area_A, n)
+    idx = np.nonzero((x >= grid.slab_x0) & (x < grid.slab_x1))[0]
+    col = np.floor((x[idx] - grid.slab_x0) / grid.cell_side).astype(np.intp)
+    np.clip(col, 0, grid.slab_columns - 1, out=col)
+    row_up = np.minimum(np.floor(y[idx] / grid.cell_side).astype(np.intp),
+                        grid.total_rows - 1)
+    return idx, grid.total_rows - 1 - row_up, col
 
 
 def _labels_touching(labels: np.ndarray, first, last) -> bool:
@@ -175,11 +178,11 @@ def find_open_crossing(grid: PercolationGrid):
     sequence is returned, so repeated runs and different search orders give
     the same cut.
     """
-    if not has_open_crossing(grid):
-        return None
     dist = _distance_to_bottom(grid.open)
     rows, cols = dist.shape
     top = dist[0]
+    if not (top >= 0).any():
+        return None
     best = top[top >= 0].min()
     col = int(np.argmax(top == best))
     cells = [(0, col)]
@@ -268,42 +271,20 @@ def split_by_cut(grid: PercolationGrid, path: CutPolyline,
     8-connected left-right route, so the two labels never meet.  Enclosed
     pockets (touching neither boundary) are assigned to the left side.
     """
-    rows, cols = grid.closed.shape
-    on_path = np.zeros((rows, cols), dtype=bool)
-    for r, c in path.cells:
-        on_path[r, c] = True
-    free = ~on_path
-
-    left_seed = np.zeros_like(free)
-    left_seed[:, 0] = free[:, 0]
-    right_seed = np.zeros_like(free)
-    right_seed[:, -1] = free[:, -1]
-
+    free = np.ones(grid.closed.shape, dtype=bool)
+    free[tuple(np.asarray(path.cells).T)] = False
     labels, _ = ndimage.label(free, structure=_EIGHT)
-    left_labels = np.unique(labels[left_seed])
-    right_labels = np.unique(labels[right_seed])
-    left_labels = set(left_labels[left_labels > 0].tolist())
-    right_labels = set(right_labels[right_labels > 0].tolist())
-    if left_labels & right_labels:
+    first, last = (slice(None), 0), (slice(None), -1)
+    if _labels_touching(labels, first, last):
         raise AssertionError("cut does not separate the slab")
 
     x = instance.positions[:, 0]
-    y = instance.positions[:, 1]
     left = x < grid.slab_x0
-    right_out = x >= grid.slab_x1
-    in_slab = ~(left | right_out)
-    b_mask = np.zeros(instance.n_nodes, dtype=bool)
-    idx = np.nonzero(in_slab)[0]
-    if idx.size:
-        col = np.floor((x[idx] - grid.slab_x0) / grid.cell_side).astype(np.intp)
-        np.clip(col, 0, cols - 1, out=col)
-        row_up = np.minimum(np.floor(y[idx] / grid.cell_side).astype(np.intp), rows - 1)
-        row = rows - 1 - row_up
-        lab = labels[row, col]
-        is_right = np.asarray([l in right_labels for l in lab.tolist()])
-        b_mask[idx[is_right]] = True
-        left[idx[~is_right]] = True   # left side, plus enclosed pockets
-    return (np.nonzero(left)[0], np.nonzero(b_mask)[0], np.nonzero(right_out)[0])
+    idx, row, col = _slab_cells(grid, instance)
+    right_labels = labels[last]
+    is_right = np.isin(labels[row, col], right_labels[right_labels > 0])
+    left[idx[~is_right]] = True   # left side, plus enclosed pockets
+    return (np.nonzero(left)[0], idx[is_right], np.nonzero(x >= grid.slab_x1)[0])
 
 
 def analytic_failure_bound(n: int, c: float) -> float:

@@ -1,9 +1,10 @@
 """Deterministic random-number plumbing.
 
 All randomness in the package flows through numpy's counter-based Philox
-generator. Every consumer derives an independent substream from a
-(seed, *path) tuple of non-negative integers, so trials can be evaluated
-in any order, or in parallel, without changing a single bit of output.
+generator. Every consumer derives its substream from a (seed, *path)
+tuple of non-negative integers, so trials can be evaluated in any order
+without changing a single bit of output.  Paths that differ only by
+trailing zeros share a stream (see :func:`substream`).
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -23,25 +24,31 @@ RELAY = 5
 EXPERIMENT = 6
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Return a Generator on an independent Philox substream.
-
-    ``seed`` and all ``path`` entries must be non-negative integers.  The
-    mapping (seed, *path) -> stream is injective and stable across runs,
-    processes and thread counts.
-    """
-    entropy = (int(seed),) + tuple(int(p) for p in path)
-    if any(e < 0 for e in entropy):
-        raise ValueError(f"substream path must be non-negative, got {entropy}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def derived_seed(seed: int, *path: int) -> int:
-    """Collapse (seed, *path) into a single reproducible 63-bit integer."""
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
     entropy = (int(seed),) + tuple(int(p) for p in path)
     if any(e < 0 for e in entropy):
         raise ValueError(f"seed path must be non-negative, got {entropy}")
-    state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
+    return np.random.SeedSequence(entropy)
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Return a Generator on the Philox substream of (seed, *path).
+
+    ``seed`` and all ``path`` entries must be non-negative integers.  The
+    mapping is stable across runs and processes, but not injective:
+    ``SeedSequence`` zero-pads its entropy, so paths that differ only by
+    trailing zeros, such as (5, 1) and (5, 1, 0), give the same stream.
+    """
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+def derived_seed(seed: int, *path: int) -> int:
+    """Collapse (seed, *path) into a single reproducible 63-bit integer.
+
+    Like :func:`substream`, trailing zeros in the path do not change the
+    value: ``derived_seed(7, 6, 3) == derived_seed(7, 6, 3, 0)``.
+    """
+    state = _seed_sequence(seed, path).generate_state(1, np.uint64)[0]
     return int(state >> np.uint64(1))
 
 

@@ -27,7 +27,7 @@ from math import fsum
 import numpy as np
 
 from . import rng
-from .network import NetworkInstance
+from .network import NetworkInstance, snr_long
 from .regimes import Scheme
 
 
@@ -43,7 +43,6 @@ class ThroughputEstimate:
     per_pair_R: float
     scheme: Scheme
     constants: dict = field(default_factory=dict)
-    bottleneck_cell: int | None = None
     analytic_per_pair: float | None = None
 
 
@@ -71,7 +70,7 @@ def hc_throughput(n: int, snr_s: float, alpha: float, epsilon: float = 0.05,
         raise ValueError("epsilon must be positive")
     if K3 <= 0:
         raise ValueError("K3 must be positive")
-    snr_l = n ** (1.0 - alpha / 2.0) * snr_s
+    snr_l = snr_long(snr_s, n, alpha)
     scheme = Scheme.HC
     if bursty:
         scheme = Scheme.BURSTY_HC
@@ -113,7 +112,6 @@ class CellGrid:
     cell_side: float
     columns: int
     rows: int
-    M_target: int
     cell_of_node: np.ndarray            # flat cell id per node
     nodes_of_cell: list                 # flat cell id -> array of node ids
 
@@ -140,31 +138,21 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
     col = np.minimum((instance.positions[:, 0] / side).astype(np.intp), cols - 1)
     row = np.minimum((instance.positions[:, 1] / side).astype(np.intp), rows - 1)
     flat = row * cols + col
-    nodes_of_cell = [np.empty(0, dtype=np.intp)] * (rows * cols)
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    bounds = np.searchsorted(sorted_flat, np.arange(rows * cols + 1))
-    for cid in range(rows * cols):
-        lo, hi = bounds[cid], bounds[cid + 1]
-        if hi > lo:
-            nodes_of_cell[cid] = order[lo:hi]
-    return CellGrid(side, cols, rows, M, flat, nodes_of_cell)
+    bounds = np.searchsorted(flat[order], np.arange(1, rows * cols))
+    return CellGrid(side, cols, rows, flat, np.split(order, bounds))
 
 
-def _cell_of_point(x: float, y: float, grid: CellGrid):
-    col = min(int(x / grid.cell_side), grid.columns - 1)
-    row = min(int(y / grid.cell_side), grid.rows - 1)
-    return row, col
-
-
-def _supercover(p0, p1, grid: CellGrid) -> list[int]:
+def _supercover(p0, p1, cell0: int, cell1: int, grid: CellGrid) -> list[int]:
     """4-connected cell walk along the segment p0 -> p1.
 
-    Exact corner crossings step to the horizontal neighbor first so that
-    consecutive cells always share an edge and the walk is deterministic.
+    ``cell0`` and ``cell1`` are the flat ids of the cells holding p0 and
+    p1.  Exact corner crossings step to the horizontal neighbor first so
+    that consecutive cells always share an edge and the walk is
+    deterministic.
     """
-    r0, c0 = _cell_of_point(p0[0], p0[1], grid)
-    r1, c1 = _cell_of_point(p1[0], p1[1], grid)
+    r0, c0 = divmod(int(cell0), grid.columns)
+    r1, c1 = divmod(int(cell1), grid.columns)
     cells = [grid.flat(r0, c0)]
     if (r0, c0) == (r1, c1):
         return cells
@@ -251,7 +239,6 @@ class RelayPlan:
     cell_load: np.ndarray
     node_load: np.ndarray
     reroutes: int
-    seed: int
 
     @property
     def max_cell_load(self) -> int:
@@ -273,7 +260,8 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     node_load = np.zeros(instance.n_nodes, dtype=np.int64)
     reroutes = 0
     for j, (s_id, d_id) in enumerate(zip(instance.source_ids, instance.dest_ids)):
-        path = _supercover(instance.positions[s_id], instance.positions[d_id], grid)
+        path = _supercover(instance.positions[s_id], instance.positions[d_id],
+                           grid.cell_of_node[s_id], grid.cell_of_node[d_id], grid)
         gen = rng.substream(seed, rng.RELAY, j)
         picks = gen.integers(0, 2 ** 31, size=len(path))
         relay_cells = list(path)
@@ -299,7 +287,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
         for v in nodes:
             node_load[v] += 1
     return RelayPlan(cell_paths, relay_cells_all, assignments, cell_load,
-                     node_load, reroutes, seed)
+                     node_load, reroutes)
 
 
 def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
@@ -327,7 +315,6 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     return ThroughputEstimate(
         aggregate, aggregate / n, Scheme.HYBRID,
         constants={"K3": K3, "K4": K4, "epsilon": epsilon, "M": M},
-        bottleneck_cell=int(np.argmax(plan.cell_load)),
         analytic_per_pair=K4 * math.sqrt(M) * n ** (-0.5 - epsilon))
 
 

@@ -83,6 +83,32 @@ def bfs_closed_left_right(closed):
     return False
 
 
+def brute_b_set(grid, path_cells, positions):
+    """Plain-python oracle: in-slab nodes whose cell an 8-connected walk
+    over non-path cells joins to the slab's right column."""
+    rows, cols = grid.closed.shape
+    on_path = set(path_cells)
+    stack = [(r, cols - 1) for r in range(rows) if (r, cols - 1) not in on_path]
+    seen = set(stack)
+    while stack:
+        r, c = stack.pop()
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                nr, nc = r + dr, c + dc
+                if (0 <= nr < rows and 0 <= nc < cols
+                        and (nr, nc) not in on_path and (nr, nc) not in seen):
+                    seen.add((nr, nc))
+                    stack.append((nr, nc))
+    b_set = []
+    for i, (x, y) in enumerate(positions):
+        if grid.slab_x0 <= x < grid.slab_x1:
+            col = min(math.floor((x - grid.slab_x0) / grid.cell_side), cols - 1)
+            row = rows - 1 - min(math.floor(y / grid.cell_side), rows - 1)
+            if (row, col) in seen:
+                b_set.append(i)
+    return b_set
+
+
 def point_segment_distance(p, a, b):
     """Textbook point-to-segment distance."""
     px, py = p

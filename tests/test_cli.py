@@ -51,6 +51,13 @@ class TestCutset:
         monkeypatch.setattr(harness, "evaluate_cutset", empty_side)
         assert run(["cutset", "--n", "16", "--trials", "1"]) == 3
 
+    def test_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+        monkeypatch.setattr(harness, "evaluate_cutset", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run(["cutset", "--n", "16", "--trials", "1"])
+
     def test_percolation_mode(self, tmp_path):
         out = tmp_path / "cutp.csv"
         code = run(["cutset", "--n", "256", "--alpha", "4", "--beta", "0",
@@ -154,6 +161,14 @@ class TestSweep:
         cfg.write_text(json.dumps(dict(field, n_list=[16, 32], out=str(out))))
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
+
+    def test_every_point_failing_exit_3(self, tmp_path):
+        # hybrid cells are undefined at beta < 0, so every unit fails
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "scheme", "scheme": "hybrid", "alpha": 4.0,
+                                   "beta": -0.5, "n_list": [32, 64], "trials": 2,
+                                   "out": str(tmp_path / "s.csv")}))
+        assert run(["sweep", "--config", str(cfg)]) == 3
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run(["sweep", "--config", str(tmp_path / "nope.json")]) == 3

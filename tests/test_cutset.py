@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netregime import (PathologicalCutError, PhysicalParams, dof_term,
+from netregime import (PathologicalCutError, PhysicalParams,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        power_profile, select_cut_width, snr_total,
@@ -181,23 +181,7 @@ class TestDofTerm:
     def test_zero_when_strip_empty(self):
         inst = unit_density_instance(64, seed=4)
         part = partition_nodes(inst, w_hat=1.0)
-        assert dof_term(part, 2.0, 64, 4.0) == 0.0
         assert dof_term_realized(inst, part, 2.0, 4.0) == 0.0
-
-    def test_full_strip_positive(self):
-        inst = unit_density_instance(64, seed=4)
-        part = partition_nodes(inst, w_hat=8.0)
-        value = dof_term(part, 1.0, 64, 2.0)
-        assert value > 64  # about n times a polylog factor
-
-    def test_closed_form_hand_value(self):
-        inst = unit_density_instance(16, seed=3)
-        part = partition_nodes(inst, w_hat=2.0)
-        assume_nonempty = part.strip_VD.size > 0
-        assert assume_nonempty
-        got = dof_term(part, 4.0, 16, 4.0, delta=0.1)
-        want = 1.0 * 4.0 * math.log(16) * math.log2(1 + 16 ** (1 + 4 * 0.6) * 4.0)
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestMonteCarlo:
@@ -325,8 +309,6 @@ class TestEvaluateCutset:
         inst = generate_network(n, area, seed=8)
         report = evaluate_cutset(inst, params, trials=2, phase_seed=3,
                                  mode="percolation", c=0.25)
-        assert report.mode == "percolation"
-        assert report.size_B >= 0
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
 
     def test_unknown_mode_rejected(self):

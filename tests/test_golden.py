@@ -1,8 +1,9 @@
-"""Golden outputs of small sweeps, the default phase diagram and the CLI.
+"""Golden outputs of small sweeps, a sweep manifest, the default phase
+diagram and the CLI.
 
-Sweep, phase-diagram and CLI outputs are pure functions of their inputs,
-so a change that promises byte-identical outputs must keep every sha256
-below.  Cutset values go through a BLAS eigensolver whose last bit can
+Sweep, manifest, phase-diagram and CLI outputs are pure functions of their
+inputs, so a change that promises byte-identical outputs must keep every
+sha256 below.  Cutset values go through a BLAS eigensolver whose last bit can
 differ between machines, so they are compared number by number at
 rel=1e-12 instead.  Re-record a digest only with a change that declares
 an output change.
@@ -58,6 +59,16 @@ CLI_SHA256 = {
     "scheme_bursty_hc": "47bf20c86bec3570c6ef590dde1df100644ece5a76ef7b46cb0fc9111237ae6b",
     "hybrid": "d652dda61b899aebb87213f10e3e310044ccd05b3a8068a77e45cc0a86fd8a9d",
 }
+
+GEN_SHA256 = "2138fa14e0d1d850863259fbd99527203d6643008f7d484102bc6ea4035abb8c"
+
+PERCOLATION_CLI = ["percolation", "--n", "1024", "--trials", "4"]
+PERCOLATION_CLI_SHA256 = (
+    "54f1c6672feb3dea9a3b355f966f3104b2a5054cd435703d2522b3e57f264b1f",   # CSV
+    "108d16cf18a6772ca4f8a02f4acd45a3e393173b0211f5fcd968dbe2a346b504")   # cut JSON
+
+# The manifest records config.out, so the sweep writes to a relative path.
+MANIFEST_SHA256 = "bc456d08eb273f373d9014cc2f5c2ceca12b59ff9e07df20503ebe4443bbd6d1"
 
 CUTSET_SWEEP = dict(kind="cutset", alpha=3.0, beta=0.5, n_list=[16, 32],
                     trials=2, instances=2)
@@ -138,3 +149,19 @@ def test_cutset_sweep_values(tmp_path):
 def test_cutset_cli_values(tmp_path, mode):
     got = cli_csv(tmp_path, mode, CUTSET_CLI[mode]).read_text()
     assert_close_csv(got, CUTSET_CLI_CSV[mode])
+
+
+def test_gen_bytes(tmp_path):
+    assert sha256(cli_csv(tmp_path, "gen", ["gen", "--n", "64"])) == GEN_SHA256
+
+
+def test_percolation_cli_and_cut_bytes(tmp_path):
+    cut = tmp_path / "cut.json"
+    csv = cli_csv(tmp_path, "perc", PERCOLATION_CLI + ["--export-cut", str(cut)])
+    assert (sha256(csv), sha256(cut)) == PERCOLATION_CLI_SHA256
+
+
+def test_sweep_manifest_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    emit_sweep(ExperimentConfig(master_seed=3, out="sweep.csv", **SWEEPS["percolation"]))
+    assert sha256(tmp_path / "sweep.csv.manifest.json") == MANIFEST_SHA256

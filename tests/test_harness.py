@@ -1,14 +1,16 @@
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from netregime import (ConfigError, Constants, DegenerateInstanceError,
-                       ExperimentConfig, ExperimentError, fit_exponent,
-                       emit_phase_diagram, emit_sweep, harness, params_for_snr,
-                       run_scaling_experiment, snr_short)
+                       ExperimentConfig, ExperimentError, crossing_probability,
+                       fit_exponent, emit_phase_diagram, emit_sweep, harness,
+                       params_for_snr, run_scaling_experiment, snr_short)
+from netregime.rng import EXPERIMENT, derived_seed
 from netregime.harness import fit_full_and_tail, tail_points, write_manifest
 
 
@@ -134,6 +136,21 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError):
             run_scaling_experiment(config)
 
+    def test_failed_unit_is_logged_with_its_seed_path(self, monkeypatch, caplog):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInstanceError("draw")
+        monkeypatch.setattr(harness, "crossing_probability", degenerate)
+        config = ExperimentConfig(kind="percolation", n_list=[16, 32], trials=2,
+                                  master_seed=5)
+        with caplog.at_level(logging.WARNING, logger="netregime.harness"):
+            with pytest.raises(ExperimentError):
+                run_scaling_experiment(config)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"percolation unit failed at n={n} (point {i}, unit 0): "
+            f"DegenerateInstanceError; seed path (5, {EXPERIMENT}, {i}, 0)"
+            for i, n in enumerate((16, 32))]
+        assert all(r.levelno == logging.WARNING for r in caplog.records)
+
     def test_workers_do_not_change_results(self):
         config = ExperimentConfig(kind="cutset", n_list=[8, 16, 32],
                                   alpha=3.0, beta=0.5, trials=3, instances=2,
@@ -149,13 +166,13 @@ class TestRunExperiment:
         rows = run_scaling_experiment(config)
         assert all(r.metric > 0 for r in rows)
 
-    def test_percolation_kind_reports_bound(self):
+    def test_percolation_kind_reports_crossing_rate(self):
         config = ExperimentConfig(kind="percolation", n_list=[256],
                                   trials=20, master_seed=4,
                                   constants=Constants(c=0.25))
         rows = run_scaling_experiment(config)
-        assert rows[0].extra["analytic_bound"] > 0
-        assert rows[0].extra["decay_ok"]
+        study = crossing_probability(256, 0.25, 20, derived_seed(4, EXPERIMENT, 0))
+        assert rows[0].metric == study.empirical_rate
 
     def test_all_points_failing_raises(self):
         # hybrid cells are undefined at beta < 0, so every trial fails

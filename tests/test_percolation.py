@@ -13,7 +13,7 @@ from netregime.percolation import (PercolationGrid, analytic_failure_bound,
                                    split_by_cut)
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
-                     brute_polyline_clearance)
+                     brute_b_set, brute_polyline_clearance)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -21,8 +21,7 @@ def synthetic_grid(closed, c=0.25, cell_side=0.25):
     rows, cols = closed.shape
     return PercolationGrid(c=c, cell_side=cell_side, slab_columns=cols,
                            total_rows=rows, slab_x0=1.0,
-                           closed=np.asarray(closed, dtype=bool),
-                           area_A=4.0, n_pairs=16)
+                           closed=np.asarray(closed, dtype=bool))
 
 
 def nodes_left_of_slab(n_pairs, area_A, grid_c, seed=0):
@@ -291,6 +290,20 @@ class TestSplitByCut:
         x = inst.positions[:, 0]
         assert np.all(x[b] >= grid.slab_x0) and np.all(x[b] < grid.slab_x1)
         assert np.all(x[right] >= grid.slab_x1)
+
+    def test_b_set_matches_flood_fill_oracle(self):
+        # c near the crossing threshold makes the cut meander around pockets
+        checked = 0
+        for seed in range(12):
+            inst = generate_network(256, 256.0, seed=seed)
+            grid = build_occupancy_grid(inst, 0.45)
+            crossing = find_open_crossing(grid)
+            if crossing is None:
+                continue
+            _, b, _ = split_by_cut(grid, extract_cut(crossing, grid, inst), inst)
+            assert b.tolist() == brute_b_set(grid, crossing.cells, inst.positions)
+            checked += 1
+        assert checked >= 6
 
     def test_b_set_grows_like_root_n_log_n(self):
         n = 1024

@@ -149,21 +149,22 @@ class TestSupercover:
 
     def test_same_cell(self):
         grid, _ = self.grid()
-        cells = _supercover((0.3, 0.4), (0.6, 0.2), grid)
+        cells = _supercover((0.3, 0.4), (0.6, 0.2), 0, 0, grid)
         assert cells == [grid.flat(0, 0)]
 
     def test_axis_aligned_three_cells(self):
         grid, _ = self.grid()
-        cells = _supercover((0.5, 0.5), (2.5, 0.5), grid)
+        cells = _supercover((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0),
+                            grid.flat(0, 2), grid)
         assert cells == [grid.flat(0, 0), grid.flat(0, 1), grid.flat(0, 2)]
 
     def test_four_adjacency_random_segments(self):
         grid, inst = self.grid(64)
         gen = np.random.default_rng(9)
         for _ in range(200):
-            p0 = gen.uniform((0, 0), (2 * inst.side, inst.side))
-            p1 = gen.uniform((0, 0), (2 * inst.side, inst.side))
-            cells = _supercover(p0, p1, grid)
+            a, b = gen.choice(inst.n_nodes, size=2, replace=False)
+            cells = _supercover(inst.positions[a], inst.positions[b],
+                                grid.cell_of_node[a], grid.cell_of_node[b], grid)
             rc = [divmod(c, grid.columns) for c in cells]
             assert len(set(cells)) == len(cells)
             for (r0, c0), (r1, c1) in zip(rc, rc[1:]):
@@ -171,7 +172,8 @@ class TestSupercover:
 
     def test_exact_corner_steps_horizontal_first(self):
         grid, _ = self.grid()
-        cells = _supercover((0.5, 0.5), (2.5, 2.5), grid)
+        cells = _supercover((0.5, 0.5), (2.5, 2.5), grid.flat(0, 0),
+                            grid.flat(2, 2), grid)
         rc = [divmod(c, grid.columns) for c in cells]
         assert rc[0] == (0, 0) and rc[-1] == (2, 2)
         assert rc[1] == (0, 1)   # horizontal tie-break at the corner
@@ -268,11 +270,6 @@ class TestHybridThroughput:
                 0.25 * math.sqrt(M) * 256.0 ** -0.55, rel=1e-12)
             assert est.analytic_per_pair >= prev
             prev = est.analytic_per_pair
-
-    def test_bottleneck_cell_is_max_load(self):
-        inst = generate_network(128, 128.0, seed=7)
-        est, plan, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0, route_seed=7)
-        assert plan.cell_load[est.bottleneck_cell] == plan.max_cell_load
 
     def test_degenerate_equivalence_slopes(self):
         # M = 1 tracks the multihop sqrt(n) scaling at desk scale; the
