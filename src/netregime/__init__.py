@@ -23,15 +23,12 @@ from .network import (
     snr_short,
 )
 from .regimes import (
-    BoundaryFlags,
     Regime,
     RegimePoint,
     Scheme,
-    SchemeExponents,
     capacity_estimate,
     classify,
     phase_diagram,
-    scheme_exponents,
 )
 from .cutset import (
     CutPartition,

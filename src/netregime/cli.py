@@ -21,24 +21,31 @@ from .percolation import (CROSSING_CSV_HEADER, build_occupancy_grid,
 from .schemes import SCHEME_CSV_HEADER, scheme_csv_row
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, point: bool, trials: bool) -> None:
+    """--n --seed --out, plus --alpha --beta if ``point`` and --trials if ``trials``."""
     p.add_argument("--n", type=int, default=256, help="number of S-D pairs")
-    p.add_argument("--alpha", type=float, default=3.0, help="path-loss exponent")
-    p.add_argument("--beta", type=float, default=0.0,
-                   help="nearest-neighbor SNR exponent; snr_s = n^beta")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--trials", type=int, default=20)
+    if point:
+        p.add_argument("--alpha", type=float, default=ExperimentConfig.alpha,
+                       help="path-loss exponent")
+        p.add_argument("--beta", type=float, default=ExperimentConfig.beta,
+                       help="nearest-neighbor SNR exponent; snr_s = n^beta")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
+                   help="master seed")
+    if trials:
+        p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     p.add_argument("--out", type=str, default=None, help="output file")
 
 
-def _add_constants(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=float, default=1.0)
-    p.add_argument("--k2", type=float, default=1.0)
-    p.add_argument("--k3", type=float, default=1.0)
-    p.add_argument("--k4", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--c", type=float, default=0.25,
-                   help="percolation cell-size fraction")
+# constant flag -> Constants field
+_CONSTANT_FLAGS = {"--k1": "K1", "--k2": "K2", "--k3": "K3", "--eps": "epsilon",
+                   "--c": "c"}
+
+
+def _add_constants(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        field = _CONSTANT_FLAGS[flag]
+        p.add_argument(flag, type=float, dest=field, default=getattr(Constants, field),
+                       help=f"Constants.{field}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,36 +56,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--area", type=float, default=None,
                    help="network area A (default n, unit density)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("cutset", help="evaluate the cutset bound on one instance")
-    _add_common(p)
-    _add_constants(p)
-    p.add_argument("--mode", choices=CUT_MODES, default="idealized")
+    _add_common(p, point=True, trials=True)
+    _add_constants(p, "--k1", "--eps", "--c")
+    p.add_argument("--mode", choices=CUT_MODES, default=ExperimentConfig.mode)
 
     p = sub.add_parser("scheme", help="closed-form scheme throughput over n")
-    _add_common(p)
-    _add_constants(p)
+    _add_common(p, point=True, trials=False)
+    _add_constants(p, "--k2", "--k3", "--eps")
     p.add_argument("--name", choices=("multihop", "hc", "bursty_hc"),
                    default="multihop")
     p.add_argument("--n-list", type=int, nargs="+", default=None)
 
     p = sub.add_parser("hybrid", help="simulate the cooperate-locally scheme")
-    _add_common(p)
-    _add_constants(p)
+    _add_common(p, point=True, trials=False)
+    _add_constants(p, "--k3", "--eps")
     p.add_argument("--seeds", type=int, default=5, help="instance draws")
 
     p = sub.add_parser("percolation", help="crossing-probability study")
-    _add_common(p)
-    _add_constants(p)
+    _add_common(p, point=False, trials=True)
+    _add_constants(p, "--c")
     p.add_argument("--export-cut", type=str, default=None,
                    help="also export one certified cut as JSON")
 
     p = sub.add_parser("phase-diagram", help="emit the regime classification grid")
-    p.add_argument("--alpha-range", type=float, nargs=2, default=(2.0, 6.0))
-    p.add_argument("--beta-range", type=float, nargs=2, default=(-1.0, 3.0))
-    p.add_argument("--resolution", type=int, nargs=2, default=(100, 100))
+    p.add_argument("--alpha-range", type=float, nargs=2,
+                   default=ExperimentConfig.alpha_range)
+    p.add_argument("--beta-range", type=float, nargs=2,
+                   default=ExperimentConfig.beta_range)
+    p.add_argument("--resolution", type=int, nargs=2,
+                   default=ExperimentConfig.resolution)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("fit", help="fit a scaling exponent to a CSV of n,metric")
@@ -91,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _constants(args) -> Constants:
-    return Constants(K1=args.k1, K2=args.k2, K3=args.k3, K4=args.k4,
-                     epsilon=args.eps, c=args.c)
+    """The Constants of the subcommand's flags; the others keep their defaults."""
+    return Constants(**{f: getattr(args, f) for f in _CONSTANT_FLAGS.values()
+                        if hasattr(args, f)})
 
 
 def _emit(lines: list[str], out: str | None) -> None:

@@ -24,7 +24,7 @@ from .cutset import CUT_MODES, PathologicalCutError, evaluate_cutset
 from .network import DegenerateInstanceError, PhysicalParams, generate_network
 from .percolation import crossing_probability
 from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
-                      phase_diagram_csv_rows)
+                      phase_diagram_csv_rows, phase_diagram_grid_rows)
 from .schemes import (OutOfRegimeError, hc_throughput, multihop_throughput,
                       simulate_hybrid)
 
@@ -47,6 +47,8 @@ class Constants:
     """Scheme and bound constants; they shift intercepts, not slopes.
 
     ``delta`` is accepted and recorded in the manifest but read by nothing.
+    ``K4`` is recorded too; it scales only the hybrid estimate's analytic
+    per-pair rate, which no output writes, so the CLI has no flag for it.
     """
 
     K1: float = 1.0
@@ -228,15 +230,12 @@ _UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
                 OutOfRegimeError, ArithmeticError)
 
 
-def run_scaling_experiment(config: ExperimentConfig,
-                           workers: int = 1) -> list[PointRow]:
+def run_scaling_experiment(config: ExperimentConfig) -> list[PointRow]:
     """One aggregated row per n; units run serially in a fixed order.
 
-    ``workers`` has no effect; it is accepted so existing callers keep
-    working.  Each failed unit is logged at WARNING with its seed path
-    (master_seed, EXPERIMENT, point, unit).  Points where more than 10% of
-    units fail get a NaN metric and stderr; a fully failing experiment
-    raises.
+    Each failed unit is logged at WARNING with its seed path (master_seed,
+    EXPERIMENT, point, unit).  Points where more than 10% of units fail get
+    a NaN metric and stderr; a fully failing experiment raises.
     """
     if config.kind == "phase-diagram":
         raise ConfigError("phase-diagram configs are emitted, not swept")
@@ -344,7 +343,11 @@ def write_manifest(out_path: str, config: ExperimentConfig) -> str:
 
 
 def emit_sweep(config: ExperimentConfig, workers: int = 1) -> str:
-    """Write the sweep CSV and its manifest; ``workers`` has no effect."""
+    """Write the sweep CSV and its manifest.
+
+    ``workers`` has no effect.  It stays because ``perfbench/worker.py``
+    passes it positionally.
+    """
     if not config.out:
         raise ConfigError("config.out must name an output file")
     rows = run_scaling_experiment(config)
@@ -363,14 +366,11 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
         raise ConfigError("emit_phase_diagram needs kind='phase-diagram'")
     if not config.out:
         raise ConfigError("config.out must name an output file")
-    cells = phase_diagram(config.alpha_range, config.beta_range, config.resolution)
-    write_lines(config.out, PHASE_DIAGRAM_HEADER, phase_diagram_csv_rows(cells))
-    n_alpha, n_beta = config.resolution
-    ids = {"I": 1, "II": 2, "III": 3, "IV": 4}
+    points = phase_diagram(config.alpha_range, config.beta_range, config.resolution)
+    write_lines(config.out, PHASE_DIAGRAM_HEADER, phase_diagram_csv_rows(points))
     grid_path = config.out + ".grid.txt"
     with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(n_alpha):
-            row = cells[i * n_beta:(i + 1) * n_beta]
-            fh.write(" ".join(str(ids[c.point.regime.value]) for c in row) + "\n")
+        for row in phase_diagram_grid_rows(points, config.resolution[1]):
+            fh.write(row + "\n")
     write_manifest(config.out, config)
     return config.out, grid_path

@@ -21,9 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .network import PhysicalParams, snr_short, snr_long
-
-BOUNDARY_TOL = 1e-12
+from .network import PhysicalParams, beta_of, snr_short
 
 
 class Regime(enum.Enum):
@@ -46,105 +44,48 @@ class Scheme(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BoundaryFlags:
-    """Whether (alpha, beta) sits on a regime boundary, within tolerance."""
-
-    dof_power: bool     # beta = alpha/2 - 1
-    zero_beta: bool     # beta = 0
-    alpha_three: bool   # alpha = 3
-
-    def any(self) -> bool:
-        return self.dof_power or self.zero_beta or self.alpha_three
+# regime -> (optimal scheme, the RegimePoint field holding its exponent)
+_OPTIMAL = {
+    Regime.I: (Scheme.HC, "hierarchical"),
+    Regime.II: (Scheme.BURSTY_HC, "hierarchical"),
+    Regime.III: (Scheme.MULTIHOP, "multihop"),
+    Regime.IV: (Scheme.HYBRID, "hybrid"),
+}
 
 
 @dataclass(frozen=True)
 class RegimePoint:
+    """The regime of one (alpha, beta) point and each scheme's exponent there.
+
+    ``hybrid`` is only derived for 0 < beta <= alpha/2 - 1 (and alpha > 2);
+    outside that range it is NaN rather than an extrapolation.
+    """
+
     alpha: float
     beta: float
     regime: Regime
-    exponent: float
-    boundary: BoundaryFlags
-
-
-def classify(alpha: float, beta: float, tol: float = BOUNDARY_TOL) -> RegimePoint:
-    """Classify an (alpha, beta) operating point and return its exponent.
-
-    The regime is the one whose scheme :func:`scheme_exponents` names
-    optimal, and its exponent is that scheme's row there.  At alpha = 3
-    the regime II and III/IV formulas coincide in value, so the closure
-    convention never changes the exponent.
-    """
-    s = scheme_exponents(alpha, beta)
-    regime, exponent = {
-        Scheme.HC: (Regime.I, s.hierarchical),
-        Scheme.BURSTY_HC: (Regime.II, s.hierarchical),
-        Scheme.MULTIHOP: (Regime.III, s.multihop),
-        Scheme.HYBRID: (Regime.IV, s.hybrid),
-    }[s.optimal]
-    edge = alpha / 2.0 - 1.0
-    flags = BoundaryFlags(
-        dof_power=abs(beta - edge) <= tol,
-        zero_beta=abs(beta) <= tol,
-        alpha_three=abs(alpha - 3.0) <= tol,
-    )
-    return RegimePoint(alpha, beta, regime, exponent, flags)
-
-
-def capacity_estimate(params: PhysicalParams, n: int, area_A: float):
-    """Order-of-magnitude total capacity in bits/s and the regime used.
-
-    With P_r the received power over the nearest-neighbor distance and the
-    0 dB thresholds implemented as >= 1 comparisons:
-
-        regime I   (snr_long >= 1):             n * W
-        regime II  (2 <= alpha <= 3):           n^(2 - alpha/2) * P_r / N0
-        regime III (alpha > 3, snr_short < 1):  sqrt(n) * P_r / N0
-        regime IV  (alpha > 3, snr_short >= 1): sqrt(n) * W^((a-3)/(a-2))
-                                                * (P_r/N0)^(1/(a-2))
-
-    These are order estimates; constants are not calibrated.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alpha = params.alpha
-    snr_s = snr_short(params, n, area_A)
-    snr_l = snr_long(snr_s, n, alpha)
-    p_r = params.gain_G * params.power_P * (area_A / n) ** (-alpha / 2.0)
-    p_over_n0 = p_r / params.noise_N0
-    w = params.bandwidth_W
-    if snr_l >= 1.0:
-        return n * w, Regime.I
-    if alpha <= 3.0:
-        return n ** (2.0 - alpha / 2.0) * p_over_n0, Regime.II
-    if snr_s < 1.0:
-        return math.sqrt(n) * p_over_n0, Regime.III
-    return (math.sqrt(n) * w ** ((alpha - 3.0) / (alpha - 2.0))
-            * p_over_n0 ** (1.0 / (alpha - 2.0))), Regime.IV
-
-
-@dataclass(frozen=True)
-class SchemeExponents:
-    """Scaling exponents of the three schemes at one (alpha, beta) point.
-
-    ``hybrid`` is only derived for 0 < beta <= alpha/2 - 1 (and alpha > 2);
-    outside that range it is NaN with ``hybrid_valid`` False rather than an
-    extrapolation.
-    """
-
     multihop: float
     hierarchical: float
     hybrid: float
-    hybrid_valid: bool
-    optimal: Scheme
+
+    @property
+    def optimal(self) -> Scheme:
+        return _OPTIMAL[self.regime][0]
+
+    @property
+    def exponent(self) -> float:
+        """The capacity scaling exponent: the optimal scheme's exponent."""
+        return getattr(self, _OPTIMAL[self.regime][1])
 
 
-def scheme_exponents(alpha: float, beta: float) -> SchemeExponents:
-    """Per-scheme scaling exponents and the optimal scheme for the regime.
+def classify(alpha: float, beta: float) -> RegimePoint:
+    """Classify an (alpha, beta) operating point; the one regime decision.
 
     The regime row inequalities are applied verbatim: regime I is closed
     at beta = alpha/2 - 1, regime III is closed at beta = 0, and alpha = 3
-    belongs to regime II.
+    belongs to regime II.  At alpha = 3 the regime II and III/IV formulas
+    coincide in value, so the closure convention never changes the
+    exponent.
     """
     if alpha < 2:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
@@ -154,20 +95,43 @@ def scheme_exponents(alpha: float, beta: float) -> SchemeExponents:
     hybrid_valid = alpha > 2 and 0.0 < beta <= edge
     hyb = 0.5 + beta / (alpha - 2.0) if hybrid_valid else math.nan
     if beta >= edge:
-        optimal = Scheme.HC                 # regime I
+        regime = Regime.I
     elif alpha <= 3.0:
-        optimal = Scheme.BURSTY_HC          # regime II
+        regime = Regime.II
     elif beta <= 0.0:
-        optimal = Scheme.MULTIHOP           # regime III
+        regime = Regime.III
     else:
-        optimal = Scheme.HYBRID             # regime IV
-    return SchemeExponents(mh, hc, hyb, hybrid_valid, optimal)
+        regime = Regime.IV
+    return RegimePoint(alpha, beta, regime, mh, hc, hyb)
 
 
-@dataclass(frozen=True)
-class DiagramCell:
-    point: RegimePoint
-    schemes: SchemeExponents
+def capacity_estimate(params: PhysicalParams, n: int, area_A: float):
+    """Order-of-magnitude total capacity in bits/s and the regime used.
+
+    The regime is ``classify(alpha, beta_of(snr_short, n))``, so n must be
+    at least 2.  With P_r the received power over the nearest-neighbor
+    distance:
+
+        regime I:    n * W
+        regime II:   n^(2 - alpha/2) * P_r / N0
+        regime III:  sqrt(n) * P_r / N0
+        regime IV:   sqrt(n) * W^((a-3)/(a-2)) * (P_r/N0)^(1/(a-2))
+
+    These are order estimates; constants are not calibrated.
+    """
+    alpha = params.alpha
+    regime = classify(alpha, beta_of(snr_short(params, n, area_A), n)).regime
+    p_r = params.gain_G * params.power_P * (area_A / n) ** (-alpha / 2.0)
+    p_over_n0 = p_r / params.noise_N0
+    w = params.bandwidth_W
+    if regime is Regime.I:
+        return n * w, regime
+    if regime is Regime.II:
+        return n ** (2.0 - alpha / 2.0) * p_over_n0, regime
+    if regime is Regime.III:
+        return math.sqrt(n) * p_over_n0, regime
+    return (math.sqrt(n) * w ** ((alpha - 3.0) / (alpha - 2.0))
+            * p_over_n0 ** (1.0 / (alpha - 2.0))), regime
 
 
 def _axis(bounds, count: int) -> list[float]:
@@ -178,7 +142,7 @@ def _axis(bounds, count: int) -> list[float]:
 
 
 def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
-                  resolution=(100, 100)) -> list[DiagramCell]:
+                  resolution=(100, 100)) -> list[RegimePoint]:
     """Row-major classification grid: alpha varies in the outer loop.
 
     Endpoints are included; ``resolution`` is (alpha cells, beta cells).
@@ -189,21 +153,22 @@ def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
     if alpha_range[0] < 2:
         raise ValueError("alpha range must stay within alpha >= 2")
     betas = _axis(beta_range, n_beta)
-    cells = []
-    for a in _axis(alpha_range, n_alpha):
-        for b in betas:
-            cells.append(DiagramCell(classify(a, b), scheme_exponents(a, b)))
-    return cells
+    return [classify(a, b) for a in _axis(alpha_range, n_alpha) for b in betas]
 
 
 PHASE_DIAGRAM_HEADER = "alpha,beta,regime,exponent,e_multihop,e_hc,e_hybrid,optimal_scheme"
 
 
-def phase_diagram_csv_rows(cells: list[DiagramCell]) -> list[str]:
-    rows = []
-    for cell in cells:
-        p, s = cell.point, cell.schemes
-        hyb = f"{s.hybrid:.17g}" if s.hybrid_valid else "nan"
-        rows.append(f"{p.alpha:.17g},{p.beta:.17g},{p.regime},{p.exponent:.17g},"
-                    f"{s.multihop:.17g},{s.hierarchical:.17g},{hyb},{s.optimal}")
-    return rows
+def phase_diagram_csv_rows(points: list[RegimePoint]) -> list[str]:
+    return [f"{p.alpha:.17g},{p.beta:.17g},{p.regime},{p.exponent:.17g},"
+            f"{p.multihop:.17g},{p.hierarchical:.17g},{p.hybrid:.17g},{p.optimal}"
+            for p in points]
+
+
+_GRID_ID = {Regime.I: 1, Regime.II: 2, Regime.III: 3, Regime.IV: 4}
+
+
+def phase_diagram_grid_rows(points: list[RegimePoint], n_beta: int) -> list[str]:
+    """One row per alpha value of a row-major grid, one regime id (1..4) per beta value."""
+    ids = [str(_GRID_ID[p.regime]) for p in points]
+    return [" ".join(ids[i:i + n_beta]) for i in range(0, len(ids), n_beta)]

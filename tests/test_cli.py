@@ -12,6 +12,21 @@ def run(argv):
     return main(argv)
 
 
+# Flags each subcommand does not take: none of them would change an output byte.
+REMOVED_FLAGS = ([("cutset", f) for f in ("--k2", "--k3", "--k4")]
+                 + [("scheme", f) for f in ("--trials", "--k1", "--k4", "--c")]
+                 + [("hybrid", f) for f in ("--trials", "--k1", "--k2", "--k4", "--c")]
+                 + [("percolation", f) for f in ("--alpha", "--beta", "--k1", "--k2",
+                                                 "--k3", "--k4", "--eps")])
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_unread_flag_exits_2(command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--n", "16", flag, "1"])
+    assert exc.value.code == 2
+
+
 class TestGen:
     def test_writes_instance_json(self, tmp_path):
         out = tmp_path / "net.json"

@@ -151,14 +151,6 @@ class TestRunExperiment:
             for i, n in enumerate((16, 32))]
         assert all(r.levelno == logging.WARNING for r in caplog.records)
 
-    def test_workers_do_not_change_results(self):
-        config = ExperimentConfig(kind="cutset", n_list=[8, 16, 32],
-                                  alpha=3.0, beta=0.5, trials=3, instances=2,
-                                  master_seed=9)
-        seq = run_scaling_experiment(config, workers=1)
-        par = run_scaling_experiment(config, workers=4)
-        assert seq == par
-
     def test_hybrid_kind_runs(self):
         config = ExperimentConfig(kind="scheme", scheme="hybrid",
                                   n_list=[64, 128], alpha=4.0, beta=0.5,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netregime import (PhysicalParams, Regime, Scheme, capacity_estimate,
-                       classify, phase_diagram, scheme_exponents)
+from netregime import (PhysicalParams, Regime, Scheme, beta_of, capacity_estimate,
+                       classify, phase_diagram, regimes, snr_short)
 from netregime.regimes import phase_diagram_csv_rows
 
 
@@ -43,13 +43,6 @@ class TestClassify:
         name, expo = reference_exponent(alpha, beta)
         assert point.regime.value == name
         assert point.exponent == pytest.approx(expo, abs=1e-12)
-
-    def test_boundary_flags(self):
-        p = classify(4.0, 1.0)
-        assert p.boundary.dof_power and not p.boundary.zero_beta
-        p = classify(3.0, 0.0)
-        assert p.boundary.zero_beta and p.boundary.alpha_three
-        assert not classify(4.0, 0.4).boundary.any()
 
     def test_dense_and_extended_special_cases(self):
         for alpha in np.linspace(2.0, 6.0, 21):
@@ -114,68 +107,98 @@ class TestCapacityEstimate:
         assert regime is Regime.IV
         assert value == pytest.approx(100.0 * 16.0 ** 0.5)
 
+    def test_unit_snr_is_regime_three(self):
+        # snr_short = 1 gives beta = 0, which belongs to regime III; the
+        # regime III and IV values agree there
+        params = PhysicalParams(1.0, 1.0, 1.0, 4.0)
+        assert capacity_estimate(params, 100, 100.0) == (10.0, Regime.III)
+
+    @given(st.floats(-6.0, 9.0), st.floats(2.0, 6.0), st.integers(2, 10 ** 6),
+           st.floats(-3.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_regime_is_classify(self, log_power, alpha, n, log_spacing):
+        params = PhysicalParams(10.0 ** log_power, 1.0, 1.0, alpha)
+        area = n * 10.0 ** log_spacing
+        _, regime = capacity_estimate(params, n, area)
+        beta = beta_of(snr_short(params, n, area), n)
+        assert regime is classify(alpha, beta).regime
+
+    def test_single_pair_has_no_exponent(self):
+        with pytest.raises(ValueError):
+            capacity_estimate(PhysicalParams(1.0, 1.0, 1.0, 4.0), 1, 1.0)
+
 
 class TestSchemeExponents:
     def test_tie_at_dof_power_edge(self):
-        s = scheme_exponents(4.0, 1.0)
+        s = classify(4.0, 1.0)
         assert s.multihop == pytest.approx(0.5)
         assert s.hierarchical == pytest.approx(1.0)
         assert s.hybrid == pytest.approx(1.0)
 
     def test_negative_beta_multihop(self):
-        s = scheme_exponents(4.0, -1.0)
+        s = classify(4.0, -1.0)
         assert s.multihop == pytest.approx(-0.5)
-        assert not s.hybrid_valid and math.isnan(s.hybrid)
+        assert math.isnan(s.hybrid)
 
     def test_hc_at_low_alpha(self):
-        s = scheme_exponents(2.0, 0.0)
+        s = classify(2.0, 0.0)
         assert s.hierarchical == pytest.approx(1.0)
 
     def test_optimal_label_matches_regime(self):
-        assert scheme_exponents(2.5, 2.0).optimal is Scheme.HC
-        assert scheme_exponents(2.5, -0.5).optimal is Scheme.BURSTY_HC
-        assert scheme_exponents(4.0, -0.5).optimal is Scheme.MULTIHOP
-        assert scheme_exponents(4.0, 0.5).optimal is Scheme.HYBRID
+        assert classify(2.5, 2.0).optimal is Scheme.HC
+        assert classify(2.5, -0.5).optimal is Scheme.BURSTY_HC
+        assert classify(4.0, -0.5).optimal is Scheme.MULTIHOP
+        assert classify(4.0, 0.5).optimal is Scheme.HYBRID
 
     def test_optimality_consistency_grid(self):
         # interior points: best valid scheme exponent equals the theory value
         for alpha in np.linspace(2.05, 5.95, 14):
             for beta in np.linspace(-0.95, 2.95, 14):
-                point = classify(alpha, beta)
-                if point.boundary.any():
+                if (abs(beta - (alpha / 2 - 1)) <= 1e-12 or abs(beta) <= 1e-12
+                        or abs(alpha - 3) <= 1e-12):
                     continue
-                s = scheme_exponents(alpha, beta)
+                s = classify(alpha, beta)
                 candidates = [s.multihop, s.hierarchical]
-                if s.hybrid_valid:
+                if not math.isnan(s.hybrid):
                     candidates.append(s.hybrid)
-                assert max(candidates) == pytest.approx(point.exponent, abs=1e-12)
+                assert max(candidates) == pytest.approx(s.exponent, abs=1e-12)
 
 
 class TestPhaseDiagram:
     def test_known_cells(self):
         cells = phase_diagram((2.0, 6.0), (-1.0, 3.0), (9, 9))
-        by_pt = {(round(c.point.alpha, 6), round(c.point.beta, 6)): c for c in cells}
-        assert by_pt[(2.5, 2.0)].point.regime is Regime.I
-        assert by_pt[(4.0, 0.5)].point.regime is Regime.IV
-        assert by_pt[(4.0, -0.5)].point.regime is Regime.III
-        assert by_pt[(2.5, 0.0)].point.regime is Regime.II
+        by_pt = {(round(c.alpha, 6), round(c.beta, 6)): c for c in cells}
+        assert by_pt[(2.5, 2.0)].regime is Regime.I
+        assert by_pt[(4.0, 0.5)].regime is Regime.IV
+        assert by_pt[(4.0, -0.5)].regime is Regime.III
+        assert by_pt[(2.5, 0.0)].regime is Regime.II
 
     def test_row_major_order(self):
         cells = phase_diagram((2.0, 3.0), (0.0, 1.0), (2, 3))
-        alphas = [c.point.alpha for c in cells]
-        betas = [c.point.beta for c in cells]
+        alphas = [c.alpha for c in cells]
+        betas = [c.beta for c in cells]
         assert alphas == [2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
         assert betas == [0.0, 0.5, 1.0, 0.0, 0.5, 1.0]
 
     def test_boundaries_match_direct_inequalities(self):
         cells = phase_diagram((2.0, 6.0), (-1.0, 3.0), (100, 100))
         for c in cells:
-            name, _ = reference_exponent(c.point.alpha, c.point.beta)
-            assert c.point.regime.value == name
+            name, _ = reference_exponent(c.alpha, c.beta)
+            assert c.regime.value == name
         # region IV exists only where alpha > 3
         for c in cells:
-            if c.point.regime is Regime.IV:
-                assert c.point.alpha > 3
+            if c.regime is Regime.IV:
+                assert c.alpha > 3
+
+    def test_one_classify_per_cell(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return classify(alpha, beta)
+        monkeypatch.setattr(regimes, "classify", counted)
+        phase_diagram((2.0, 6.0), (-1.0, 3.0), (10, 10))
+        assert len(calls) == 100
 
     def test_csv_rows_shape(self):
         cells = phase_diagram((2.0, 6.0), (-1.0, 3.0), (3, 3))
