@@ -107,13 +107,16 @@ class CellGrid:
     Cell (row, col) is the half-open square [col*s, (col+1)*s) x
     [row*s, (row+1)*s); flat ids are row * columns + col.  The grid always
     uses twice as many columns as rows, which keeps cells exactly square.
+    The nodes of cell k are ``node_order[cell_start[k]:cell_start[k + 1]]``,
+    in increasing id order.
     """
 
     cell_side: float
     columns: int
     rows: int
     cell_of_node: np.ndarray            # flat cell id per node
-    nodes_of_cell: list                 # flat cell id -> array of node ids
+    node_order: np.ndarray              # node ids sorted stably by cell
+    cell_start: np.ndarray              # n_cells + 1 offsets into node_order
 
     @property
     def n_cells(self) -> int:
@@ -139,85 +142,134 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
     row = np.minimum((instance.positions[:, 1] / side).astype(np.intp), rows - 1)
     flat = row * cols + col
     order = np.argsort(flat, kind="stable")
-    bounds = np.searchsorted(flat[order], np.arange(1, rows * cols))
-    return CellGrid(side, cols, rows, flat, np.split(order, bounds))
+    start = np.searchsorted(flat[order], np.arange(rows * cols + 1))
+    return CellGrid(side, cols, rows, flat, order, start)
 
 
-def _supercover(p0, p1, cell0: int, cell1: int, grid: CellGrid) -> list[int]:
-    """4-connected cell walk along the segment p0 -> p1.
+# Segments walked together.  A block's temporaries grow as its size times
+# rows + columns: at n = 4096, M = 1 the walk peaks at 4.5 MB with blocks
+# of 256 and at 38 MB with all 4096 lines in one block.
+_WALK_BLOCK = 256
 
-    ``cell0`` and ``cell1`` are the flat ids of the cells holding p0 and
-    p1.  Exact corner crossings step to the horizontal neighbor first so
-    that consecutive cells always share an edge and the walk is
-    deterministic.
+
+def _cell_walks(p0, p1, cell0, cell1, grid: CellGrid):
+    """4-connected cell walks along the segments p0[j] -> p1[j].
+
+    ``cell0`` and ``cell1`` are the flat ids of the cells holding each
+    segment's ends.  Returns the walks concatenated and the offsets of
+    each walk in them (one more than there are segments).  Exact corner
+    crossings step to the horizontal neighbor first so that consecutive
+    cells always share an edge and the walk is deterministic.
     """
-    r0, c0 = divmod(int(cell0), grid.columns)
-    r1, c1 = divmod(int(cell1), grid.columns)
-    cells = [grid.flat(r0, c0)]
-    if (r0, c0) == (r1, c1):
-        return cells
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    step_c = 1 if dx > 0 else -1
-    step_r = 1 if dy > 0 else -1
+    cells, lengths = [], []
+    for i in range(0, len(p0), _WALK_BLOCK):
+        block = slice(i, i + _WALK_BLOCK)
+        walk, length = _walk_block(p0[block], p1[block], cell0[block],
+                                   cell1[block], grid)
+        cells.append(walk)
+        lengths.append(length)
+    return (np.concatenate(cells),
+            np.concatenate(([0], np.cumsum(np.concatenate(lengths)))))
+
+
+def _crossing_times(edge, start, delta, side: float, k: int):
+    """Parametric times of the first k + 1 cell-boundary crossings on one
+    axis, inf where the segment never crosses one.
+
+    ``edge`` indexes the first boundary.  The cumsum adds the step to the
+    running time one crossing after another, as ``t += dt`` would.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = np.where(delta != 0, (edge * side - start) / delta, np.inf)
+        dt = np.where(delta != 0, np.abs(side / delta), np.inf)
+    times = np.empty((len(delta), k + 1))
+    times[:, 0] = t0
+    times[:, 1:] = dt[:, None]
+    return np.cumsum(times, axis=1)
+
+
+def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
+    """Amanatides-Woo walks of one block: (cells concatenated, lengths).
+
+    A walk steps along x while the next x crossing comes no later than the
+    next y crossing, and along y otherwise; a stable sort of the crossing
+    times with the x crossings first is that same merge.
+    """
+    r0, c0 = np.divmod(cell0, grid.columns)
+    r1, c1 = np.divmod(cell1, grid.columns)
+    dx = p1[:, 0] - p0[:, 0]
+    dy = p1[:, 1] - p0[:, 1]
+    step_c = np.where(dx > 0, 1, -1)
+    step_r = np.where(dy > 0, 1, -1)
+    nx = (c1 - c0) * step_c             # steps the walk must take per axis
+    ny = (r1 - r0) * step_r
+    if (nx < 0).any() or (ny < 0).any():
+        raise AssertionError("cell walk failed to reach the destination cell")
     s = grid.cell_side
-    # Parametric distance along the segment to the next vertical/horizontal
-    # cell boundary; infinity when the segment never crosses one.
-    if dx != 0:
-        edge_x = (c0 + (step_c > 0)) * s
-        t_max_x = (edge_x - p0[0]) / dx
-        t_dx = abs(s / dx)
-    else:
-        t_max_x, t_dx = math.inf, math.inf
-    if dy != 0:
-        edge_y = (r0 + (step_r > 0)) * s
-        t_max_y = (edge_y - p0[1]) / dy
-        t_dy = abs(s / dy)
-    else:
-        t_max_y, t_dy = math.inf, math.inf
-
-    r, c = r0, c0
-    limit = grid.rows + grid.columns + 4
-    for _ in range(limit):
-        if t_max_x <= t_max_y:
-            c += step_c
-            t_max_x += t_dx
-        else:
-            r += step_r
-            t_max_y += t_dy
-        r = min(max(r, 0), grid.rows - 1)
-        c = min(max(c, 0), grid.columns - 1)
-        cells.append(grid.flat(r, c))
-        if (r, c) == (r1, c1):
-            return cells
-    raise AssertionError("cell walk failed to reach the destination cell")
+    tx = _crossing_times(c0 + (dx > 0), p0[:, 0], dx, s, int(nx.max()))
+    ty = _crossing_times(r0 + (dy > 0), p0[:, 1], dy, s, int(ny.max()))
+    # The walk stops in its end cell only if its first nx x crossings and
+    # ny y crossings all come before the next crossing on either axis.
+    line = np.arange(len(dx))
+    tx_last = np.where(nx > 0, tx[line, nx - 1], -np.inf)
+    ty_last = np.where(ny > 0, ty[line, ny - 1], -np.inf)
+    if ((tx[line, nx] <= ty_last) | (ty[line, ny] < tx_last)).any():
+        raise AssertionError("cell walk failed to reach the destination cell")
+    kx, ky = tx.shape[1] - 1, ty.shape[1] - 1
+    keys = np.concatenate(
+        (np.where(np.arange(kx) < nx[:, None], tx[:, :kx], np.inf),
+         np.where(np.arange(ky) < ny[:, None], ty[:, :ky], np.inf)), axis=1)
+    is_y = np.argsort(keys, axis=1, kind="stable") >= kx
+    dc = np.where(is_y, 0, step_c[:, None]).cumsum(axis=1)
+    dr = np.where(is_y, step_r[:, None], 0).cumsum(axis=1)
+    walks = np.concatenate((cell0[:, None], cell0[:, None] + dr * grid.columns + dc),
+                           axis=1)
+    lengths = nx + ny + 1
+    return walks[np.arange(walks.shape[1]) < lengths[:, None]], lengths
 
 
-def _nearest_occupied(grid: CellGrid, flat_id: int, gen) -> int:
-    """Closest non-empty cell by 4-adjacency BFS.
+def _nearest_occupied(grid: CellGrid):
+    """Relay-cell candidates of every empty cell: (first, count, cells).
 
-    Equidistant candidates are broken uniformly at random on the caller's
-    substream so detoured lines spread instead of piling onto one cell.
+    A 4-adjacency BFS over the rectangle reaches each cell at its Manhattan
+    distance, so the candidates of an empty cell are the occupied cells on
+    the smallest Manhattan ring around it that holds any.  Those of cell k
+    are ``cells[first[k]:first[k] + count[k]]``, in increasing flat id.
     """
     rows, cols = grid.rows, grid.columns
-    seen = {flat_id}
-    frontier = [flat_id]
-    while frontier:
-        nxt = []
-        for fid in sorted(frontier):
-            r, c = divmod(fid, cols)
-            for nr, nc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-                if 0 <= nr < rows and 0 <= nc < cols:
-                    nid = nr * cols + nc
-                    if nid in seen:
-                        continue
-                    seen.add(nid)
-                    nxt.append(nid)
-        occupied = sorted(nid for nid in nxt if len(grid.nodes_of_cell[nid]) > 0)
-        if occupied:
-            return occupied[int(gen.integers(0, len(occupied)))]
-        frontier = nxt
-    raise AssertionError("no occupied cell anywhere in the grid")
+    occupied = np.diff(grid.cell_start) > 0
+    pending = np.flatnonzero(~occupied)
+    first = np.zeros(grid.n_cells, dtype=np.intp)
+    count = np.zeros(grid.n_cells, dtype=np.intp)
+    found = [np.zeros(0, dtype=np.intp)]
+    total = 0
+    for d in range(1, rows + cols):
+        if len(pending) == 0:
+            break
+        # ring offsets in (row, col) order, which is flat id order
+        ring = np.array([(a, b) for a in range(-d, d + 1)
+                         for b in sorted({abs(a) - d, d - abs(a)})])
+        r, c = np.divmod(pending, cols)
+        rr = r[:, None] + ring[:, 0]
+        cc = c[:, None] + ring[:, 1]
+        ids = rr * cols + cc
+        hit = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
+        hit[hit] = occupied[ids[hit]]
+        k = hit.sum(axis=1)
+        done = k > 0
+        count[pending[done]] = k[done]
+        first[pending[done]] = total + np.cumsum(k[done]) - k[done]
+        found.append(ids[done][hit[done]])
+        total += int(k.sum())
+        pending = pending[~done]
+    if len(pending):
+        raise AssertionError("no occupied cell anywhere in the grid")
+    return first, count, np.concatenate(found)
+
+
+def _split(flat: np.ndarray, starts: list) -> list:
+    """Views of ``flat`` between consecutive offsets."""
+    return [flat[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 @dataclass
@@ -230,7 +282,7 @@ class RelayPlan:
     ``assignments[j][h]`` is the node relaying line j at hop h; the first
     and last entries are the line's own source and destination.  A line
     whose endpoints share a cell has a one-cell path and the two-entry
-    assignment [source, destination].
+    assignment [source, destination].  Each line's entries are arrays.
     """
 
     cell_paths: list
@@ -251,43 +303,64 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
 
     Relays are drawn uniformly from the traversed cell's nodes on a
     per-line substream, except in endpoint cells where the line's own
-    source or destination is used.
+    source or destination is used.  An empty interior cell is replaced by
+    a nearest occupied cell by 4-adjacency BFS distance, with ties drawn
+    uniformly on the same substream.
+
+    Routing runs on all lines at once, and each output is the same, bit
+    for bit, as a per-line loop of scalar walks and BFS searches.  The
+    cell walks run in blocks of 256 lines; each block builds its crossing
+    times with a row-wise cumsum, which rounds as the scalar walk's
+    ``t += dt`` does, and merges them with a stable sort in which x wins
+    ties, as the scalar ``t_x <= t_y`` does.  The sorted nearest-occupied
+    candidates are computed once per empty cell per call, not once per hop.
+    The only per-line Python work is the draws: line j opens substream
+    (seed, RELAY, j), draws one relay pick per path cell, then draws the
+    tie-breaks of its empty interior cells in hop order with one array
+    call, which yields the same values and leaves the generator in the
+    same state as one scalar call per cell.  A line with no interior cell
+    uses no draw, so it opens no substream.  Relay nodes come from the
+    grid's sorted node order, and the loads from ``np.bincount``.
     """
-    cell_paths = []
-    relay_cells_all = []
-    assignments = []
-    cell_load = np.zeros(grid.n_cells, dtype=np.int64)
-    node_load = np.zeros(instance.n_nodes, dtype=np.int64)
-    reroutes = 0
-    for j, (s_id, d_id) in enumerate(zip(instance.source_ids, instance.dest_ids)):
-        path = _supercover(instance.positions[s_id], instance.positions[d_id],
-                           grid.cell_of_node[s_id], grid.cell_of_node[d_id], grid)
+    src, dst = instance.source_ids, instance.dest_ids
+    cells, starts = _cell_walks(instance.positions[src], instance.positions[dst],
+                                grid.cell_of_node[src], grid.cell_of_node[dst],
+                                grid)
+    lengths = np.diff(starts)
+    pool_size = np.diff(grid.cell_start)
+    # endpoint cells hold the line's own source or destination
+    empty = pool_size[cells] == 0
+    first, count, candidates = _nearest_occupied(grid)
+    ties_k = count[cells[empty]]
+    tie_starts = np.concatenate(([0], np.cumsum(empty)))[starts]
+
+    picks = np.zeros(len(cells), dtype=np.int64)
+    ties = np.zeros(len(ties_k), dtype=np.int64)
+    hop, tie = starts.tolist(), tie_starts.tolist()
+    # lines without an interior cell draw nothing that is used
+    for j in np.flatnonzero(lengths > 2).tolist():
         gen = rng.substream(seed, rng.RELAY, j)
-        picks = gen.integers(0, 2 ** 31, size=len(path))
-        relay_cells = list(path)
-        nodes = [0] * len(path)
-        nodes[0] = int(s_id)
-        nodes[-1] = int(d_id)
-        for h in range(1, len(path) - 1):
-            cid = path[h]
-            pool = grid.nodes_of_cell[cid]
-            if len(pool) == 0:
-                cid = _nearest_occupied(grid, cid, gen)
-                pool = grid.nodes_of_cell[cid]
-                relay_cells[h] = cid
-                reroutes += 1
-            nodes[h] = int(pool[picks[h] % len(pool)])
-        if len(path) == 1:
-            nodes = [int(s_id), int(d_id)]
-        cell_paths.append(path)
-        relay_cells_all.append(relay_cells)
-        assignments.append(np.asarray(nodes, dtype=np.intp))
-        for cid in relay_cells:
-            cell_load[cid] += 1
-        for v in nodes:
-            node_load[v] += 1
-    return RelayPlan(cell_paths, relay_cells_all, assignments, cell_load,
-                     node_load, reroutes)
+        picks[hop[j]:hop[j + 1]] = gen.integers(0, 2 ** 31, size=hop[j + 1] - hop[j])
+        if tie[j] < tie[j + 1]:
+            ties[tie[j]:tie[j + 1]] = gen.integers(0, ties_k[tie[j]:tie[j + 1]])
+
+    relay = cells.copy()
+    relay[empty] = candidates[first[cells[empty]] + ties]
+    np.remainder(picks, pool_size[relay], out=picks)
+    picks += grid.cell_start[relay]
+    nodes = grid.node_order[picks]
+    del picks
+    nodes[starts[:-1]] = src
+    nodes[starts[1:] - 1] = dst
+    # a one-cell line is assigned [source, destination]
+    one_cell = lengths == 1
+    nodes = np.insert(nodes, starts[:-1][one_cell], src[one_cell])
+    slot_starts = starts + np.concatenate(([0], np.cumsum(one_cell)))
+    return RelayPlan(_split(cells, hop), _split(relay, hop),
+                     _split(nodes, slot_starts.tolist()),
+                     np.bincount(relay, minlength=grid.n_cells),
+                     np.bincount(nodes, minlength=instance.n_nodes),
+                     int(empty.sum()))
 
 
 def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
@@ -307,11 +380,11 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
         K4 = K3 / 4.0
     relay_rate = (K3 / 4.0) * M ** (-epsilon) * math.log2(
         1.0 + M ** (1.0 - alpha / 2.0) * snr_s)
-    per_pair = []
-    for nodes in plan.assignments:
-        shares = relay_rate / plan.node_load[nodes]
-        per_pair.append(float(shares.min()))
-    aggregate = fsum(per_pair)
+    lengths = np.fromiter(map(len, plan.assignments), dtype=np.intp,
+                          count=len(plan.assignments))
+    shares = relay_rate / plan.node_load[np.concatenate(plan.assignments)]
+    per_pair = np.minimum.reduceat(shares, np.cumsum(lengths) - lengths)
+    aggregate = fsum(per_pair.tolist())
     return ThroughputEstimate(
         aggregate, aggregate / n, Scheme.HYBRID,
         constants={"K3": K3, "K4": K4, "epsilon": epsilon, "M": M},

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from netregime import rng
 from netregime.network import NetworkInstance
 
 
@@ -130,3 +131,132 @@ def brute_polyline_clearance(points, vertices):
         for a, b in zip(vertices[:-1], vertices[1:]):
             best = min(best, point_segment_distance(p, a, b))
     return best
+
+
+def cell_pools(grid):
+    """Node ids binned into each cell, in increasing order, by one pass."""
+    pools = [[] for _ in range(grid.n_cells)]
+    for v, cid in enumerate(grid.cell_of_node):
+        pools[cid].append(v)
+    return pools
+
+
+def scalar_supercover(p0, p1, cell0, cell1, grid):
+    """Scalar Amanatides-Woo 4-connected cell walk, one step per loop turn.
+
+    The original per-line walk, clamp included: a step that leaves the grid
+    is pulled back onto its edge.
+    """
+    r0, c0 = divmod(int(cell0), grid.columns)
+    r1, c1 = divmod(int(cell1), grid.columns)
+    cells = [grid.flat(r0, c0)]
+    if (r0, c0) == (r1, c1):
+        return cells
+    dx = p1[0] - p0[0]
+    dy = p1[1] - p0[1]
+    step_c = 1 if dx > 0 else -1
+    step_r = 1 if dy > 0 else -1
+    s = grid.cell_side
+    if dx != 0:
+        edge_x = (c0 + (step_c > 0)) * s
+        t_max_x = (edge_x - p0[0]) / dx
+        t_dx = abs(s / dx)
+    else:
+        t_max_x, t_dx = math.inf, math.inf
+    if dy != 0:
+        edge_y = (r0 + (step_r > 0)) * s
+        t_max_y = (edge_y - p0[1]) / dy
+        t_dy = abs(s / dy)
+    else:
+        t_max_y, t_dy = math.inf, math.inf
+
+    r, c = r0, c0
+    limit = grid.rows + grid.columns + 4
+    for _ in range(limit):
+        if t_max_x <= t_max_y:
+            c += step_c
+            t_max_x += t_dx
+        else:
+            r += step_r
+            t_max_y += t_dy
+        r = min(max(r, 0), grid.rows - 1)
+        c = min(max(c, 0), grid.columns - 1)
+        cells.append(grid.flat(r, c))
+        if (r, c) == (r1, c1):
+            return cells
+    raise AssertionError("cell walk failed to reach the destination cell")
+
+
+def bfs_nearest_occupied(grid, pools, flat_id, gen):
+    """Closest non-empty cell by 4-adjacency BFS, ties drawn from ``gen``."""
+    rows, cols = grid.rows, grid.columns
+    seen = {flat_id}
+    frontier = [flat_id]
+    while frontier:
+        nxt = []
+        for fid in sorted(frontier):
+            r, c = divmod(fid, cols)
+            for nr, nc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+                if 0 <= nr < rows and 0 <= nc < cols:
+                    nid = nr * cols + nc
+                    if nid in seen:
+                        continue
+                    seen.add(nid)
+                    nxt.append(nid)
+        occupied = sorted(nid for nid in nxt if pools[nid])
+        if occupied:
+            return occupied[int(gen.integers(0, len(occupied)))]
+        frontier = nxt
+    raise AssertionError("no occupied cell anywhere in the grid")
+
+
+def loop_route_sd_lines(grid, instance, seed):
+    """Per-line, per-hop routing loop: (cell_paths, relay_cells,
+    assignments, cell_load, node_load, reroutes) with the fields of
+    ``RelayPlan``."""
+    pools = cell_pools(grid)
+    cell_paths = []
+    relay_cells_all = []
+    assignments = []
+    cell_load = np.zeros(grid.n_cells, dtype=np.int64)
+    node_load = np.zeros(instance.n_nodes, dtype=np.int64)
+    reroutes = 0
+    for j, (s_id, d_id) in enumerate(zip(instance.source_ids, instance.dest_ids)):
+        path = scalar_supercover(instance.positions[s_id], instance.positions[d_id],
+                                 grid.cell_of_node[s_id], grid.cell_of_node[d_id],
+                                 grid)
+        gen = rng.substream(seed, rng.RELAY, j)
+        picks = gen.integers(0, 2 ** 31, size=len(path))
+        relay_cells = list(path)
+        nodes = [0] * len(path)
+        nodes[0] = int(s_id)
+        nodes[-1] = int(d_id)
+        for h in range(1, len(path) - 1):
+            cid = path[h]
+            pool = pools[cid]
+            if len(pool) == 0:
+                cid = bfs_nearest_occupied(grid, pools, cid, gen)
+                pool = pools[cid]
+                relay_cells[h] = cid
+                reroutes += 1
+            nodes[h] = int(pool[picks[h] % len(pool)])
+        if len(path) == 1:
+            nodes = [int(s_id), int(d_id)]
+        cell_paths.append(path)
+        relay_cells_all.append(relay_cells)
+        assignments.append(np.asarray(nodes, dtype=np.intp))
+        for cid in relay_cells:
+            cell_load[cid] += 1
+        for v in nodes:
+            node_load[v] += 1
+    return (cell_paths, relay_cells_all, assignments, cell_load, node_load,
+            reroutes)
+
+
+def loop_hybrid_aggregate(assignments, node_load, relay_rate):
+    """Sum over lines of the smallest relay share along each line."""
+    per_pair = []
+    for nodes in assignments:
+        shares = relay_rate / node_load[nodes]
+        per_pair.append(float(shares.min()))
+    return math.fsum(per_pair)

@@ -28,6 +28,9 @@ SWEEPS = {
                       n_list=[16, 64, 256, 1024]),
     "hybrid": dict(kind="scheme", scheme="hybrid", alpha=4.0, beta=0.5,
                    n_list=[64, 128], trials=3),
+    # M = 1: most interior cells of a line are empty and rerouted
+    "hybrid_m1": dict(kind="scheme", scheme="hybrid", alpha=4.0, beta=0.04,
+                      n_list=[256, 512], trials=2),
     "percolation": dict(kind="percolation", n_list=[256, 1024], trials=10),
 }
 
@@ -36,6 +39,7 @@ SWEEP_SHA256 = {
     "hc": "5d12040ca464cb97830576058870f7f42d9cc2b07e4ff026b2d1f06875d18526",
     "bursty_hc": "8c21173058c2a5ad43c33721921c91fb3067573a0385b1903d0a1567649ac1dd",
     "hybrid": "4b8994b01d6cb0539d34263230e1e299088e570470224d9ce5a42208e1f17d32",
+    "hybrid_m1": "dc2c62b61f4dc6997c828e35c9016169cdf2b5bbfeb2db18a2136e1f3f3b43cb",
     "percolation": "182f59b3480a68c82c6ac927805763e986099d8788e8f967c89795aee604ba01",
 }
 
@@ -51,6 +55,8 @@ CLI = {
                          "--beta", "-0.5", "--n-list", "64", "256"],
     "hybrid": ["hybrid", "--n", "128", "--alpha", "4", "--beta", "0.5",
                "--seeds", "3"],
+    "hybrid_m1": ["hybrid", "--n", "256", "--alpha", "4", "--beta", "0.04",
+                  "--seeds", "3"],
 }
 
 CLI_SHA256 = {
@@ -58,6 +64,7 @@ CLI_SHA256 = {
     "scheme_hc": "ac6c03081a2fe9ced488a9d7dc6f30baccc456e42758c6a45cd4c31596e12849",
     "scheme_bursty_hc": "47bf20c86bec3570c6ef590dde1df100644ece5a76ef7b46cb0fc9111237ae6b",
     "hybrid": "d652dda61b899aebb87213f10e3e310044ccd05b3a8068a77e45cc0a86fd8a9d",
+    "hybrid_m1": "64da8f40da04f269a284a52a50e70f17451bb335c18c8336ec406ff10a3c8b97",
 }
 
 GEN_SHA256 = "2138fa14e0d1d850863259fbd99527203d6643008f7d484102bc6ea4035abb8c"

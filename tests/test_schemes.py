@@ -6,10 +6,31 @@ import pytest
 from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        generate_network, hc_throughput, hybrid_cell_size,
                        multihop_throughput, route_sd_lines, simulate_hybrid)
+from netregime import rng
 from netregime.harness import fit_exponent, params_for_snr
-from netregime.schemes import _supercover
+from netregime.schemes import _cell_walks, hybrid_throughput
 
-from helpers import hand_instance
+from helpers import (hand_instance, loop_hybrid_aggregate, loop_route_sd_lines,
+                     scalar_supercover)
+
+
+def walk(p0, p1, cell0, cell1, grid):
+    """One segment through the all-lines walk, as a list of flat ids."""
+    cells, starts = _cell_walks(np.array([p0], dtype=float),
+                                np.array([p1], dtype=float),
+                                np.array([cell0]), np.array([cell1]), grid)
+    assert starts.tolist() == [0, len(cells)]
+    return cells.tolist()
+
+
+def bin_points(grid, points):
+    """Flat cell ids of points, binned as build_cell_grid bins nodes."""
+    points = np.asarray(points, dtype=float)
+    col = np.minimum((points[:, 0] / grid.cell_side).astype(np.intp),
+                     grid.columns - 1)
+    row = np.minimum((points[:, 1] / grid.cell_side).astype(np.intp),
+                     grid.rows - 1)
+    return row * grid.columns + col
 
 
 class TestMultihop:
@@ -129,10 +150,12 @@ class TestCellGrid:
     def test_every_node_binned_once(self):
         inst = generate_network(50, 50.0, seed=3)
         grid = build_cell_grid(inst, M=5)
-        counted = sum(len(v) for v in grid.nodes_of_cell)
-        assert counted == inst.n_nodes
-        for cid, members in enumerate(grid.nodes_of_cell):
+        assert grid.cell_start[0] == 0 and grid.cell_start[-1] == inst.n_nodes
+        assert sorted(grid.node_order) == list(range(inst.n_nodes))
+        for cid in range(grid.n_cells):
+            members = grid.node_order[grid.cell_start[cid]:grid.cell_start[cid + 1]]
             assert all(grid.cell_of_node[v] == cid for v in members)
+            assert list(members) == sorted(members)
 
     def test_rejects_bad_m(self):
         inst = generate_network(8, 8.0, seed=0)
@@ -149,13 +172,13 @@ class TestSupercover:
 
     def test_same_cell(self):
         grid, _ = self.grid()
-        cells = _supercover((0.3, 0.4), (0.6, 0.2), 0, 0, grid)
+        cells = walk((0.3, 0.4), (0.6, 0.2), 0, 0, grid)
         assert cells == [grid.flat(0, 0)]
 
     def test_axis_aligned_three_cells(self):
         grid, _ = self.grid()
-        cells = _supercover((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0),
-                            grid.flat(0, 2), grid)
+        cells = walk((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0),
+                     grid.flat(0, 2), grid)
         assert cells == [grid.flat(0, 0), grid.flat(0, 1), grid.flat(0, 2)]
 
     def test_four_adjacency_random_segments(self):
@@ -163,8 +186,8 @@ class TestSupercover:
         gen = np.random.default_rng(9)
         for _ in range(200):
             a, b = gen.choice(inst.n_nodes, size=2, replace=False)
-            cells = _supercover(inst.positions[a], inst.positions[b],
-                                grid.cell_of_node[a], grid.cell_of_node[b], grid)
+            cells = walk(inst.positions[a], inst.positions[b],
+                         grid.cell_of_node[a], grid.cell_of_node[b], grid)
             rc = [divmod(c, grid.columns) for c in cells]
             assert len(set(cells)) == len(cells)
             for (r0, c0), (r1, c1) in zip(rc, rc[1:]):
@@ -172,13 +195,78 @@ class TestSupercover:
 
     def test_exact_corner_steps_horizontal_first(self):
         grid, _ = self.grid()
-        cells = _supercover((0.5, 0.5), (2.5, 2.5), grid.flat(0, 0),
-                            grid.flat(2, 2), grid)
+        cells = walk((0.5, 0.5), (2.5, 2.5), grid.flat(0, 0),
+                     grid.flat(2, 2), grid)
         rc = [divmod(c, grid.columns) for c in cells]
         assert rc[0] == (0, 0) and rc[-1] == (2, 2)
         assert rc[1] == (0, 1)   # horizontal tie-break at the corner
 
 
+    def test_unreachable_end_cell_raises(self):
+        grid, _ = self.grid()                  # 4 x 8 unit cells
+        with pytest.raises(AssertionError):    # wrong row
+            walk((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0), grid.flat(1, 2), grid)
+        with pytest.raises(AssertionError):    # behind the start
+            walk((2.5, 0.5), (3.5, 0.5), grid.flat(0, 2), grid.flat(0, 1), grid)
+        # the segment leaves the grid through its right edge before it
+        # reaches the end cell's row; a clamp back onto the edge would
+        # have reached that cell through repeated cells
+        with pytest.raises(AssertionError):
+            walk((6.5, 0.5), (9.5, 3.5), grid.flat(0, 6), grid.flat(3, 7), grid)
+
+    def assert_matches_scalar(self, grid, p0, p1):
+        """The all-lines walk equals the scalar walk on every segment, and
+        the scalar walk never clamps a step back into the grid."""
+        cell0, cell1 = bin_points(grid, p0), bin_points(grid, p1)
+        want, starts = [], [0]
+        for a, b, c0, c1 in zip(p0, p1, cell0, cell1):
+            cells = scalar_supercover(a, b, c0, c1, grid)
+            assert len(set(cells)) == len(cells)
+            want.extend(cells)
+            starts.append(len(want))
+        cells, got_starts = _cell_walks(p0, p1, cell0, cell1, grid)
+        assert cells.tolist() == want
+        assert got_starts.tolist() == starts
+
+    @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3), (4096, 16)])
+    def test_matches_scalar_walk_random_segments(self, n, M):
+        grid = build_cell_grid(generate_network(n, float(n), seed=n), M)
+        width, height = grid.columns * grid.cell_side, grid.rows * grid.cell_side
+        gen = np.random.default_rng(n + M)
+        p0 = gen.uniform((0.0, 0.0), (width, height), size=(2000, 2))
+        p1 = gen.uniform((0.0, 0.0), (width, height), size=(2000, 2))
+        self.assert_matches_scalar(grid, p0, p1)
+
+    @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3)])
+    def test_matches_scalar_walk_built_segments(self, n, M):
+        grid = build_cell_grid(generate_network(n, float(n), seed=n), M)
+        s = grid.cell_side
+        width, height = grid.columns * s, grid.rows * s
+        x_in, y_in = np.nextafter(width, 0.0), np.nextafter(height, 0.0)
+        k = 3                                  # both grids have more rows
+        segments = [
+            # same cell
+            ((0.2 * s, 0.3 * s), (0.7 * s, 0.9 * s)),
+            # axis aligned, inside cells and along cell edges
+            ((0.5 * s, 0.5 * s), (5.5 * s, 0.5 * s)),
+            ((0.5 * s, 0.5 * s), (0.5 * s, (k - 0.5) * s)),
+            ((0.0, 1.0 * s), (x_in, 1.0 * s)),
+            ((2.0 * s, 0.0), (2.0 * s, y_in)),
+            ((x_in, y_in), (0.0, y_in)),
+            # diagonals through exact corners, both directions
+            ((0.5 * s, 0.5 * s), ((k - 0.5) * s, (k - 0.5) * s)),
+            (((k - 0.5) * s, 0.5 * s), (0.5 * s, (k - 0.5) * s)),
+            ((1.0 * s, 1.0 * s), (k * s, k * s)),
+            ((0.0, 0.0), (x_in, y_in)),
+            ((x_in, 0.0), (0.0, y_in)),
+            # endpoints on cell edges and one ulp inside the outer boundary
+            ((3.0 * s, 0.25 * s), (x_in, 0.75 * s)),
+            ((x_in, 0.5 * s), (0.0, y_in)),
+            ((0.5 * s, y_in), (x_in, 0.0)),
+            ((2.0 * s, 1.0 * s), (5.0 * s, y_in)),
+        ]
+        p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
+        self.assert_matches_scalar(grid, p0, p1)
 class TestRouting:
     def test_endpoint_rule_and_conservation(self):
         inst = generate_network(128, 128.0, seed=11)
@@ -222,7 +310,49 @@ class TestRouting:
         assert plan.reroutes > 0
         for cells, nodes in zip(plan.relay_cells, plan.assignments):
             for h in range(1, len(nodes) - 1):
-                assert len(grid.nodes_of_cell[cells[h]]) > 0
+                assert grid.cell_start[cells[h] + 1] > grid.cell_start[cells[h]]
+
+    @pytest.mark.parametrize("n", [16, 128, 1024, 4096])
+    @pytest.mark.parametrize("M", [1, 4, 16])
+    def test_matches_per_line_loop(self, n, M):
+        for seed in range(2 if n == 4096 else 3):
+            inst = generate_network(n, float(n), seed=seed)
+            grid = build_cell_grid(inst, M)
+            plan = route_sd_lines(grid, inst, seed=seed + 7)
+            paths, relay_cells, assignments, cell_load, node_load, reroutes = (
+                loop_route_sd_lines(grid, inst, seed + 7))
+            assert [p.tolist() for p in plan.cell_paths] == paths
+            assert [p.tolist() for p in plan.relay_cells] == relay_cells
+            assert len(plan.assignments) == len(assignments)
+            for got, want in zip(plan.assignments, assignments):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for got, want in ((plan.cell_load, cell_load), (plan.node_load, node_load)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert plan.reroutes == reroutes and type(plan.reroutes) is int
+            snr_s, alpha = 3.0, 4.0
+            relay_rate = 0.25 * M ** -0.05 * math.log2(1.0 + M ** (1.0 - alpha / 2) * snr_s)
+            est = hybrid_throughput(plan, M, n, snr_s, alpha)
+            assert est.aggregate_T == loop_hybrid_aggregate(assignments, node_load,
+                                                            relay_rate)
+
+    def test_tie_draws_match_scalar_draws(self):
+        # Each line draws its relay picks and then all its tie-breaks in one
+        # array call.  That call must give the values, and leave the
+        # generator in the state, of one scalar call per tie-break; a numpy
+        # change here would move the hybrid output bytes.
+        gen = np.random.default_rng(17)
+        for case in range(300):
+            ks = gen.integers(1, 6, size=int(gen.integers(1, 12)))
+            ks[gen.random(len(ks)) < 0.3] = 1           # k == 1 draws nothing
+            size = int(gen.integers(1, 40))
+            a = rng.substream(case, rng.RELAY, 3)
+            b = rng.substream(case, rng.RELAY, 3)
+            assert np.array_equal(a.integers(0, 2 ** 31, size=size),
+                                  b.integers(0, 2 ** 31, size=size))
+            batched = a.integers(0, ks)
+            scalar = [int(b.integers(0, int(k))) for k in ks]
+            assert batched.tolist() == scalar
+            assert a.integers(0, 2 ** 62) == b.integers(0, 2 ** 62)
 
     def test_load_concentration_small(self):
         n, M = 1024, 16
