@@ -39,11 +39,12 @@ from math import fsum
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import percolation as perc
 from . import rng
-from .network import (NetworkInstance, PhysicalParams, beta_of, channel_matrix,
-                      distances, snr_short)
+from .network import (ROW_BLOCK, NetworkInstance, PhysicalParams, beta_of,
+                      channel_matrix, distances, snr_short)
 
 logger = logging.getLogger(__name__)
 
@@ -137,13 +138,19 @@ def partition_nodes(instance: NetworkInstance, w_hat: float,
 
 def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
           sources: np.ndarray) -> np.ndarray:
-    """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free."""
-    if len(targets) == 0:
-        return np.empty(0)
-    rhat = distances(instance, targets, sources) / instance.nn_scale
-    if np.any(rhat == 0.0):
-        raise PathologicalCutError("coincident nodes across the cut")
-    return np.sum(rhat ** (-alpha), axis=1)
+    """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free.
+
+    Evaluated in blocks of ROW_BLOCK targets; each row's sum is the same
+    as in one unblocked evaluation.
+    """
+    d = np.empty(len(targets))
+    for start in range(0, len(targets), ROW_BLOCK):
+        rows = targets[start:start + ROW_BLOCK]
+        rhat = distances(instance, rows, sources) / instance.nn_scale
+        if np.any(rhat == 0.0):
+            raise PathologicalCutError("coincident nodes across the cut")
+        np.sum(rhat ** (-alpha), axis=1, out=d[start:start + ROW_BLOCK])
+    return d
 
 
 class ProfileEntry(NamedTuple):
@@ -219,15 +226,23 @@ def dof_term_realized(instance: NetworkInstance, partition: CutPartition,
 
 
 def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
-    """log2 det(I + snr_s * H H*) via Hermitian eigenvalues of the smaller Gram."""
+    """log2 det(I + snr_s * H H*) from a Cholesky factor of the smaller Gram.
+
+    ``zherk`` forms the lower triangle of snr_s times the smaller Gram from
+    ``entries.T``, which for a C-ordered H is a Fortran-ordered view that
+    BLAS reads without a copy.  It yields the complex conjugate of H H*
+    (or of H* H), which has the same determinant.  Every eigenvalue of
+    I + snr_s * G is at least 1, so the Cholesky factor L is backward
+    stable, and log2 det = 2 * sum_i log2 L_ii.  Returns NaN when the
+    factorization fails, as it does on non-finite entries.
+    """
     m, k = entries.shape
-    if m <= k:
-        gram = entries @ entries.conj().T
-    else:
-        gram = entries.conj().T @ entries
-    lam = np.linalg.eigvalsh(gram)
-    lam = np.clip(lam.real, 0.0, None)
-    return fsum(math.log2(1.0 + snr_s * float(v)) for v in lam)
+    gram = blas.zherk(snr_s, entries.T, trans=2 if m <= k else 0, lower=1)
+    gram[np.diag_indices_from(gram)] += 1.0
+    factor, info = lapack.zpotrf(gram, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return math.nan
+    return 2.0 * fsum(np.log2(factor.diagonal().real).tolist())
 
 
 @dataclass(frozen=True)
@@ -260,8 +275,7 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     discarded = 0
     for t in range(trials):
         h = channel_matrix(instance, params, tx, rx,
-                           phase_seed=rng.derived_seed(phase_seed, t),
-                           rescaled=True)
+                           phase_seed=rng.derived_seed(phase_seed, t))
         v = identity_logdet(h.entries, snr_s)
         if math.isfinite(v):
             values.append(v)

@@ -34,6 +34,13 @@ from . import rng
 
 logger = logging.getLogger(__name__)
 
+# Receive rows per block of the channel build and of the cutset's
+# received-power sums; each block's temporaries are ROW_BLOCK x |tx|.
+ROW_BLOCK = 256
+# Unrequested phases node_phases draws and drops rather than jumping over
+# them: a counter jump costs about as much as drawing this many.
+_MAX_GAP = 512
+
 
 class DegenerateInstanceError(ValueError):
     """Raised when node geometry makes a channel quantity undefined."""
@@ -219,30 +226,65 @@ class ChannelMatrix:
         self.entries.setflags(write=False)
 
 
-def node_phases(n_nodes: int, phase_seed: int) -> np.ndarray:
-    """Uniform [0, 2pi) phases for every ordered node pair.
+def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
+    """Uniform [0, 2pi) phases of the ordered node pairs (i, k), i in ``rows``.
 
-    The phase of pair (i, k) is a pure function of (phase_seed, i, k), so
-    any submatrix sliced from it is consistent across calls.  A fresh
-    phase_seed models a fresh fading realization.
+    Row j is row ``rows[j]`` of one (n_nodes, n_nodes) row-major draw from
+    the substream (phase_seed, PHASES), value for value.  Each uniform
+    double consumes one Philox output and each counter step yields four,
+    so row i starts i * n_nodes // 4 counter steps after the seeded state,
+    with i * n_nodes % 4 outputs discarded.  The phase of pair (i, k) is
+    thus a pure function of (phase_seed, i, k), and any submatrix is
+    consistent across calls.  A fresh phase_seed models a fresh fading
+    realization.
+
+    Requested rows are drawn in ascending runs: rows at most _MAX_GAP
+    unrequested outputs apart share one draw, and each run starts with a
+    counter jump.
     """
+    rows = np.asarray(rows, dtype=np.intp)
+    phases = np.empty((rows.size, n_nodes))
+    if rows.size == 0:
+        return phases
+    if rows.min() < 0 or rows.max() >= n_nodes:
+        raise ValueError(f"phase rows must lie in [0, {n_nodes})")
     gen = rng.substream(phase_seed, rng.PHASES)
-    return gen.uniform(0.0, 2.0 * math.pi, size=(n_nodes, n_nodes))
+    bits = gen.bit_generator
+    seeded = bits.state
+    order = np.argsort(rows, kind="stable")
+    gaps = (np.diff(rows[order]) - 1) * n_nodes
+    for run in np.split(order, np.flatnonzero(gaps > _MAX_GAP) + 1):
+        first, last = int(rows[run[0]]), int(rows[run[-1]])
+        bits.state = seeded
+        bits.advance(first * n_nodes // 4)
+        bits.random_raw(first * n_nodes % 4)
+        span = gen.uniform(0.0, 2.0 * math.pi, (last - first + 1, n_nodes))
+        phases[run] = span[rows[run] - first]
+    return phases
 
 
 def distances(instance: NetworkInstance, rx, tx) -> np.ndarray:
-    """Unscaled distances r[i, k] from node rx[i] to node tx[k]."""
-    diff = instance.positions[rx][:, None, :] - instance.positions[tx][None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Unscaled distances r[i, k] from node rx[i] to node tx[k].
+
+    sqrt(dx*dx + dy*dy) one coordinate at a time rounds exactly as a sum
+    over a coordinate axis does, and builds no |rx| x |tx| x 2 temporary.
+    """
+    x, y = instance.positions[:, 0], instance.positions[:, 1]
+    dx = x[rx][:, None] - x[tx]
+    dy = y[rx][:, None] - y[tx]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
-                   tx_set, rx_set, phase_seed: int,
-                   rescaled: bool = True) -> ChannelMatrix:
+                   tx_set, rx_set, phase_seed: int) -> ChannelMatrix:
     """Channel matrix between two disjoint node sets for one fading draw.
 
-    ``rescaled`` selects rescaled magnitudes rhat^(-alpha/2) over
-    physical-unit magnitudes sqrt(G) * r^(-alpha/2).
+    Magnitudes are rescaled, rhat^(-alpha/2).  The matrix is filled in
+    blocks of ROW_BLOCK receive rows, each with only its own phase rows,
+    so no temporary grows beyond one block besides the result.
     """
     tx = np.asarray(tx_set, dtype=np.intp)
     rx = np.asarray(rx_set, dtype=np.intp)
@@ -251,18 +293,18 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 
-    r = distances(instance, rx, tx)
-    if np.any(r == 0.0):
-        raise DegenerateInstanceError("coincident transmitter/receiver positions")
-
-    alpha = params.alpha
-    if rescaled:
-        magnitude = (r / instance.nn_scale) ** (-alpha / 2.0)
-    else:
-        magnitude = math.sqrt(params.gain_G) * r ** (-alpha / 2.0)
-
-    theta = node_phases(instance.n_nodes, phase_seed)[np.ix_(rx, tx)]
-    return ChannelMatrix(magnitude * np.exp(1j * theta))
+    exponent = -params.alpha / 2.0
+    entries = np.empty((rx.size, tx.size), dtype=complex)
+    for start in range(0, rx.size, ROW_BLOCK):
+        rows = rx[start:start + ROW_BLOCK]
+        r = distances(instance, rows, tx)
+        if np.any(r == 0.0):
+            raise DegenerateInstanceError("coincident transmitter/receiver positions")
+        magnitude = (r / instance.nn_scale) ** exponent
+        block = entries[start:start + ROW_BLOCK]
+        np.exp(1j * node_phases(instance.n_nodes, phase_seed, rows)[:, tx], out=block)
+        block *= magnitude
+    return ChannelMatrix(entries)
 
 
 def min_separation(instance: NetworkInstance, rescaled: bool = True) -> float:

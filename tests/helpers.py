@@ -38,12 +38,55 @@ def brute_dhat(instance, alpha, targets, sources):
     return out
 
 
+def unblocked_dhat(instance, alpha, targets, sources):
+    """Received-power oracle: one unblocked numpy evaluation of every row."""
+    pos = instance.positions
+    diff = pos[targets][:, None, :] - pos[sources][None, :, :]
+    rhat = np.sqrt(np.sum(diff * diff, axis=2)) / instance.nn_scale
+    return np.sum(rhat ** (-alpha), axis=1)
+
+
 def brute_snr_total(instance, alpha, snr_s, far_ids, source_ids):
     """Independent double sum over all (far node, source) pairs."""
     total = 0.0
     for d in brute_dhat(instance, alpha, far_ids, source_ids):
         total += snr_s * d
     return total
+
+
+def full_node_phases(n_nodes, phase_seed):
+    """Phase oracle: the whole (n_nodes, n_nodes) row-major draw at once."""
+    gen = rng.substream(phase_seed, rng.PHASES)
+    return gen.uniform(0.0, 2.0 * math.pi, size=(n_nodes, n_nodes))
+
+
+def full_channel_matrix(instance, params, tx, rx, phase_seed, rescaled=True):
+    """Channel oracle: one unblocked evaluation from the full phase draw.
+
+    ``rescaled=False`` gives physical-unit magnitudes sqrt(G) * r^(-alpha/2)
+    instead of rhat^(-alpha/2).
+    """
+    tx = np.asarray(tx, dtype=np.intp)
+    rx = np.asarray(rx, dtype=np.intp)
+    diff = instance.positions[rx][:, None, :] - instance.positions[tx][None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    if rescaled:
+        magnitude = (r / instance.nn_scale) ** (-params.alpha / 2.0)
+    else:
+        magnitude = math.sqrt(params.gain_G) * r ** (-params.alpha / 2.0)
+    theta = full_node_phases(instance.n_nodes, phase_seed)[np.ix_(rx, tx)]
+    return magnitude * np.exp(1j * theta)
+
+
+def eigvalsh_logdet(entries, snr_s):
+    """log2 det(I + snr_s * H H*) from the Hermitian eigenvalues of the smaller Gram."""
+    m, k = entries.shape
+    if m <= k:
+        gram = entries @ entries.conj().T
+    else:
+        gram = entries.conj().T @ entries
+    lam = np.clip(np.linalg.eigvalsh(gram).real, 0.0, None)
+    return math.fsum(math.log2(1.0 + snr_s * float(v)) for v in lam)
 
 
 def bfs_open_top_bottom(closed):

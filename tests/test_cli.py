@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from netregime import (DegenerateInstanceError, NetworkInstance,
-                       PathologicalCutError, cli, harness)
+from netregime import (ChannelMatrix, DegenerateInstanceError, NetworkInstance,
+                       PathologicalCutError, cli, cutset, harness)
 from netregime.cli import main
 
 
@@ -65,6 +66,15 @@ class TestCutset:
             raise PathologicalCutError("draw left one side of the cut empty")
         monkeypatch.setattr(harness, "evaluate_cutset", empty_side)
         assert run(["cutset", "--n", "16", "--trials", "1"]) == 3
+
+    def test_all_trials_non_finite_is_experiment_failure(self, monkeypatch):
+        real = cutset.channel_matrix
+
+        def nan_channel(*args, **kwargs):
+            h = real(*args, **kwargs)
+            return ChannelMatrix(np.full(h.entries.shape, np.nan, dtype=complex))
+        monkeypatch.setattr(cutset, "channel_matrix", nan_channel)
+        assert run(["cutset", "--n", "16", "--trials", "2"]) == 3
 
     def test_bug_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -8,11 +8,13 @@ from netregime import (PathologicalCutError, PhysicalParams,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        power_profile, select_cut_width, snr_total,
                        classify, evaluate_cutset)
+from netregime import cutset
 from netregime.cutset import CUTSET_CSV_HEADER, identity_logdet
-from netregime.network import channel_matrix
+from netregime.network import ChannelMatrix, channel_matrix
 from netregime.harness import params_for_snr
 
-from helpers import hand_instance, brute_dhat, brute_snr_total
+from helpers import (hand_instance, brute_dhat, brute_snr_total, eigvalsh_logdet,
+                     unblocked_dhat)
 
 LN2 = math.log(2.0)
 
@@ -156,6 +158,20 @@ class TestSnrTotal:
                                    list(part.left_S))
             assert got == pytest.approx(want, rel=1e-9)
 
+    # at n = 1500 the far set (alpha = 4) or the strip (alpha = 2.5) spans several
+    # 256-row blocks
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_blocked_sums_match_unblocked_oracle(self, alpha):
+        n, snr = 1500, 6.0
+        inst = unit_density_instance(n, seed=9)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        for targets in (part.far_D, part.strip_VD):
+            prof = power_profile(inst, alpha, targets, part.left_S)
+            want = unblocked_dhat(inst, alpha, targets, part.left_S)
+            assert np.array([p.d_hat for p in prof]).tobytes() == want.tobytes()
+        want = unblocked_dhat(inst, alpha, part.far_D, part.left_S)
+        assert snr_total(inst, part, snr, alpha) == snr * math.fsum(want.tolist())
+
 
 class TestClosedForm:
     def test_alpha_four_matches_unit_strip_row(self):
@@ -255,6 +271,62 @@ class TestMonteCarlo:
                                 np.sort(part.far_D), phase_seed=seed)
             got = identity_logdet(h2.entries, snr)
             assert got <= snr_total(inst, part, snr, alpha) / LN2 + 1e-12
+
+
+class TestCholeskyLogdet:
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (3.0, 0.5), (4.0, 0.0), (4.0, 0.5)])
+    def test_matches_eigvalsh(self, alpha, beta):
+        n = 200
+        snr = float(n) ** beta
+        params, area = params_for_snr(snr, alpha, n)
+        inst = generate_network(n, area, seed=4)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        tx, rx = np.sort(part.left_S), part.right_D
+        for stx, srx in ((tx, rx[: rx.size // 3]),      # wide: fewer rx than tx
+                         (tx[: tx.size // 3], rx)):     # tall
+            h = channel_matrix(inst, params, stx, srx, phase_seed=8).entries
+            want = eigvalsh_logdet(h, snr)
+            assert identity_logdet(h, snr) == pytest.approx(want, rel=1e-13)
+            assert identity_logdet(h.T.copy(), snr) == pytest.approx(want, rel=1e-13)
+
+    def test_non_finite_entries_give_nan(self):
+        h = np.ones((3, 4), dtype=complex)
+        h[1, 2] = np.nan
+        assert math.isnan(identity_logdet(h, 1.0))
+        assert math.isnan(identity_logdet(h.T.copy(), 1.0))
+
+
+class TestDiscardPath:
+    def _setup(self):
+        inst = unit_density_instance(12, seed=6)
+        params = PhysicalParams(1.0, 1.0, 1.0, 3.0)
+        return inst, partition_nodes(inst, w_hat=2.0), params
+
+    def _nan_on(self, monkeypatch, bad_trials):
+        real = cutset.channel_matrix
+        calls = []
+
+        def flaky(*args, **kwargs):
+            h = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) - 1 in bad_trials:
+                return ChannelMatrix(np.full(h.entries.shape, np.nan, dtype=complex))
+            return h
+        monkeypatch.setattr(cutset, "channel_matrix", flaky)
+
+    def test_non_finite_trial_discarded_and_counted(self, monkeypatch):
+        inst, part, params = self._setup()
+        clean = mc_cutset_logdet(inst, part, params, trials=4, phase_seed=11)
+        self._nan_on(monkeypatch, {1})
+        mc = mc_cutset_logdet(inst, part, params, trials=4, phase_seed=11)
+        assert mc.discarded == 1 and mc.trials_used == 3
+        assert mc.values == (clean.values[0],) + clean.values[2:]
+
+    def test_all_trials_non_finite_raise(self, monkeypatch):
+        inst, part, params = self._setup()
+        self._nan_on(monkeypatch, {0, 1, 2})
+        with pytest.raises(ArithmeticError):
+            mc_cutset_logdet(inst, part, params, trials=3, phase_seed=11)
 
 
 class TestUpperBoundExponent:

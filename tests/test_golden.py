@@ -3,9 +3,9 @@ diagram and the CLI.
 
 Sweep, manifest, phase-diagram and CLI outputs are pure functions of their
 inputs, so a change that promises byte-identical outputs must keep every
-sha256 below.  Cutset values go through a BLAS eigensolver whose last bit can
-differ between machines, so they are compared number by number at
-rel=1e-12 instead.  Re-record a digest only with a change that declares
+sha256 below.  Cutset values go through a BLAS Gram product and a LAPACK
+Cholesky factor whose last bit can differ between machines, so they are
+compared number by number at rel=1e-12 instead.  Re-record a digest only with a change that declares
 an output change.
 """
 

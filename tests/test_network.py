@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from netregime import (DegenerateInstanceError, NetworkInstance, PhysicalParams,
                        beta_of, channel_matrix, generate_network, min_separation,
                        separation_diagnostic, snr_long, snr_short)
 from netregime import network
+from netregime.cutset import partition_nodes, select_cut_width
+from netregime.harness import params_for_snr
 from netregime.network import node_phases
 
-from helpers import hand_instance
+from helpers import full_channel_matrix, full_node_phases, hand_instance
 
 
 def default_params(alpha=4.0, G=1.0):
@@ -142,30 +145,33 @@ class TestChannel:
         inst = generate_network(20, 11.0, seed=8)
         params = default_params(3.0, G=2.5)
         tx, rx = np.arange(10), np.arange(10, 40)
-        h = channel_matrix(inst, params, tx, rx, phase_seed=4, rescaled=False)
+        raw = full_channel_matrix(inst, params, tx, rx, phase_seed=4, rescaled=False)
         diff = (inst.positions[rx][:, None, :] - inst.positions[tx][None, :, :])
         r = np.sqrt((diff ** 2).sum(axis=2))
-        lhs = np.abs(h.entries) * r ** (params.alpha / 2.0)
+        lhs = np.abs(raw) * r ** (params.alpha / 2.0)
         assert np.allclose(lhs, math.sqrt(2.5), rtol=1e-12)
+        # the library's rescaled channel carries the same phases
+        h = channel_matrix(inst, params, tx, rx, phase_seed=4)
+        assert np.allclose(h.entries / np.abs(h.entries), raw / np.abs(raw), rtol=1e-12)
 
     def test_rescaling_consistency(self):
         inst = generate_network(18, 7.0, seed=12)
         params = default_params(2.5, G=3.0)
         tx, rx = np.arange(9), np.arange(9, 36)
-        raw = channel_matrix(inst, params, tx, rx, phase_seed=21, rescaled=False)
-        resc = channel_matrix(inst, params, tx, rx, phase_seed=21, rescaled=True)
+        raw = full_channel_matrix(inst, params, tx, rx, phase_seed=21, rescaled=False)
+        resc = channel_matrix(inst, params, tx, rx, phase_seed=21)
         factor = (inst.area_A / inst.n_pairs) ** (params.alpha / 4.0) / math.sqrt(3.0)
-        assert np.allclose(resc.entries, raw.entries * factor, rtol=1e-12)
+        assert np.allclose(resc.entries, raw * factor, rtol=1e-12)
 
     def test_unit_modulus_phases(self):
-        ph = node_phases(30, phase_seed=77)
+        ph = node_phases(30, phase_seed=77, rows=np.arange(30))
         assert np.all((ph >= 0) & (ph < 2 * math.pi))
         mods = np.abs(np.exp(1j * ph))
         assert np.allclose(mods, 1.0, atol=1e-14)
 
     def test_phase_uniformity_ks(self):
         # >= 1e5 entries against Uniform[0, 2pi) at significance 0.01
-        ph = node_phases(400, phase_seed=123)
+        ph = node_phases(400, phase_seed=123, rows=np.arange(400))
         res = stats.kstest(ph.ravel(), stats.uniform(loc=0, scale=2 * math.pi).cdf)
         assert ph.size >= 10 ** 5
         assert res.pvalue > 0.01
@@ -188,6 +194,62 @@ class TestChannel:
             channel_matrix(inst, default_params(), [0, 1], [1, 2], phase_seed=0)
         with pytest.raises(ValueError):
             channel_matrix(inst, default_params(), [], [1], phase_seed=0)
+
+
+class TestPhaseRows:
+    # 2n = 14, 126 and 1030 give rows that start mid counter step (2n % 4 == 2);
+    # at 2n = 1030 rows are over 512 draws apart, so each is its own run
+    @pytest.mark.parametrize("n_nodes", [2, 14, 16, 126, 1030])
+    def test_rows_match_full_draw(self, n_nodes):
+        full = full_node_phases(n_nodes, phase_seed=31)
+        gen = np.random.default_rng(n_nodes)
+        cols = gen.permutation(n_nodes)[: max(1, n_nodes // 3)]
+        row_sets = [np.arange(n_nodes), [0], [n_nodes - 1], np.array([], dtype=int),
+                    np.sort(gen.choice(n_nodes, size=(n_nodes + 1) // 2, replace=False)),
+                    gen.permutation(n_nodes), [n_nodes // 2] * 3 + [0]]
+        for rows in row_sets:
+            got = node_phases(n_nodes, 31, rows)
+            assert got.shape == (len(rows), n_nodes)
+            assert got.tobytes() == full[rows].tobytes()
+            assert got[:, cols].tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+    def test_rows_out_of_range_rejected(self):
+        for rows in ([-1], [10], [0, 10]):
+            with pytest.raises(ValueError):
+                node_phases(10, 3, rows)
+
+
+def _cut_sets(n, alpha, beta, seed):
+    """Instance, params and the (tx, rx) sets the Monte-Carlo cutset uses."""
+    snr = float(n) ** beta
+    params, area = params_for_snr(snr, alpha, n)
+    inst = generate_network(n, area, seed)
+    part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+    return inst, params, np.sort(part.left_S), part.right_D
+
+
+class TestBlockedChannel:
+    # n = 1500 spans several ROW_BLOCK blocks of receive rows
+    @pytest.mark.parametrize("n,alpha,beta", [(15, 2.0, 1.0), (256, 2.5, 0.0),
+                                              (256, 3.0, 0.5), (1500, 4.0, 0.5)])
+    def test_entries_match_unblocked_oracle(self, n, alpha, beta):
+        inst, params, tx, rx = _cut_sets(n, alpha, beta, seed=n)
+        assert rx.size > 0 and tx.size > 0
+        for stx, srx in ((tx, rx), (rx, tx)):
+            h = channel_matrix(inst, params, stx, srx, phase_seed=5)
+            want = full_channel_matrix(inst, params, stx, srx, phase_seed=5)
+            assert h.entries.dtype == want.dtype
+            assert h.entries.tobytes() == want.tobytes()
+
+    def test_peak_memory_bounded(self):
+        inst, params, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
+        tracemalloc.start()
+        try:
+            h = channel_matrix(inst, params, tx, rx, phase_seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * h.entries.nbytes
 
 
 class TestSerialization:
