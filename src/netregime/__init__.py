@@ -17,8 +17,6 @@ from .network import (
     beta_of,
     channel_matrix,
     generate_network,
-    min_separation,
-    separation_diagnostic,
     snr_long,
     snr_short,
 )
@@ -39,7 +37,6 @@ from .cutset import (
     evaluate_cutset,
     mc_cutset_logdet,
     partition_nodes,
-    power_profile,
     select_cut_width,
     snr_total,
 )
@@ -62,7 +59,6 @@ from .percolation import (
     PercolationGrid,
     build_occupancy_grid,
     crossing_probability,
-    exists_closed_lr_crossing,
     extract_cut,
     find_open_crossing,
     has_open_crossing,
@@ -76,7 +72,6 @@ from .harness import (
     emit_phase_diagram,
     emit_sweep,
     fit_exponent,
-    fit_full_and_tail,
     params_for_snr,
     run_scaling_experiment,
 )

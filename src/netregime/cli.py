@@ -183,9 +183,12 @@ def cmd_fit(args) -> int:
             n_col, m_col = header.index("n"), header.index("metric")
         except ValueError as exc:
             raise ConfigError(f"CSV must have 'n' and 'metric' columns: {exc}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if parts and parts[0]:
+                if len(parts) <= max(n_col, m_col):
+                    raise ConfigError(f"{args.csv} line {lineno} has {len(parts)} "
+                                      f"columns; the header has {len(header)}")
                 table.append((int(parts[n_col]), float(parts[m_col])))
     result = fit_exponent(table, args.theory)
     sys.stdout.write(json.dumps(result.to_dict(), indent=2) + "\n")

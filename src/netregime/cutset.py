@@ -36,7 +36,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from math import fsum
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -151,32 +150,6 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
             raise PathologicalCutError("coincident nodes across the cut")
         np.sum(rhat ** (-alpha), axis=1, out=d[start:start + ROW_BLOCK])
     return d
-
-
-class ProfileEntry(NamedTuple):
-    node: int
-    d_hat: float
-    d_hat_approx: float
-
-
-def power_profile(instance: NetworkInstance, alpha: float, target_ids,
-                  source_ids=None, cut_x: float | None = None) -> list[ProfileEntry]:
-    """Exact d_hat for each target plus the xhat^(2-alpha) approximation.
-
-    ``source_ids`` defaults to all nodes left of the midline; ``cut_x``
-    defaults to the midline itself.
-    """
-    targets = np.asarray(target_ids, dtype=np.intp)
-    mid = instance.side if cut_x is None else cut_x
-    if source_ids is None:
-        sources = np.nonzero(instance.positions[:, 0] < mid)[0]
-    else:
-        sources = np.asarray(source_ids, dtype=np.intp)
-    d = _dhat(instance, alpha, targets, sources)
-    xhat = (instance.positions[targets, 0] - mid) / instance.nn_scale
-    approx = xhat ** (2.0 - alpha) if alpha != 2.0 else np.ones_like(xhat)
-    return [ProfileEntry(int(i), float(dh), float(ap))
-            for i, dh, ap in zip(targets, d, approx)]
 
 
 def snr_total(instance: NetworkInstance, partition: CutPartition,

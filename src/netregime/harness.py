@@ -25,8 +25,8 @@ from .network import DegenerateInstanceError, PhysicalParams, generate_network
 from .percolation import crossing_probability
 from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
                       phase_diagram_csv_rows, phase_diagram_grid_rows)
-from .schemes import (OutOfRegimeError, hc_throughput, multihop_throughput,
-                      simulate_hybrid)
+from .schemes import (OutOfRegimeError, hc_throughput, hybrid_cell_size,
+                      multihop_throughput, simulate_hybrid)
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ConfigError("n_list must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.instances < 1:
+            raise ConfigError("instances must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
 
@@ -108,16 +110,17 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        consts = Constants(**doc.pop("constants", {}))
+        consts = doc.pop("constants", {})
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("alpha_range", "beta_range", "resolution"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
         try:
-            return cls(constants=consts, **doc)
+            for key in ("alpha_range", "beta_range", "resolution"):
+                if key in doc:
+                    doc[key] = tuple(doc[key])
+            # Constants(**...) raises TypeError on a non-object or an unknown key
+            return cls(constants=Constants(**consts), **doc)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -185,9 +188,10 @@ def run_scheme(scheme: str, n: int, alpha: float, beta: float,
     if scheme != "hybrid":
         raise ValueError(f"unknown scheme {scheme!r}")
     inst = generate_network(n, area, seed)
+    M = hybrid_cell_size(snr_s, alpha, n)
     est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, k.k4,
-                                   route_seed=seed)
-    return est, est.constants["M"], plan
+                                   M=M, route_seed=seed)
+    return est, M, plan
 
 
 def _cutset_unit(config: ExperimentConfig, i_point: int, n: int, i_inst: int):
@@ -298,25 +302,6 @@ def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return FitResult(slope, intercept, max(0.0, min(1.0, r2)),
                      theory_exponent, tuple(float(r) for r in resid))
-
-
-def tail_points(table) -> list:
-    """Largest max(4, len-2) points when at least 6 are present, else all.
-
-    Small-n transients bias finite-range fits; dropping the smallest
-    points when enough remain gives a steadier exponent estimate.
-    """
-    pts = sorted(table, key=lambda t: t[0])
-    if len(pts) >= 6:
-        keep = max(4, len(pts) - 2)
-        return pts[-keep:]
-    return pts
-
-
-def fit_full_and_tail(table, theory_exponent: float = math.nan):
-    """(full-range fit, tail fit) of the same table."""
-    return (fit_exponent(table, theory_exponent),
-            fit_exponent(tail_points(table), theory_exponent))
 
 
 def write_lines(path: str, header: str, rows: list[str]) -> None:

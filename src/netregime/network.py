@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import rng
 
@@ -40,6 +39,8 @@ ROW_BLOCK = 256
 # Unrequested phases node_phases draws and drops rather than jumping over
 # them: a counter jump costs about as much as drawing this many.
 _MAX_GAP = 512
+# Draws generate_network makes before it gives up on distinct positions.
+_MAX_ATTEMPTS = 16
 
 
 class DegenerateInstanceError(ValueError):
@@ -133,19 +134,6 @@ class NetworkInstance:
         }
         return json.dumps(doc)
 
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkInstance":
-        doc = json.loads(text)
-        pairing = np.asarray(doc["pairing"], dtype=np.intp)
-        return cls(
-            n_pairs=int(doc["n"]),
-            area_A=float(doc["area_A"]),
-            seed=int(doc["seed"]),
-            positions=np.asarray(doc["positions"], dtype=float),
-            source_ids=pairing[:, 0],
-            dest_ids=pairing[:, 1],
-        )
-
 
 def _has_coincident_nodes(positions: np.ndarray) -> bool:
     order = np.lexsort(positions.T)
@@ -153,8 +141,7 @@ def _has_coincident_nodes(positions: np.ndarray) -> bool:
     return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
 
 
-def generate_network(n_pairs: int, area_A: float, seed: int,
-                     max_retries: int = 16) -> NetworkInstance:
+def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
 
     Deterministic given ``seed``.  Draws with exactly coincident nodes (a
@@ -167,7 +154,7 @@ def generate_network(n_pairs: int, area_A: float, seed: int,
     if area_A <= 0:
         raise ValueError(f"area_A must be positive, got {area_A}")
     side = math.sqrt(area_A)
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_ATTEMPTS):
         retry = (attempt,) if attempt else ()
         gen = rng.substream(seed, rng.POSITIONS, *retry)
         positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
@@ -182,7 +169,7 @@ def generate_network(n_pairs: int, area_A: float, seed: int,
         return NetworkInstance(n_pairs, float(area_A), seed, positions,
                                source_ids, dest_ids)
     raise DegenerateInstanceError(
-        f"could not draw distinct positions after {max_retries} attempts")
+        f"could not draw distinct positions after {_MAX_ATTEMPTS} attempts")
 
 
 def snr_short(params: PhysicalParams, n: int, area_A: float) -> float:
@@ -306,25 +293,3 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
         block *= magnitude
     return ChannelMatrix(entries)
 
-
-def min_separation(instance: NetworkInstance, rescaled: bool = True) -> float:
-    """Smallest pairwise node distance (rescaled by sqrt(A/n) by default)."""
-    tree = cKDTree(instance.positions)
-    d, _ = tree.query(instance.positions, k=2)
-    dmin = float(d[:, 1].min())
-    return dmin / instance.nn_scale if rescaled else dmin
-
-
-def separation_diagnostic(instance: NetworkInstance, delta: float = 0.05):
-    """Check the rescaled minimum separation against n^-(1/2+delta).
-
-    The bound holds with high probability but is not enforced; callers get
-    the observed value, the threshold and a pass flag.
-    """
-    r_hat_min = min_separation(instance, rescaled=True)
-    threshold = instance.n_pairs ** (-(0.5 + delta))
-    ok = r_hat_min >= threshold
-    if not ok:
-        logger.info("rescaled min separation %.3g below n^-(1/2+delta) = %.3g",
-                    r_hat_min, threshold)
-    return r_hat_min, threshold, ok

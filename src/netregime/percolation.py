@@ -143,14 +143,6 @@ def has_open_crossing(grid: PercolationGrid) -> bool:
     return _labels_touching(labels, (0, slice(None)), (-1, slice(None)))
 
 
-def exists_closed_lr_crossing(grid: PercolationGrid) -> bool:
-    """True iff some 8-connected closed component joins the slab's left and right columns."""
-    labels, num = ndimage.label(grid.closed, structure=_EIGHT)
-    if num == 0:
-        return False
-    return _labels_touching(labels, (slice(None), 0), (slice(None), -1))
-
-
 def _distance_to_bottom(open_cells: np.ndarray) -> np.ndarray:
     """Edge-count BFS distance from every open cell to the bottom row (-1 if cut off)."""
     rows, cols = open_cells.shape

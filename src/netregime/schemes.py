@@ -21,7 +21,7 @@ split between hop directions costs a factor 4 in rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
@@ -42,7 +42,6 @@ class ThroughputEstimate:
     aggregate_T: float
     per_pair_R: float
     scheme: Scheme
-    constants: dict = field(default_factory=dict)
     analytic_per_pair: float | None = None
 
 
@@ -54,8 +53,7 @@ def multihop_throughput(n: int, snr_s: float, K2: float = 1.0) -> ThroughputEsti
         raise ValueError("n must be >= 1")
     hop_rate = math.log2(1.0 + snr_s / (1.0 + K2 * snr_s))
     aggregate = math.sqrt(n) * hop_rate
-    return ThroughputEstimate(aggregate, aggregate / n, Scheme.MULTIHOP,
-                              constants={"K2": K2})
+    return ThroughputEstimate(aggregate, aggregate / n, Scheme.MULTIHOP)
 
 
 def hc_throughput(n: int, snr_s: float, alpha: float, epsilon: float = 0.05,
@@ -78,8 +76,7 @@ def hc_throughput(n: int, snr_s: float, alpha: float, epsilon: float = 0.05,
         aggregate = tau * K3 * n ** (1.0 - epsilon) * math.log2(1.0 + snr_l / tau)
     else:
         aggregate = K3 * n ** (1.0 - epsilon) * math.log2(1.0 + snr_l)
-    return ThroughputEstimate(aggregate, aggregate / n, scheme,
-                              constants={"K3": K3, "epsilon": epsilon})
+    return ThroughputEstimate(aggregate, aggregate / n, scheme)
 
 
 def hybrid_cell_size(snr_s: float, alpha: float, n: int) -> int:
@@ -121,13 +118,6 @@ class CellGrid:
     @property
     def n_cells(self) -> int:
         return self.rows * self.columns
-
-    @property
-    def mean_occupancy(self) -> float:
-        return len(self.cell_of_node) / self.n_cells
-
-    def flat(self, row: int, col: int) -> int:
-        return row * self.columns + col
 
 
 def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
@@ -276,17 +266,16 @@ def _split(flat: np.ndarray, starts: list) -> list:
 class RelayPlan:
     """Cell routes and relay assignments for every source-destination line.
 
-    ``cell_paths`` holds the geometric 4-adjacent walk of each line;
-    ``relay_cells`` is the same sequence with empty cells replaced by their
-    nearest occupied neighbor (each substitution counted in ``reroutes``).
-    ``assignments[j][h]`` is the node relaying line j at hop h; the first
-    and last entries are the line's own source and destination.  A line
-    whose endpoints share a cell has a one-cell path and the two-entry
+    ``cell_paths`` holds the geometric 4-adjacent walk of each line.
+    ``assignments[j][h]`` is the node relaying line j at hop h, drawn from
+    path cell h or, when that cell is empty, from a nearest occupied
+    neighbor (each substitution counted in ``reroutes``); the first and
+    last entries are the line's own source and destination.  A line whose
+    endpoints share a cell has a one-cell path and the two-entry
     assignment [source, destination].  Each line's entries are arrays.
     """
 
     cell_paths: list
-    relay_cells: list
     assignments: list
     cell_load: np.ndarray
     node_load: np.ndarray
@@ -356,8 +345,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     one_cell = lengths == 1
     nodes = np.insert(nodes, starts[:-1][one_cell], src[one_cell])
     slot_starts = starts + np.concatenate(([0], np.cumsum(one_cell)))
-    return RelayPlan(_split(cells, hop), _split(relay, hop),
-                     _split(nodes, slot_starts.tolist()),
+    return RelayPlan(_split(cells, hop), _split(nodes, slot_starts.tolist()),
                      np.bincount(relay, minlength=grid.n_cells),
                      np.bincount(nodes, minlength=instance.n_nodes),
                      int(empty.sum()))
@@ -387,7 +375,6 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     aggregate = fsum(per_pair.tolist())
     return ThroughputEstimate(
         aggregate, aggregate / n, Scheme.HYBRID,
-        constants={"K3": K3, "K4": K4, "epsilon": epsilon, "M": M},
         analytic_per_pair=K4 * math.sqrt(M) * n ** (-0.5 - epsilon))
 
 

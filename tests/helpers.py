@@ -4,12 +4,18 @@ Oracles are written in the plainest possible style (double loops, direct
 formulas) so they stay independent of the library's vectorized paths.
 """
 
+import json
 import math
+from typing import NamedTuple
 
 import numpy as np
+from scipy import ndimage
 
 from netregime import rng
+from netregime.cutset import _dhat
+from netregime.harness import fit_exponent
 from netregime.network import NetworkInstance
+from netregime.percolation import _EIGHT, _labels_touching
 
 
 def hand_instance(positions, area_A, seed=0):
@@ -21,6 +27,58 @@ def hand_instance(positions, area_A, seed=0):
     return NetworkInstance(n, float(area_A), seed, positions,
                            source_ids=np.arange(n),
                            dest_ids=np.arange(n, 2 * n))
+
+
+def instance_from_json(text):
+    """Rebuild an instance from the JSON of ``NetworkInstance.to_json``."""
+    doc = json.loads(text)
+    pairing = np.asarray(doc["pairing"], dtype=np.intp)
+    return NetworkInstance(int(doc["n"]), float(doc["area_A"]), int(doc["seed"]),
+                           np.asarray(doc["positions"], dtype=float),
+                           source_ids=pairing[:, 0], dest_ids=pairing[:, 1])
+
+
+class ProfileEntry(NamedTuple):
+    node: int
+    d_hat: float
+    d_hat_approx: float
+
+
+def power_profile(instance, alpha, target_ids, source_ids=None):
+    """The library's d_hat for each target plus the xhat^(2-alpha) approximation.
+
+    ``source_ids`` defaults to all nodes left of the midline.
+    """
+    targets = np.asarray(target_ids, dtype=np.intp)
+    mid = instance.side
+    if source_ids is None:
+        sources = np.nonzero(instance.positions[:, 0] < mid)[0]
+    else:
+        sources = np.asarray(source_ids, dtype=np.intp)
+    d = _dhat(instance, alpha, targets, sources)
+    xhat = (instance.positions[targets, 0] - mid) / instance.nn_scale
+    approx = xhat ** (2.0 - alpha) if alpha != 2.0 else np.ones_like(xhat)
+    return [ProfileEntry(int(i), float(dh), float(ap))
+            for i, dh, ap in zip(targets, d, approx)]
+
+
+def tail_points(table):
+    """Largest max(4, len-2) points when at least 6 are present, else all.
+
+    Small-n transients bias finite-range fits; dropping the smallest
+    points when enough remain gives a steadier exponent estimate.
+    """
+    pts = sorted(table, key=lambda t: t[0])
+    if len(pts) >= 6:
+        keep = max(4, len(pts) - 2)
+        return pts[-keep:]
+    return pts
+
+
+def fit_full_and_tail(table, theory_exponent=math.nan):
+    """(full-range fit, tail fit) of the same table."""
+    return (fit_exponent(table, theory_exponent),
+            fit_exponent(tail_points(table), theory_exponent))
 
 
 def brute_dhat(instance, alpha, targets, sources):
@@ -87,6 +145,14 @@ def eigvalsh_logdet(entries, snr_s):
         gram = entries.conj().T @ entries
     lam = np.clip(np.linalg.eigvalsh(gram).real, 0.0, None)
     return math.fsum(math.log2(1.0 + snr_s * float(v)) for v in lam)
+
+
+def exists_closed_lr_crossing(grid):
+    """True iff some 8-connected closed component joins the slab's left and right columns."""
+    labels, num = ndimage.label(grid.closed, structure=_EIGHT)
+    if num == 0:
+        return False
+    return _labels_touching(labels, (slice(None), 0), (slice(None), -1))
 
 
 def bfs_open_top_bottom(closed):
@@ -176,6 +242,25 @@ def brute_polyline_clearance(points, vertices):
     return best
 
 
+def flat(grid, row, col):
+    """Flat id of cell (row, col) of a CellGrid."""
+    return row * grid.columns + col
+
+
+def mean_occupancy(grid):
+    """Nodes per cell of a CellGrid."""
+    return len(grid.cell_of_node) / grid.n_cells
+
+
+def relay_cells_of(plan, grid):
+    """Cell of each relay of a RelayPlan, one per path cell of each line.
+
+    A one-cell line's two assignments share its one cell.
+    """
+    return [grid.cell_of_node[nodes][:len(path)]
+            for path, nodes in zip(plan.cell_paths, plan.assignments)]
+
+
 def cell_pools(grid):
     """Node ids binned into each cell, in increasing order, by one pass."""
     pools = [[] for _ in range(grid.n_cells)]
@@ -192,7 +277,7 @@ def scalar_supercover(p0, p1, cell0, cell1, grid):
     """
     r0, c0 = divmod(int(cell0), grid.columns)
     r1, c1 = divmod(int(cell1), grid.columns)
-    cells = [grid.flat(r0, c0)]
+    cells = [flat(grid, r0, c0)]
     if (r0, c0) == (r1, c1):
         return cells
     dx = p1[0] - p0[0]
@@ -224,7 +309,7 @@ def scalar_supercover(p0, p1, cell0, cell1, grid):
             t_max_y += t_dy
         r = min(max(r, 0), grid.rows - 1)
         c = min(max(c, 0), grid.columns - 1)
-        cells.append(grid.flat(r, c))
+        cells.append(flat(grid, r, c))
         if (r, c) == (r1, c1):
             return cells
     raise AssertionError("cell walk failed to reach the destination cell")

@@ -16,16 +16,16 @@ import numpy as np
 from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        emit_phase_diagram, emit_sweep, generate_network,
                        hybrid_cell_size, mc_cutset_logdet, multihop_throughput,
-                       partition_nodes, power_profile, select_cut_width,
+                       partition_nodes, select_cut_width,
                        simulate_hybrid, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, extract_cut,
-                       find_open_crossing, has_open_crossing,
-                       exists_closed_lr_crossing)
-from netregime.harness import fit_exponent, fit_full_and_tail, params_for_snr
+                       find_open_crossing, has_open_crossing)
+from netregime.harness import fit_exponent, params_for_snr
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
 
-from helpers import brute_dhat, brute_snr_total
+from helpers import (brute_dhat, brute_snr_total, exists_closed_lr_crossing,
+                     fit_full_and_tail, power_profile)
 
 LN2 = math.log(2.0)
 

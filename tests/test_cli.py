@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from netregime import (ChannelMatrix, DegenerateInstanceError, NetworkInstance,
+from netregime import (ChannelMatrix, DegenerateInstanceError,
                        PathologicalCutError, cli, cutset, harness)
 from netregime.cli import main
+
+from helpers import instance_from_json
 
 
 def run(argv):
@@ -32,7 +34,7 @@ class TestGen:
     def test_writes_instance_json(self, tmp_path):
         out = tmp_path / "net.json"
         assert run(["gen", "--n", "16", "--seed", "3", "--out", str(out)]) == 0
-        inst = NetworkInstance.from_json(out.read_text())
+        inst = instance_from_json(out.read_text())
         assert inst.n_pairs == 16 and inst.seed == 3
 
     def test_deterministic_bytes(self, tmp_path):
@@ -162,6 +164,12 @@ class TestFit:
         csv.write_text("a,b\n1,2\n")
         assert run(["fit", str(csv)]) == 2
 
+    def test_short_row_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "short.csv"
+        csv.write_text("n,metric,stderr\n10,1,0\n32\n100,10,0\n")
+        assert run(["fit", str(csv)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_from_config(self, tmp_path):
@@ -184,6 +192,17 @@ class TestSweep:
         out = tmp_path / "s.csv"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(dict(field, n_list=[16, 32], out=str(out))))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", [{"constants": {"bogus": 1.0}},
+                                       {"constants": [1.0]},
+                                       {"instances": 0}])
+    def test_bad_constants_or_instances_exit_2(self, tmp_path, field):
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(field, kind="cutset", n_list=[16, 32],
+                                       out=str(out))))
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
 

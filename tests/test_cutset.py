@@ -6,7 +6,7 @@ import pytest
 from netregime import (PathologicalCutError, PhysicalParams,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
-                       power_profile, select_cut_width, snr_total,
+                       select_cut_width, snr_total,
                        classify, evaluate_cutset)
 from netregime import cutset
 from netregime.cutset import CUTSET_CSV_HEADER, identity_logdet
@@ -14,7 +14,7 @@ from netregime.network import ChannelMatrix, channel_matrix
 from netregime.harness import params_for_snr
 
 from helpers import (hand_instance, brute_dhat, brute_snr_total, eigvalsh_logdet,
-                     unblocked_dhat)
+                     power_profile, unblocked_dhat)
 
 LN2 = math.log(2.0)
 

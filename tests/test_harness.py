@@ -11,7 +11,9 @@ from netregime import (ConfigError, Constants, DegenerateInstanceError,
                        fit_exponent, emit_phase_diagram, emit_sweep, harness,
                        params_for_snr, run_scaling_experiment, snr_short)
 from netregime.rng import EXPERIMENT, derived_seed
-from netregime.harness import fit_full_and_tail, tail_points, write_manifest
+from netregime.harness import write_manifest
+
+from helpers import fit_full_and_tail, tail_points
 
 
 class TestFit:
@@ -81,6 +83,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json('{"kind": "scheme", "n_list": [4, 8], "bogus": 1}')
 
+    @pytest.mark.parametrize("field", ['"constants": {"bogus": 1}', '"constants": [1]',
+                                       '"constants": 2.0', '"constants": null',
+                                       '"alpha_range": 3'])
+    def test_rejects_malformed_fields(self, field):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json('{"kind": "scheme", "n_list": [4, 8], %s}' % field)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="nope", n_list=[4, 8])
@@ -94,6 +103,8 @@ class TestConfig:
             ExperimentConfig(kind="scheme", n_list=[4, 8], scheme="multi")
         with pytest.raises(ConfigError, match="mode"):
             ExperimentConfig(kind="cutset", n_list=[4, 8], mode="ideal")
+        with pytest.raises(ConfigError, match="instances"):
+            ExperimentConfig(kind="cutset", n_list=[4, 8], instances=0)
 
     def test_k4_defaults_to_quarter_k3(self):
         assert Constants(K3=2.0).k4 == pytest.approx(0.5)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netregime import (DegenerateInstanceError, NetworkInstance, PhysicalParams,
-                       beta_of, channel_matrix, generate_network, min_separation,
-                       separation_diagnostic, snr_long, snr_short)
+from netregime import (DegenerateInstanceError, PhysicalParams, beta_of,
+                       channel_matrix, generate_network, snr_long,
+                       snr_short)
 from netregime import network
 from netregime.cutset import partition_nodes, select_cut_width
 from netregime.harness import params_for_snr
 from netregime.network import node_phases
 
-from helpers import full_channel_matrix, full_node_phases, hand_instance
+from helpers import (full_channel_matrix, full_node_phases, hand_instance,
+                     instance_from_json)
 
 
 def default_params(alpha=4.0, G=1.0):
@@ -255,7 +256,7 @@ class TestBlockedChannel:
 class TestSerialization:
     def test_round_trip(self):
         inst = generate_network(12, 5.0, seed=42)
-        back = NetworkInstance.from_json(inst.to_json())
+        back = instance_from_json(inst.to_json())
         assert np.array_equal(back.positions, inst.positions)
         assert np.array_equal(back.source_ids, inst.source_ids)
         assert np.array_equal(back.dest_ids, inst.dest_ids)
@@ -267,17 +268,3 @@ class TestSerialization:
         assert sum(doc["roles"]) == 3
         assert len(doc["pairing"]) == 3
 
-
-class TestSeparation:
-    def test_min_separation_hand(self):
-        inst = hand_instance([[0.0, 0.0], [0.0, 0.25], [1.5, 0.9], [0.6, 0.4]],
-                             area_A=1.0)
-        assert min_separation(inst, rescaled=False) == pytest.approx(0.25)
-        # nn_scale = sqrt(1/2)
-        assert min_separation(inst) == pytest.approx(0.25 / math.sqrt(0.5))
-
-    def test_diagnostic_reports(self):
-        inst = generate_network(64, 64.0, seed=2)
-        r_min, threshold, ok = separation_diagnostic(inst, delta=0.05)
-        assert r_min > 0 and threshold == pytest.approx(64 ** -0.55)
-        assert ok == (r_min >= threshold)

@@ -5,15 +5,15 @@ import pytest
 from scipy.sparse import lil_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from netregime import (build_occupancy_grid, crossing_probability,
-                       exists_closed_lr_crossing, extract_cut,
+from netregime import (build_occupancy_grid, crossing_probability, extract_cut,
                        find_open_crossing, generate_network, has_open_crossing)
 from netregime.percolation import (PercolationGrid, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
                                    split_by_cut)
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
-                     brute_b_set, brute_polyline_clearance)
+                     brute_b_set, brute_polyline_clearance,
+                     exists_closed_lr_crossing)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):

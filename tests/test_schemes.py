@@ -10,7 +10,8 @@ from netregime import rng
 from netregime.harness import fit_exponent, params_for_snr
 from netregime.schemes import _cell_walks, hybrid_throughput
 
-from helpers import (hand_instance, loop_hybrid_aggregate, loop_route_sd_lines,
+from helpers import (flat, hand_instance, loop_hybrid_aggregate,
+                     loop_route_sd_lines, mean_occupancy, relay_cells_of,
                      scalar_supercover)
 
 
@@ -135,7 +136,7 @@ class TestCellGrid:
         grid = build_cell_grid(inst, M=1)
         assert (grid.rows, grid.columns) == (10, 20)
         assert grid.cell_side == pytest.approx(1.0)
-        assert grid.mean_occupancy == pytest.approx(1.0)
+        assert mean_occupancy(grid) == pytest.approx(1.0)
 
     def test_target_occupancy(self):
         # rows x cols tile exactly, so the mean is exactly 2n / cells
@@ -144,7 +145,7 @@ class TestCellGrid:
             inst = generate_network(1024, 1024.0, seed=seed)
             grid = build_cell_grid(inst, M=16)
             assert grid.n_cells == 128
-            occupancies.append(grid.mean_occupancy)
+            occupancies.append(mean_occupancy(grid))
         assert np.mean(occupancies) == pytest.approx(16.0, abs=1e-12)
 
     def test_every_node_binned_once(self):
@@ -173,13 +174,13 @@ class TestSupercover:
     def test_same_cell(self):
         grid, _ = self.grid()
         cells = walk((0.3, 0.4), (0.6, 0.2), 0, 0, grid)
-        assert cells == [grid.flat(0, 0)]
+        assert cells == [flat(grid, 0, 0)]
 
     def test_axis_aligned_three_cells(self):
         grid, _ = self.grid()
-        cells = walk((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0),
-                     grid.flat(0, 2), grid)
-        assert cells == [grid.flat(0, 0), grid.flat(0, 1), grid.flat(0, 2)]
+        cells = walk((0.5, 0.5), (2.5, 0.5), flat(grid, 0, 0),
+                     flat(grid, 0, 2), grid)
+        assert cells == [flat(grid, 0, 0), flat(grid, 0, 1), flat(grid, 0, 2)]
 
     def test_four_adjacency_random_segments(self):
         grid, inst = self.grid(64)
@@ -195,8 +196,8 @@ class TestSupercover:
 
     def test_exact_corner_steps_horizontal_first(self):
         grid, _ = self.grid()
-        cells = walk((0.5, 0.5), (2.5, 2.5), grid.flat(0, 0),
-                     grid.flat(2, 2), grid)
+        cells = walk((0.5, 0.5), (2.5, 2.5), flat(grid, 0, 0),
+                     flat(grid, 2, 2), grid)
         rc = [divmod(c, grid.columns) for c in cells]
         assert rc[0] == (0, 0) and rc[-1] == (2, 2)
         assert rc[1] == (0, 1)   # horizontal tie-break at the corner
@@ -205,14 +206,14 @@ class TestSupercover:
     def test_unreachable_end_cell_raises(self):
         grid, _ = self.grid()                  # 4 x 8 unit cells
         with pytest.raises(AssertionError):    # wrong row
-            walk((0.5, 0.5), (2.5, 0.5), grid.flat(0, 0), grid.flat(1, 2), grid)
+            walk((0.5, 0.5), (2.5, 0.5), flat(grid, 0, 0), flat(grid, 1, 2), grid)
         with pytest.raises(AssertionError):    # behind the start
-            walk((2.5, 0.5), (3.5, 0.5), grid.flat(0, 2), grid.flat(0, 1), grid)
+            walk((2.5, 0.5), (3.5, 0.5), flat(grid, 0, 2), flat(grid, 0, 1), grid)
         # the segment leaves the grid through its right edge before it
         # reaches the end cell's row; a clamp back onto the edge would
         # have reached that cell through repeated cells
         with pytest.raises(AssertionError):
-            walk((6.5, 0.5), (9.5, 3.5), grid.flat(0, 6), grid.flat(3, 7), grid)
+            walk((6.5, 0.5), (9.5, 3.5), flat(grid, 0, 6), flat(grid, 3, 7), grid)
 
     def assert_matches_scalar(self, grid, p0, p1):
         """The all-lines walk equals the scalar walk on every segment, and
@@ -275,7 +276,8 @@ class TestRouting:
         for j, nodes in enumerate(plan.assignments):
             assert nodes[0] == inst.source_ids[j]
             assert nodes[-1] == inst.dest_ids[j]
-        assert plan.cell_load.sum() == sum(len(p) for p in plan.relay_cells)
+        relays = np.concatenate(relay_cells_of(plan, grid))
+        assert np.array_equal(plan.cell_load, np.bincount(relays, minlength=grid.n_cells))
         assert plan.node_load.sum() == sum(len(a) for a in plan.assignments)
 
     def test_deterministic_given_seed(self):
@@ -290,9 +292,11 @@ class TestRouting:
         inst = generate_network(64, 64.0, seed=4)
         grid = build_cell_grid(inst, M=4)
         plan = route_sd_lines(grid, inst, seed=7)
-        for cells, nodes in zip(plan.relay_cells, plan.assignments):
+        pool_size = np.diff(grid.cell_start)
+        for cells, nodes in zip(plan.cell_paths, plan.assignments):
             for h in range(1, len(nodes) - 1):
-                assert grid.cell_of_node[nodes[h]] == cells[h]
+                if pool_size[cells[h]]:
+                    assert grid.cell_of_node[nodes[h]] == cells[h]
 
     def test_empty_cell_rerouted_and_counted(self):
         # sources in the leftmost cell column, destinations in the
@@ -308,9 +312,13 @@ class TestRouting:
         assert (grid.rows, grid.columns) == (2, 4)
         plan = route_sd_lines(grid, inst, seed=1)
         assert plan.reroutes > 0
-        for cells, nodes in zip(plan.relay_cells, plan.assignments):
-            for h in range(1, len(nodes) - 1):
-                assert grid.cell_start[cells[h] + 1] > grid.cell_start[cells[h]]
+        # a relay sits outside its path cell exactly where that cell is empty
+        pool_size = np.diff(grid.cell_start)
+        moved = 0
+        for cells, relays in zip(plan.cell_paths, relay_cells_of(plan, grid)):
+            assert np.array_equal(relays != cells, pool_size[cells] == 0)
+            moved += int((relays != cells).sum())
+        assert moved == plan.reroutes
 
     @pytest.mark.parametrize("n", [16, 128, 1024, 4096])
     @pytest.mark.parametrize("M", [1, 4, 16])
@@ -322,7 +330,7 @@ class TestRouting:
             paths, relay_cells, assignments, cell_load, node_load, reroutes = (
                 loop_route_sd_lines(grid, inst, seed + 7))
             assert [p.tolist() for p in plan.cell_paths] == paths
-            assert [p.tolist() for p in plan.relay_cells] == relay_cells
+            assert [p.tolist() for p in relay_cells_of(plan, grid)] == relay_cells
             assert len(plan.assignments) == len(assignments)
             for got, want in zip(plan.assignments, assignments):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
