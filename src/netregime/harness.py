@@ -95,6 +95,10 @@ class ExperimentConfig:
                 raise ConfigError("n_list must be non-empty")
             if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing")
+        for name in ("trials", "instances", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.instances < 1:

@@ -89,9 +89,14 @@ class NetworkInstance:
             raise ValueError("positions must have shape (2*n_pairs, 2)")
         if len(self.source_ids) != n or len(self.dest_ids) != n:
             raise ValueError("need exactly n sources and n destinations")
-        if set(self.source_ids) & set(self.dest_ids):
+        ids = np.concatenate([self.source_ids, self.dest_ids])
+        if ids.size and (ids.min() < 0 or ids.max() >= 2 * n):
+            raise ValueError(f"role ids must lie in [0, {2 * n})")
+        is_source = np.zeros(2 * n, dtype=bool)
+        is_source[self.source_ids] = True
+        if is_source[self.dest_ids].any():
             raise ValueError("source and destination sets overlap")
-        if len(set(self.source_ids) | set(self.dest_ids)) != 2 * n:
+        if np.any(np.bincount(ids, minlength=2 * n) != 1):
             raise ValueError("roles must cover every node exactly once")
         side = math.sqrt(self.area_A)
         eps = 1e-9 * side
@@ -136,6 +141,14 @@ class NetworkInstance:
 
 
 def _has_coincident_nodes(positions: np.ndarray) -> bool:
+    """True iff two rows of ``positions`` are equal in both coordinates.
+
+    Coincident nodes share an x, so the exact check over both columns runs
+    only when the sorted x column has two equal neighbours.
+    """
+    x = np.sort(positions[:, 0])
+    if not np.any(x[1:] == x[:-1]):
+        return False
     order = np.lexsort(positions.T)
     p = positions[order]
     return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))

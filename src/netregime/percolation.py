@@ -30,6 +30,9 @@ from .network import NetworkInstance, generate_network
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT = np.ones((3, 3), dtype=bool)
+# Polyline segments per block of the clearance; each block's temporaries
+# are _SEGMENT_BLOCK x (points) x 2.
+_SEGMENT_BLOCK = 64
 
 
 class ClearanceCertificationError(RuntimeError):
@@ -144,23 +147,26 @@ def has_open_crossing(grid: PercolationGrid) -> bool:
 
 
 def _distance_to_bottom(open_cells: np.ndarray) -> np.ndarray:
-    """Edge-count BFS distance from every open cell to the bottom row (-1 if cut off)."""
+    """Edge-count BFS distance from every open cell to the bottom row (-1 if cut off).
+
+    A queue BFS over flat cell ids, seeded with the open cells of the
+    bottom row; each open cell is visited once.
+    """
     rows, cols = open_cells.shape
-    dist = np.full((rows, cols), -1, dtype=np.int64)
-    frontier = np.zeros_like(open_cells)
-    frontier[-1] = open_cells[-1]
-    dist[frontier] = 0
-    d = 0
-    while frontier.any():
-        d += 1
-        grown = np.zeros_like(frontier)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        frontier = grown & open_cells & (dist < 0)
-        dist[frontier] = d
-    return dist
+    is_open = open_cells.ravel().tolist()
+    dist = [-1] * (rows * cols)
+    queue = [u for u in range((rows - 1) * cols, rows * cols) if is_open[u]]
+    for u in queue:
+        dist[u] = 0
+    for u in queue:          # the loop also visits the cells appended below
+        d = dist[u] + 1
+        col = u % cols
+        for v, inside in ((u - cols, u >= cols), (u + cols, u < (rows - 1) * cols),
+                          (u - 1, col > 0), (u + 1, col < cols - 1)):
+            if inside and is_open[v] and dist[v] < 0:
+                dist[v] = d
+                queue.append(v)
+    return np.array(dist, dtype=np.int64).reshape(rows, cols)
 
 
 def find_open_crossing(grid: PercolationGrid):
@@ -200,22 +206,27 @@ def _centerline(grid: PercolationGrid, cells) -> np.ndarray:
     return np.asarray([first] + pts + [last], dtype=float)
 
 
-def _min_distance_to_polyline(points: np.ndarray, vertices: np.ndarray) -> float:
-    """Exact minimum point-to-segment distance from any point to the polyline."""
-    if points.size == 0:
-        return math.inf
+def _distance_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Exact distance from each point to its nearest polyline segment.
+
+    Segments are evaluated _SEGMENT_BLOCK at a time.  The dot products are
+    stacked matmuls, which run the same kernel as one segment's
+    ``(points - a) @ ab``, so each distance has the bits of a per-segment
+    evaluation.  A zero-length segment divides by 1 instead of 0: its t is
+    0 and its projection is its endpoint.
+    """
     best = np.full(len(points), np.inf)
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            d = np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
-        else:
-            t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
-        np.minimum(best, d, out=best)
-    return float(best.min())
+    x, y = points[:, 0], points[:, 1]
+    for start in range(0, len(vertices) - 1, _SEGMENT_BLOCK):
+        seg = vertices[start:start + _SEGMENT_BLOCK + 1]
+        a, ab = seg[:-1], seg[1:] - seg[:-1]
+        ax, ay, abx, aby = a[:, 0, None], a[:, 1, None], ab[:, 0, None], ab[:, 1, None]
+        denom = np.matmul(ab[:, None, :], ab[:, :, None])[:, 0]
+        dots = np.matmul(np.stack([x - ax, y - ay], axis=-1), ab[:, :, None])[:, :, 0]
+        t = np.clip(dots / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+        d = np.hypot(x - (ax + t * abx), y - (ay + t * aby))
+        np.minimum(best, d.min(axis=0), out=best)
+    return best
 
 
 def exact_clearance(instance: NetworkInstance, vertices: np.ndarray) -> float:
@@ -232,7 +243,7 @@ def exact_clearance(instance: NetworkInstance, vertices: np.ndarray) -> float:
     margin = instance.nn_scale
     while True:
         cand = gap <= margin
-        best = _min_distance_to_polyline(pts[cand], vertices)
+        best = float(_distance_to_polyline(pts[cand], vertices).min(initial=math.inf))
         if best <= margin or bool(cand.all()):
             return best
         margin *= 4.0

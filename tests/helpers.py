@@ -18,6 +18,13 @@ from netregime.network import NetworkInstance
 from netregime.percolation import _EIGHT, _labels_touching
 
 
+def lexsort_has_coincident(positions):
+    """Coincidence oracle: sort rows by (y, x) and compare neighbours."""
+    order = np.lexsort(positions.T)
+    p = positions[order]
+    return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
+
+
 def hand_instance(positions, area_A, seed=0):
     """Build an instance from explicit positions; first half are sources."""
     positions = np.asarray(positions, dtype=float)
@@ -217,6 +224,44 @@ def brute_b_set(grid, path_cells, positions):
             if (row, col) in seen:
                 b_set.append(i)
     return b_set
+
+
+def level_distance_to_bottom(open_cells):
+    """BFS-distance oracle: grow the bottom row's open cells one level at a
+    time over whole-grid masks (-1 for cells cut off from the bottom)."""
+    rows, cols = open_cells.shape
+    dist = np.full((rows, cols), -1, dtype=np.int64)
+    frontier = np.zeros_like(open_cells)
+    frontier[-1] = open_cells[-1]
+    dist[frontier] = 0
+    d = 0
+    while frontier.any():
+        d += 1
+        grown = np.zeros_like(frontier)
+        grown[1:, :] |= frontier[:-1, :]
+        grown[:-1, :] |= frontier[1:, :]
+        grown[:, 1:] |= frontier[:, :-1]
+        grown[:, :-1] |= frontier[:, 1:]
+        frontier = grown & open_cells & (dist < 0)
+        dist[frontier] = d
+    return dist
+
+
+def loop_distance_to_polyline(points, vertices):
+    """Clearance oracle: per-point distance to the polyline, one numpy pass
+    per segment."""
+    best = np.full(len(points), np.inf)
+    for a, b in zip(vertices[:-1], vertices[1:]):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            d = np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
+        else:
+            t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
+            proj = a + t[:, None] * ab
+            d = np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
+        np.minimum(best, d, out=best)
+    return best
 
 
 def point_segment_distance(p, a, b):

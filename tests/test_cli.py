@@ -206,6 +206,16 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", [{"trials": 2.5}, {"instances": True},
+                                       {"master_seed": 1.5}])
+    def test_non_integer_count_or_seed_exit_2(self, tmp_path, field):
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(field, kind="percolation", n_list=[16, 32],
+                                       out=str(out))))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
     def test_every_point_failing_exit_3(self, tmp_path):
         # hybrid cells are undefined at beta < 0, so every unit fails
         cfg = tmp_path / "c.json"

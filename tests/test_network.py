@@ -12,10 +12,10 @@ from netregime import (DegenerateInstanceError, PhysicalParams, beta_of,
 from netregime import network
 from netregime.cutset import partition_nodes, select_cut_width
 from netregime.harness import params_for_snr
-from netregime.network import node_phases
+from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json)
+                     instance_from_json, lexsort_has_coincident)
 
 
 def default_params(alpha=4.0, G=1.0):
@@ -90,6 +90,43 @@ class TestGenerate:
         assert np.array_equal(draws[0], first)
         assert not np.array_equal(inst.positions, first)
         assert not np.array_equal(inst.positions, next_seed)
+
+
+class TestValidation:
+    POSITIONS = np.linspace([0.1, 0.1], [1.9, 0.9], 8)
+
+    @pytest.mark.parametrize("sources,dests,message", [
+        ([0, 1, 2, 3], [3, 4, 5, 6], "overlap"),
+        ([0, 1, 2, 2], [4, 5, 6, 7], "exactly once"),
+        ([0, 1, 2, 3], [4, 5, 6, 11], r"\[0, 8\)"),
+        ([-1, 1, 2, 3], [4, 5, 6, 7], r"\[0, 8\)"),
+    ])
+    def test_bad_roles_rejected(self, sources, dests, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkInstance(4, 1.0, 0, self.POSITIONS, sources, dests)
+
+    @pytest.mark.parametrize("positions,coincident", [
+        ([[0.5, 0.1], [0.5, 0.7]], False),                 # equal x, different y
+        ([[0.2, 0.4], [0.9, 0.4]], False),                 # equal y, different x
+        ([[0.3, 0.3], [0.1, 0.2], [0.3, 0.3]], True),      # exact duplicate
+        ([[0.3, 0.3], [0.3, 0.2], [0.1, 0.2], [0.3, 0.2]], True),
+        ([[0.3, 0.3]], False),
+        ([[0.3, 0.3], [0.7, 0.6]], False),                 # n = 1
+    ])
+    def test_coincidence_matches_lexsort_oracle(self, positions, coincident):
+        positions = np.asarray(positions, dtype=float)
+        assert network._has_coincident_nodes(positions) is coincident
+        assert lexsort_has_coincident(positions) is coincident
+
+    def test_coincidence_on_drawn_positions(self):
+        for seed in range(20):
+            pos = generate_network(64, 64.0, seed=seed).positions.copy()
+            variants = [pos, pos.copy(), pos.copy()]
+            variants[1][7, 0] = pos[40, 0]                 # shared x only
+            variants[2][7] = pos[40]                       # duplicate node
+            for p in variants:
+                assert network._has_coincident_nodes(p) == lexsort_has_coincident(p)
+            assert network._has_coincident_nodes(variants[2])
 
 
 class TestSnrQuantities:

@@ -7,13 +7,15 @@ from scipy.sparse.csgraph import shortest_path
 
 from netregime import (build_occupancy_grid, crossing_probability, extract_cut,
                        find_open_crossing, generate_network, has_open_crossing)
-from netregime.percolation import (PercolationGrid, analytic_failure_bound,
+from netregime.percolation import (PercolationGrid, _distance_to_bottom,
+                                   _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
                                    split_by_cut)
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      brute_b_set, brute_polyline_clearance,
-                     exists_closed_lr_crossing)
+                     exists_closed_lr_crossing, level_distance_to_bottom,
+                     loop_distance_to_polyline)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -148,6 +150,31 @@ class TestOpenCrossing:
                 assert cut.cells == min(best)
 
 
+class TestDistanceToBottom:
+    def test_fixed_slabs_match_level_oracle(self):
+        # the benchmark's fixed slabs: n = 256 near the threshold c = 0.52
+        blocked = 0
+        for seed in range(32):
+            grid = build_occupancy_grid(generate_network(256, 256.0, seed), 0.52)
+            dist = _distance_to_bottom(grid.open)
+            want = level_distance_to_bottom(grid.open)
+            assert dist.dtype == want.dtype and np.array_equal(dist, want)
+            blocked += not (dist[0] >= 0).any()
+        assert 0 < blocked < 32
+
+    def test_random_slabs_with_cut_off_pockets(self):
+        gen = np.random.default_rng(11)
+        pockets = 0
+        for trial in range(200):
+            shape = (gen.integers(1, 40), gen.integers(1, 12))
+            closed = gen.random(shape) < gen.uniform(0.0, 0.7)
+            open_cells = ~closed
+            dist = _distance_to_bottom(open_cells)
+            assert np.array_equal(dist, level_distance_to_bottom(open_cells))
+            pockets += bool((open_cells & (dist < 0)).any())
+        assert pockets > 20
+
+
 def brute_shortest_sequences(closed):
     """All shortest open top-bottom cell sequences, by exhaustive DFS."""
     rows, cols = closed.shape
@@ -276,6 +303,30 @@ class TestExtractCut:
         doc = json.loads(cut.to_json())
         assert set(doc) == {"c", "cell_side", "path", "clearance"}
         assert doc["clearance"] == cut.clearance
+
+
+class TestBlockedClearance:
+    def test_point_distances_match_segment_loop(self):
+        for seed in range(50):
+            inst = generate_network(1024, 1024.0, seed=seed)
+            crossing = find_open_crossing(build_occupancy_grid(inst, 0.25))
+            got = _distance_to_polyline(inst.positions, crossing.vertices)
+            want = loop_distance_to_polyline(inst.positions, crossing.vertices)
+            assert got.tobytes() == want.tobytes()
+
+    def test_slanted_polylines_and_zero_length_segments(self):
+        gen = np.random.default_rng(4)
+        for trial in range(40):
+            points = gen.uniform(-5.0, 5.0, size=(gen.integers(1, 300), 2))
+            vertices = gen.uniform(-5.0, 5.0, size=(gen.integers(2, 200), 2))
+            vertices[1] = vertices[0]                      # zero-length segment
+            vertices[-1] = vertices[-2]
+            got = _distance_to_polyline(points, vertices)
+            want = loop_distance_to_polyline(points, vertices)
+            assert got.tobytes() == want.tobytes()
+        # a lone zero-length segment is the distance to its point
+        d = _distance_to_polyline(np.array([[3.0, 4.0]]), np.zeros((2, 2)))
+        assert d.tolist() == [5.0]
 
 
 class TestSplitByCut:
