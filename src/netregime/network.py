@@ -39,7 +39,7 @@ ROW_BLOCK = 256
 # Unrequested phases node_phases draws and drops rather than jumping over
 # them: a counter jump costs about as much as drawing this many.
 _MAX_GAP = 512
-# Draws generate_network makes before it gives up on distinct positions.
+# Draws draw_positions makes before it gives up on distinct positions.
 _MAX_ATTEMPTS = 16
 
 
@@ -154,13 +154,15 @@ def _has_coincident_nodes(positions: np.ndarray) -> bool:
     return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
 
 
-def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
-    """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
+def draw_positions(n_pairs: int, area_A: float, seed: int):
+    """2n distinct uniform positions on the rectangle, and the retry suffix used.
 
     Deterministic given ``seed``.  Draws with exactly coincident nodes (a
     probability-zero event that floating point makes merely improbable) are
-    rejected and redrawn; attempt k > 0 appends k to the substream paths, so
-    a redraw does not repeat the first draw of seed + k.
+    rejected and redrawn; attempt k > 0 appends k to the substream path, so
+    a redraw does not repeat the first draw of seed + k.  Each coordinate is
+    a draw from [0, 1) scaled by the rectangle's side, which keeps it inside
+    the rectangle and has the bits of ``uniform`` with a lower bound of 0.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -169,20 +171,31 @@ def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     side = math.sqrt(area_A)
     for attempt in range(_MAX_ATTEMPTS):
         retry = (attempt,) if attempt else ()
-        gen = rng.substream(seed, rng.POSITIONS, *retry)
-        positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
-        if _has_coincident_nodes(positions):
-            logger.warning("coincident nodes for seed %d, attempt %d; redrawing",
-                           seed, attempt)
-            continue
-        role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
-        source_ids = np.sort(role_perm[:n_pairs])
-        dest_pool = np.sort(role_perm[n_pairs:])
-        dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(dest_pool)
-        return NetworkInstance(n_pairs, float(area_A), seed, positions,
-                               source_ids, dest_ids)
+        positions = rng.substream(seed, rng.POSITIONS, *retry).random((2 * n_pairs, 2))
+        positions[:, 0] *= 2 * side
+        positions[:, 1] *= side
+        if not _has_coincident_nodes(positions):
+            return positions, retry
+        logger.warning("coincident nodes for seed %d, attempt %d; redrawing",
+                       seed, attempt)
     raise DegenerateInstanceError(
         f"could not draw distinct positions after {_MAX_ATTEMPTS} attempts")
+
+
+def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
+    """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
+
+    Positions come from :func:`draw_positions`; roles and pairing are drawn
+    on the same retry suffix as the positions that were kept.
+    """
+    positions, retry = draw_positions(n_pairs, area_A, seed)
+    role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
+    is_source = np.zeros(2 * n_pairs, dtype=bool)
+    is_source[role_perm[:n_pairs]] = True
+    dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(
+        np.flatnonzero(~is_source))
+    return NetworkInstance(n_pairs, float(area_A), seed, positions,
+                           np.flatnonzero(is_source), dest_ids)
 
 
 def snr_short(params: PhysicalParams, n: int, area_A: float) -> float:

@@ -26,7 +26,9 @@ import numpy as np
 from scipy import ndimage
 
 from . import rng
-from .network import NetworkInstance, generate_network
+from .network import NetworkInstance, draw_positions
+# Unused here: the benchmark's traced run wraps this binding (ROADMAP item 4).
+from .network import generate_network  # noqa: F401
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -58,7 +60,8 @@ class PercolationGrid:
     def open(self) -> np.ndarray:
         return ~self.closed
 
-    def cell_center(self, row: int, col: int):
+    def cell_center(self, row, col):
+        """Center of cell (row, col); rows and columns may be index arrays."""
         x = self.slab_x0 + (col + 0.5) * self.cell_side
         y = (self.total_rows - row - 0.5) * self.cell_side
         return x, y
@@ -98,13 +101,18 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
     the right when the count is even.  Cells are half-open in both axes,
     so every node lands in exactly one cell.
     """
+    return _occupancy_grid(instance.positions, instance.n_pairs, instance.area_A, c)
+
+
+def _occupancy_grid(positions: np.ndarray, n: int, area_A: float,
+                    c: float) -> PercolationGrid:
+    """The grid of :func:`build_occupancy_grid` for 2n positions on area A."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
-    n = instance.n_pairs
     if n < 2:
         raise ValueError("need n >= 2 for a meaningful slab")
-    side = instance.side
-    cell = c * instance.nn_scale
+    side = math.sqrt(area_A)
+    cell = c * math.sqrt(area_A / n)
     cols = math.ceil(math.log(n))
     rows = math.ceil(math.sqrt(n) / c)
     left_cols = (cols - 1) // 2
@@ -113,15 +121,15 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
 
     grid = PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
-    _, row, col = _slab_cells(grid, instance)
+    _, row, col = _slab_cells(grid, positions)
     grid.closed[row, col] = True
     return grid
 
 
-def _slab_cells(grid: PercolationGrid, instance: NetworkInstance):
-    """Ids of the nodes inside the slab and the (row, col) cell of each."""
-    x = instance.positions[:, 0]
-    y = instance.positions[:, 1]
+def _slab_cells(grid: PercolationGrid, positions: np.ndarray):
+    """Ids of the positions inside the slab and the (row, col) cell of each."""
+    x = positions[:, 0]
+    y = positions[:, 1]
     idx = np.nonzero((x >= grid.slab_x0) & (x < grid.slab_x1))[0]
     col = np.floor((x[idx] - grid.slab_x0) / grid.cell_side).astype(np.intp)
     np.clip(col, 0, grid.slab_columns - 1, out=col)
@@ -146,11 +154,12 @@ def has_open_crossing(grid: PercolationGrid) -> bool:
     return _labels_touching(labels, (0, slice(None)), (-1, slice(None)))
 
 
-def _distance_to_bottom(open_cells: np.ndarray) -> np.ndarray:
+def _distance_to_bottom(open_cells: np.ndarray) -> list:
     """Edge-count BFS distance from every open cell to the bottom row (-1 if cut off).
 
     A queue BFS over flat cell ids, seeded with the open cells of the
-    bottom row; each open cell is visited once.
+    bottom row; each open cell is visited once.  Returns a flat list in
+    row-major order.
     """
     rows, cols = open_cells.shape
     is_open = open_cells.ravel().tolist()
@@ -166,7 +175,7 @@ def _distance_to_bottom(open_cells: np.ndarray) -> np.ndarray:
             if inside and is_open[v] and dist[v] < 0:
                 dist[v] = d
                 queue.append(v)
-    return np.array(dist, dtype=np.int64).reshape(rows, cols)
+    return dist
 
 
 def find_open_crossing(grid: PercolationGrid):
@@ -176,34 +185,38 @@ def find_open_crossing(grid: PercolationGrid):
     sequence is returned, so repeated runs and different search orders give
     the same cut.
     """
+    rows, cols = grid.closed.shape
     dist = _distance_to_bottom(grid.open)
-    rows, cols = dist.shape
-    top = dist[0]
-    if not (top >= 0).any():
+    reached = [d for d in dist[:cols] if d >= 0]
+    if not reached:
         return None
-    best = top[top >= 0].min()
-    col = int(np.argmax(top == best))
-    cells = [(0, col)]
-    r, cc = 0, col
-    while dist[r, cc] > 0:
-        want = dist[r, cc] - 1
-        for nr, nc in ((r - 1, cc), (r, cc - 1), (r, cc + 1), (r + 1, cc)):
-            if 0 <= nr < rows and 0 <= nc < cols and dist[nr, nc] == want:
-                r, cc = nr, nc
+    u = dist.index(min(reached))
+    path = [u]
+    while dist[u] > 0:
+        want = dist[u] - 1
+        col = u % cols
+        for v, inside in ((u - cols, u >= cols), (u - 1, col > 0),
+                          (u + 1, col < cols - 1), (u + cols, u < (rows - 1) * cols)):
+            if inside and dist[v] == want:
+                u = v
                 break
         else:
             raise AssertionError("BFS distance field is inconsistent")
-        cells.append((r, cc))
-    vertices = _centerline(grid, cells)
+        path.append(u)
+    cells = [divmod(u, cols) for u in path]
+    vertices = _centerline(grid, np.divmod(path, cols))
     return CutPolyline(cells, vertices, grid.c, grid.cell_side)
 
 
 def _centerline(grid: PercolationGrid, cells) -> np.ndarray:
-    pts = [grid.cell_center(r, c) for r, c in cells]
-    top_y = grid.total_rows * grid.cell_side
-    first = (pts[0][0], top_y)
-    last = (pts[-1][0], 0.0)
-    return np.asarray([first] + pts + [last], dtype=float)
+    """Cell centers of the (rows, cols) arrays, extended to the top and bottom edges."""
+    x, y = grid.cell_center(*cells)
+    vertices = np.empty((len(x) + 2, 2))
+    vertices[1:-1, 0] = x
+    vertices[1:-1, 1] = y
+    vertices[0] = x[0], grid.total_rows * grid.cell_side
+    vertices[-1] = x[-1], 0.0
+    return vertices
 
 
 def _distance_to_polyline(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -283,7 +296,7 @@ def split_by_cut(grid: PercolationGrid, path: CutPolyline,
 
     x = instance.positions[:, 0]
     left = x < grid.slab_x0
-    idx, row, col = _slab_cells(grid, instance)
+    idx, row, col = _slab_cells(grid, instance.positions)
     right_labels = labels[last]
     is_right = np.isin(labels[row, col], right_labels[right_labels > 0])
     left[idx[~is_right]] = True   # left side, plus enclosed pockets
@@ -319,14 +332,18 @@ CROSSING_CSV_HEADER = "n,c,trials,empirical_rate,analytic_bound,flag"
 
 def crossing_probability(n: int, c: float, trials: int, seed: int,
                          area_A: float | None = None) -> CrossingStudy:
-    """Empirical open-crossing rate over fresh instances vs the analytic bound."""
+    """Empirical open-crossing rate over fresh draws vs the analytic bound.
+
+    A trial reads only node positions, so it draws the positions of the
+    instance ``generate_network`` would return for its seed and nothing else.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     area = float(n) if area_A is None else area_A
     hits = 0
     for t in range(trials):
-        inst = generate_network(n, area, rng.derived_seed(seed, rng.EXPERIMENT, t))
-        if has_open_crossing(build_occupancy_grid(inst, c)):
+        positions, _ = draw_positions(n, area, rng.derived_seed(seed, rng.EXPERIMENT, t))
+        if has_open_crossing(_occupancy_grid(positions, n, area, c)):
             hits += 1
     return CrossingStudy(n, c, trials, hits / trials,
                          analytic_failure_bound(n, c), decay_condition_holds(c))

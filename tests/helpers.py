@@ -14,8 +14,10 @@ from scipy import ndimage
 from netregime import rng
 from netregime.cutset import _dhat
 from netregime.harness import fit_exponent
-from netregime.network import NetworkInstance
-from netregime.percolation import _EIGHT, _labels_touching
+from netregime.network import DegenerateInstanceError, NetworkInstance
+from netregime.percolation import (_EIGHT, CrossingStudy, _labels_touching,
+                                   analytic_failure_bound, build_occupancy_grid,
+                                   decay_condition_holds, has_open_crossing)
 
 
 def lexsort_has_coincident(positions):
@@ -23,6 +25,41 @@ def lexsort_has_coincident(positions):
     order = np.lexsort(positions.T)
     p = positions[order]
     return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
+
+
+def uniform_generate_network(n_pairs, area_A, seed, coincident=lexsort_has_coincident):
+    """Instance oracle: each attempt draws positions with ``uniform`` on the
+    rectangle, roles by sorting the two halves of a permutation, and the
+    pairing; a draw that ``coincident`` rejects is redrawn on suffix k."""
+    side = math.sqrt(area_A)
+    for attempt in range(16):
+        retry = (attempt,) if attempt else ()
+        gen = rng.substream(seed, rng.POSITIONS, *retry)
+        positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
+        if coincident(positions):
+            continue
+        role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
+        source_ids = np.sort(role_perm[:n_pairs])
+        dest_pool = np.sort(role_perm[n_pairs:])
+        dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(dest_pool)
+        return positions, source_ids, dest_ids
+    raise DegenerateInstanceError("no distinct positions in 16 attempts")
+
+
+def instance_crossing_probability(n, c, trials, seed):
+    """Crossing-rate oracle: one full oracle instance and occupancy grid per
+    trial.  Returns the study and each trial's grid of closed cells."""
+    hits, grids = 0, []
+    for t in range(trials):
+        positions, sources, dests = uniform_generate_network(
+            n, float(n), rng.derived_seed(seed, rng.EXPERIMENT, t))
+        inst = NetworkInstance(n, float(n), 0, positions, sources, dests)
+        grid = build_occupancy_grid(inst, c)
+        grids.append(grid.closed)
+        hits += has_open_crossing(grid)
+    study = CrossingStudy(n, c, trials, hits / trials,
+                          analytic_failure_bound(n, c), decay_condition_holds(c))
+    return study, grids
 
 
 def hand_instance(positions, area_A, seed=0):
@@ -245,6 +282,34 @@ def level_distance_to_bottom(open_cells):
         frontier = grown & open_cells & (dist < 0)
         dist[frontier] = d
     return dist
+
+
+def scalar_find_open_crossing(grid):
+    """Crossing oracle: walk back from the leftmost nearest top cell through a
+    distance array, one neighbour (up, left, right, down) at a time, and build
+    the centerline one cell center at a time.  Returns (cells, vertices) or None."""
+    dist = level_distance_to_bottom(grid.open)
+    rows, cols = dist.shape
+    top = dist[0]
+    if not (top >= 0).any():
+        return None
+    col = int(np.argmax(top == top[top >= 0].min()))
+    cells = [(0, col)]
+    r, cc = 0, col
+    while dist[r, cc] > 0:
+        want = dist[r, cc] - 1
+        for nr, nc in ((r - 1, cc), (r, cc - 1), (r, cc + 1), (r + 1, cc)):
+            if 0 <= nr < rows and 0 <= nc < cols and dist[nr, nc] == want:
+                r, cc = nr, nc
+                break
+        else:
+            raise AssertionError("distance field is inconsistent")
+        cells.append((r, cc))
+    pts = [(grid.slab_x0 + (c + 0.5) * grid.cell_side,
+            (grid.total_rows - r - 0.5) * grid.cell_side) for r, c in cells]
+    top_y = grid.total_rows * grid.cell_side
+    vertices = np.asarray([(pts[0][0], top_y)] + pts + [(pts[-1][0], 0.0)], dtype=float)
+    return cells, vertices
 
 
 def loop_distance_to_polyline(points, vertices):

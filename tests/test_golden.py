@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from netregime import ExperimentConfig, emit_phase_diagram, emit_sweep
+from netregime import Constants, ExperimentConfig, emit_phase_diagram, emit_sweep
 from netregime.cli import main
 from netregime.cutset import CUTSET_CSV_HEADER
 
@@ -32,6 +32,10 @@ SWEEPS = {
     "hybrid_m1": dict(kind="scheme", scheme="hybrid", alpha=4.0, beta=0.04,
                       n_list=[256, 512], trials=2),
     "percolation": dict(kind="percolation", n_list=[256, 1024], trials=10),
+    # every row above reads 1; at c = 0.5 the rates are 0.85 and 0.8, so a
+    # changed crossing or a changed draw moves this digest
+    "percolation_c05": dict(kind="percolation", constants=Constants(c=0.5),
+                            n_list=[256, 1024], trials=20),
 }
 
 SWEEP_SHA256 = {
@@ -41,6 +45,7 @@ SWEEP_SHA256 = {
     "hybrid": "4b8994b01d6cb0539d34263230e1e299088e570470224d9ce5a42208e1f17d32",
     "hybrid_m1": "dc2c62b61f4dc6997c828e35c9016169cdf2b5bbfeb2db18a2136e1f3f3b43cb",
     "percolation": "182f59b3480a68c82c6ac927805763e986099d8788e8f967c89795aee604ba01",
+    "percolation_c05": "e8a6273417bf92e9c4f45a64c3630edcdf386991c83aa81e56c7a67a8e3e1640",
 }
 
 PHASE_DIAGRAM_SHA256 = ("c7cc8ac8115d0500e7310bb20ca2d25e96728bcde8eb0ae690149bd9119af8ca",

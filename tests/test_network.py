@@ -15,7 +15,8 @@ from netregime.harness import params_for_snr
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json, lexsort_has_coincident)
+                     instance_from_json, lexsort_has_coincident,
+                     uniform_generate_network)
 
 
 def default_params(alpha=4.0, G=1.0):
@@ -90,6 +91,52 @@ class TestGenerate:
         assert np.array_equal(draws[0], first)
         assert not np.array_equal(inst.positions, first)
         assert not np.array_equal(inst.positions, next_seed)
+
+
+class TestDrawOracle:
+    """The scaled draw and the mask role split against the uniform-draw oracle."""
+
+    @pytest.mark.parametrize("n", [1, 3, 1000, 16384])
+    @pytest.mark.parametrize("area", [None, 1.0, 3.7, 1e6 + 0.3])
+    def test_same_bytes_as_uniform_oracle(self, n, area):
+        area = float(n) if area is None else area
+        for seed in range(20):
+            inst = generate_network(n, area, seed)
+            positions, retry = network.draw_positions(n, area, seed)
+            want = uniform_generate_network(n, area, seed)
+            assert retry == ()
+            for got, ref in ((inst.positions, want[0]), (positions, want[0]),
+                             (inst.source_ids, want[1]), (inst.dest_ids, want[2])):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    def test_forced_redraw_uses_attempt_one(self, monkeypatch):
+        calls = []
+
+        def reject_first(positions):
+            calls.append(positions)
+            return len(calls) % 2 == 1       # attempt 0 of each draw
+        want = uniform_generate_network(64, 64.0, 5, coincident=reject_first)
+        calls.clear()
+        monkeypatch.setattr(network, "_has_coincident_nodes", reject_first)
+        inst = generate_network(64, 64.0, 5)
+        positions, retry = network.draw_positions(64, 64.0, 5)
+        assert len(calls) == 4 and retry == (1,)
+        assert inst.positions.tobytes() == positions.tobytes() == want[0].tobytes()
+        assert inst.source_ids.tobytes() == want[1].tobytes()
+        assert inst.dest_ids.tobytes() == want[2].tobytes()
+        unforced = uniform_generate_network(64, 64.0, 5)
+        assert inst.source_ids.tobytes() != unforced[1].tobytes()
+
+    def test_every_attempt_coincident_raises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(network, "_has_coincident_nodes",
+                            lambda positions: calls.append(1) or True)
+        with pytest.raises(DegenerateInstanceError):
+            generate_network(8, 8.0, 0)
+        with pytest.raises(DegenerateInstanceError):
+            network.draw_positions(8, 8.0, 0)
+        assert len(calls) == 32
 
 
 class TestValidation:

@@ -6,7 +6,8 @@ from scipy.sparse import lil_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from netregime import (build_occupancy_grid, crossing_probability, extract_cut,
-                       find_open_crossing, generate_network, has_open_crossing)
+                       find_open_crossing, generate_network, has_open_crossing,
+                       percolation)
 from netregime.percolation import (PercolationGrid, _distance_to_bottom,
                                    _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
@@ -14,8 +15,9 @@ from netregime.percolation import (PercolationGrid, _distance_to_bottom,
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      brute_b_set, brute_polyline_clearance,
-                     exists_closed_lr_crossing, level_distance_to_bottom,
-                     loop_distance_to_polyline)
+                     exists_closed_lr_crossing, instance_crossing_probability,
+                     level_distance_to_bottom, loop_distance_to_polyline,
+                     scalar_find_open_crossing)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -150,29 +152,47 @@ class TestOpenCrossing:
                 assert cut.cells == min(best)
 
 
+def assert_same_crossing(grid):
+    """find_open_crossing gives the scalar walk's cells and vertex bytes."""
+    cut, want = find_open_crossing(grid), scalar_find_open_crossing(grid)
+    if want is None:
+        assert cut is None
+        return
+    cells, vertices = want
+    assert cut.cells == cells
+    assert all(type(r) is int and type(col) is int for r, col in cut.cells)
+    assert cut.vertices.dtype == vertices.dtype and cut.vertices.shape == vertices.shape
+    assert cut.vertices.tobytes() == vertices.tobytes()
+
+
 class TestDistanceToBottom:
     def test_fixed_slabs_match_level_oracle(self):
         # the benchmark's fixed slabs: n = 256 near the threshold c = 0.52
         blocked = 0
         for seed in range(32):
             grid = build_occupancy_grid(generate_network(256, 256.0, seed), 0.52)
-            dist = _distance_to_bottom(grid.open)
+            dist = np.array(_distance_to_bottom(grid.open)).reshape(grid.open.shape)
             want = level_distance_to_bottom(grid.open)
             assert dist.dtype == want.dtype and np.array_equal(dist, want)
+            assert_same_crossing(grid)
             blocked += not (dist[0] >= 0).any()
         assert 0 < blocked < 32
 
     def test_random_slabs_with_cut_off_pockets(self):
         gen = np.random.default_rng(11)
-        pockets = 0
+        pockets = crossings = 0
         for trial in range(200):
             shape = (gen.integers(1, 40), gen.integers(1, 12))
             closed = gen.random(shape) < gen.uniform(0.0, 0.7)
             open_cells = ~closed
-            dist = _distance_to_bottom(open_cells)
+            dist = np.array(_distance_to_bottom(open_cells)).reshape(shape)
             assert np.array_equal(dist, level_distance_to_bottom(open_cells))
             pockets += bool((open_cells & (dist < 0)).any())
+            grid = synthetic_grid(closed, cell_side=0.1 + 0.01 * trial)
+            assert_same_crossing(grid)
+            crossings += (dist[0] >= 0).any()
         assert pockets > 20
+        assert 20 < crossings < 180
 
 
 def brute_shortest_sequences(closed):
@@ -397,6 +417,22 @@ class TestCrossingProbability:
             study = crossing_probability(256, c, trials=150, seed=6)
             rates.append(study.empirical_rate)
         assert rates[0] >= rates[1] >= rates[2]
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.52])
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_matches_per_instance_oracle(self, n, c, monkeypatch):
+        # positions alone give the grids and the rate of full instances
+        grids = []
+
+        def recording(grid):
+            grids.append(grid.closed)
+            return has_open_crossing(grid)
+        monkeypatch.setattr(percolation, "has_open_crossing", recording)
+        study = crossing_probability(n, c, 20, seed=9)
+        want, want_grids = instance_crossing_probability(n, c, 20, seed=9)
+        assert study == want
+        assert [g.tobytes() for g in grids] == [g.tobytes() for g in want_grids]
+        assert [g.shape for g in grids] == [g.shape for g in want_grids]
 
     def test_m_cell_closed_probability_bound(self):
         # P[m fixed cells all closed] <= c^(2m) within Monte-Carlo noise
