@@ -4,7 +4,11 @@ All randomness in the package flows through numpy's counter-based Philox
 generator. Every consumer derives its substream from a (seed, *path)
 tuple of non-negative integers, so trials can be evaluated in any order
 without changing a single bit of output.  Paths that differ only by
-trailing zeros share a stream (see :func:`substream`).
+trailing zeros share a stream (see :func:`substream`).  Where many paths
+share a prefix, as the hybrid scheme's per-line relay streams do,
+:func:`philox_keys` derives all their keys in one array pass and
+:func:`rekey` points one generator at each in turn: the same streams,
+without one ``SeedSequence`` per path.
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -40,6 +44,95 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     trailing zeros, such as (5, 1) and (5, 1, 0), give the same stream.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+# numpy's SeedSequence mixing constants; its pool holds 4 32-bit words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of ``value``; zero is one word."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``hashmix`` on uint64 arrays; each call advances ``const``."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two 32-bit words held in uint64 arrays."""
+    x = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return x ^ (x >> 16)
+
+
+def _generate_keys(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(2, np.uint64)``, one row per
+    column of the 32-bit ``entropy`` words."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    w = [out(word) for word in pool]
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
+
+
+def philox_keys(seed: int, prefix, last) -> np.ndarray:
+    """Philox keys of the substreams (seed, *prefix, l) for each l in ``last``.
+
+    Row i equals ``substream(seed, *prefix, last[i])``'s key, that is
+    ``SeedSequence((seed, *prefix, last[i])).generate_state(2, np.uint64)``:
+    numpy's 32-bit hash mixing runs once, on uint64 arrays masked to 32
+    bits, for all entries of ``last`` at a time.
+    """
+    head = [int(seed)] + [int(p) for p in prefix]
+    last = np.asarray(last)
+    if min(head) < 0 or (last < 0).any():
+        raise ValueError(f"seed path must be non-negative, got {head} + {last}")
+    last = last.astype(np.uint64)
+    keys = np.empty((len(last), 2), dtype=np.uint64)
+    wide = last > _MASK32
+    for rows, n_words in ((~wide, 1), (wide, 2)):
+        if rows.any():
+            tail = [last[rows] & _MASK32, last[rows] >> 32][:n_words]
+            keys[rows] = _generate_keys(
+                [np.full(len(tail[0]), w, np.uint64)
+                 for v in head for w in _words(v)] + tail)
+    return keys
+
+
+def rekey(bit_generator: np.random.Philox, key) -> None:
+    """Put ``bit_generator`` in the fresh state of a Philox with ``key``.
+
+    Counter, output buffer and the buffered 32-bit half are all reset, so
+    the draws that follow are those of a new ``Philox`` seeded to ``key``.
+    """
+    bit_generator.state = {"bit_generator": "Philox",
+                           "state": {"counter": (0, 0, 0, 0), "key": key},
+                           "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
 
 
 def derived_seed(seed: int, *path: int) -> int:

@@ -303,13 +303,16 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     ``t += dt`` does, and merges them with a stable sort in which x wins
     ties, as the scalar ``t_x <= t_y`` does.  The sorted nearest-occupied
     candidates are computed once per empty cell per call, not once per hop.
-    The only per-line Python work is the draws: line j opens substream
-    (seed, RELAY, j), draws one relay pick per path cell, then draws the
-    tie-breaks of its empty interior cells in hop order with one array
-    call, which yields the same values and leaves the generator in the
-    same state as one scalar call per cell.  A line with no interior cell
-    uses no draw, so it opens no substream.  Relay nodes come from the
-    grid's sorted node order, and the loads from ``np.bincount``.
+    The only per-line Python work is the draws: line j draws on substream
+    (seed, RELAY, j), one relay pick per path cell, then the tie-breaks of
+    its empty interior cells in hop order with one array call, which
+    yields the same values and leaves the generator in the same state as
+    one scalar call per cell.  The Philox keys of all lines' substreams
+    come from one array pass (:func:`rng.philox_keys`), and one generator
+    is re-keyed to each line in turn (:func:`rng.rekey`), so no line builds
+    its own ``SeedSequence``.  A line with no interior cell uses no draw,
+    so it gets no key.  Relay nodes come from the grid's sorted node
+    order, and the loads from ``np.bincount``.
     """
     src, dst = instance.source_ids, instance.dest_ids
     cells, starts = _cell_walks(instance.positions[src], instance.positions[dst],
@@ -327,8 +330,12 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     ties = np.zeros(len(ties_k), dtype=np.int64)
     hop, tie = starts.tolist(), tie_starts.tolist()
     # lines without an interior cell draw nothing that is used
-    for j in np.flatnonzero(lengths > 2).tolist():
-        gen = rng.substream(seed, rng.RELAY, j)
+    lines = np.flatnonzero(lengths > 2)
+    keys = rng.philox_keys(seed, (rng.RELAY,), lines).tolist()
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    for j, key in zip(lines.tolist(), keys):
+        rng.rekey(bit_generator, key)
         picks[hop[j]:hop[j + 1]] = gen.integers(0, 2 ** 31, size=hop[j + 1] - hop[j])
         if tie[j] < tie[j + 1]:
             ties[tie[j]:tie[j + 1]] = gen.integers(0, ties_k[tie[j]:tie[j + 1]])

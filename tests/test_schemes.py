@@ -320,28 +320,54 @@ class TestRouting:
             moved += int((relays != cells).sum())
         assert moved == plan.reroutes
 
+    @staticmethod
+    def assert_matches_loop(inst, M, route_seed):
+        grid = build_cell_grid(inst, M)
+        plan = route_sd_lines(grid, inst, seed=route_seed)
+        paths, relay_cells, assignments, cell_load, node_load, reroutes = (
+            loop_route_sd_lines(grid, inst, route_seed))
+        assert [p.tolist() for p in plan.cell_paths] == paths
+        assert [p.tolist() for p in relay_cells_of(plan, grid)] == relay_cells
+        assert len(plan.assignments) == len(assignments)
+        for got, want in zip(plan.assignments, assignments):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in ((plan.cell_load, cell_load), (plan.node_load, node_load)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert plan.reroutes == reroutes and type(plan.reroutes) is int
+        snr_s, alpha = 3.0, 4.0
+        relay_rate = 0.25 * M ** -0.05 * math.log2(1.0 + M ** (1.0 - alpha / 2) * snr_s)
+        est = hybrid_throughput(plan, M, inst.n_pairs, snr_s, alpha)
+        assert est.aggregate_T == loop_hybrid_aggregate(assignments, node_load,
+                                                        relay_rate)
+
     @pytest.mark.parametrize("n", [16, 128, 1024, 4096])
     @pytest.mark.parametrize("M", [1, 4, 16])
     def test_matches_per_line_loop(self, n, M):
         for seed in range(2 if n == 4096 else 3):
-            inst = generate_network(n, float(n), seed=seed)
-            grid = build_cell_grid(inst, M)
-            plan = route_sd_lines(grid, inst, seed=seed + 7)
-            paths, relay_cells, assignments, cell_load, node_load, reroutes = (
-                loop_route_sd_lines(grid, inst, seed + 7))
-            assert [p.tolist() for p in plan.cell_paths] == paths
-            assert [p.tolist() for p in relay_cells_of(plan, grid)] == relay_cells
-            assert len(plan.assignments) == len(assignments)
-            for got, want in zip(plan.assignments, assignments):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            for got, want in ((plan.cell_load, cell_load), (plan.node_load, node_load)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert plan.reroutes == reroutes and type(plan.reroutes) is int
-            snr_s, alpha = 3.0, 4.0
-            relay_rate = 0.25 * M ** -0.05 * math.log2(1.0 + M ** (1.0 - alpha / 2) * snr_s)
-            est = hybrid_throughput(plan, M, n, snr_s, alpha)
-            assert est.aggregate_T == loop_hybrid_aggregate(assignments, node_load,
-                                                            relay_rate)
+            self.assert_matches_loop(generate_network(n, float(n), seed=seed),
+                                     M, seed + 7)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_matches_per_line_loop_at_derived_seeds(self, n, M):
+        # The harness and the CLI route on 63-bit derived seeds, which are
+        # two 32-bit words of SeedSequence entropy.
+        for i_inst in range(2):
+            seed = rng.derived_seed(11, rng.EXPERIMENT, n, i_inst)
+            assert seed >= 2 ** 32
+            self.assert_matches_loop(generate_network(n, float(n), seed=seed),
+                                     M, seed)
+
+    def test_opens_no_substream(self, monkeypatch):
+        inst = generate_network(256, 256.0, seed=3)
+        grid = build_cell_grid(inst, 1)
+
+        def refuse(*args):
+            raise AssertionError("route_sd_lines opened a per-line substream")
+
+        monkeypatch.setattr(rng, "substream", refuse)
+        plan = route_sd_lines(grid, inst, seed=rng.derived_seed(3, rng.EXPERIMENT))
+        assert sum(map(len, plan.cell_paths)) > 2 * len(plan.cell_paths)
 
     def test_tie_draws_match_scalar_draws(self):
         # Each line draws its relay picks and then all its tie-breaks in one
