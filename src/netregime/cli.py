@@ -123,7 +123,7 @@ def cmd_gen(args) -> int:
 def cmd_cutset(args) -> int:
     report = run_cutset(args.n, args.alpha, args.beta, _constants(args),
                         args.trials, args.mode, seed=args.seed,
-                        phase_seed=rng.derived_seed(args.seed, rng.PHASES))
+                        phase_seed=rng.derived_seed(args.seed, rng.CLI_PHASES))
     _emit([CUTSET_CSV_HEADER, report.csv_row()], args.out)
     return 0
 
@@ -150,15 +150,16 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_percolation(args) -> int:
-    study = crossing_probability(args.n, args.c, args.trials, args.seed)
+    seed = rng.derived_seed(args.seed, rng.CROSSING)   # a sweep's point 0
+    study = crossing_probability(args.n, args.c, args.trials, seed)
     _emit([CROSSING_CSV_HEADER, study.csv_row()], args.out)
     if args.export_cut:
         inst = generate_network(args.n, float(args.n),
-                                rng.derived_seed(args.seed, rng.EXPERIMENT, 0))
+                                rng.derived_seed(args.seed, rng.CLI_CUT))
         grid = build_occupancy_grid(inst, args.c)
         crossing = find_open_crossing(grid)
         if crossing is None:
-            print("no open crossing for the first seed; nothing exported",
+            print("no open crossing in the exported instance; nothing exported",
                   file=sys.stderr)
             return 3
         _emit([extract_cut(crossing, grid, inst).to_json()], args.export_cut)

@@ -216,7 +216,7 @@ def _scheme_unit(config: ExperimentConfig, i_point: int, n: int, i_trial: int):
 def _percolation_unit(config: ExperimentConfig, i_point: int, n: int, _: int):
     study = crossing_probability(
         n, config.constants.c, config.trials,
-        rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point))
+        rng.derived_seed(config.master_seed, rng.CROSSING, i_point))
     rate = study.empirical_rate
     se = math.sqrt(max(rate * (1 - rate), 0.0) / study.trials)
     return PointRow(n, rate, se)

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
 from . import rng
-from .network import NetworkInstance, draw_positions
+from .network import NetworkInstance
 # Unused here: the benchmark's traced run wraps this binding (ROADMAP item 4).
 from .network import generate_network  # noqa: F401
 
@@ -101,12 +101,15 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
     the right when the count is even.  Cells are half-open in both axes,
     so every node lands in exactly one cell.
     """
-    return _occupancy_grid(instance.positions, instance.n_pairs, instance.area_A, c)
+    grid = _open_grid(instance.n_pairs, instance.area_A, c)
+    _, row, col = _slab_cells(grid, instance.positions)
+    grid.closed[row, col] = True
+    return grid
 
 
-def _occupancy_grid(positions: np.ndarray, n: int, area_A: float,
-                    c: float) -> PercolationGrid:
-    """The grid of :func:`build_occupancy_grid` for 2n positions on area A."""
+def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
+    """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
+    with every cell open."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     if n < 2:
@@ -120,10 +123,7 @@ def _occupancy_grid(positions: np.ndarray, n: int, area_A: float,
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
 
-    grid = PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
-    _, row, col = _slab_cells(grid, positions)
-    grid.closed[row, col] = True
-    return grid
+    return PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
 
 
 def _slab_cells(grid: PercolationGrid, positions: np.ndarray):
@@ -334,16 +334,42 @@ def crossing_probability(n: int, c: float, trials: int, seed: int,
                          area_A: float | None = None) -> CrossingStudy:
     """Empirical open-crossing rate over fresh draws vs the analytic bound.
 
-    A trial reads only node positions, so it draws the positions of the
-    instance ``generate_network`` would return for its seed and nothing else.
+    A trial reads only the slab, so it draws only the slab's nodes: their
+    count is Binomial(2n, slab width / network width), and they are uniform
+    on the slab, which is the law of the slab's share of 2n uniform nodes
+    (Franceschetti, Dousse, Tse & Thiran, IEEE Trans. IT 53(3), 2007).
+    Trial t draws on the substream (seed, CROSSING, t); the keys of all
+    trials come from one :func:`rng.philox_keys` pass.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     area = float(n) if area_A is None else area_A
+    empty = _open_grid(n, area, c)
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
     hits = 0
-    for t in range(trials):
-        positions, _ = draw_positions(n, area, rng.derived_seed(seed, rng.EXPERIMENT, t))
-        if has_open_crossing(_occupancy_grid(positions, n, area, c)):
+    for key in rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist():
+        rng.rekey(bit_generator, key)
+        grid = replace(empty, closed=empty.closed.copy())
+        grid.closed[_draw_slab_cells(grid, n, math.sqrt(area), gen)] = True
+        if has_open_crossing(grid):
             hits += 1
     return CrossingStudy(n, c, trials, hits / trials,
                          analytic_failure_bound(n, c), decay_condition_holds(c))
+
+
+def _draw_slab_cells(grid: PercolationGrid, n: int, side: float, gen):
+    """(row, col) cells of the slab's nodes in a fresh draw of 2n uniform nodes."""
+    count = gen.binomial(2 * n, grid.slab_columns * grid.cell_side / (2.0 * side))
+    return _unit_cells(grid, side, gen.random((count, 2)))
+
+
+def _unit_cells(grid: PercolationGrid, side: float, u: np.ndarray):
+    """Cells of (k, 2) unit draws in the slab.  The column comes from u, as
+    slab_x0 + u * width can round onto slab_x1; the row is _slab_cells' row
+    of y = u * side."""
+    cols = grid.slab_columns
+    col = np.minimum(np.floor(u[:, 0] * cols).astype(np.intp), cols - 1)
+    row_up = np.minimum(np.floor(u[:, 1] * side / grid.cell_side).astype(np.intp),
+                        grid.total_rows - 1)
+    return grid.total_rows - 1 - row_up, col

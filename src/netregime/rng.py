@@ -8,7 +8,8 @@ trailing zeros share a stream (see :func:`substream`).  Where many paths
 share a prefix, as the hybrid scheme's per-line relay streams do,
 :func:`philox_keys` derives all their keys in one array pass and
 :func:`rekey` points one generator at each in turn: the same streams,
-without one ``SeedSequence`` per path.
+without one ``SeedSequence`` per path.  A percolation study draws its
+trials this way too, on (seed, CROSSING, trial).
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -19,13 +20,16 @@ import math
 import numpy as np
 
 # Domain tags keep substreams for different purposes disjoint even when the
-# user-facing seed values coincide.
+# user-facing seed values coincide; each harness and CLI call site has its own.
 POSITIONS = 1
 ROLES = 2
 PAIRING = 3
 PHASES = 4
 RELAY = 5
 EXPERIMENT = 6
+CROSSING = 7       # percolation studies and their slab trials
+CLI_PHASES = 8     # the phases of ``netregime cutset``
+CLI_CUT = 9        # the instance of ``netregime percolation --export-cut``
 
 
 def _seed_sequence(seed: int, path) -> np.random.SeedSequence:

@@ -46,20 +46,19 @@ def uniform_generate_network(n_pairs, area_A, seed, coincident=lexsort_has_coinc
     raise DegenerateInstanceError("no distinct positions in 16 attempts")
 
 
-def instance_crossing_probability(n, c, trials, seed):
-    """Crossing-rate oracle: one full oracle instance and occupancy grid per
-    trial.  Returns the study and each trial's grid of closed cells."""
-    hits, grids = 0, []
+def instance_crossing_probability(n, cs, trials, seed):
+    """Crossing-rate oracle: the full-draw trial.  Each trial draws a full
+    oracle instance of 2n nodes and builds an occupancy grid on it for each
+    c in ``cs``.  Returns one study per c, all on the same instances."""
+    hits = [0] * len(cs)
     for t in range(trials):
         positions, sources, dests = uniform_generate_network(
             n, float(n), rng.derived_seed(seed, rng.EXPERIMENT, t))
         inst = NetworkInstance(n, float(n), 0, positions, sources, dests)
-        grid = build_occupancy_grid(inst, c)
-        grids.append(grid.closed)
-        hits += has_open_crossing(grid)
-    study = CrossingStudy(n, c, trials, hits / trials,
-                          analytic_failure_bound(n, c), decay_condition_holds(c))
-    return study, grids
+        for i, c in enumerate(cs):
+            hits[i] += has_open_crossing(build_occupancy_grid(inst, c))
+    return [CrossingStudy(n, c, trials, h / trials, analytic_failure_bound(n, c),
+                          decay_condition_holds(c)) for c, h in zip(cs, hits)]
 
 
 def hand_instance(positions, area_A, seed=0):

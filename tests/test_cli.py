@@ -129,6 +129,17 @@ class TestPercolation:
         assert doc["clearance"] >= 0.5 * doc["cell_side"]
         assert all(len(cell) == 2 for cell in doc["path"])
 
+    def test_study_is_a_sweep_point_0(self, tmp_path):
+        out = tmp_path / "perc.csv"
+        assert run(["percolation", "--n", "256", "--c", "0.5", "--trials", "30",
+                    "--seed", "4", "--out", str(out)]) == 0
+        rate = float(out.read_text().splitlines()[1].split(",")[3])
+        config = harness.ExperimentConfig(kind="percolation", n_list=[256, 1024],
+                                          trials=30, master_seed=4,
+                                          constants=harness.Constants(c=0.5))
+        assert rate == harness.run_scaling_experiment(config)[0].metric
+        assert 0.0 < rate < 1.0
+
 
 class TestPhaseDiagram:
     def test_single_cell(self, tmp_path):

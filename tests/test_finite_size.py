@@ -1,12 +1,16 @@
 """Finite-size diagnostics next to the acceptance gates.
 
-These do not test the gates in ``test_acceptance.py``; they show, with
-the same fit, how a gated quantity moves as the range of ``n`` grows.
+These do not test the gates in ``test_acceptance.py``; they show how a
+gated quantity moves as the range of ``n`` grows: C6b's fit, and C11's
+crossing failure rate against its analytic bound.
 """
+
+import math
 
 import pytest
 
-from netregime import multihop_throughput
+from netregime import crossing_probability, multihop_throughput
+from netregime.percolation import analytic_failure_bound, decay_condition_holds
 
 from helpers import fit_full_and_tail
 
@@ -27,3 +31,24 @@ def test_c6b_slope_falls_toward_the_exponent():
         [0.2959, 0.2687, 0.2535, 0.2506], abs=5e-5)
     assert all(slopes[k] > slopes[k + 1] > 0.25 for k in range(14, 40))
     assert abs(slopes[20] - 0.25) <= 0.02
+
+
+@pytest.mark.parametrize("c", [0.25, 0.35])
+def test_crossing_failure_against_the_bound_up_to_2_24(c):
+    # The bound (5/(7c)) sqrt(n) (7c^2)^(ln n) decays with n only below
+    # c^2 = 1/(7 sqrt(e)), c ~ 0.294.  Slab-only trials reach n = 2^24 (about
+    # 17k slab nodes per trial at c = 0.25; a full draw would hold 512 MB of
+    # positions).  At seed 24 and 100 trials no trial fails at c = 0.25, and
+    # at c = 0.35 one fails at 2^12 and none after, while the bound there
+    # exceeds 1 and grows: past the threshold the bound says nothing, the
+    # crossing still gets likelier.
+    trials = 100
+    assert decay_condition_holds(c) == (c < 0.294)
+    for k in (12, 16, 20, 24):
+        n = 2 ** k
+        failure = 1.0 - crossing_probability(n, c, trials, seed=24).empirical_rate
+        bound = min(1.0, analytic_failure_bound(n, c))
+        se = math.sqrt(bound * (1.0 - bound) / trials)
+        print(f"n=2^{k} c={c}: failure rate {failure:.3f}, "
+              f"bound {analytic_failure_bound(n, c):.4g}")
+        assert failure <= bound + 3 * se

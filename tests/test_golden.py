@@ -32,7 +32,7 @@ SWEEPS = {
     "hybrid_m1": dict(kind="scheme", scheme="hybrid", alpha=4.0, beta=0.04,
                       n_list=[256, 512], trials=2),
     "percolation": dict(kind="percolation", n_list=[256, 1024], trials=10),
-    # every row above reads 1; at c = 0.5 the rates are 0.85 and 0.8, so a
+    # every row above reads 1; at c = 0.5 the rates are 0.7 and 0.85, so a
     # changed crossing or a changed draw moves this digest
     "percolation_c05": dict(kind="percolation", constants=Constants(c=0.5),
                             n_list=[256, 1024], trials=20),
@@ -45,7 +45,7 @@ SWEEP_SHA256 = {
     "hybrid": "4b8994b01d6cb0539d34263230e1e299088e570470224d9ce5a42208e1f17d32",
     "hybrid_m1": "dc2c62b61f4dc6997c828e35c9016169cdf2b5bbfeb2db18a2136e1f3f3b43cb",
     "percolation": "182f59b3480a68c82c6ac927805763e986099d8788e8f967c89795aee604ba01",
-    "percolation_c05": "e8a6273417bf92e9c4f45a64c3630edcdf386991c83aa81e56c7a67a8e3e1640",
+    "percolation_c05": "f55294d68a0f3954237e21ec5fafe17760acb69bc6892648d4641ba0dbf6c71a",
 }
 
 PHASE_DIAGRAM_SHA256 = ("c7cc8ac8115d0500e7310bb20ca2d25e96728bcde8eb0ae690149bd9119af8ca",
@@ -77,7 +77,7 @@ GEN_SHA256 = "2138fa14e0d1d850863259fbd99527203d6643008f7d484102bc6ea4035abb8c"
 PERCOLATION_CLI = ["percolation", "--n", "1024", "--trials", "4"]
 PERCOLATION_CLI_SHA256 = (
     "54f1c6672feb3dea9a3b355f966f3104b2a5054cd435703d2522b3e57f264b1f",   # CSV
-    "108d16cf18a6772ca4f8a02f4acd45a3e393173b0211f5fcd968dbe2a346b504")   # cut JSON
+    "a3b35a506a13e14d7b08adbeee2c85d6f17d591b18eebe6f0b944a81a1166992")   # cut JSON
 
 # The manifest records config.out, so the sweep writes to a relative path.
 MANIFEST_SHA256 = "bc456d08eb273f373d9014cc2f5c2ceca12b59ff9e07df20503ebe4443bbd6d1"
@@ -96,9 +96,9 @@ CUTSET_CLI = {
 }
 CUTSET_CLI_CSV = {
     "idealized": CUTSET_CSV_HEADER + "\n"
-                 '64,3,0.5,8,51,314.4848776631801,0,0,49.569637720630567,0.14052230429219714,nan,4,3\n',
+                 '64,3,0.5,8,51,314.4848776631801,0,0,49.507495946254096,0.081369018840382598,nan,4,3\n',
     "percolation": CUTSET_CSV_HEADER + "\n"
-                   '256,4,0,1,0,0,37.868873126182145,72.088986384805764,26.658333615934591,0.27517871962029261,491.98388625223822,2,3\n',
+                   '256,4,0,1,0,0,37.868873126182145,72.088986384805764,26.842904490188722,0.13234656906201003,491.98388625223822,2,3\n',
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,16 @@ def nodes_left_of_slab(n_pairs, area_A, grid_c, seed=0):
     pts = gen.uniform((0.01, 0.01), (0.4 * side, side - 0.01),
                       size=(2 * n_pairs, 2))
     return hand_instance(pts, area_A, seed=seed)
+
+
+ORACLE_CS, ORACLE_TRIALS = (0.25, 0.45, 0.5, 0.52), 400
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_studies(n):
+    """c -> the full-draw oracle's study at n; all c share the instances."""
+    return dict(zip(ORACLE_CS, instance_crossing_probability(
+        n, ORACLE_CS, ORACLE_TRIALS, seed=9)))
 
 
 class TestOccupancy:
@@ -418,21 +429,29 @@ class TestCrossingProbability:
             rates.append(study.empirical_rate)
         assert rates[0] >= rates[1] >= rates[2]
 
-    @pytest.mark.parametrize("c", [0.25, 0.5, 0.52])
+    @pytest.mark.parametrize("c", ORACLE_CS)
     @pytest.mark.parametrize("n", [256, 1024, 4096])
-    def test_matches_per_instance_oracle(self, n, c, monkeypatch):
-        # positions alone give the grids and the rate of full instances
-        grids = []
+    def test_matches_per_instance_oracle(self, n, c):
+        # slab-only trials against the full-draw trials of the oracle, near
+        # the crossing threshold: a two-proportion z statistic at fixed seeds
+        study = crossing_probability(n, c, ORACLE_TRIALS, seed=9)
+        oracle = oracle_studies(n)[c]
+        assert (study.n, study.c, study.trials, study.analytic_bound, study.decay_ok) == (
+            oracle.n, oracle.c, oracle.trials, oracle.analytic_bound, oracle.decay_ok)
+        pooled = (study.empirical_rate + oracle.empirical_rate) / 2
+        if 0.0 < pooled < 1.0:
+            z = ((study.empirical_rate - oracle.empirical_rate)
+                 / math.sqrt(2 * pooled * (1 - pooled) / ORACLE_TRIALS))
+            assert abs(z) < 4, (study.empirical_rate, oracle.empirical_rate)
 
-        def recording(grid):
-            grids.append(grid.closed)
-            return has_open_crossing(grid)
-        monkeypatch.setattr(percolation, "has_open_crossing", recording)
-        study = crossing_probability(n, c, 20, seed=9)
-        want, want_grids = instance_crossing_probability(n, c, 20, seed=9)
-        assert study == want
-        assert [g.tobytes() for g in grids] == [g.tobytes() for g in want_grids]
-        assert [g.shape for g in grids] == [g.shape for g in want_grids]
+    def test_closed_fraction_matches_binomial(self):
+        # each slab cell is closed with probability 1 - (1 - c^2/(2n))^(2n)
+        n, c, trials = 1024, 0.25, 1000
+        grids = recorded_grids(n, c, trials, seed=4)
+        emp = float(np.mean([g.closed.mean() for g in grids]))
+        exact = 1.0 - (1.0 - c * c / (2 * n)) ** (2 * n)
+        se = math.sqrt(exact * (1 - exact) / (grids[0].closed.size * trials))
+        assert abs(emp - exact) < 4 * se
 
     def test_m_cell_closed_probability_bound(self):
         # P[m fixed cells all closed] <= c^(2m) within Monte-Carlo noise
@@ -448,3 +467,84 @@ class TestCrossingProbability:
             bound = c ** (2 * len(cells))
             se = math.sqrt(bound * (1 - bound) / T)
             assert hits[j] / T <= bound + 3 * se
+
+
+def recorded_grids(n, c, trials, seed, area_A=None):
+    """The grids crossing_probability's trials hand to has_open_crossing."""
+    grids = []
+
+    def recording(grid):
+        grids.append(grid)
+        return has_open_crossing(grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(percolation, "has_open_crossing", recording)
+        crossing_probability(n, c, trials, seed, area_A=area_A)
+    return grids
+
+
+class TestSlabDraw:
+    @pytest.mark.parametrize("n, c, area", [(256, 0.5, 256.0), (1000, 0.25, 1000.0),
+                                            (4096, 0.52, 77.0)])
+    def test_grid_geometry_matches_instance_grid(self, n, c, area):
+        want = build_occupancy_grid(generate_network(n, area, seed=0), c)
+        grids = recorded_grids(n, c, 3, seed=1, area_A=area)
+        assert len(grids) == 3 and len({id(g.closed) for g in grids}) == 3
+        for grid in grids:
+            assert grid.closed.shape == want.closed.shape
+            assert grid.closed.dtype == want.closed.dtype
+            assert (grid.c, grid.cell_side, grid.slab_x0, grid.slab_columns,
+                    grid.total_rows) == (want.c, want.cell_side, want.slab_x0,
+                                         want.slab_columns, want.total_rows)
+
+    def test_count_is_binomial_with_the_slab_share(self):
+        n, c = 256, 0.5
+        grid = build_occupancy_grid(generate_network(n, float(n), seed=0), c)
+        side = math.sqrt(n)
+        p = (grid.slab_x1 - grid.slab_x0) / (2 * side)
+
+        class Recorder:
+            def binomial(self, trials, prob):
+                self.args = (trials, prob)
+                return 3
+
+            def random(self, shape):
+                return np.zeros(shape)
+        gen = Recorder()
+        rows, cols = percolation._draw_slab_cells(grid, n, side, gen)
+        assert gen.args[0] == 2 * n and gen.args[1] == pytest.approx(p, rel=1e-15)
+        assert len(rows) == len(cols) == 3
+
+        draws = 20000
+        gen = np.random.default_rng(12)
+        counts = np.array([len(percolation._draw_slab_cells(grid, n, side, gen)[0])
+                           for _ in range(draws)], dtype=float)
+        mean, var = 2 * n * p, 2 * n * p * (1 - p)
+        assert abs(counts.mean() - mean) < 4 * math.sqrt(var / draws)
+        centered = counts - counts.mean()
+        m2, m4 = (centered ** 2).mean(), (centered ** 4).mean()
+        assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((m4 - m2 * m2) / draws)
+
+    @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52),
+                                      (2 ** 24, 0.35)])
+    def test_unit_draws_just_below_one_stay_in_the_slab(self, n, c):
+        grid = percolation._open_grid(n, float(n), c)
+        side, below = math.sqrt(n), np.nextafter(1.0, 0.0)
+        rows, cols = percolation._unit_cells(
+            grid, side, np.array([[below, below], [0.0, 0.0], [below, 0.0]]))
+        assert rows.tolist() == [0, grid.total_rows - 1, grid.total_rows - 1]
+        assert cols.tolist() == [grid.slab_columns - 1, 0, grid.slab_columns - 1]
+
+    def test_rows_are_those_of_the_instance_binning(self):
+        # y = u * side lands in the row _slab_cells gives a node at that y
+        n, c = 1024, 0.45
+        grid = percolation._open_grid(n, float(n), c)
+        side = math.sqrt(n)
+        u = np.random.default_rng(3).random((5000, 2))
+        u[:3, 1] = [0.0, np.nextafter(1.0, 0.0), 0.5]
+        rows, cols = percolation._unit_cells(grid, side, u)
+        mid = grid.slab_x0 + (cols + 0.5) * grid.cell_side
+        idx, want_rows, want_cols = percolation._slab_cells(
+            grid, np.stack([mid, u[:, 1] * side], axis=1))
+        assert idx.tolist() == list(range(len(u)))
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from netregime import rng
+from netregime import cli, harness, rng
 
 
 def seed_sequence_keys(seed, prefix, last):
@@ -98,3 +100,96 @@ class TestRekey:
         bit_generator.state = state
         want = rng.substream(7, rng.RELAY, 1).integers(0, 2 ** 31, size=3)
         assert not np.array_equal(gen.integers(0, 2 ** 31, size=3), want)
+
+
+def trimmed(path):
+    """A seed path as ``SeedSequence`` hashes it.  For paths of at most four
+    one-word entries it pads with zeros, so trailing zeros drop out."""
+    path = tuple(int(p) for p in path)
+    while path and path[-1] == 0:
+        path = path[:-1]
+    return path
+
+
+def call_site_paths(m, i, j):
+    """(purpose, call site) -> the seed paths rooted at master seed m that
+    the call site derives at point or trial i and unit j.  The raw seed of
+    `netregime gen` and `netregime cutset` is an instance seed itself, so
+    its paths are the instance streams, with retry j."""
+    return {
+        ("instance", "sweep cutset or hybrid unit"): {(m, rng.EXPERIMENT, i, j)},
+        ("instance", "netregime hybrid trial"): {(m, rng.EXPERIMENT, i)},
+        ("instance", "netregime gen or cutset"): {
+            (m, tag, j) for tag in (rng.POSITIONS, rng.ROLES, rng.PAIRING)},
+        ("sweep phases", "sweep cutset unit"): {(m, rng.PHASES, i, j)},
+        ("cli phases", "netregime cutset"): {(m, rng.CLI_PHASES)},
+        ("crossing study", "sweep percolation point"): {(m, rng.CROSSING, i)},
+        ("crossing study", "netregime percolation"): {(m, rng.CROSSING)},
+        ("exported cut", "netregime percolation --export-cut"): {(m, rng.CLI_CUT)},
+    }
+
+
+class TestSeedPaths:
+    def test_no_two_purposes_share_a_path(self):
+        by_purpose = {}
+        for m, i, j in itertools.product(range(4), repeat=3):
+            for (purpose, _), paths in call_site_paths(m, i, j).items():
+                by_purpose.setdefault(purpose, set()).update(map(trimmed, paths))
+        for (a, pa), (b, pb) in itertools.combinations(by_purpose.items(), 2):
+            assert not pa & pb, (a, b, sorted(pa & pb))
+        # the unit index is part of every sweep path: (m, PHASES, i, 0) is
+        # also (m, PHASES, i), which the cutset CLI once used at i = 0
+        assert trimmed((0, rng.PHASES, 0, 0)) in by_purpose["sweep phases"]
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every (seed, *path) the package hands to SeedSequence."""
+        seen = []
+        real = rng._seed_sequence
+
+        def recording(seed, path):
+            seen.append((int(seed),) + tuple(int(p) for p in path))
+            return real(seed, path)
+        monkeypatch.setattr(rng, "_seed_sequence", recording)
+        return seen
+
+    def expected(self, m, i, j, *sites):
+        table = call_site_paths(m, i, j)
+        return {trimmed(p) for key in table for p in table[key] if key[1] in sites}
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_call_sites_use_the_listed_paths(self, m, recorded, tmp_path):
+        def rooted():
+            got = {trimmed(p) for p in recorded if p[0] == m}
+            recorded.clear()
+            return got
+
+        cutset = harness.ExperimentConfig(kind="cutset", n_list=[16], trials=1,
+                                          master_seed=m)
+        harness._cutset_unit(cutset, 1, 16, 2)
+        assert rooted() == self.expected(m, 1, 2, "sweep cutset or hybrid unit",
+                                         "sweep cutset unit")
+        hybrid = harness.ExperimentConfig(kind="scheme", scheme="hybrid", alpha=4.0,
+                                          beta=0.5, n_list=[64], master_seed=m)
+        harness._scheme_unit(hybrid, 2, 64, 1)
+        assert rooted() == self.expected(m, 2, 1, "sweep cutset or hybrid unit")
+        percolation = harness.ExperimentConfig(kind="percolation", n_list=[64],
+                                               trials=2, master_seed=m)
+        harness._percolation_unit(percolation, 3, 64, 0)
+        assert rooted() == self.expected(m, 3, 0, "sweep percolation point")
+
+        out = str(tmp_path / "out")
+        seed = ["--seed", str(m), "--out", out]
+        assert cli.main(["gen", "--n", "8"] + seed) == 0
+        assert rooted() == self.expected(m, 0, 0, "netregime gen or cutset")
+        assert cli.main(["cutset", "--n", "16", "--trials", "1"] + seed) == 0
+        assert rooted() == self.expected(m, 0, 0, "netregime gen or cutset",
+                                         "netregime cutset")
+        assert cli.main(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5",
+                         "--seeds", "2"] + seed) == 0
+        assert rooted() == (self.expected(m, 0, 0, "netregime hybrid trial")
+                            | self.expected(m, 1, 0, "netregime hybrid trial"))
+        assert cli.main(["percolation", "--n", "64", "--trials", "2",
+                         "--export-cut", str(tmp_path / "cut.json")] + seed) == 0
+        assert rooted() == self.expected(m, 0, 0, "netregime percolation",
+                                         "netregime percolation --export-cut")
