@@ -43,7 +43,7 @@ from scipy.linalg import blas, lapack
 from . import percolation as perc
 from . import rng
 from .network import (ROW_BLOCK, NetworkInstance, PhysicalParams, beta_of,
-                      channel_matrix, distances, snr_short)
+                      channel_matrix, distances, run_row_blocks, snr_short)
 
 logger = logging.getLogger(__name__)
 
@@ -139,16 +139,23 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
           sources: np.ndarray) -> np.ndarray:
     """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free.
 
-    Evaluated in blocks of ROW_BLOCK targets; each row's sum is the same
-    as in one unblocked evaluation.
+    Evaluated in blocks of ROW_BLOCK targets by
+    :func:`~netregime.network.run_row_blocks`, in place in each thread's
+    buffers; each row's sum is the same as in one unblocked evaluation.
     """
     d = np.empty(len(targets))
-    for start in range(0, len(targets), ROW_BLOCK):
+
+    def block_sums(start, rhat, work):
         rows = targets[start:start + ROW_BLOCK]
-        rhat = distances(instance, rows, sources) / instance.nn_scale
+        rhat, work = rhat[:rows.size], work[:rows.size]
+        distances(instance, rows, sources, rhat, work)
+        rhat /= instance.nn_scale
         if np.any(rhat == 0.0):
             raise PathologicalCutError("coincident nodes across the cut")
-        np.sum(rhat ** (-alpha), axis=1, out=d[start:start + ROW_BLOCK])
+        rhat **= -alpha
+        np.sum(rhat, axis=1, out=d[start:start + rows.size])
+
+    run_row_blocks(len(targets), len(sources), block_sums)
     return d
 
 

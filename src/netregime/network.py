@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,14 @@ from . import rng
 logger = logging.getLogger(__name__)
 
 # Receive rows per block of the channel build and of the cutset's
-# received-power sums; each block's temporaries are ROW_BLOCK x |tx|.
+# received-power sums.  run_row_blocks deals the blocks to one thread per
+# usable CPU, at most one per block, and each thread works in two
+# ROW_BLOCK x |tx| float buffers that the call allocates once.  A row's
+# values depend only on that row's inputs, so no output depends on the split.
 ROW_BLOCK = 256
-# Unrequested phases node_phases draws and drops rather than jumping over
+# Thread count of run_row_blocks; None means one per usable CPU.  Tests set it.
+_workers = None
+# Unrequested phases a phase draw draws and drops rather than jumping over
 # them: a counter jump costs about as much as drawing this many.
 _MAX_GAP = 512
 # Draws draw_positions makes before it gives up on distinct positions.
@@ -239,26 +246,18 @@ class ChannelMatrix:
         self.entries.setflags(write=False)
 
 
-def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
-    """Uniform [0, 2pi) phases of the ordered node pairs (i, k), i in ``rows``.
+def _draw_rows(n_nodes: int, phase_seed: int, rows: np.ndarray,
+               cols: np.ndarray, out: np.ndarray) -> None:
+    """Write the [0, 1) draws behind the phases of pairs (rows[j], cols[k]) to out[j, k].
 
-    Row j is row ``rows[j]`` of one (n_nodes, n_nodes) row-major draw from
-    the substream (phase_seed, PHASES), value for value.  Each uniform
-    double consumes one Philox output and each counter step yields four,
-    so row i starts i * n_nodes // 4 counter steps after the seeded state,
-    with i * n_nodes % 4 outputs discarded.  The phase of pair (i, k) is
-    thus a pure function of (phase_seed, i, k), and any submatrix is
-    consistent across calls.  A fresh phase_seed models a fresh fading
-    realization.
-
-    Requested rows are drawn in ascending runs: rows at most _MAX_GAP
-    unrequested outputs apart share one draw, and each run starts with a
-    counter jump.
+    Row i of the (n_nodes, n_nodes) row-major draw from the substream
+    (phase_seed, PHASES) starts i * n_nodes // 4 Philox counter steps after
+    the seeded state, with i * n_nodes % 4 outputs discarded: each double
+    consumes one output and each step yields four.  Requested rows are
+    drawn in ascending runs: rows at most _MAX_GAP unrequested outputs
+    apart share one draw, and each run starts with a counter jump.  Only
+    the ``cols`` columns of a run are kept.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    phases = np.empty((rows.size, n_nodes))
-    if rows.size == 0:
-        return phases
     if rows.min() < 0 or rows.max() >= n_nodes:
         raise ValueError(f"phase rows must lie in [0, {n_nodes})")
     gen = rng.substream(phase_seed, rng.PHASES)
@@ -271,33 +270,110 @@ def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
         bits.state = seeded
         bits.advance(first * n_nodes // 4)
         bits.random_raw(first * n_nodes % 4)
-        span = gen.uniform(0.0, 2.0 * math.pi, (last - first + 1, n_nodes))
-        phases[run] = span[rows[run] - first]
+        span = gen.random((last - first + 1, n_nodes))
+        out[run] = span[rows[run] - first].take(cols, axis=1)
+
+
+def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
+    """Uniform [0, 2pi) phases of the ordered node pairs (i, k), i in ``rows``.
+
+    Row j is row ``rows[j]`` of one (n_nodes, n_nodes) row-major draw
+    ``uniform(0, 2pi)`` from the substream (phase_seed, PHASES), value for
+    value.  ``uniform(0, 2pi)`` is 0 + 2pi * random(), which is exactly
+    random() * 2pi, so the rows are drawn with ``random`` and scaled.  The
+    phase of pair (i, k) is thus a pure function of (phase_seed, i, k), and
+    any submatrix is consistent across calls: :func:`channel_matrix` draws
+    the same values for only its transmit columns.  A fresh phase_seed
+    models a fresh fading realization.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    phases = np.empty((rows.size, n_nodes))
+    if rows.size:
+        _draw_rows(n_nodes, phase_seed, rows, np.arange(n_nodes), phases)
+        phases *= 2.0 * math.pi
     return phases
 
 
-def distances(instance: NetworkInstance, rx, tx) -> np.ndarray:
-    """Unscaled distances r[i, k] from node rx[i] to node tx[k].
+def distances(instance: NetworkInstance, rx, tx, out: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """Unscaled distances r[i, k] from node rx[i] to node tx[k], written to ``out``.
 
     sqrt(dx*dx + dy*dy) one coordinate at a time rounds exactly as a sum
-    over a coordinate axis does, and builds no |rx| x |tx| x 2 temporary.
+    over a coordinate axis does.  dx is formed in ``out`` and dy in
+    ``work``; both have shape (|rx|, |tx|).
     """
     x, y = instance.positions[:, 0], instance.positions[:, 1]
-    dx = x[rx][:, None] - x[tx]
-    dy = y[rx][:, None] - y[tx]
+    dx = np.subtract(x[rx][:, None], x[tx], out=out)
+    dy = np.subtract(y[rx][:, None], y[tx], out=work)
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
 
 
+def run_row_blocks(n_rows: int, width: int, kernel) -> None:
+    """Call ``kernel(start, a, b)`` once for each ROW_BLOCK block of n_rows rows.
+
+    ``a`` and ``b`` are float buffers of shape (min(n_rows, ROW_BLOCK),
+    width), one pair per thread, which the kernel may overwrite; it writes
+    only its own rows of the result.  The calling thread and
+    min(usable CPUs, blocks) - 1 started threads take blocks in turn, so
+    with one block, or one usable CPU, no thread is started.  Every thread
+    has stopped when this returns; after a kernel raises, no block starts,
+    and the first exception raised is re-raised once all threads have
+    stopped.
+    """
+    starts = iter(range(0, n_rows, ROW_BLOCK))
+    blocks = -(-n_rows // ROW_BLOCK)
+    # sched_getaffinity, which honours CPU pinning, exists only on some platforms
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(_workers or cpus, blocks))
+    height = min(n_rows, ROW_BLOCK)
+    scratch = [(np.empty((height, width)), np.empty((height, width)))
+               for _ in range(workers)]
+    lock = threading.Lock()
+    errors = []
+
+    def work(a, b):
+        while True:
+            with lock:
+                start = None if errors else next(starts, None)
+            if start is None:
+                return
+            try:
+                kernel(start, a, b)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=work, args=pair) for pair in scratch[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*scratch[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
                    tx_set, rx_set, phase_seed: int) -> ChannelMatrix:
     """Channel matrix between two disjoint node sets for one fading draw.
 
-    Magnitudes are rescaled, rhat^(-alpha/2).  The matrix is filled in
-    blocks of ROW_BLOCK receive rows, each with only its own phase rows,
-    so no temporary grows beyond one block besides the result.
+    Magnitudes are rescaled, rhat^(-alpha/2); entry (i, k) has the phase
+    ``node_phases(n_nodes, phase_seed, [rx[i]])[0, tx[k]]``.  The matrix is
+    filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
+    A block draws only its own phase rows with ``random()``, keeps their
+    transmit columns and scales them by 2pi, which gives the bits of
+    ``uniform(0, 2pi)``.  It writes cos and sin of the phases straight
+    into the real and imaginary parts of the result, which gives the bits
+    of exp(1j * phase), and scales both parts by the magnitude in place.
+    No temporary besides the result and the per-thread buffers grows with
+    |rx|.
     """
     tx = np.asarray(tx_set, dtype=np.intp)
     rx = np.asarray(rx_set, dtype=np.intp)
@@ -308,14 +384,23 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
 
     exponent = -params.alpha / 2.0
     entries = np.empty((rx.size, tx.size), dtype=complex)
-    for start in range(0, rx.size, ROW_BLOCK):
-        rows = rx[start:start + ROW_BLOCK]
-        r = distances(instance, rows, tx)
-        if np.any(r == 0.0):
-            raise DegenerateInstanceError("coincident transmitter/receiver positions")
-        magnitude = (r / instance.nn_scale) ** exponent
-        block = entries[start:start + ROW_BLOCK]
-        np.exp(1j * node_phases(instance.n_nodes, phase_seed, rows)[:, tx], out=block)
-        block *= magnitude
-    return ChannelMatrix(entries)
 
+    def fill(start, theta, magnitude):
+        rows = rx[start:start + ROW_BLOCK]
+        theta, magnitude = theta[:rows.size], magnitude[:rows.size]
+        distances(instance, rows, tx, magnitude, theta)
+        if np.any(magnitude == 0.0):
+            raise DegenerateInstanceError("coincident transmitter/receiver positions")
+        magnitude /= instance.nn_scale
+        magnitude **= exponent
+        _draw_rows(instance.n_nodes, phase_seed, rows, tx, theta)
+        theta *= 2.0 * math.pi
+        block = entries[start:start + ROW_BLOCK]
+        re, im = block.real, block.imag
+        np.cos(theta, out=re)
+        np.sin(theta, out=im)
+        re *= magnitude
+        im *= magnitude
+
+    run_row_blocks(rx.size, tx.size, fill)
+    return ChannelMatrix(entries)

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,15 @@ from netregime import (DegenerateInstanceError, PhysicalParams, beta_of,
                        channel_matrix, generate_network, snr_long,
                        snr_short)
 from netregime import network
-from netregime.cutset import partition_nodes, select_cut_width
+from netregime.cutset import (CutPartition, PathologicalCutError, _dhat,
+                              dof_term_realized, partition_nodes,
+                              select_cut_width, snr_total)
 from netregime.harness import params_for_snr
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
                      instance_from_json, lexsort_has_coincident,
-                     uniform_generate_network)
+                     unblocked_dhat, uniform_generate_network)
 
 
 def default_params(alpha=4.0, G=1.0):
@@ -326,15 +329,106 @@ class TestBlockedChannel:
             assert h.entries.dtype == want.dtype
             assert h.entries.tobytes() == want.tobytes()
 
-    def test_peak_memory_bounded(self):
+    def test_peak_memory_bounded(self, monkeypatch):
+        # the bound covers the result plus every thread's buffers
         inst, params, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
-        tracemalloc.start()
-        try:
-            h = channel_matrix(inst, params, tx, rx, phase_seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * h.entries.nbytes
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_workers", workers)
+            tracemalloc.start()
+            try:
+                h = channel_matrix(inst, params, tx, rx, phase_seed=7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * h.entries.nbytes, workers
+
+
+def _split_sets(n, m, seed):
+    """Instance, params and a random split of its 2n nodes into m and 2n - m."""
+    params, area = params_for_snr(float(n) ** 0.5, 4.0, n)
+    inst = generate_network(n, area, seed)
+    perm = np.random.default_rng(seed).permutation(inst.n_nodes)
+    return inst, params, perm[:m], perm[m:]
+
+
+class TestRowBlockWorkers:
+    # C13 for the threaded row blocks: 100 rows fit one block, 512 fill two
+    # exactly, and 1500 leave a short last block; each set is used on both
+    # sides, so the other side gives 1948, 1536 and 548 rows
+    @pytest.mark.parametrize("m", [100, 512, 1500])
+    def test_channel_bytes_independent_of_workers(self, m, monkeypatch):
+        inst, params, a, b = _split_sets(1024, m, seed=m)
+        for tx, rx in ((a, b), (b, a)):
+            want = full_channel_matrix(inst, params, tx, rx, phase_seed=2)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(network, "_workers", workers)
+                h = channel_matrix(inst, params, tx, rx, phase_seed=2)
+                assert h.entries.tobytes() == want.tobytes(), workers
+
+    @pytest.mark.parametrize("m", [100, 512, 1500])
+    def test_power_sums_independent_of_workers(self, m, monkeypatch):
+        inst, params, a, b = _split_sets(1024, m, seed=m)
+        snr_s = snr_short(params, inst.n_pairs, inst.area_A)
+        for sources, targets in ((a, b), (b, a)):
+            want = unblocked_dhat(inst, params.alpha, targets, sources)
+            part = CutPartition(inst.side, 1.0, sources, targets, targets)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(network, "_workers", workers)
+                d = _dhat(inst, params.alpha, targets, sources)
+                assert d.tobytes() == want.tobytes(), workers
+                assert (snr_total(inst, part, snr_s, params.alpha)
+                        == snr_s * math.fsum(want.tolist()))
+                assert dof_term_realized(inst, part, snr_s, params.alpha) == math.fsum(
+                    math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
+
+    # 4 blocks on 3 workers use 3 threads; 2 blocks use 2 whatever the
+    # worker count; one block runs on the calling thread
+    @pytest.mark.parametrize("n_rows,workers,threads", [(1000, 3, 3), (300, 3, 2),
+                                                        (300, 1, 1), (256, 3, 1)])
+    def test_blocks_split_across_threads(self, n_rows, workers, threads, monkeypatch):
+        monkeypatch.setattr(network, "_workers", workers)
+        # each thread waits with its first block until every thread has one
+        barrier = threading.Barrier(threads, timeout=30)
+        lock = threading.Lock()
+        seen, buffers, starts = set(), set(), []
+
+        def kernel(start, a, b):
+            assert a.shape == b.shape == (min(n_rows, network.ROW_BLOCK), 7)
+            ident = threading.get_ident()
+            with lock:
+                first = ident not in seen
+                seen.add(ident)
+                buffers.update((id(a), id(b)))
+                starts.append(start)
+            if first:
+                barrier.wait()
+
+        network.run_row_blocks(n_rows, 7, kernel)
+        assert sorted(starts) == list(range(0, n_rows, network.ROW_BLOCK))
+        assert len(seen) == threads and len(buffers) == 2 * threads
+        if threads == 1:
+            assert seen == {threading.get_ident()}
+
+    def test_error_in_last_block_raised_after_workers_stop(self, monkeypatch):
+        # the last rx node sits on a tx node: block 3 of 3 is degenerate
+        monkeypatch.setattr(network, "_workers", 2)
+        inst, params, rx, tx = _split_sets(1024, 600, seed=5)
+        positions = inst.positions.copy()
+        positions[rx[-1]] = positions[tx[0]]
+        inst = NetworkInstance(inst.n_pairs, inst.area_A, inst.seed, positions,
+                               inst.source_ids, inst.dest_ids)
+        snr_s = snr_short(params, inst.n_pairs, inst.area_A)
+        part = CutPartition(inst.side, 1.0, tx, rx[:0], rx)
+        before = threading.active_count()
+        with pytest.raises(DegenerateInstanceError):
+            channel_matrix(inst, params, tx, rx, phase_seed=1)
+        assert threading.active_count() == before
+        with pytest.raises(PathologicalCutError):
+            snr_total(inst, part, snr_s, params.alpha)
+        assert threading.active_count() == before
+        with pytest.raises(PathologicalCutError):
+            _dhat(inst, params.alpha, rx, tx)
+        assert threading.active_count() == before
 
 
 class TestSerialization:
