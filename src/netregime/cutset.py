@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from math import fsum
 
 import numpy as np
@@ -42,8 +42,8 @@ from scipy.linalg import blas, lapack
 
 from . import percolation as perc
 from . import rng
-from .network import (ROW_BLOCK, NetworkInstance, PhysicalParams, beta_of,
-                      channel_matrix, distances, run_row_blocks, snr_short)
+from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_matrix,
+                      distances, run_row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,11 @@ CUT_MODES = ("idealized", "percolation")
 
 class PathologicalCutError(ValueError):
     """A cut left one side of the network empty."""
+
+
+def _check_point(snr_s: float, alpha: float) -> None:
+    if not (alpha >= 2 and math.isfinite(snr_s) and snr_s > 0):
+        raise ValueError(f"need alpha >= 2 and a finite snr_s > 0, got {alpha} and {snr_s}")
 
 
 @dataclass
@@ -80,8 +85,7 @@ def select_cut_width(snr_s: float, n: int, alpha: float) -> float:
     """Rescaled strip width w_hat for the given nearest-neighbor SNR."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
+    _check_point(snr_s, alpha)
     root_n = math.sqrt(n)
     if snr_s >= n ** (alpha / 2.0 - 1.0):
         return root_n
@@ -238,9 +242,9 @@ class MCLogdet:
 
 
 def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
-                     params: PhysicalParams, trials: int,
+                     snr_s: float, alpha: float, trials: int,
                      phase_seed: int) -> MCLogdet:
-    """Identity-covariance cutset value, averaged over fading redraws.
+    """Identity-covariance cutset value at snr_s, averaged over fading redraws.
 
     Each trial redraws every pairwise phase from an independent substream
     of ``phase_seed``, so trial t is reproducible regardless of execution
@@ -248,13 +252,13 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    snr_s = snr_short(params, instance.n_pairs, instance.area_A)
+    _check_point(snr_s, alpha)
     tx = np.sort(partition.left_S)
     rx = partition.right_D
     values = []
     discarded = 0
     for t in range(trials):
-        h = channel_matrix(instance, params, tx, rx,
+        h = channel_matrix(instance, alpha, tx, rx,
                            phase_seed=rng.derived_seed(phase_seed, t))
         v = identity_logdet(h.entries, snr_s)
         if math.isfinite(v):
@@ -292,34 +296,27 @@ class CutsetReport:
     seed: int
 
     def csv_row(self) -> str:
-        cols = [str(self.n)]
-        for v in (self.alpha, self.beta, self.w_hat):
-            cols.append(f"{v:.17g}")
-        cols.append(str(self.size_VD))
-        for v in (self.dof_term, self.snr_total, self.power_term,
-                  self.mc_logdet, self.mc_stderr, self.closed_form_bound):
-            cols.append(f"{v:.17g}")
-        cols.append(str(self.trials))
-        cols.append(str(self.seed))
-        return ",".join(cols)
+        """The fields in order; floats to 17 significant digits."""
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                        for v in astuple(self))
 
 
-CUTSET_CSV_HEADER = ("n,alpha,beta,w_hat,size_VD,dof_term,snr_total,power_term,"
-                     "mc_logdet,mc_stderr,closed_form_bound,trials,seed")
+CUTSET_CSV_HEADER = ",".join(f.name for f in fields(CutsetReport))
 
 
-def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
+def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
                     trials: int = 20, phase_seed: int = 0,
                     mode: str = "idealized", c: float = 0.25,
                     epsilon: float = 0.05,
                     K1: float = 1.0) -> CutsetReport:
-    """Full cutset evaluation of one instance: partition, terms and Monte-Carlo.
+    """Full cutset evaluation of one instance at nearest-neighbor SNR snr_s.
 
-    ``mode`` is one of :data:`CUT_MODES`; any other value raises ValueError.
+    Partition, analytic terms and Monte-Carlo value all use this snr_s and
+    alpha.  ``mode`` is one of :data:`CUT_MODES`; any other value raises
+    ValueError.
     """
     n = instance.n_pairs
-    snr_s = snr_short(params, n, instance.area_A)
-    w_hat = select_cut_width(snr_s, n, params.alpha)
+    w_hat = select_cut_width(snr_s, n, alpha)   # checks snr_s and alpha
     cut = grid = None
     if mode == "percolation":
         grid = perc.build_occupancy_grid(instance, c)
@@ -329,19 +326,16 @@ def evaluate_cutset(instance: NetworkInstance, params: PhysicalParams,
         cut = perc.extract_cut(crossing, grid, instance)
     part = partition_nodes(instance, w_hat, mode=mode, cut=cut, grid=grid)
 
-    snr_tot = snr_total(instance, part, snr_s, params.alpha)
-    dof_real = dof_term_realized(instance, part, snr_s, params.alpha)
+    snr_tot = snr_total(instance, part, snr_s, alpha)
+    dof_real = dof_term_realized(instance, part, snr_s, alpha)
     power = n ** epsilon * snr_tot / LN2
     try:
-        bound = closed_form_snr_total_bound(snr_s, n, params.alpha, w_hat, K1)
+        bound = closed_form_snr_total_bound(snr_s, n, alpha, w_hat, K1)
     except ValueError:
         bound = math.nan
-    mc = mc_cutset_logdet(instance, part, params, trials, phase_seed)
+    mc = mc_cutset_logdet(instance, part, snr_s, alpha, trials, phase_seed)
     return CutsetReport(
-        n=n, alpha=params.alpha, beta=beta_of(snr_s, n),
-        w_hat=w_hat, size_VD=int(part.strip_VD.size),
-        dof_term=dof_real,
-        snr_total=snr_tot, power_term=power,
-        mc_logdet=mc.mean, mc_stderr=mc.stderr,
-        closed_form_bound=bound, trials=mc.trials_used,
-        seed=instance.seed)
+        n=n, alpha=alpha, beta=beta_of(snr_s, n), w_hat=w_hat,
+        size_VD=int(part.strip_VD.size), dof_term=dof_real, snr_total=snr_tot,
+        power_term=power, mc_logdet=mc.mean, mc_stderr=mc.stderr,
+        closed_form_bound=bound, trials=mc.trials_used, seed=instance.seed)

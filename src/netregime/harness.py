@@ -1,11 +1,10 @@
 """Experiment orchestration: sweeps over n, exponent fits, file outputs.
 
-An experiment is a pure function of its configuration.  Per-point seeds
-are derived from (master_seed, point index, trial index) on counter-based
-substreams, so no output byte depends on the order units run in.  For
-regime sweeps the nearest-neighbor SNR is pinned to n^beta exactly at
-every point, with the physical parameters back-solved so the SNR
-definition stays consistent.
+An experiment is a pure function of its configuration.  Unit seeds are
+derived from (master_seed, tag, point, unit) on counter-based substreams,
+so no output byte depends on the order units run in.  Every layer runs at
+snr_s = n^beta, which :func:`operating_point` computes once per point;
+the area it draws instances on reproduces snr_s only up to rounding.
 """
 
 from __future__ import annotations
@@ -82,29 +81,28 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.mode not in CUT_MODES:
-            raise ConfigError(f"mode must be one of {CUT_MODES}, got {self.mode!r}")
+        for name, allowed in (("kind", KINDS), ("scheme", SCHEMES), ("mode", CUT_MODES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        # type() rather than isinstance: a JSON true is a bool, which is an int
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
+        for name, least in (("trials", 1), ("instances", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not all(type(n) is int and n >= 1 for n in self.n_list):
+            raise ConfigError(f"n_list entries must be integers >= 1, got {self.n_list!r}")
         if self.kind != "phase-diagram":
             if not self.n_list:
                 raise ConfigError("n_list must be non-empty")
             if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing")
-        for name in ("trials", "instances", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.instances < 1:
-            raise ConfigError("instances must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -139,7 +137,8 @@ def params_for_snr(snr_s: float, alpha: float, n: int) -> tuple[PhysicalParams, 
     """Unit-power parameters and an area that realize the requested snr_s.
 
     With G = P = N0 = W = 1 the nearest-neighbor SNR is (A/n)^(-alpha/2),
-    so A = n * snr_s^(-2/alpha) gives snr_short = snr_s exactly.
+    so A = n * snr_s^(-2/alpha) gives snr_short = snr_s up to rounding:
+    the round trip is off by a few ulps at many points.
     """
     if snr_s <= 0:
         raise ValueError("snr_s must be positive")
@@ -160,19 +159,19 @@ class PointRow:
 SWEEP_CSV_HEADER = "n,metric,stderr"
 
 
-def operating_point(n: int, alpha: float, beta: float):
-    """(snr_s, params, area) of a sweep point: snr_s = n^beta, realized exactly."""
+def operating_point(n: int, alpha: float, beta: float) -> tuple[float, float]:
+    """(snr_s, area) of a point: snr_s = n^beta, which every layer takes as it
+    is, and the params_for_snr area that instances are drawn on."""
     snr_s = float(n) ** beta
-    params, area = params_for_snr(snr_s, alpha, n)
-    return snr_s, params, area
+    return snr_s, params_for_snr(snr_s, alpha, n)[1]
 
 
 def run_cutset(n: int, alpha: float, beta: float, k: Constants, trials: int,
                mode: str, seed: int, phase_seed: int):
     """Draw an instance from ``seed`` and evaluate its cutset bound."""
-    _, params, area = operating_point(n, alpha, beta)
+    snr_s, area = operating_point(n, alpha, beta)
     inst = generate_network(n, area, seed)
-    return evaluate_cutset(inst, params, trials=trials, phase_seed=phase_seed,
+    return evaluate_cutset(inst, snr_s, alpha, trials=trials, phase_seed=phase_seed,
                            mode=mode, c=k.c, epsilon=k.epsilon, K1=k.K1)
 
 
@@ -183,7 +182,7 @@ def run_scheme(scheme: str, n: int, alpha: float, beta: float,
     The closed forms ignore ``seed`` and return no plan; the hybrid scheme
     draws its instance and routes its lines from ``seed``.
     """
-    snr_s, _, area = operating_point(n, alpha, beta)
+    snr_s, area = operating_point(n, alpha, beta)
     if scheme == "multihop":
         return multihop_throughput(n, snr_s, k.K2), 1, None
     if scheme in ("hc", "bursty_hc"):
@@ -198,37 +197,38 @@ def run_scheme(scheme: str, n: int, alpha: float, beta: float,
     return est, M, plan
 
 
-def _cutset_unit(config: ExperimentConfig, i_point: int, n: int, i_inst: int):
-    report = run_cutset(
-        n, config.alpha, config.beta, config.constants, config.trials, config.mode,
-        seed=rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_inst),
-        phase_seed=rng.derived_seed(config.master_seed, rng.PHASES, i_point, i_inst))
+def _cutset_unit(config: ExperimentConfig, n: int, seed: int, phase_seed: int):
+    report = run_cutset(n, config.alpha, config.beta, config.constants, config.trials,
+                        config.mode, seed, phase_seed)
     return PointRow(n, report.mc_logdet, report.mc_stderr)
 
 
-def _scheme_unit(config: ExperimentConfig, i_point: int, n: int, i_trial: int):
-    seed = rng.derived_seed(config.master_seed, rng.EXPERIMENT, i_point, i_trial)
+def _scheme_unit(config: ExperimentConfig, n: int, seed: int):
     est, _, _ = run_scheme(config.scheme, n, config.alpha, config.beta,
                            config.constants, seed)
     return PointRow(n, est.aggregate_T, 0.0)
 
 
-def _percolation_unit(config: ExperimentConfig, i_point: int, n: int, _: int):
-    study = crossing_probability(
-        n, config.constants.c, config.trials,
-        rng.derived_seed(config.master_seed, rng.CROSSING, i_point))
+def _percolation_unit(config: ExperimentConfig, n: int, seed: int):
+    study = crossing_probability(n, config.constants.c, config.trials, seed)
     rate = study.empirical_rate
     se = math.sqrt(max(rate * (1 - rate), 0.0) / study.trials)
     return PointRow(n, rate, se)
 
 
-# kind -> (unit, units per point).  A unit returns the PointRow of its own
-# draw; only the hybrid scheme is random among the schemes.
+# kind -> (unit, units per point, seed paths of unit j of point i).  A unit
+# returns the PointRow of its own draw; it takes one seed per path, derived
+# from (master_seed, *path): a cutset unit its instance and its phases, a
+# scheme unit its instance (only the hybrid scheme is random), a percolation
+# point its study.
 _UNITS = {
-    "cutset": (_cutset_unit, lambda config: config.instances),
+    "cutset": (_cutset_unit, lambda config: config.instances,
+               lambda i, j: ((rng.EXPERIMENT, i, j), (rng.PHASES, i, j))),
     "scheme": (_scheme_unit,
-               lambda config: config.trials if config.scheme == "hybrid" else 1),
-    "percolation": (_percolation_unit, lambda config: 1),
+               lambda config: config.trials if config.scheme == "hybrid" else 1,
+               lambda i, j: ((rng.EXPERIMENT, i, j),)),
+    "percolation": (_percolation_unit, lambda config: 1,
+                    lambda i, j: ((rng.CROSSING, i),)),
 }
 
 # Errors of a bad draw, a non-finite Monte-Carlo value or a point outside
@@ -238,27 +238,33 @@ _UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
                 OutOfRegimeError, ArithmeticError)
 
 
+def _run_unit(config: ExperimentConfig, i: int, n: int, j: int):
+    """Unit j of point i's row; None, logged with the unit's seed paths, on a unit error."""
+    unit, _, seed_paths = _UNITS[config.kind]
+    paths = [(config.master_seed, *path) for path in seed_paths(i, j)]
+    try:
+        return unit(config, n, *(rng.derived_seed(*path) for path in paths))
+    except _UNIT_ERRORS as exc:
+        logger.warning("%s unit failed at n=%d (point %d, unit %d): %s; seed paths %s",
+                       config.kind, n, i, j, type(exc).__name__,
+                       ", ".join(map(str, paths)))
+        return None
+
+
 def run_scaling_experiment(config: ExperimentConfig) -> list[PointRow]:
     """One aggregated row per n; units run serially in a fixed order.
 
-    Each failed unit is logged at WARNING with its seed path (master_seed,
-    EXPERIMENT, point, unit).  Points where more than 10% of units fail get
-    a NaN metric and stderr; a fully failing experiment raises.
+    Each failed unit is logged at WARNING with the seed paths it derived
+    its seeds on.  Points where more than 10% of units fail get a NaN
+    metric and stderr; a fully failing experiment raises.
     """
     if config.kind == "phase-diagram":
         raise ConfigError("phase-diagram configs are emitted, not swept")
-    unit, per_point = _UNITS[config.kind]
     rows = []
     for i, n in enumerate(config.n_list):
-        count, good = per_point(config), []
-        for j in range(count):
-            try:
-                good.append(unit(config, i, n, j))
-            except _UNIT_ERRORS as exc:
-                logger.warning("%s unit failed at n=%d (point %d, unit %d): %s; "
-                               "seed path (%d, %d, %d, %d)", config.kind, n, i, j,
-                               type(exc).__name__, config.master_seed,
-                               rng.EXPERIMENT, i, j)
+        count = _UNITS[config.kind][1](config)
+        good = [row for row in (_run_unit(config, i, n, j) for j in range(count))
+                if row is not None]
         if count - len(good) > 0.1 * count or not good:
             rows.append(PointRow(n, math.nan, math.nan))
             continue
@@ -279,10 +285,7 @@ class FitResult:
     residuals: tuple
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "theory_exponent": self.theory_exponent,
-                "residuals": list(self.residuals)}
+        return dict(asdict(self), residuals=list(self.residuals))
 
 
 def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:

@@ -360,7 +360,7 @@ def run_row_blocks(n_rows: int, width: int, kernel) -> None:
         raise errors[0]
 
 
-def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
+def channel_matrix(instance: NetworkInstance, alpha: float,
                    tx_set, rx_set, phase_seed: int) -> ChannelMatrix:
     """Channel matrix between two disjoint node sets for one fading draw.
 
@@ -382,7 +382,7 @@ def channel_matrix(instance: NetworkInstance, params: PhysicalParams,
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 
-    exponent = -params.alpha / 2.0
+    exponent = -alpha / 2.0
     entries = np.empty((rx.size, tx.size), dtype=complex)
 
     def fill(start, theta, magnitude):

@@ -110,7 +110,7 @@ def capacity_estimate(params: PhysicalParams, n: int, area_A: float):
 
     The regime is ``classify(alpha, beta_of(snr_short, n))``, so n must be
     at least 2.  With P_r the received power over the nearest-neighbor
-    distance:
+    distance, P_r / N0 = snr_short * W:
 
         regime I:    n * W
         regime II:   n^(2 - alpha/2) * P_r / N0
@@ -119,11 +119,10 @@ def capacity_estimate(params: PhysicalParams, n: int, area_A: float):
 
     These are order estimates; constants are not calibrated.
     """
-    alpha = params.alpha
-    regime = classify(alpha, beta_of(snr_short(params, n, area_A), n)).regime
-    p_r = params.gain_G * params.power_P * (area_A / n) ** (-alpha / 2.0)
-    p_over_n0 = p_r / params.noise_N0
-    w = params.bandwidth_W
+    alpha, w = params.alpha, params.bandwidth_W
+    snr_s = snr_short(params, n, area_A)
+    regime = classify(alpha, beta_of(snr_s, n)).regime
+    p_over_n0 = snr_s * w
     if regime is Regime.I:
         return n * w, regime
     if regime is Regime.II:

@@ -161,20 +161,20 @@ def full_node_phases(n_nodes, phase_seed):
     return gen.uniform(0.0, 2.0 * math.pi, size=(n_nodes, n_nodes))
 
 
-def full_channel_matrix(instance, params, tx, rx, phase_seed, rescaled=True):
+def full_channel_matrix(instance, alpha, tx, rx, phase_seed, raw_gain=None):
     """Channel oracle: one unblocked evaluation from the full phase draw.
 
-    ``rescaled=False`` gives physical-unit magnitudes sqrt(G) * r^(-alpha/2)
+    ``raw_gain=G`` gives physical-unit magnitudes sqrt(G) * r^(-alpha/2)
     instead of rhat^(-alpha/2).
     """
     tx = np.asarray(tx, dtype=np.intp)
     rx = np.asarray(rx, dtype=np.intp)
     diff = instance.positions[rx][:, None, :] - instance.positions[tx][None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=2))
-    if rescaled:
-        magnitude = (r / instance.nn_scale) ** (-params.alpha / 2.0)
+    if raw_gain is None:
+        magnitude = (r / instance.nn_scale) ** (-alpha / 2.0)
     else:
-        magnitude = math.sqrt(params.gain_G) * r ** (-params.alpha / 2.0)
+        magnitude = math.sqrt(raw_gain) * r ** (-alpha / 2.0)
     theta = full_node_phases(instance.n_nodes, phase_seed)[np.ix_(rx, tx)]
     return magnitude * np.exp(1j * theta)
 

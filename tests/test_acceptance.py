@@ -20,7 +20,7 @@ from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        simulate_hybrid, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, extract_cut,
                        find_open_crossing, has_open_crossing)
-from netregime.harness import fit_exponent, params_for_snr
+from netregime.harness import fit_exponent, operating_point, params_for_snr
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
 
@@ -105,11 +105,10 @@ def test_c3_cutset_inequality_chain():
     for ci, (alpha, beta) in enumerate(combos):
         for t in range(per_combo):
             n = 8 + derived_seed(300, ci, t) % 57    # 2n in [16, 128]
-            snr = float(n) ** beta
-            params, area = params_for_snr(snr, alpha, n)
+            snr, area = operating_point(n, alpha, beta)
             inst = generate_network(n, area, derived_seed(301, ci, t))
             part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-            mc = mc_cutset_logdet(inst, part, params, trials=2,
+            mc = mc_cutset_logdet(inst, part, snr, alpha, trials=2,
                                   phase_seed=derived_seed(302, ci, t))
             envelope = (dof_term_realized(inst, part, snr, alpha)
                         + snr_total(inst, part, snr, alpha) / LN2)
@@ -165,12 +164,12 @@ def test_c5_dense_regime_slope():
     table = []
     for i, n in enumerate((16, 32, 64, 128, 256)):
         snr = float(n)
-        params, area = params_for_snr(snr, 2.0, n)
+        _, area = params_for_snr(snr, 2.0, n)
         vals = []
         for j in range(3):
             inst = generate_network(n, area, derived_seed(500, i, j))
             part = partition_nodes(inst, select_cut_width(snr, n, 2.0))
-            mc = mc_cutset_logdet(inst, part, params, trials=20,
+            mc = mc_cutset_logdet(inst, part, snr, 2.0, trials=20,
                                   phase_seed=derived_seed(501, i, j))
             vals.append(mc.mean)
         table.append((n, math.fsum(vals) / len(vals)))

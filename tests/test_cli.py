@@ -227,6 +227,17 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", [{"kind": "percolation", "n_list": [256.0]},
+                                       {"kind": "scheme", "n_list": [16.5, 64]},
+                                       {"kind": "cutset", "n_list": [64.0]},
+                                       {"kind": "cutset", "n_list": [16], "beta": None}])
+    def test_non_integer_n_or_null_beta_exit_2(self, tmp_path, field):
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(field, out=str(out))))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
     def test_every_point_failing_exit_3(self, tmp_path):
         # hybrid cells are undefined at beta < 0, so every unit fails
         cfg = tmp_path / "c.json"

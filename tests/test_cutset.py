@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netregime import (PathologicalCutError, PhysicalParams,
+from netregime import (PathologicalCutError,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        select_cut_width, snr_total,
@@ -11,7 +11,7 @@ from netregime import (PathologicalCutError, PhysicalParams,
 from netregime import cutset
 from netregime.cutset import CUTSET_CSV_HEADER, identity_logdet
 from netregime.network import ChannelMatrix, channel_matrix
-from netregime.harness import params_for_snr
+from netregime.harness import operating_point, params_for_snr
 
 from helpers import (hand_instance, brute_dhat, brute_snr_total, eigvalsh_logdet,
                      power_profile, unblocked_dhat)
@@ -211,8 +211,7 @@ class TestMonteCarlo:
         inst = hand_instance(positions, area_A=4.0)
         part = partition_nodes(inst, w_hat=1.0)
         assert list(part.left_S) == [0] and list(part.right_D) == [1]
-        params = PhysicalParams(1.0, 1.0, 1.0, 4.0)   # snr_short = 1 at A = n
-        mc = mc_cutset_logdet(inst, part, params, trials=6, phase_seed=9)
+        mc = mc_cutset_logdet(inst, part, 1.0, 4.0, trials=6, phase_seed=9)
         expected = math.log2(1 + rhat ** -4.0)
         assert mc.mean == pytest.approx(expected, rel=1e-12)
         assert mc.stderr == pytest.approx(0.0, abs=1e-13)
@@ -222,12 +221,11 @@ class TestMonteCarlo:
         # 2 tx left, 2 rx in the strip; compare against a plain determinant
         positions = [[0.5, 0.7], [1.2, 1.8], [3.5, 0.5], [3.8, 1.5]]
         inst = hand_instance(positions, area_A=4.0)
-        params = PhysicalParams(1.0, 1.0, 1.0, 3.0)
         part = partition_nodes(inst, w_hat=math.sqrt(2))
         assert part.right_D.size == 2 and part.left_S.size == 2
-        h = channel_matrix(inst, params, np.sort(part.left_S), part.right_D,
+        h = channel_matrix(inst, 3.0, np.sort(part.left_S), part.right_D,
                            phase_seed=3)
-        snr = (inst.area_A / inst.n_pairs) ** (-params.alpha / 2.0)
+        snr = (inst.area_A / inst.n_pairs) ** (-3.0 / 2.0)
         direct = np.log2(np.abs(np.linalg.det(
             np.eye(2) + snr * h.entries @ h.entries.conj().T)))
         assert identity_logdet(h.entries, snr) == pytest.approx(float(direct), rel=1e-10)
@@ -242,11 +240,10 @@ class TestMonteCarlo:
     def test_bounded_by_dof_plus_power(self):
         for seed, alpha, beta in [(1, 2.0, 1.0), (2, 4.0, 0.5), (3, 3.0, -0.5)]:
             n = 24
-            snr = float(n) ** beta
-            params, area = params_for_snr(snr, alpha, n)
+            snr, area = operating_point(n, alpha, beta)
             inst = generate_network(n, area, seed)
             part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-            mc = mc_cutset_logdet(inst, part, params, trials=4, phase_seed=seed)
+            mc = mc_cutset_logdet(inst, part, snr, alpha, trials=4, phase_seed=seed)
             envelope = (dof_term_realized(inst, part, snr, alpha)
                         + snr_total(inst, part, snr, alpha) / LN2)
             for value in mc.values:
@@ -254,20 +251,19 @@ class TestMonteCarlo:
 
     def test_trial_prefix_stable(self):
         inst = unit_density_instance(12, seed=6)
-        params = PhysicalParams(1.0, 1.0, 1.0, 3.0)
         part = partition_nodes(inst, w_hat=2.0)
-        short = mc_cutset_logdet(inst, part, params, trials=3, phase_seed=11)
-        long = mc_cutset_logdet(inst, part, params, trials=7, phase_seed=11)
+        short = mc_cutset_logdet(inst, part, 1.0, 3.0, trials=3, phase_seed=11)
+        long = mc_cutset_logdet(inst, part, 1.0, 3.0, trials=7, phase_seed=11)
         assert short.values == long.values[:3]
 
     def test_far_block_trace_bound(self):
         # log2 det(I + snr H2 H2*) <= snr_total / ln 2 on every draw
         for seed in range(4):
             n, alpha, snr = 32, 3.0, 2.0
-            params, area = params_for_snr(snr, alpha, n)
+            _, area = params_for_snr(snr, alpha, n)
             inst = generate_network(n, area, seed)
             part = partition_nodes(inst, w_hat=1.5)
-            h2 = channel_matrix(inst, params, np.sort(part.left_S),
+            h2 = channel_matrix(inst, alpha, np.sort(part.left_S),
                                 np.sort(part.far_D), phase_seed=seed)
             got = identity_logdet(h2.entries, snr)
             assert got <= snr_total(inst, part, snr, alpha) / LN2 + 1e-12
@@ -277,14 +273,13 @@ class TestCholeskyLogdet:
     @pytest.mark.parametrize("alpha,beta", [(2.0, 1.0), (3.0, 0.5), (4.0, 0.0), (4.0, 0.5)])
     def test_matches_eigvalsh(self, alpha, beta):
         n = 200
-        snr = float(n) ** beta
-        params, area = params_for_snr(snr, alpha, n)
+        snr, area = operating_point(n, alpha, beta)
         inst = generate_network(n, area, seed=4)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         tx, rx = np.sort(part.left_S), part.right_D
         for stx, srx in ((tx, rx[: rx.size // 3]),      # wide: fewer rx than tx
                          (tx[: tx.size // 3], rx)):     # tall
-            h = channel_matrix(inst, params, stx, srx, phase_seed=8).entries
+            h = channel_matrix(inst, alpha, stx, srx, phase_seed=8).entries
             want = eigvalsh_logdet(h, snr)
             assert identity_logdet(h, snr) == pytest.approx(want, rel=1e-13)
             assert identity_logdet(h.T.copy(), snr) == pytest.approx(want, rel=1e-13)
@@ -299,8 +294,7 @@ class TestCholeskyLogdet:
 class TestDiscardPath:
     def _setup(self):
         inst = unit_density_instance(12, seed=6)
-        params = PhysicalParams(1.0, 1.0, 1.0, 3.0)
-        return inst, partition_nodes(inst, w_hat=2.0), params
+        return inst, partition_nodes(inst, w_hat=2.0)
 
     def _nan_on(self, monkeypatch, bad_trials):
         real = cutset.channel_matrix
@@ -315,18 +309,18 @@ class TestDiscardPath:
         monkeypatch.setattr(cutset, "channel_matrix", flaky)
 
     def test_non_finite_trial_discarded_and_counted(self, monkeypatch):
-        inst, part, params = self._setup()
-        clean = mc_cutset_logdet(inst, part, params, trials=4, phase_seed=11)
+        inst, part = self._setup()
+        clean = mc_cutset_logdet(inst, part, 1.0, 3.0, trials=4, phase_seed=11)
         self._nan_on(monkeypatch, {1})
-        mc = mc_cutset_logdet(inst, part, params, trials=4, phase_seed=11)
+        mc = mc_cutset_logdet(inst, part, 1.0, 3.0, trials=4, phase_seed=11)
         assert mc.discarded == 1 and mc.trials_used == 3
         assert mc.values == (clean.values[0],) + clean.values[2:]
 
     def test_all_trials_non_finite_raise(self, monkeypatch):
-        inst, part, params = self._setup()
+        inst, part = self._setup()
         self._nan_on(monkeypatch, {0, 1, 2})
         with pytest.raises(ArithmeticError):
-            mc_cutset_logdet(inst, part, params, trials=3, phase_seed=11)
+            mc_cutset_logdet(inst, part, 1.0, 3.0, trials=3, phase_seed=11)
 
 
 class TestUpperBoundExponent:
@@ -359,9 +353,9 @@ class TestStripSemantics:
 class TestEvaluateCutset:
     def test_report_and_csv(self):
         n = 32
-        params, area = params_for_snr(2.0, 3.0, n)
+        _, area = params_for_snr(2.0, 3.0, n)
         inst = generate_network(n, area, seed=21)
-        report = evaluate_cutset(inst, params, trials=3, phase_seed=2)
+        report = evaluate_cutset(inst, 2.0, 3.0, trials=3, phase_seed=2)
         row = report.csv_row()
         assert len(row.split(",")) == len(CUTSET_CSV_HEADER.split(","))
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
@@ -369,22 +363,36 @@ class TestEvaluateCutset:
 
     def test_full_strip_bound_is_nan(self):
         n = 16
-        params, area = params_for_snr(float(n), 2.0, n)   # beta = 1, w = sqrt(n)
+        snr, area = operating_point(n, 2.0, 1.0)   # w = sqrt(n)
         inst = generate_network(n, area, seed=2)
-        report = evaluate_cutset(inst, params, trials=2, phase_seed=1)
+        report = evaluate_cutset(inst, snr, 2.0, trials=2, phase_seed=1)
         assert math.isnan(report.closed_form_bound)
         assert report.snr_total == 0.0
 
     def test_percolation_mode_reports_b_set(self):
         n = 256
-        params, area = params_for_snr(1.0, 4.0, n)
+        snr, area = operating_point(n, 4.0, 0.0)
         inst = generate_network(n, area, seed=8)
-        report = evaluate_cutset(inst, params, trials=2, phase_seed=3,
+        report = evaluate_cutset(inst, snr, 4.0, trials=2, phase_seed=3,
                                  mode="percolation", c=0.25)
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
 
+    @pytest.mark.parametrize("snr,alpha", [(2.0, 1.5), (2.0, math.nan), (0.0, 3.0),
+                                           (-1.0, 3.0), (math.nan, 3.0), (math.inf, 3.0)])
+    def test_bad_operating_point_rejected_before_any_draw(self, snr, alpha, monkeypatch):
+        inst = unit_density_instance(16, seed=1)
+        part = partition_nodes(inst, w_hat=2.0)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("phases drawn")
+        monkeypatch.setattr(cutset, "channel_matrix", no_draw)
+        with pytest.raises(ValueError, match="alpha >= 2 and a finite snr_s > 0"):
+            mc_cutset_logdet(inst, part, snr, alpha, trials=1, phase_seed=0)
+        with pytest.raises(ValueError, match="alpha >= 2 and a finite snr_s > 0"):
+            evaluate_cutset(inst, snr, alpha, trials=1)
+
     def test_unknown_mode_rejected(self):
-        params, area = params_for_snr(2.0, 3.0, 16)
+        _, area = params_for_snr(2.0, 3.0, 16)
         inst = generate_network(16, area, seed=1)
         with pytest.raises(ValueError, match="unknown cut mode"):
-            evaluate_cutset(inst, params, trials=1, mode="ideal")
+            evaluate_cutset(inst, 2.0, 3.0, trials=1, mode="ideal")

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from netregime import (ConfigError, Constants, DegenerateInstanceError,
-                       ExperimentConfig, ExperimentError, crossing_probability,
-                       fit_exponent, emit_phase_diagram, emit_sweep, harness,
-                       params_for_snr, run_scaling_experiment, snr_short)
-from netregime.rng import EXPERIMENT, derived_seed
-from netregime.harness import write_manifest
+                       ExperimentConfig, ExperimentError, PathologicalCutError, cli,
+                       crossing_probability, cutset, fit_exponent, emit_phase_diagram,
+                       emit_sweep, harness, params_for_snr, run_scaling_experiment,
+                       snr_short)
+from netregime.rng import CROSSING, derived_seed
+from netregime.harness import operating_point, write_manifest
 
 from helpers import fit_full_and_tail, tail_points
+from test_rng import call_site_paths
 
 
 class TestFit:
@@ -70,6 +72,52 @@ class TestParamsForSnr:
         assert snr_short(params, n, area) == pytest.approx(snr, rel=1e-12)
 
 
+class TestOperatingPoint:
+    def test_snr_is_n_to_the_beta_and_area_back_solved(self):
+        for n, alpha, beta in [(1024, 4.0, 0.5), (32, 3, 0.5), (81, 2.5, -0.25)]:
+            snr_s, area = operating_point(n, alpha, beta)
+            assert snr_s == float(n) ** beta
+            assert area == params_for_snr(float(n) ** beta, alpha, n)[1]
+
+    @pytest.mark.parametrize("n,alpha,beta", [(1024, 4.0, 0.5), (32, 3.0, 0.5)])
+    def test_cutset_gets_n_to_the_beta_exactly(self, n, alpha, beta, monkeypatch,
+                                               tmp_path):
+        # the sweep's cutset unit and `netregime cutset` hand every cutset
+        # layer float(n) ** beta itself, not an snr_short round trip of it
+        seen = []
+        real_width, real_evaluate = cutset.select_cut_width, harness.evaluate_cutset
+
+        def width(snr_s, n, alpha):
+            seen.append(("select_cut_width", snr_s))
+            return real_width(snr_s, n, alpha)
+
+        def evaluate(instance, snr_s, alpha, **kwargs):
+            seen.append(("evaluate_cutset", snr_s))
+            return real_evaluate(instance, snr_s, alpha, **kwargs)
+
+        def logdet(instance, partition, snr_s, alpha, trials, phase_seed):
+            seen.append(("mc_cutset_logdet", snr_s))
+            return cutset.MCLogdet(1.0, 0.0, (1.0,), 0)
+
+        monkeypatch.setattr(cutset, "select_cut_width", width)
+        monkeypatch.setattr(harness, "evaluate_cutset", evaluate)
+        monkeypatch.setattr(cutset, "mc_cutset_logdet", logdet)
+        config = ExperimentConfig(kind="cutset", n_list=[n], alpha=alpha, beta=beta,
+                                  trials=1, instances=1)
+        assert harness._run_unit(config, 0, n, 0) is not None
+        assert cli.main(["cutset", "--n", str(n), "--alpha", str(alpha), "--beta",
+                         str(beta), "--trials", "1", "--out",
+                         str(tmp_path / "c.csv")]) == 0
+        layers = ["evaluate_cutset", "select_cut_width", "mc_cutset_logdet"]
+        assert [name for name, _ in seen] == layers * 2
+        assert all(type(snr_s) is float and snr_s == float(n) ** beta
+                   for _, snr_s in seen)
+        if n == 32:
+            # snr_s = n^(alpha/2 - 1) exactly: the strip spans the half
+            w_hat = float((tmp_path / "c.csv").read_text().splitlines()[1].split(",")[3])
+            assert w_hat == math.sqrt(n)
+
+
 class TestConfig:
     def test_json_round_trip(self):
         config = ExperimentConfig(kind="scheme", n_list=[16, 64], beta=0.5,
@@ -85,7 +133,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ['"constants": {"bogus": 1}', '"constants": [1]',
                                        '"constants": 2.0', '"constants": null',
-                                       '"alpha_range": 3'])
+                                       '"alpha_range": 3', '"beta": null',
+                                       '"beta": NaN', '"alpha": Infinity'])
     def test_rejects_malformed_fields(self, field):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json('{"kind": "scheme", "n_list": [4, 8], %s}' % field)
@@ -105,6 +154,16 @@ class TestConfig:
             ExperimentConfig(kind="cutset", n_list=[4, 8], mode="ideal")
         with pytest.raises(ConfigError, match="instances"):
             ExperimentConfig(kind="cutset", n_list=[4, 8], instances=0)
+        for kind, n_list in (("scheme", [16.5, 64]), ("percolation", [256.0]),
+                             ("cutset", [64.0]), ("scheme", [True, 8]), ("scheme", [0, 8])):
+            with pytest.raises(ConfigError, match="n_list"):
+                ExperimentConfig(kind=kind, n_list=n_list)
+        with pytest.raises(ConfigError, match="n_list"):
+            ExperimentConfig(kind="scheme", scheme="hybrid", n_list=[64.0])
+        for name, value in (("beta", None), ("beta", math.nan), ("alpha", math.inf),
+                            ("alpha", "3"), ("beta", False)):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig(kind="scheme", n_list=[4, 8], **{name: value})
 
     def test_k4_defaults_to_quarter_k3(self):
         assert Constants(K3=2.0).k4 == pytest.approx(0.5)
@@ -156,11 +215,29 @@ class TestRunExperiment:
         with caplog.at_level(logging.WARNING, logger="netregime.harness"):
             with pytest.raises(ExperimentError):
                 run_scaling_experiment(config)
+        site = ("crossing study", "sweep percolation point")
         assert [r.getMessage() for r in caplog.records] == [
             f"percolation unit failed at n={n} (point {i}, unit 0): "
-            f"DegenerateInstanceError; seed path (5, {EXPERIMENT}, {i}, 0)"
-            for i, n in enumerate((16, 32))]
+            f"DegenerateInstanceError; seed paths {path}"
+            for i, n in enumerate((16, 32)) for path in call_site_paths(5, i, 0)[site]]
         assert all(r.levelno == logging.WARNING for r in caplog.records)
+
+    def test_failed_cutset_unit_logs_instance_and_phase_paths(self, monkeypatch, caplog):
+        def empty_side(*args, **kwargs):
+            raise PathologicalCutError("draw")
+        monkeypatch.setattr(harness, "evaluate_cutset", empty_side)
+        config = ExperimentConfig(kind="cutset", n_list=[16], instances=2, master_seed=5)
+        with caplog.at_level(logging.WARNING, logger="netregime.harness"):
+            with pytest.raises(ExperimentError):
+                run_scaling_experiment(config)
+        sites = [("instance", "sweep cutset or hybrid unit"),
+                 ("sweep phases", "sweep cutset unit")]
+        want = []
+        for j in range(2):
+            (instance,), (phases,) = (call_site_paths(5, 0, j)[s] for s in sites)
+            want.append(f"cutset unit failed at n=16 (point 0, unit {j}): "
+                        f"PathologicalCutError; seed paths {instance}, {phases}")
+        assert [r.getMessage() for r in caplog.records] == want
 
     def test_hybrid_kind_runs(self):
         config = ExperimentConfig(kind="scheme", scheme="hybrid",
@@ -170,11 +247,14 @@ class TestRunExperiment:
         assert all(r.metric > 0 for r in rows)
 
     def test_percolation_kind_reports_crossing_rate(self):
+        # at c = 0.5 some trials cross and some do not, so a study drawn
+        # on another seed path gives another rate
         config = ExperimentConfig(kind="percolation", n_list=[256],
                                   trials=20, master_seed=4,
-                                  constants=Constants(c=0.25))
+                                  constants=Constants(c=0.5))
         rows = run_scaling_experiment(config)
-        study = crossing_probability(256, 0.25, 20, derived_seed(4, EXPERIMENT, 0))
+        study = crossing_probability(256, 0.5, 20, derived_seed(4, CROSSING, 0))
+        assert 0.0 < rows[0].metric < 1.0
         assert rows[0].metric == study.empirical_rate
 
     def test_all_points_failing_raises(self):

@@ -14,7 +14,7 @@ from netregime import network
 from netregime.cutset import (CutPartition, PathologicalCutError, _dhat,
                               dof_term_realized, partition_nodes,
                               select_cut_width, snr_total)
-from netregime.harness import params_for_snr
+from netregime.harness import operating_point
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
@@ -217,7 +217,7 @@ class TestChannel:
     def test_unit_rescaled_distance(self):
         # two nodes exactly one nearest-neighbor spacing apart
         inst = hand_instance([[0.0, 0.5], [1.0, 0.5]], area_A=1.0)
-        h = channel_matrix(inst, default_params(4.0), [0], [1], phase_seed=1)
+        h = channel_matrix(inst, 4.0, [0], [1], phase_seed=1)
         assert abs(h.entries[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_rescaled_distance_four(self):
@@ -226,29 +226,27 @@ class TestChannel:
                      [1.0, 1.0], [1.5, 1.5], [2.0, 0.5],
                      [2.5, 1.2], [3.0, 1.8], [3.5, 0.8]]
         inst = hand_instance(positions, area_A=4.0)
-        h = channel_matrix(inst, default_params(4.0), [0], [1], phase_seed=1)
+        h = channel_matrix(inst, 4.0, [0], [1], phase_seed=1)
         assert abs(h.entries[0, 0]) == pytest.approx(4.0 ** -2, rel=1e-12)
 
     def test_magnitude_law_raw(self):
         inst = generate_network(20, 11.0, seed=8)
-        params = default_params(3.0, G=2.5)
         tx, rx = np.arange(10), np.arange(10, 40)
-        raw = full_channel_matrix(inst, params, tx, rx, phase_seed=4, rescaled=False)
+        raw = full_channel_matrix(inst, 3.0, tx, rx, phase_seed=4, raw_gain=2.5)
         diff = (inst.positions[rx][:, None, :] - inst.positions[tx][None, :, :])
         r = np.sqrt((diff ** 2).sum(axis=2))
-        lhs = np.abs(raw) * r ** (params.alpha / 2.0)
+        lhs = np.abs(raw) * r ** (3.0 / 2.0)
         assert np.allclose(lhs, math.sqrt(2.5), rtol=1e-12)
         # the library's rescaled channel carries the same phases
-        h = channel_matrix(inst, params, tx, rx, phase_seed=4)
+        h = channel_matrix(inst, 3.0, tx, rx, phase_seed=4)
         assert np.allclose(h.entries / np.abs(h.entries), raw / np.abs(raw), rtol=1e-12)
 
     def test_rescaling_consistency(self):
         inst = generate_network(18, 7.0, seed=12)
-        params = default_params(2.5, G=3.0)
         tx, rx = np.arange(9), np.arange(9, 36)
-        raw = full_channel_matrix(inst, params, tx, rx, phase_seed=21, rescaled=False)
-        resc = channel_matrix(inst, params, tx, rx, phase_seed=21)
-        factor = (inst.area_A / inst.n_pairs) ** (params.alpha / 4.0) / math.sqrt(3.0)
+        raw = full_channel_matrix(inst, 2.5, tx, rx, phase_seed=21, raw_gain=3.0)
+        resc = channel_matrix(inst, 2.5, tx, rx, phase_seed=21)
+        factor = (inst.area_A / inst.n_pairs) ** (2.5 / 4.0) / math.sqrt(3.0)
         assert np.allclose(resc.entries, raw * factor, rtol=1e-12)
 
     def test_unit_modulus_phases(self):
@@ -266,22 +264,22 @@ class TestChannel:
 
     def test_fresh_seed_fresh_fading(self):
         inst = generate_network(8, 8.0, seed=1)
-        h1 = channel_matrix(inst, default_params(), [0, 1], [8, 9], phase_seed=1)
-        h2 = channel_matrix(inst, default_params(), [0, 1], [8, 9], phase_seed=2)
+        h1 = channel_matrix(inst, 4.0, [0, 1], [8, 9], phase_seed=1)
+        h2 = channel_matrix(inst, 4.0, [0, 1], [8, 9], phase_seed=2)
         assert not np.allclose(h1.entries, h2.entries)
         assert np.allclose(np.abs(h1.entries), np.abs(h2.entries), rtol=1e-12)
 
     def test_coincident_nodes_rejected(self):
         inst = hand_instance([[0.3, 0.3], [0.3, 0.3]], area_A=1.0)
         with pytest.raises(DegenerateInstanceError):
-            channel_matrix(inst, default_params(), [0], [1], phase_seed=0)
+            channel_matrix(inst, 4.0, [0], [1], phase_seed=0)
 
     def test_overlapping_sets_rejected(self):
         inst = generate_network(4, 4.0, seed=0)
         with pytest.raises(ValueError):
-            channel_matrix(inst, default_params(), [0, 1], [1, 2], phase_seed=0)
+            channel_matrix(inst, 4.0, [0, 1], [1, 2], phase_seed=0)
         with pytest.raises(ValueError):
-            channel_matrix(inst, default_params(), [], [1], phase_seed=0)
+            channel_matrix(inst, 4.0, [], [1], phase_seed=0)
 
 
 class TestPhaseRows:
@@ -308,12 +306,11 @@ class TestPhaseRows:
 
 
 def _cut_sets(n, alpha, beta, seed):
-    """Instance, params and the (tx, rx) sets the Monte-Carlo cutset uses."""
-    snr = float(n) ** beta
-    params, area = params_for_snr(snr, alpha, n)
+    """Instance and the (tx, rx) sets the Monte-Carlo cutset uses."""
+    snr, area = operating_point(n, alpha, beta)
     inst = generate_network(n, area, seed)
     part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-    return inst, params, np.sort(part.left_S), part.right_D
+    return inst, np.sort(part.left_S), part.right_D
 
 
 class TestBlockedChannel:
@@ -321,22 +318,22 @@ class TestBlockedChannel:
     @pytest.mark.parametrize("n,alpha,beta", [(15, 2.0, 1.0), (256, 2.5, 0.0),
                                               (256, 3.0, 0.5), (1500, 4.0, 0.5)])
     def test_entries_match_unblocked_oracle(self, n, alpha, beta):
-        inst, params, tx, rx = _cut_sets(n, alpha, beta, seed=n)
+        inst, tx, rx = _cut_sets(n, alpha, beta, seed=n)
         assert rx.size > 0 and tx.size > 0
         for stx, srx in ((tx, rx), (rx, tx)):
-            h = channel_matrix(inst, params, stx, srx, phase_seed=5)
-            want = full_channel_matrix(inst, params, stx, srx, phase_seed=5)
+            h = channel_matrix(inst, alpha, stx, srx, phase_seed=5)
+            want = full_channel_matrix(inst, alpha, stx, srx, phase_seed=5)
             assert h.entries.dtype == want.dtype
             assert h.entries.tobytes() == want.tobytes()
 
     def test_peak_memory_bounded(self, monkeypatch):
         # the bound covers the result plus every thread's buffers
-        inst, params, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
+        inst, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
         for workers in (1, 2):
             monkeypatch.setattr(network, "_workers", workers)
             tracemalloc.start()
             try:
-                h = channel_matrix(inst, params, tx, rx, phase_seed=7)
+                h = channel_matrix(inst, 4.0, tx, rx, phase_seed=7)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -344,11 +341,12 @@ class TestBlockedChannel:
 
 
 def _split_sets(n, m, seed):
-    """Instance, params and a random split of its 2n nodes into m and 2n - m."""
-    params, area = params_for_snr(float(n) ** 0.5, 4.0, n)
+    """Instance at alpha = 4, beta = 0.5, its snr_s, and a random split of its
+    2n nodes into m and 2n - m."""
+    snr_s, area = operating_point(n, 4.0, 0.5)
     inst = generate_network(n, area, seed)
     perm = np.random.default_rng(seed).permutation(inst.n_nodes)
-    return inst, params, perm[:m], perm[m:]
+    return inst, snr_s, perm[:m], perm[m:]
 
 
 class TestRowBlockWorkers:
@@ -357,28 +355,27 @@ class TestRowBlockWorkers:
     # sides, so the other side gives 1948, 1536 and 548 rows
     @pytest.mark.parametrize("m", [100, 512, 1500])
     def test_channel_bytes_independent_of_workers(self, m, monkeypatch):
-        inst, params, a, b = _split_sets(1024, m, seed=m)
+        inst, _, a, b = _split_sets(1024, m, seed=m)
         for tx, rx in ((a, b), (b, a)):
-            want = full_channel_matrix(inst, params, tx, rx, phase_seed=2)
+            want = full_channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(network, "_workers", workers)
-                h = channel_matrix(inst, params, tx, rx, phase_seed=2)
+                h = channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
                 assert h.entries.tobytes() == want.tobytes(), workers
 
     @pytest.mark.parametrize("m", [100, 512, 1500])
     def test_power_sums_independent_of_workers(self, m, monkeypatch):
-        inst, params, a, b = _split_sets(1024, m, seed=m)
-        snr_s = snr_short(params, inst.n_pairs, inst.area_A)
+        inst, snr_s, a, b = _split_sets(1024, m, seed=m)
         for sources, targets in ((a, b), (b, a)):
-            want = unblocked_dhat(inst, params.alpha, targets, sources)
+            want = unblocked_dhat(inst, 4.0, targets, sources)
             part = CutPartition(inst.side, 1.0, sources, targets, targets)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(network, "_workers", workers)
-                d = _dhat(inst, params.alpha, targets, sources)
+                d = _dhat(inst, 4.0, targets, sources)
                 assert d.tobytes() == want.tobytes(), workers
-                assert (snr_total(inst, part, snr_s, params.alpha)
+                assert (snr_total(inst, part, snr_s, 4.0)
                         == snr_s * math.fsum(want.tolist()))
-                assert dof_term_realized(inst, part, snr_s, params.alpha) == math.fsum(
+                assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
                     math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
 
     # 4 blocks on 3 workers use 3 threads; 2 blocks use 2 whatever the
@@ -412,22 +409,21 @@ class TestRowBlockWorkers:
     def test_error_in_last_block_raised_after_workers_stop(self, monkeypatch):
         # the last rx node sits on a tx node: block 3 of 3 is degenerate
         monkeypatch.setattr(network, "_workers", 2)
-        inst, params, rx, tx = _split_sets(1024, 600, seed=5)
+        inst, snr_s, rx, tx = _split_sets(1024, 600, seed=5)
         positions = inst.positions.copy()
         positions[rx[-1]] = positions[tx[0]]
         inst = NetworkInstance(inst.n_pairs, inst.area_A, inst.seed, positions,
                                inst.source_ids, inst.dest_ids)
-        snr_s = snr_short(params, inst.n_pairs, inst.area_A)
         part = CutPartition(inst.side, 1.0, tx, rx[:0], rx)
         before = threading.active_count()
         with pytest.raises(DegenerateInstanceError):
-            channel_matrix(inst, params, tx, rx, phase_seed=1)
+            channel_matrix(inst, 4.0, tx, rx, phase_seed=1)
         assert threading.active_count() == before
         with pytest.raises(PathologicalCutError):
-            snr_total(inst, part, snr_s, params.alpha)
+            snr_total(inst, part, snr_s, 4.0)
         assert threading.active_count() == before
         with pytest.raises(PathologicalCutError):
-            _dhat(inst, params.alpha, rx, tx)
+            _dhat(inst, 4.0, rx, tx)
         assert threading.active_count() == before
 
 

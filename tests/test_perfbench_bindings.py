@@ -5,10 +5,13 @@
 calls at `harness.<unit>`.  A rename or deletion of one of those names
 breaks the traced run, so this test checks that each still resolves.
 The counter hooks read fields of the wrapped functions' results, so each
-hook is also fed the real result of its function on a tiny input.
+hook is also fed the real result of its function on a tiny input, and
+`UnitCounter`, which reads each unit's n off its first argument for
+`ok_frac`, counts a tiny sweep of each workload.
 """
 
 import importlib.util
+import json
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -56,10 +59,25 @@ def test_trace_bindings_resolve(worker):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+# Tiny sweeps of each workload's config: n_list, trials and instances.
+TINY = {"cutset_mc": ([64, 128], 1, 1), "hybrid_m1": ([64, 128], 2, 1),
+        "percolation_sweep": ([64, 128], 2, 1)}
+
+
 def test_workload_units_resolve(worker):
     assert worker.WORKLOADS
+    harness = netregime.harness
     for workload in worker.WORKLOADS.values():
-        assert callable(getattr(netregime.harness, workload.unit, None)), workload.unit
+        assert callable(getattr(harness, workload.unit, None)), workload.unit
+        # ok_frac counts a unit by the n UnitCounter reads off its first argument
+        n_list, trials, instances = TINY[workload.name]
+        config = harness.ExperimentConfig.from_json(json.dumps(dict(
+            workload.config, n_list=n_list, trials=trials, instances=instances)))
+        counter = worker.UnitCounter(harness, workload.unit)
+        with worker.patched({counter.binding: counter.wrapper}):
+            harness.run_scaling_experiment(config)
+        per_point = trials if workload.name == "hybrid_m1" else 1
+        assert counter.calls == [(n, False) for n in n_list for _ in range(per_point)]
 
 
 def count_with(worker, attr, args, result):
@@ -74,16 +92,16 @@ def count_with(worker, attr, args, result):
 @pytest.fixture(scope="module")
 def tiny():
     """A 32-pair instance at snr_s = 4, alpha = 4, and its idealized cut."""
-    params, area = params_for_snr(4.0, 4.0, 32)
+    _, area = params_for_snr(4.0, 4.0, 32)
     inst = generate_network(32, area, seed=1)
-    return inst, params, partition_nodes(inst, w_hat=2.0)
+    return inst, partition_nodes(inst, w_hat=2.0)
 
 
 def test_channel_and_logdet_hooks(worker, tiny):
-    inst, params, part = tiny
-    h = channel_matrix(inst, params, part.left_S, part.right_D, phase_seed=3)
+    inst, part = tiny
+    h = channel_matrix(inst, 4.0, part.left_S, part.right_D, phase_seed=3)
     counts = count_with(worker, "channel_matrix",
-                        (inst, params, part.left_S, part.right_D), h)
+                        (inst, 4.0, part.left_S, part.right_D), h)
     assert counts["network.channel_matrix.mbytes_computed"] > 0
     counts = count_with(worker, "identity_logdet", (h.entries, 4.0),
                         identity_logdet(h.entries, 4.0))
@@ -91,9 +109,9 @@ def test_channel_and_logdet_hooks(worker, tiny):
 
 
 def test_mc_logdet_hook(worker, tiny):
-    inst, params, part = tiny
-    mc = mc_cutset_logdet(inst, part, params, 3, phase_seed=5)
-    counts = count_with(worker, "mc_cutset_logdet", (inst, part, params, 3), mc)
+    inst, part = tiny
+    mc = mc_cutset_logdet(inst, part, 4.0, 4.0, 3, phase_seed=5)
+    counts = count_with(worker, "mc_cutset_logdet", (inst, part, 4.0, 4.0, 3), mc)
     assert counts["cutset.mc_cutset_logdet.trials"] == 3
     assert counts["cutset.mc_cutset_logdet.discarded"] == 0
 

@@ -166,16 +166,16 @@ class TestSeedPaths:
 
         cutset = harness.ExperimentConfig(kind="cutset", n_list=[16], trials=1,
                                           master_seed=m)
-        harness._cutset_unit(cutset, 1, 16, 2)
+        assert harness._run_unit(cutset, 1, 16, 2) is not None
         assert rooted() == self.expected(m, 1, 2, "sweep cutset or hybrid unit",
                                          "sweep cutset unit")
         hybrid = harness.ExperimentConfig(kind="scheme", scheme="hybrid", alpha=4.0,
                                           beta=0.5, n_list=[64], master_seed=m)
-        harness._scheme_unit(hybrid, 2, 64, 1)
+        assert harness._run_unit(hybrid, 2, 64, 1) is not None
         assert rooted() == self.expected(m, 2, 1, "sweep cutset or hybrid unit")
         percolation = harness.ExperimentConfig(kind="percolation", n_list=[64],
                                                trials=2, master_seed=m)
-        harness._percolation_unit(percolation, 3, 64, 0)
+        assert harness._run_unit(percolation, 3, 64, 0) is not None
         assert rooted() == self.expected(m, 3, 0, "sweep percolation point")
 
         out = str(tmp_path / "out")
