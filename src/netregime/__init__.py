@@ -58,6 +58,7 @@ from .percolation import (
     CutPolyline,
     PercolationGrid,
     build_occupancy_grid,
+    certified_cut,
     crossing_probability,
     extract_cut,
     find_open_crossing,
@@ -72,6 +73,5 @@ from .harness import (
     emit_phase_diagram,
     emit_sweep,
     fit_exponent,
-    params_for_snr,
     run_scaling_experiment,
 )

@@ -16,8 +16,7 @@ from .harness import (ConfigError, Constants, ExperimentConfig, ExperimentError,
                       emit_phase_diagram, emit_sweep, fit_exponent, run_cutset,
                       run_scheme, write_lines)
 from .network import DegenerateInstanceError, generate_network
-from .percolation import (CROSSING_CSV_HEADER, build_occupancy_grid,
-                          crossing_probability, extract_cut, find_open_crossing)
+from .percolation import CROSSING_CSV_HEADER, certified_cut, crossing_probability
 from .schemes import SCHEME_CSV_HEADER, scheme_csv_row
 
 
@@ -156,13 +155,12 @@ def cmd_percolation(args) -> int:
     if args.export_cut:
         inst = generate_network(args.n, float(args.n),
                                 rng.derived_seed(args.seed, rng.CLI_CUT))
-        grid = build_occupancy_grid(inst, args.c)
-        crossing = find_open_crossing(grid)
-        if crossing is None:
+        cut = certified_cut(inst, args.c)
+        if cut is None:
             print("no open crossing in the exported instance; nothing exported",
                   file=sys.stderr)
             return 3
-        _emit([extract_cut(crossing, grid, inst).to_json()], args.export_cut)
+        _emit([cut.to_json()], args.export_cut)
     return 0
 
 

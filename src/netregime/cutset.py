@@ -18,10 +18,10 @@ independent unit-power signalling from the left:
     w_hat = snr_s^(1/(alpha - 2))  for 1 <= snr_s < n^(alpha/2 - 1)
 
 Two cut modes are supported.  The "idealized" mode clears the unit strip
-immediately right of the cut (those nodes are excluded from D); the
-"percolation" mode uses a node-free polyline cut from
-:mod:`netregime.percolation` and accounts the slab's right-side nodes (the
-B set) on the power side.
+immediately right of the midline (those nodes are excluded from D); the
+"percolation" mode uses the node-free polyline cut of
+:func:`netregime.percolation.certified_cut` and accounts the slab's
+right-side nodes (the B set) on the power side.
 
 Monte-Carlo evaluation uses the identity transmit covariance, which is an
 achievable value for the power transfer and sits below the analytic
@@ -69,8 +69,6 @@ class CutPartition:
     mode.  ``excluded_E`` holds idealized-mode strip nodes dropped from D.
     """
 
-    cut_x: float
-    w_hat: float
     left_S: np.ndarray
     strip_VD: np.ndarray
     far_D: np.ndarray
@@ -97,40 +95,29 @@ def select_cut_width(snr_s: float, n: int, alpha: float) -> float:
 
 
 def partition_nodes(instance: NetworkInstance, w_hat: float,
-                    mode: str = "idealized",
-                    cut: "perc.CutPolyline | None" = None,
-                    grid: "perc.PercolationGrid | None" = None) -> CutPartition:
+                    cut: "perc.CutPolyline | None" = None) -> CutPartition:
     """Split nodes into S, V_D and the power-accounted remainder.
 
-    Idealized mode cuts at the midline x = sqrt(A) and drops right-side
-    nodes at rescaled distance < 1 (the assumed-empty strip).  Percolation
-    mode classifies nodes against the polyline cut; B-set nodes go to
-    ``far_D``.
+    With no ``cut`` the idealized cut is the midline x = sqrt(A), and the
+    right-side nodes at rescaled distance < 1 (the assumed-empty strip) are
+    dropped from D.  A certified percolation ``cut`` classifies nodes
+    against its polyline; its B-set nodes go to ``far_D``.  Either way,
+    V_D holds the right-side nodes with 1 <= xhat <= w_hat.
     """
     n = instance.n_pairs
     if not 1.0 <= w_hat <= math.sqrt(n) * (1 + 1e-12):
         raise ValueError(f"w_hat must lie in [1, sqrt(n)], got {w_hat}")
-    scale = instance.nn_scale
-    mid = instance.side
-
-    if mode == "idealized":
-        xhat = (instance.positions[:, 0] - mid) / scale
+    xhat = (instance.positions[:, 0] - instance.side) / instance.nn_scale
+    excluded = b_set = np.empty(0, dtype=np.intp)
+    if cut is None:
         left = np.nonzero(xhat < 0.0)[0]
         excluded = np.nonzero((xhat >= 0.0) & (xhat < 1.0))[0]
-        vd = np.nonzero((xhat >= 1.0) & (xhat <= w_hat))[0]
-        far = np.nonzero(xhat > w_hat)[0]
-        part = CutPartition(mid, w_hat, left, vd, far, excluded_E=excluded)
-    elif mode == "percolation":
-        if cut is None or grid is None:
-            raise ValueError("percolation mode needs a cut polyline and its grid")
-        left, b_set, right_out = perc.split_by_cut(grid, cut, instance)
-        xhat = (instance.positions[right_out, 0] - mid) / scale
-        in_strip = (xhat >= 1.0) & (xhat <= w_hat)
-        vd = right_out[in_strip]
-        far = np.sort(np.concatenate([right_out[~in_strip], b_set]))
-        part = CutPartition(mid, w_hat, left, vd, far)
+        right = np.nonzero(xhat >= 1.0)[0]
     else:
-        raise ValueError(f"unknown cut mode {mode!r}")
+        left, b_set, right = perc.split_by_cut(cut, instance)
+    in_strip = (xhat[right] >= 1.0) & (xhat[right] <= w_hat)
+    far = np.sort(np.concatenate([right[~in_strip], b_set]))
+    part = CutPartition(left, right[in_strip], far, excluded_E=excluded)
 
     if part.left_S.size == 0 or part.right_D.size == 0:
         raise PathologicalCutError("draw left one side of the cut empty")
@@ -315,16 +302,16 @@ def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
     alpha.  ``mode`` is one of :data:`CUT_MODES`; any other value raises
     ValueError.
     """
+    if mode not in CUT_MODES:
+        raise ValueError(f"unknown cut mode {mode!r}")
     n = instance.n_pairs
     w_hat = select_cut_width(snr_s, n, alpha)   # checks snr_s and alpha
-    cut = grid = None
+    cut = None
     if mode == "percolation":
-        grid = perc.build_occupancy_grid(instance, c)
-        crossing = perc.find_open_crossing(grid)
-        if crossing is None:
+        cut = perc.certified_cut(instance, c)
+        if cut is None:
             raise PathologicalCutError("no node-free crossing in the slab")
-        cut = perc.extract_cut(crossing, grid, instance)
-    part = partition_nodes(instance, w_hat, mode=mode, cut=cut, grid=grid)
+    part = partition_nodes(instance, w_hat, cut)
 
     snr_tot = snr_total(instance, part, snr_s, alpha)
     dof_real = dof_term_realized(instance, part, snr_s, alpha)

@@ -13,14 +13,14 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from . import rng
 from .cutset import CUT_MODES, PathologicalCutError, evaluate_cutset
-from .network import DegenerateInstanceError, PhysicalParams, generate_network
+from .network import DegenerateInstanceError, generate_network
 from .percolation import crossing_probability
 from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
                       phase_diagram_csv_rows, phase_diagram_grid_rows)
@@ -63,6 +63,12 @@ class Constants:
         return self.K3 / 4.0 if self.K4 is None else self.K4
 
 
+def _is_number(value) -> bool:
+    """A finite int or float.  type() rather than isinstance: a JSON true is
+    a bool, which is an int."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -85,11 +91,21 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
-        # type() rather than isinstance: a JSON true is a bool, which is an int
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not math.isfinite(value):
+            if not _is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name, ok in (("alpha_range", _is_number), ("beta_range", _is_number),
+                         ("resolution", lambda v: type(v) is int)):
+            value = getattr(self, name)
+            if len(value) != 2 or not all(map(ok, value)):
+                raise ConfigError(f"{name} must hold two finite numbers "
+                                  f"(integers for resolution), got {value!r}")
+        for f in fields(Constants):
+            value = getattr(self.constants, f.name)
+            if not (_is_number(value) or (f.name == "K4" and value is None)):
+                raise ConfigError(f"constants.{f.name} must be a finite number, "
+                                  f"got {value!r}")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
         for name, least in (("trials", 1), ("instances", 1), ("master_seed", 0)):
@@ -133,19 +149,6 @@ class ExperimentConfig:
         return doc
 
 
-def params_for_snr(snr_s: float, alpha: float, n: int) -> tuple[PhysicalParams, float]:
-    """Unit-power parameters and an area that realize the requested snr_s.
-
-    With G = P = N0 = W = 1 the nearest-neighbor SNR is (A/n)^(-alpha/2),
-    so A = n * snr_s^(-2/alpha) gives snr_short = snr_s up to rounding:
-    the round trip is off by a few ulps at many points.
-    """
-    if snr_s <= 0:
-        raise ValueError("snr_s must be positive")
-    area = n * snr_s ** (-2.0 / alpha)
-    return PhysicalParams(1.0, 1.0, 1.0, alpha, 1.0), area
-
-
 @dataclass(frozen=True)
 class PointRow:
     n: int
@@ -161,9 +164,13 @@ SWEEP_CSV_HEADER = "n,metric,stderr"
 
 def operating_point(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """(snr_s, area) of a point: snr_s = n^beta, which every layer takes as it
-    is, and the params_for_snr area that instances are drawn on."""
+    is, and the area n * snr_s^(-2/alpha) that instances are drawn on, whose
+    snr_short at G = P = N0 = W = 1 is snr_s only up to rounding.  Raises
+    ValueError when n^beta underflows to 0."""
     snr_s = float(n) ** beta
-    return snr_s, params_for_snr(snr_s, alpha, n)[1]
+    if snr_s <= 0:
+        raise ValueError("snr_s must be positive")
+    return snr_s, n * snr_s ** (-2.0 / alpha)
 
 
 def run_cutset(n: int, alpha: float, beta: float, k: Constants, trials: int,
@@ -192,8 +199,7 @@ def run_scheme(scheme: str, n: int, alpha: float, beta: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     inst = generate_network(n, area, seed)
     M = hybrid_cell_size(snr_s, alpha, n)
-    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, k.k4,
-                                   M=M, route_seed=seed)
+    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, k.k4, M=M)
     return est, M, plan
 
 

@@ -69,7 +69,7 @@ class PercolationGrid:
 
 @dataclass
 class CutPolyline:
-    """An open top-bottom crossing and the centerline cut it certifies.
+    """An open top-bottom crossing of ``grid`` and the centerline cut it certifies.
 
     ``cells`` runs from the top boundary row to the bottom boundary row;
     consecutive cells are 4-adjacent and all of them are open.
@@ -80,14 +80,13 @@ class CutPolyline:
 
     cells: list
     vertices: np.ndarray
-    c: float
-    cell_side: float
+    grid: PercolationGrid
     clearance: float = math.nan
 
     def to_json(self) -> str:
         return json.dumps({
-            "c": self.c,
-            "cell_side": self.cell_side,
+            "c": self.grid.c,
+            "cell_side": self.grid.cell_side,
             "path": [[int(r), int(col)] for r, col in self.cells],
             "clearance": self.clearance,
         })
@@ -205,7 +204,7 @@ def find_open_crossing(grid: PercolationGrid):
         path.append(u)
     cells = [divmod(u, cols) for u in path]
     vertices = _centerline(grid, np.divmod(path, cols))
-    return CutPolyline(cells, vertices, grid.c, grid.cell_side)
+    return CutPolyline(cells, vertices, grid)
 
 
 def _centerline(grid: PercolationGrid, cells) -> np.ndarray:
@@ -262,24 +261,28 @@ def exact_clearance(instance: NetworkInstance, vertices: np.ndarray) -> float:
         margin *= 4.0
 
 
-def extract_cut(path: CutPolyline, grid: PercolationGrid,
-                instance: NetworkInstance) -> CutPolyline:
+def extract_cut(path: CutPolyline, instance: NetworkInstance) -> CutPolyline:
     """Certify a crossing's centerline clearance against every node.
 
     The open-cell geometry guarantees clearance >= (c/2)*sqrt(A/n); a
     certification failure therefore indicates a defect and raises.
     """
     clearance = exact_clearance(instance, path.vertices)
-    required = 0.5 * grid.cell_side
+    required = 0.5 * path.grid.cell_side
     if clearance < required * (1.0 - 1e-9):
         raise ClearanceCertificationError(
             f"clearance {clearance:.6g} below required {required:.6g}")
-    return CutPolyline(path.cells, path.vertices, path.c, path.cell_side,
-                       clearance=clearance)
+    return replace(path, clearance=clearance)
 
 
-def split_by_cut(grid: PercolationGrid, path: CutPolyline,
-                 instance: NetworkInstance):
+def certified_cut(instance: NetworkInstance, c: float) -> CutPolyline | None:
+    """The certified shortest crossing of the instance's slab at cell
+    parameter c, or None when the slab is blocked."""
+    crossing = find_open_crossing(build_occupancy_grid(instance, c))
+    return None if crossing is None else extract_cut(crossing, instance)
+
+
+def split_by_cut(path: CutPolyline, instance: NetworkInstance):
     """Partition node ids into (left of cut, B = right of cut inside slab, right of slab).
 
     Slab cells are labelled by 8-connected flood fill of the non-path
@@ -287,6 +290,7 @@ def split_by_cut(grid: PercolationGrid, path: CutPolyline,
     8-connected left-right route, so the two labels never meet.  Enclosed
     pockets (touching neither boundary) are assigned to the left side.
     """
+    grid = path.grid
     free = np.ones(grid.closed.shape, dtype=bool)
     free[tuple(np.asarray(path.cells).T)] = False
     labels, _ = ndimage.label(free, structure=_EIGHT)

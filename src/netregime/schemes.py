@@ -387,14 +387,12 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
 
 def simulate_hybrid(instance: NetworkInstance, snr_s: float, alpha: float,
                     epsilon: float = 0.05, K3: float = 1.0,
-                    K4: float | None = None, M: int | None = None,
-                    route_seed: int | None = None):
-    """Grid + routing + throughput in one call; returns (estimate, plan, grid)."""
+                    K4: float | None = None, M: int | None = None):
+    """Grid + routing on instance.seed + throughput; returns (estimate, plan, grid)."""
     if M is None:
         M = hybrid_cell_size(snr_s, alpha, instance.n_pairs)
     grid = build_cell_grid(instance, M)
-    plan = route_sd_lines(grid, instance,
-                          instance.seed if route_seed is None else route_seed)
+    plan = route_sd_lines(grid, instance, instance.seed)
     est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha,
                             epsilon, K3, K4)
     return est, plan, grid

@@ -18,9 +18,9 @@ from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        hybrid_cell_size, mc_cutset_logdet, multihop_throughput,
                        partition_nodes, select_cut_width,
                        simulate_hybrid, snr_total, build_cell_grid,
-                       route_sd_lines, build_occupancy_grid, extract_cut,
-                       find_open_crossing, has_open_crossing)
-from netregime.harness import fit_exponent, operating_point, params_for_snr
+                       route_sd_lines, build_occupancy_grid, certified_cut,
+                       has_open_crossing)
+from netregime.harness import fit_exponent, operating_point
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
 
@@ -134,8 +134,7 @@ def test_c4_oracle_equivalence():
     for ci, alpha in enumerate((2.0, 2.5, 3.0, 4.0)):
         for t in range(6):
             n = 4 + derived_seed(400, ci, t) % 29    # 2n <= 64
-            snr = 1.7
-            params, area = params_for_snr(snr, alpha, n)
+            snr, area = operating_point(n, alpha, math.log(1.7) / math.log(n))
             inst = generate_network(n, area, derived_seed(401, ci, t))
             part = partition_nodes(inst, select_cut_width(snr, n, alpha))
             got = snr_total(inst, part, snr, alpha)
@@ -163,8 +162,7 @@ def test_c5_dense_regime_slope():
     t0 = time.time()
     table = []
     for i, n in enumerate((16, 32, 64, 128, 256)):
-        snr = float(n)
-        _, area = params_for_snr(snr, 2.0, n)
+        snr, area = operating_point(n, 2.0, 1.0)
         vals = []
         for j in range(3):
             inst = generate_network(n, area, derived_seed(500, i, j))
@@ -223,16 +221,13 @@ def test_c7_hybrid_regime_slope():
     epsilon = 0.05
     sim, analytic = [], []
     for i, n in enumerate(2 ** k for k in range(8, 14)):
-        snr = float(n) ** 0.5
+        snr, area = operating_point(n, 4.0, 0.5)
         m = hybrid_cell_size(snr, 4.0, n)
-        params, area = params_for_snr(snr, 4.0, n)
         vals = []
         last = None
         for t in range(20):
-            seed = derived_seed(700, i, t)
-            inst = generate_network(n, area, seed)
-            est, _, _ = simulate_hybrid(inst, snr, 4.0, epsilon=epsilon, M=m,
-                                        route_seed=seed)
+            inst = generate_network(n, area, derived_seed(700, i, t))
+            est, _, _ = simulate_hybrid(inst, snr, 4.0, epsilon=epsilon, M=m)
             vals.append(est.aggregate_T)
             last = est
         sim.append((n, math.fsum(vals) / len(vals)))
@@ -258,12 +253,11 @@ def test_c8_hybrid_degenerate_check():
     ns = (512, 1024, 2048, 4096)
     hyb = []
     for i, n in enumerate(ns):
-        params, area = params_for_snr(1.0, 4.0, n)
+        _, area = operating_point(n, 4.0, 0.0)
         vals = []
         for t in range(16):
-            seed = derived_seed(800, i, t)
-            inst = generate_network(n, area, seed)
-            est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1, route_seed=seed)
+            inst = generate_network(n, area, derived_seed(800, i, t))
+            est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
             vals.append(est.aggregate_T)
         hyb.append((n, math.fsum(vals) / len(vals)))
     mh = [(n, multihop_throughput(n, 1.0).aggregate_T) for n in ns]
@@ -341,12 +335,10 @@ def test_c11_percolation_probability():
     clearance_ok = True
     for t in range(seeds):
         inst = generate_network(n, float(n), derived_seed(1100, t))
-        grid = build_occupancy_grid(inst, c)
-        crossing = find_open_crossing(grid)
-        if crossing is None:
+        cut = certified_cut(inst, c)     # raises if uncertifiable
+        if cut is None:
             failures += 1
             continue
-        cut = extract_cut(crossing, grid, inst)     # raises if uncertifiable
         certified += 1
         if cut.clearance < 0.5 * c * inst.nn_scale:
             clearance_ok = False
@@ -373,12 +365,10 @@ def test_c12_percolation_mode_cutset():
     count_ok = snr_ok = usable = 0
     for t in range(seeds):
         inst = generate_network(n, float(n), derived_seed(1200, t))
-        grid = build_occupancy_grid(inst, c)
-        crossing = find_open_crossing(grid)
-        if crossing is None:
+        cut = certified_cut(inst, c)
+        if cut is None:
             continue
-        cut = extract_cut(crossing, grid, inst)
-        left, b, _ = split_by_cut(grid, cut, inst)
+        left, b, _ = split_by_cut(cut, inst)
         usable += 1
         count_ok += len(b) <= count_bound
         if len(b):

@@ -230,7 +230,14 @@ class TestSweep:
     @pytest.mark.parametrize("field", [{"kind": "percolation", "n_list": [256.0]},
                                        {"kind": "scheme", "n_list": [16.5, 64]},
                                        {"kind": "cutset", "n_list": [64.0]},
-                                       {"kind": "cutset", "n_list": [16], "beta": None}])
+                                       {"kind": "cutset", "n_list": [16], "beta": None},
+                                       # mistyped ranges and constants
+                                       {"kind": "phase-diagram", "resolution": [2.5, 3]},
+                                       {"kind": "phase-diagram", "alpha_range": [2, "x"]},
+                                       {"kind": "percolation", "n_list": [16],
+                                        "constants": {"c": "x"}},
+                                       {"kind": "scheme", "scheme": "hc", "n_list": [16],
+                                        "constants": {"epsilon": None}}])
     def test_non_integer_n_or_null_beta_exit_2(self, tmp_path, field):
         out = tmp_path / "s.csv"
         cfg = tmp_path / "c.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netregime import (PathologicalCutError,
+from netregime import (PathologicalCutError, certified_cut,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        select_cut_width, snr_total,
@@ -11,10 +11,10 @@ from netregime import (PathologicalCutError,
 from netregime import cutset
 from netregime.cutset import CUTSET_CSV_HEADER, identity_logdet
 from netregime.network import ChannelMatrix, channel_matrix
-from netregime.harness import operating_point, params_for_snr
+from netregime.harness import operating_point
 
-from helpers import (hand_instance, brute_dhat, brute_snr_total, eigvalsh_logdet,
-                     power_profile, unblocked_dhat)
+from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
+                     eigvalsh_logdet, power_profile, unblocked_dhat)
 
 LN2 = math.log(2.0)
 
@@ -79,6 +79,25 @@ class TestPartition:
         inst = hand_instance([[mid + 0.2, 0.1], [mid + 0.4, 0.2]], area_A=2.0)
         with pytest.raises(PathologicalCutError):
             partition_nodes(inst, w_hat=1.0)
+
+    def test_percolation_cut_membership(self):
+        # at n = 4096 the slab reaches xhat ~ 1.125, past the unit strip, so
+        # some B nodes sit where the idealized cut would put them in V_D
+        n, w_hat = 4096, 2.0
+        for seed in range(3):
+            inst = unit_density_instance(n, seed)
+            cut = certified_cut(inst, 0.25)
+            part = partition_nodes(inst, w_hat, cut)
+            ids = np.concatenate([part.left_S, part.strip_VD, part.far_D])
+            assert np.array_equal(np.sort(ids), np.arange(2 * n))
+            xhat = inst.positions[:, 0] - inst.side
+            right_of_slab = inst.positions[:, 0] >= cut.grid.slab_x1
+            want_vd = np.nonzero(right_of_slab & (xhat >= 1.0) & (xhat <= w_hat))[0]
+            assert part.strip_VD.tolist() == want_vd.tolist()
+            b_set = brute_b_set(cut.grid, cut.cells, inst.positions)
+            assert np.isin(b_set, part.far_D).all()
+            assert np.any(xhat[b_set] >= 1.0)
+            assert part.excluded_E.size == 0
 
     def test_w_out_of_range_rejected(self):
         inst = unit_density_instance(16, seed=0)
@@ -259,8 +278,8 @@ class TestMonteCarlo:
     def test_far_block_trace_bound(self):
         # log2 det(I + snr H2 H2*) <= snr_total / ln 2 on every draw
         for seed in range(4):
-            n, alpha, snr = 32, 3.0, 2.0
-            _, area = params_for_snr(snr, alpha, n)
+            n, alpha = 32, 3.0
+            snr, area = operating_point(n, alpha, 0.2)   # snr_s = 2
             inst = generate_network(n, area, seed)
             part = partition_nodes(inst, w_hat=1.5)
             h2 = channel_matrix(inst, alpha, np.sort(part.left_S),
@@ -353,7 +372,7 @@ class TestStripSemantics:
 class TestEvaluateCutset:
     def test_report_and_csv(self):
         n = 32
-        _, area = params_for_snr(2.0, 3.0, n)
+        _, area = operating_point(n, 3.0, 0.2)   # snr_s = 2
         inst = generate_network(n, area, seed=21)
         report = evaluate_cutset(inst, 2.0, 3.0, trials=3, phase_seed=2)
         row = report.csv_row()
@@ -392,7 +411,7 @@ class TestEvaluateCutset:
             evaluate_cutset(inst, snr, alpha, trials=1)
 
     def test_unknown_mode_rejected(self):
-        _, area = params_for_snr(2.0, 3.0, 16)
+        _, area = operating_point(16, 3.0, 0.25)   # snr_s = 2
         inst = generate_network(16, area, seed=1)
         with pytest.raises(ValueError, match="unknown cut mode"):
             evaluate_cutset(inst, 2.0, 3.0, trials=1, mode="ideal")

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from netregime import (ConfigError, Constants, DegenerateInstanceError,
-                       ExperimentConfig, ExperimentError, PathologicalCutError, cli,
-                       crossing_probability, cutset, fit_exponent, emit_phase_diagram,
-                       emit_sweep, harness, params_for_snr, run_scaling_experiment,
+                       ExperimentConfig, ExperimentError, PathologicalCutError,
+                       PhysicalParams, cli, crossing_probability, cutset, fit_exponent,
+                       emit_phase_diagram, emit_sweep, harness, run_scaling_experiment,
                        snr_short)
 from netregime.rng import CROSSING, derived_seed
 from netregime.harness import operating_point, write_manifest
@@ -64,20 +64,26 @@ class TestFit:
         assert tail.slope == pytest.approx(0.5, abs=1e-12)
 
 
-class TestParamsForSnr:
+class TestOperatingPoint:
     @pytest.mark.parametrize("snr,alpha,n", [
         (1.0, 2.0, 64), (16.0, 4.0, 256), (0.25, 3.0, 100), (100.0, 2.5, 81)])
-    def test_round_trip(self, snr, alpha, n):
-        params, area = params_for_snr(snr, alpha, n)
-        assert snr_short(params, n, area) == pytest.approx(snr, rel=1e-12)
+    def test_area_round_trip(self, snr, alpha, n):
+        # unit-power parameters on the returned area give snr_s back
+        snr_s, area = operating_point(n, alpha, math.log(snr) / math.log(n))
+        assert snr_s == pytest.approx(snr, rel=1e-12)
+        params = PhysicalParams(1.0, 1.0, 1.0, alpha, 1.0)
+        assert snr_short(params, n, area) == pytest.approx(snr_s, rel=1e-12)
 
-
-class TestOperatingPoint:
     def test_snr_is_n_to_the_beta_and_area_back_solved(self):
         for n, alpha, beta in [(1024, 4.0, 0.5), (32, 3, 0.5), (81, 2.5, -0.25)]:
             snr_s, area = operating_point(n, alpha, beta)
             assert snr_s == float(n) ** beta
-            assert area == params_for_snr(float(n) ** beta, alpha, n)[1]
+            assert area == n * snr_s ** (-2.0 / alpha)
+
+    def test_underflowed_snr_rejected(self):
+        # 2^-2000 underflows to 0, whose area would divide by zero
+        with pytest.raises(ValueError, match="snr_s must be positive"):
+            operating_point(2, 3.0, -2000.0)
 
     @pytest.mark.parametrize("n,alpha,beta", [(1024, 4.0, 0.5), (32, 3.0, 0.5)])
     def test_cutset_gets_n_to_the_beta_exactly(self, n, alpha, beta, monkeypatch,
@@ -134,7 +140,14 @@ class TestConfig:
     @pytest.mark.parametrize("field", ['"constants": {"bogus": 1}', '"constants": [1]',
                                        '"constants": 2.0', '"constants": null',
                                        '"alpha_range": 3', '"beta": null',
-                                       '"beta": NaN', '"alpha": Infinity'])
+                                       '"beta": NaN', '"alpha": Infinity',
+                                       '"resolution": [2.5, 3]', '"resolution": [2, true]',
+                                       '"resolution": [2, 3, 4]', '"beta_range": [0, NaN]',
+                                       '"alpha_range": [2, "x"]',
+                                       '"constants": {"c": "x"}',
+                                       '"constants": {"epsilon": null}',
+                                       '"constants": {"K1": Infinity}',
+                                       '"constants": {"K3": false}'])
     def test_rejects_malformed_fields(self, field):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json('{"kind": "scheme", "n_list": [4, 8], %s}' % field)
@@ -164,6 +177,12 @@ class TestConfig:
                             ("alpha", "3"), ("beta", False)):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig(kind="scheme", n_list=[4, 8], **{name: value})
+
+    def test_accepts_null_k4_and_integer_numbers(self):
+        config = ExperimentConfig.from_json(
+            '{"kind": "phase-diagram", "alpha_range": [2, 6], "resolution": [3, 4], '
+            '"constants": {"K4": null, "c": 0.5, "K1": 2}}')
+        assert config.constants.k4 == 0.25 and config.alpha_range == (2, 6)
 
     def test_k4_defaults_to_quarter_k3(self):
         assert Constants(K3=2.0).k4 == pytest.approx(0.5)

@@ -368,7 +368,7 @@ class TestRowBlockWorkers:
         inst, snr_s, a, b = _split_sets(1024, m, seed=m)
         for sources, targets in ((a, b), (b, a)):
             want = unblocked_dhat(inst, 4.0, targets, sources)
-            part = CutPartition(inst.side, 1.0, sources, targets, targets)
+            part = CutPartition(sources, targets, targets)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(network, "_workers", workers)
                 d = _dhat(inst, 4.0, targets, sources)
@@ -414,7 +414,7 @@ class TestRowBlockWorkers:
         positions[rx[-1]] = positions[tx[0]]
         inst = NetworkInstance(inst.n_pairs, inst.area_A, inst.seed, positions,
                                inst.source_ids, inst.dest_ids)
-        part = CutPartition(inst.side, 1.0, tx, rx[:0], rx)
+        part = CutPartition(tx, rx[:0], rx)
         before = threading.active_count()
         with pytest.raises(DegenerateInstanceError):
             channel_matrix(inst, 4.0, tx, rx, phase_seed=1)

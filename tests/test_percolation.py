@@ -6,9 +6,9 @@ import pytest
 from scipy.sparse import lil_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from netregime import (build_occupancy_grid, crossing_probability, extract_cut,
-                       find_open_crossing, generate_network, has_open_crossing,
-                       percolation)
+from netregime import (build_occupancy_grid, certified_cut, crossing_probability,
+                       extract_cut, find_open_crossing, generate_network,
+                       has_open_crossing, percolation)
 from netregime.percolation import (PercolationGrid, _distance_to_bottom,
                                    _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
@@ -294,7 +294,7 @@ class TestExtractCut:
     def test_straight_cut_clearance(self):
         inst = nodes_left_of_slab(32, 32.0, 0.5, seed=2)
         grid = build_occupancy_grid(inst, 0.5)
-        cut = extract_cut(find_open_crossing(grid), grid, inst)
+        cut = extract_cut(find_open_crossing(grid), inst)
         assert cut.clearance >= 0.5 * grid.cell_side
         # nearest node is far left of the slab, so clearance is large
         assert cut.clearance > grid.cell_side
@@ -307,7 +307,7 @@ class TestExtractCut:
         cut = find_open_crossing(grid0)
         if cut is None:
             pytest.skip("no crossing for this seed")
-        certified = extract_cut(cut, grid0, inst0)
+        certified = extract_cut(cut, inst0)
         brute = brute_polyline_clearance(inst0.positions, certified.vertices)
         assert certified.clearance == pytest.approx(brute, abs=1e-12)
 
@@ -316,7 +316,7 @@ class TestExtractCut:
         # known horizontal offset and the clearance equals that offset
         inst = nodes_left_of_slab(32, 32.0, 0.5, seed=4)
         grid = build_occupancy_grid(inst, 0.5)
-        cut = extract_cut(find_open_crossing(grid), grid, inst)
+        cut = extract_cut(find_open_crossing(grid), inst)
         x_line = grid.slab_x0 + 0.5 * grid.cell_side
         probe = np.vstack([inst.positions,
                            [[x_line - 1.3, 2.0], [0.3, 0.2]]])
@@ -326,11 +326,26 @@ class TestExtractCut:
         brute = brute_polyline_clearance(inst2.positions, cut.vertices)
         assert d == pytest.approx(brute, abs=1e-12)
 
+    def test_certified_cut_chains_grid_crossing_and_certificate(self):
+        for seed in range(4):
+            inst = generate_network(64, 64.0, seed=seed)
+            grid = build_occupancy_grid(inst, 0.6)
+            crossing = find_open_crossing(grid)
+            cut = certified_cut(inst, 0.6)
+            if crossing is None:
+                assert cut is None            # seeds 0, 1 are blocked at c = 0.6
+                continue
+            want = extract_cut(crossing, inst)
+            assert cut.cells == want.cells and cut.clearance == want.clearance
+            assert cut.vertices.tobytes() == want.vertices.tobytes()
+            assert np.array_equal(cut.grid.closed, grid.closed)
+            assert cut.to_json() == want.to_json()
+
     def test_json_export(self):
         import json
         inst = nodes_left_of_slab(32, 32.0, 0.5, seed=2)
         grid = build_occupancy_grid(inst, 0.5)
-        cut = extract_cut(find_open_crossing(grid), grid, inst)
+        cut = extract_cut(find_open_crossing(grid), inst)
         doc = json.loads(cut.to_json())
         assert set(doc) == {"c", "cell_side", "path", "clearance"}
         assert doc["clearance"] == cut.clearance
@@ -365,8 +380,8 @@ class TestSplitByCut:
         n = 1024
         inst = generate_network(n, float(n), seed=13)
         grid = build_occupancy_grid(inst, 0.25)
-        cut = extract_cut(find_open_crossing(grid), grid, inst)
-        left, b, right = split_by_cut(grid, cut, inst)
+        cut = extract_cut(find_open_crossing(grid), inst)
+        left, b, right = split_by_cut(cut, inst)
         ids = np.sort(np.concatenate([left, b, right]))
         assert np.array_equal(ids, np.arange(2 * n))
         x = inst.positions[:, 0]
@@ -382,7 +397,7 @@ class TestSplitByCut:
             crossing = find_open_crossing(grid)
             if crossing is None:
                 continue
-            _, b, _ = split_by_cut(grid, extract_cut(crossing, grid, inst), inst)
+            _, b, _ = split_by_cut(extract_cut(crossing, inst), inst)
             assert b.tolist() == brute_b_set(grid, crossing.cells, inst.positions)
             checked += 1
         assert checked >= 6
@@ -396,8 +411,8 @@ class TestSplitByCut:
             cr = find_open_crossing(grid)
             if cr is None:
                 continue
-            cut = extract_cut(cr, grid, inst)
-            _, b, _ = split_by_cut(grid, cut, inst)
+            cut = extract_cut(cr, inst)
+            _, b, _ = split_by_cut(cut, inst)
             sizes.append(len(b))
         assert sizes and max(sizes) <= math.sqrt(n) * math.log(n)
 

@@ -24,7 +24,7 @@ from netregime import (build_cell_grid, build_occupancy_grid, channel_matrix,
                        extract_cut, find_open_crossing, generate_network,
                        mc_cutset_logdet, partition_nodes, route_sd_lines)
 from netregime.cutset import identity_logdet
-from netregime.harness import params_for_snr
+from netregime.harness import operating_point
 from netregime.percolation import PercolationGrid, split_by_cut
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -92,7 +92,7 @@ def count_with(worker, attr, args, result):
 @pytest.fixture(scope="module")
 def tiny():
     """A 32-pair instance at snr_s = 4, alpha = 4, and its idealized cut."""
-    _, area = params_for_snr(4.0, 4.0, 32)
+    _, area = operating_point(32, 4.0, 0.4)   # snr_s = 4
     inst = generate_network(32, area, seed=1)
     return inst, partition_nodes(inst, w_hat=2.0)
 
@@ -127,9 +127,9 @@ def test_crossing_and_split_hooks(worker):
     counts = count_with(worker, "find_open_crossing", (blocked,),
                         find_open_crossing(blocked))
     assert counts["percolation.find_open_crossing.misses"] == 1
-    cut = extract_cut(crossing, grid, inst)
-    parts = split_by_cut(grid, cut, inst)
-    counts = count_with(worker, "split_by_cut", (grid, cut, inst), parts)
+    cut = extract_cut(crossing, inst)
+    parts = split_by_cut(cut, inst)
+    counts = count_with(worker, "split_by_cut", (cut, inst), parts)
     assert counts["percolation.split_by_cut.b_nodes"] == len(parts[1])
 
 

@@ -7,7 +7,7 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        generate_network, hc_throughput, hybrid_cell_size,
                        multihop_throughput, route_sd_lines, simulate_hybrid)
 from netregime import rng
-from netregime.harness import fit_exponent, params_for_snr
+from netregime.harness import fit_exponent, operating_point
 from netregime.schemes import _cell_walks, hybrid_throughput
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
@@ -401,8 +401,7 @@ class TestHybridThroughput:
         # M = 1 reduces the per-hop budget to (K3/4) * log2(1 + snr)
         inst = generate_network(64, 64.0, seed=2)
         est, plan, grid = simulate_hybrid(inst, snr_s=3.0, alpha=4.0,
-                                          epsilon=0.05, K3=2.0, M=1,
-                                          route_seed=2)
+                                          epsilon=0.05, K3=2.0, M=1)
         rate = (2.0 / 4.0) * math.log2(4.0)
         shares = [min(rate / plan.node_load[v] for v in nodes)
                   for nodes in plan.assignments]
@@ -412,8 +411,7 @@ class TestHybridThroughput:
         # M^(1-alpha/2) * snr = 1 at alpha 4, snr 16, M 16: the per-hop
         # log term is exactly one bit
         inst = generate_network(256, 256.0, seed=3)
-        est, plan, grid = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=16,
-                                          route_seed=3)
+        est, plan, grid = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=16)
         budget = 0.25 * 16 ** -0.05 * 1.0
         shares = [min(budget / plan.node_load[v] for v in nodes)
                   for nodes in plan.assignments]
@@ -421,15 +419,14 @@ class TestHybridThroughput:
 
     def test_aggregate_is_n_times_mean_rate(self):
         inst = generate_network(128, 128.0, seed=5)
-        est, _, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0, route_seed=5)
+        est, _, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0)
         assert est.aggregate_T == pytest.approx(128 * est.per_pair_R, rel=1e-12)
 
     def test_analytic_value_reported_and_monotone_in_m(self):
         inst = generate_network(256, 256.0, seed=6)
         prev = 0.0
         for M in (1, 2, 4, 8, 16):
-            est, _, _ = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=M,
-                                        route_seed=6)
+            est, _, _ = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=M)
             assert est.analytic_per_pair == pytest.approx(
                 0.25 * math.sqrt(M) * 256.0 ** -0.55, rel=1e-12)
             assert est.analytic_per_pair >= prev
@@ -441,12 +438,11 @@ class TestHybridThroughput:
         ns = (256, 512, 1024, 2048)
         hyb = []
         for i, n in enumerate(ns):
-            params, area = params_for_snr(1.0, 4.0, n)
+            _, area = operating_point(n, 4.0, 0.0)
             vals = []
             for t in range(6):
                 inst = generate_network(n, area, seed=100 * i + t)
-                est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1,
-                                            route_seed=100 * i + t)
+                est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
                 vals.append(est.aggregate_T)
             hyb.append((n, sum(vals) / len(vals)))
         mh = [(n, multihop_throughput(n, 1.0).aggregate_T) for n in ns]
