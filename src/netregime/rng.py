@@ -8,8 +8,11 @@ trailing zeros share a stream (see :func:`substream`).  Where many paths
 share a prefix, as the hybrid scheme's per-line relay streams do,
 :func:`philox_keys` derives all their keys in one array pass and
 :func:`rekey` points one generator at each in turn: the same streams,
-without one ``SeedSequence`` per path.  A percolation study draws its
-trials this way too, on (seed, CROSSING, trial).
+without one ``SeedSequence`` per path.  Hybrid routing then takes each
+line's raw Philox words in one ``random_raw`` call and decodes the
+values ``Generator.integers`` would give from them, for all lines of a
+block at once.  A percolation study draws its trials on re-keyed
+streams too, on (seed, CROSSING, trial).
 Independent draws are summarized by one sample mean and standard error.
 """
 

@@ -136,9 +136,10 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
     return CellGrid(side, cols, rows, flat, order, start)
 
 
-# Segments walked together.  A block's temporaries grow as its size times
-# rows + columns: at n = 4096, M = 1 the walk peaks at 4.5 MB with blocks
-# of 256 and at 38 MB with all 4096 lines in one block.
+# Segments walked together, and lines whose relay draws are decoded
+# together.  A walk block's temporaries grow as its size times rows +
+# columns: at n = 4096, M = 1 the walk peaks at 4.5 MB with blocks of 256
+# and at 38 MB with all 4096 lines in one block.
 _WALK_BLOCK = 256
 
 
@@ -262,6 +263,77 @@ def _split(flat: np.ndarray, starts: list) -> list:
     return [flat[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
+def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + counts[i] - 1 for every i,
+    concatenated."""
+    return (np.repeat(first - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _relay_draws(bit_generator: np.random.Philox, keys: list, n_picks: np.ndarray,
+                 ks: np.ndarray, n_ties: np.ndarray):
+    """Per-line ``integers(0, 2**31, size=n_picks[i])`` and then
+    ``integers(0, ks_i)``, each on a Philox freshly keyed to keys[i].
+
+    ``ks`` holds every line's tie-break bounds (each below 2**32) in line
+    order, n_ties[i] of them for line i.  Returns the picks and the
+    tie-breaks as int64, each concatenated over the lines.  The values
+    are decoded from raw Philox words as :func:`route_sd_lines` says.
+    """
+    draws = ks > 1
+    drawn = np.concatenate(([0], np.cumsum(draws)))    # drawn ties before each
+    tie_edges = np.concatenate(([0], np.cumsum(n_ties)))
+    n_raw = (n_picks + drawn[tie_edges[1:]] - drawn[tie_edges[:-1]] + 1) // 2
+    chunks = []
+    for key, size in zip(keys, n_raw.tolist()):
+        rng.rekey(bit_generator, key)
+        chunks.append(bit_generator.random_raw(size))
+    raw = np.concatenate(chunks)
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & _MASK32
+    words[1::2] = raw >> 32
+    first = 2 * (np.cumsum(n_raw) - n_raw)              # each line's first word
+    picks = (words[_ragged_arange(first, n_picks)] >> 1).astype(np.int64)
+
+    # a drawn tie's word follows its line's picks and earlier drawn ties
+    ties = np.zeros(len(ks), dtype=np.int64)
+    tie = np.flatnonzero(draws)
+    line = np.repeat(np.arange(len(n_ties)), n_ties)[tie]
+    k = ks[tie].astype(np.uint64)
+    m = words[first[line] + n_picks[line] + drawn[tie] - drawn[tie_edges[line]]] * k
+    ties[tie] = m >> 32
+    rejected = (m & _MASK32) < (2 ** 32) % k
+    for i in np.unique(line[rejected]).tolist():
+        rng.rekey(bit_generator, keys[i])
+        stream = _words32(bit_generator)
+        for _ in range(n_picks[i]):
+            next(stream)
+        for t in range(tie_edges[i], tie_edges[i + 1]):
+            ties[t] = _lemire(stream, int(ks[t]))
+    return picks, ties
+
+
+def _words32(bit_generator: np.random.Philox):
+    """The generator's 32-bit words, in ``next_uint32`` order."""
+    while True:
+        raw = bit_generator.random_raw()
+        yield raw & _MASK32
+        yield raw >> 32
+
+
+def _lemire(stream, k: int) -> int:
+    """numpy's ``integers(0, k)`` for 1 <= k < 2**32 on a 32-bit word stream."""
+    if k == 1:
+        return 0
+    m = next(stream) * k
+    while (m & _MASK32) < 2 ** 32 % k:
+        m = next(stream) * k
+    return m >> 32
+
+
 @dataclass
 class RelayPlan:
     """Cell routes and relay assignments for every source-destination line.
@@ -303,16 +375,26 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     ``t += dt`` does, and merges them with a stable sort in which x wins
     ties, as the scalar ``t_x <= t_y`` does.  The sorted nearest-occupied
     candidates are computed once per empty cell per call, not once per hop.
-    The only per-line Python work is the draws: line j draws on substream
-    (seed, RELAY, j), one relay pick per path cell, then the tie-breaks of
-    its empty interior cells in hop order with one array call, which
-    yields the same values and leaves the generator in the same state as
-    one scalar call per cell.  The Philox keys of all lines' substreams
-    come from one array pass (:func:`rng.philox_keys`), and one generator
-    is re-keyed to each line in turn (:func:`rng.rekey`), so no line builds
-    its own ``SeedSequence``.  A line with no interior cell uses no draw,
-    so it gets no key.  Relay nodes come from the grid's sorted node
-    order, and the loads from ``np.bincount``.
+    Line j draws on substream (seed, RELAY, j) the values that
+    ``integers(0, 2**31, size=L)`` for its L path cells, and then one
+    ``integers(0, k)`` per empty interior cell in hop order (k the cell's
+    candidate count), would give.  Those values are decoded from the
+    Philox stream's raw 64-bit words, each split into its low 32-bit half
+    and then its high half, as numpy's ``next_uint32`` takes them.  A
+    relay pick is its word >> 1: numpy's bounded integers
+    use Lemire's multiply-shift, which never rejects for a power-of-two
+    range.  A tie-break among k candidates takes m = word * k and is
+    m >> 32, but rejects the word and takes the next while
+    m & 0xFFFFFFFF < 2**32 % k; k == 1 draws no word.  So the only
+    per-line Python work is to re-key one Philox to the line
+    (:func:`rng.rekey`, with every line's key from one array pass of
+    :func:`rng.philox_keys`) and make one ``random_raw`` call for its
+    words, as if nothing rejects.  Blocks of 256 lines are then decoded
+    at once; a line with a rejection (odds about k / 2**32 per tie-break)
+    shifts its later words and is decoded again word by word.  A line
+    with no interior cell draws too, but its picks are all overwritten by
+    its endpoints.  Relay nodes come from the grid's sorted node order,
+    and the loads from ``np.bincount``.
     """
     src, dst = instance.source_ids, instance.dest_ids
     cells, starts = _cell_walks(instance.positions[src], instance.positions[dst],
@@ -326,19 +408,16 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     ties_k = count[cells[empty]]
     tie_starts = np.concatenate(([0], np.cumsum(empty)))[starts]
 
-    picks = np.zeros(len(cells), dtype=np.int64)
-    ties = np.zeros(len(ties_k), dtype=np.int64)
-    hop, tie = starts.tolist(), tie_starts.tolist()
-    # lines without an interior cell draw nothing that is used
-    lines = np.flatnonzero(lengths > 2)
-    keys = rng.philox_keys(seed, (rng.RELAY,), lines).tolist()
+    picks = np.empty(len(cells), dtype=np.int64)
+    ties = np.empty(len(ties_k), dtype=np.int64)
+    keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(lengths))).tolist()
     bit_generator = np.random.Philox(0)
-    gen = np.random.Generator(bit_generator)
-    for j, key in zip(lines.tolist(), keys):
-        rng.rekey(bit_generator, key)
-        picks[hop[j]:hop[j + 1]] = gen.integers(0, 2 ** 31, size=hop[j + 1] - hop[j])
-        if tie[j] < tie[j + 1]:
-            ties[tie[j]:tie[j + 1]] = gen.integers(0, ties_k[tie[j]:tie[j + 1]])
+    for a in range(0, len(lengths), _WALK_BLOCK):
+        b = min(a + _WALK_BLOCK, len(lengths))
+        tie_block = slice(tie_starts[a], tie_starts[b])
+        picks[starts[a]:starts[b]], ties[tie_block] = _relay_draws(
+            bit_generator, keys[a:b], lengths[a:b], ties_k[tie_block],
+            np.diff(tie_starts[a:b + 1]))
 
     relay = cells.copy()
     relay[empty] = candidates[first[cells[empty]] + ties]
@@ -352,7 +431,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     one_cell = lengths == 1
     nodes = np.insert(nodes, starts[:-1][one_cell], src[one_cell])
     slot_starts = starts + np.concatenate(([0], np.cumsum(one_cell)))
-    return RelayPlan(_split(cells, hop), _split(nodes, slot_starts.tolist()),
+    return RelayPlan(_split(cells, starts.tolist()), _split(nodes, slot_starts.tolist()),
                      np.bincount(relay, minlength=grid.n_cells),
                      np.bincount(nodes, minlength=instance.n_nodes),
                      int(empty.sum()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        multihop_throughput, route_sd_lines, simulate_hybrid)
 from netregime import rng
 from netregime.harness import fit_exponent, operating_point
-from netregime.schemes import _cell_walks, hybrid_throughput
+from netregime.schemes import _cell_walks, _relay_draws, hybrid_throughput
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, relay_cells_of,
@@ -394,6 +395,88 @@ class TestRouting:
             inst = generate_network(n, float(n), seed=seed)
             plan = route_sd_lines(build_cell_grid(inst, M), inst, seed=seed)
             assert plan.max_cell_load <= 4 * math.sqrt(n * M)
+
+    def test_peak_memory_bounded(self):
+        # At n = 4096, M = 1 routing walks 265,108 cells.  simulate_hybrid
+        # peaks at 44-46 bytes per walked cell (11.8-12.1 MB): the plan,
+        # one int64 per cell for the picks, and one block's temporaries.
+        # Decoding every line's relay draws in one pass instead of in
+        # blocks of lines peaks at 80-85 bytes per cell (21.3-22.5 MB).
+        inst = generate_network(4096, 4096.0, seed=0)
+        tracemalloc.start()
+        try:
+            _, plan, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * sum(map(len, plan.cell_paths))
+
+
+def _words_drawn(bit_generator):
+    """32-bit words a freshly keyed Philox has handed out, from its state.
+
+    The counter steps to 1 when the first block of four raw words is made;
+    a buffered high half has not been handed out yet.
+    """
+    state = bit_generator.state
+    blocks = int(state["state"]["counter"][0])
+    raw = 4 * (blocks - 1) + state["buffer_pos"] if blocks else 0
+    return 2 * raw - state["has_uint32"]
+
+
+class TestRelayDraws:
+    @staticmethod
+    def numpy_draws(keys, n_picks, ks, n_ties):
+        """Per-line rekey and ``Generator.integers`` calls: (picks, ties,
+        lines whose tie-breaks rejected a word)."""
+        bit_generator = np.random.Philox(0)
+        gen = np.random.Generator(bit_generator)
+        picks, ties, rejected, t = [], [], 0, 0
+        for key, size, count in zip(keys, n_picks, n_ties):
+            rng.rekey(bit_generator, key)
+            picks.extend(gen.integers(0, 2 ** 31, size=size).tolist())
+            line_ks = ks[t:t + count]
+            t += count
+            if count:
+                ties.extend(gen.integers(0, line_ks).tolist())
+            rejected += _words_drawn(bit_generator) > size + int((line_ks > 1).sum())
+        return picks, ties, rejected
+
+    def assert_matches_numpy(self, seed, n_picks, ks, n_ties):
+        keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(n_picks))).tolist()
+        picks, ties = _relay_draws(np.random.Philox(0), keys, n_picks, ks, n_ties)
+        want_picks, want_ties, rejected = self.numpy_draws(keys, n_picks, ks, n_ties)
+        assert picks.dtype == ties.dtype == np.int64
+        assert picks.tolist() == want_picks
+        assert ties.tolist() == want_ties
+        return rejected
+
+    def test_matches_integers(self):
+        gen = np.random.default_rng(23)
+        parities = set()
+        for case in range(40):
+            n_picks = gen.integers(0, 9, size=12)
+            n_picks[:4] = (0, 1, 2, 3)
+            n_ties = gen.integers(0, 5, size=12)
+            n_ties[gen.random(12) < 0.3] = 0               # lines with no ties
+            ks = gen.integers(1, 6, size=int(n_ties.sum()))
+            ks[gen.random(len(ks)) < 0.3] = 1              # k == 1 draws nothing
+            line = np.repeat(np.arange(12), n_ties)
+            words = n_picks + np.bincount(line[ks > 1], minlength=12)
+            parities.update((words % 2).tolist())
+            assert self.assert_matches_numpy(case, n_picks, ks, n_ties) == 0
+        assert parities == {0, 1}                          # odd and even word counts
+
+    def test_rejections_shift_later_words(self):
+        # For 2**31 < k < 3e9, 2**32 % k = 2**32 - k, so numpy rejects and
+        # redraws 30-50% of the tie-break words.
+        gen = np.random.default_rng(29)
+        n_picks = gen.integers(0, 7, size=200)
+        n_ties = gen.integers(0, 6, size=200)
+        ks = gen.integers(2 ** 31 + 1, 3_000_000_000, size=int(n_ties.sum()))
+        ks[gen.random(len(ks)) < 0.2] = 1
+        rejected = self.assert_matches_numpy(5, n_picks, ks, n_ties)
+        assert rejected > 50
 
 
 class TestHybridThroughput:
