@@ -13,18 +13,15 @@ from .network import (
     ChannelMatrix,
     DegenerateInstanceError,
     NetworkInstance,
-    PhysicalParams,
     beta_of,
     channel_matrix,
     generate_network,
     snr_long,
-    snr_short,
 )
 from .regimes import (
     Regime,
     RegimePoint,
     Scheme,
-    capacity_estimate,
     classify,
     phase_diagram,
 )

@@ -45,22 +45,17 @@ class ExperimentError(RuntimeError):
 class Constants:
     """Scheme and bound constants; they shift intercepts, not slopes.
 
-    ``delta`` is accepted and recorded in the manifest but read by nothing.
-    ``K4`` is recorded too; it scales only the hybrid estimate's analytic
-    per-pair rate, which no output writes, so the CLI has no flag for it.
+    ``delta`` and ``K4`` (a number or null) are accepted and recorded in
+    the manifest but read by nothing, so the CLI has no flag for them.
     """
 
     K1: float = 1.0
     K2: float = 1.0
     K3: float = 1.0
-    K4: float | None = None     # defaults to K3/4
+    K4: float | None = None
     epsilon: float = 0.05
     delta: float = 0.05
     c: float = 0.25
-
-    @property
-    def k4(self) -> float:
-        return self.K3 / 4.0 if self.K4 is None else self.K4
 
 
 def _is_number(value) -> bool:
@@ -199,7 +194,7 @@ def run_scheme(scheme: str, n: int, alpha: float, beta: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     inst = generate_network(n, area, seed)
     M = hybrid_cell_size(snr_s, alpha, n)
-    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, k.k4, M=M)
+    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, M=M)
     return est, M, plan
 
 

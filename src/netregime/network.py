@@ -54,24 +54,6 @@ class DegenerateInstanceError(ValueError):
     """Raised when node geometry makes a channel quantity undefined."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Transmit power, noise level, bandwidth and path-loss environment."""
-
-    power_P: float
-    noise_N0: float
-    bandwidth_W: float
-    alpha: float
-    gain_G: float = 1.0
-
-    def __post_init__(self):
-        for name in ("power_P", "noise_N0", "bandwidth_W", "gain_G"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.alpha < 2:
-            raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-
-
 @dataclass
 class NetworkInstance:
     """One random draw of node positions, roles and source-destination pairing.
@@ -203,17 +185,6 @@ def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
         np.flatnonzero(~is_source))
     return NetworkInstance(n_pairs, float(area_A), seed, positions,
                            np.flatnonzero(is_source), dest_ids)
-
-
-def snr_short(params: PhysicalParams, n: int, area_A: float) -> float:
-    """Average SNR between nearest-neighbor nodes, G*P / (N0*W*(A/n)^(alpha/2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if area_A <= 0:
-        raise ValueError("area_A must be positive")
-    spacing = area_A / n
-    return params.gain_G * params.power_P / (
-        params.noise_N0 * params.bandwidth_W * spacing ** (params.alpha / 2.0))
 
 
 def snr_long(snr_s: float, n: int, alpha: float) -> float:

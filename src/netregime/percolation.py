@@ -27,7 +27,7 @@ from scipy import ndimage
 
 from . import rng
 from .network import NetworkInstance
-# Unused here: the benchmark's traced run wraps this binding (ROADMAP item 4).
+# Unused here: the benchmark's traced run wraps this binding (ROADMAP item 2).
 from .network import generate_network  # noqa: F401
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -334,9 +334,8 @@ class CrossingStudy:
 CROSSING_CSV_HEADER = "n,c,trials,empirical_rate,analytic_bound,flag"
 
 
-def crossing_probability(n: int, c: float, trials: int, seed: int,
-                         area_A: float | None = None) -> CrossingStudy:
-    """Empirical open-crossing rate over fresh draws vs the analytic bound.
+def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingStudy:
+    """Open-crossing rate over fresh draws on area n vs the analytic bound.
 
     A trial reads only the slab, so it draws only the slab's nodes: their
     count is Binomial(2n, slab width / network width), and they are uniform
@@ -347,15 +346,14 @@ def crossing_probability(n: int, c: float, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    area = float(n) if area_A is None else area_A
-    empty = _open_grid(n, area, c)
+    empty = _open_grid(n, float(n), c)
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
     hits = 0
     for key in rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist():
         rng.rekey(bit_generator, key)
         grid = replace(empty, closed=empty.closed.copy())
-        grid.closed[_draw_slab_cells(grid, n, math.sqrt(area), gen)] = True
+        grid.closed[_draw_slab_cells(grid, n, math.sqrt(n), gen)] = True
         if has_open_crossing(grid):
             hits += 1
     return CrossingStudy(n, c, trials, hits / trials,

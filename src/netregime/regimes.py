@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .network import PhysicalParams, beta_of, snr_short
-
 
 class Regime(enum.Enum):
     I = "I"
@@ -103,34 +101,6 @@ def classify(alpha: float, beta: float) -> RegimePoint:
     else:
         regime = Regime.IV
     return RegimePoint(alpha, beta, regime, mh, hc, hyb)
-
-
-def capacity_estimate(params: PhysicalParams, n: int, area_A: float):
-    """Order-of-magnitude total capacity in bits/s and the regime used.
-
-    The regime is ``classify(alpha, beta_of(snr_short, n))``, so n must be
-    at least 2.  With P_r the received power over the nearest-neighbor
-    distance, P_r / N0 = snr_short * W:
-
-        regime I:    n * W
-        regime II:   n^(2 - alpha/2) * P_r / N0
-        regime III:  sqrt(n) * P_r / N0
-        regime IV:   sqrt(n) * W^((a-3)/(a-2)) * (P_r/N0)^(1/(a-2))
-
-    These are order estimates; constants are not calibrated.
-    """
-    alpha, w = params.alpha, params.bandwidth_W
-    snr_s = snr_short(params, n, area_A)
-    regime = classify(alpha, beta_of(snr_s, n)).regime
-    p_over_n0 = snr_s * w
-    if regime is Regime.I:
-        return n * w, regime
-    if regime is Regime.II:
-        return n ** (2.0 - alpha / 2.0) * p_over_n0, regime
-    if regime is Regime.III:
-        return math.sqrt(n) * p_over_n0, regime
-    return (math.sqrt(n) * w ** ((alpha - 3.0) / (alpha - 2.0))
-            * p_over_n0 ** (1.0 / (alpha - 2.0))), regime
 
 
 def _axis(bounds, count: int) -> list[float]:

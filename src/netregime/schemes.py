@@ -281,7 +281,8 @@ def _relay_draws(bit_generator: np.random.Philox, keys: list, n_picks: np.ndarra
     ``ks`` holds every line's tie-break bounds (each below 2**32) in line
     order, n_ties[i] of them for line i.  Returns the picks and the
     tie-breaks as int64, each concatenated over the lines.  The values
-    are decoded from raw Philox words as :func:`route_sd_lines` says.
+    are decoded from raw Philox words as :func:`route_sd_lines` says; a
+    line whose tie-breaks reject a word draws them again with numpy.
     """
     draws = ks > 1
     drawn = np.concatenate(([0], np.cumsum(draws)))    # drawn ties before each
@@ -306,32 +307,13 @@ def _relay_draws(bit_generator: np.random.Philox, keys: list, n_picks: np.ndarra
     m = words[first[line] + n_picks[line] + drawn[tie] - drawn[tie_edges[line]]] * k
     ties[tie] = m >> 32
     rejected = (m & _MASK32) < (2 ** 32) % k
+    gen = np.random.Generator(bit_generator)
     for i in np.unique(line[rejected]).tolist():
         rng.rekey(bit_generator, keys[i])
-        stream = _words32(bit_generator)
-        for _ in range(n_picks[i]):
-            next(stream)
-        for t in range(tie_edges[i], tie_edges[i + 1]):
-            ties[t] = _lemire(stream, int(ks[t]))
+        gen.integers(0, 2 ** 31, size=n_picks[i])         # the picks' words
+        own = slice(tie_edges[i], tie_edges[i + 1])
+        ties[own] = gen.integers(0, ks[own])
     return picks, ties
-
-
-def _words32(bit_generator: np.random.Philox):
-    """The generator's 32-bit words, in ``next_uint32`` order."""
-    while True:
-        raw = bit_generator.random_raw()
-        yield raw & _MASK32
-        yield raw >> 32
-
-
-def _lemire(stream, k: int) -> int:
-    """numpy's ``integers(0, k)`` for 1 <= k < 2**32 on a 32-bit word stream."""
-    if k == 1:
-        return 0
-    m = next(stream) * k
-    while (m & _MASK32) < 2 ** 32 % k:
-        m = next(stream) * k
-    return m >> 32
 
 
 @dataclass
@@ -391,10 +373,11 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     :func:`rng.philox_keys`) and make one ``random_raw`` call for its
     words, as if nothing rejects.  Blocks of 256 lines are then decoded
     at once; a line with a rejection (odds about k / 2**32 per tie-break)
-    shifts its later words and is decoded again word by word.  A line
-    with no interior cell draws too, but its picks are all overwritten by
-    its endpoints.  Relay nodes come from the grid's sorted node order,
-    and the loads from ``np.bincount``.
+    shifts its later words, so its tie-breaks are drawn again by one
+    ``Generator.integers`` call after re-keying and skipping its picks.
+    A line with no interior cell draws too, but its picks are all
+    overwritten by its endpoints.  Relay nodes come from the grid's sorted
+    node order, and the loads from ``np.bincount``.
     """
     src, dst = instance.source_ids, instance.dest_ids
     cells, starts = _cell_walks(instance.positions[src], instance.positions[dst],
@@ -438,20 +421,18 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
 
 
 def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
-                      alpha: float, epsilon: float = 0.05, K3: float = 1.0,
-                      K4: float | None = None) -> ThroughputEstimate:
+                      alpha: float, epsilon: float = 0.05,
+                      K3: float = 1.0) -> ThroughputEstimate:
     """Hybrid aggregate rate from realized relay loads.
 
     Every relay node shares its outbound budget
     (K3/4) * M^(-eps) * log2(1 + M^(1-alpha/2) * snr_s) equally among the
     lines assigned to it; a line runs at the minimum share along its route
     and the aggregate is the sum over lines.  The analytic per-pair value
-    K4 * sqrt(M) * n^(-1/2-eps) is reported alongside.
+    (K3/4) * sqrt(M) * n^(-1/2-eps) is reported alongside.
     """
     if epsilon <= 0 or K3 <= 0:
         raise ValueError("epsilon and K3 must be positive")
-    if K4 is None:
-        K4 = K3 / 4.0
     relay_rate = (K3 / 4.0) * M ** (-epsilon) * math.log2(
         1.0 + M ** (1.0 - alpha / 2.0) * snr_s)
     lengths = np.fromiter(map(len, plan.assignments), dtype=np.intp,
@@ -461,19 +442,17 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     aggregate = fsum(per_pair.tolist())
     return ThroughputEstimate(
         aggregate, aggregate / n, Scheme.HYBRID,
-        analytic_per_pair=K4 * math.sqrt(M) * n ** (-0.5 - epsilon))
+        analytic_per_pair=(K3 / 4.0) * math.sqrt(M) * n ** (-0.5 - epsilon))
 
 
 def simulate_hybrid(instance: NetworkInstance, snr_s: float, alpha: float,
-                    epsilon: float = 0.05, K3: float = 1.0,
-                    K4: float | None = None, M: int | None = None):
+                    epsilon: float = 0.05, K3: float = 1.0, M: int | None = None):
     """Grid + routing on instance.seed + throughput; returns (estimate, plan, grid)."""
     if M is None:
         M = hybrid_cell_size(snr_s, alpha, instance.n_pairs)
     grid = build_cell_grid(instance, M)
     plan = route_sd_lines(grid, instance, instance.seed)
-    est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha,
-                            epsilon, K3, K4)
+    est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha, epsilon, K3)
     return est, plan, grid
 
 

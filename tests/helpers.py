@@ -20,6 +20,11 @@ from netregime.percolation import (_EIGHT, CrossingStudy, _labels_touching,
                                    decay_condition_holds, has_open_crossing)
 
 
+def snr_short(n, area, alpha, G=1, P=1, N0=1, W=1):
+    """Nearest-neighbor SNR G*P / (N0*W*(A/n)^(alpha/2)) of n pairs on area A."""
+    return G * P / (N0 * W * (area / n) ** (alpha / 2.0))
+
+
 def lexsort_has_coincident(positions):
     """Coincidence oracle: sort rows by (y, x) and compare neighbours."""
     order = np.lexsort(positions.T)

@@ -8,13 +8,12 @@ import pytest
 
 from netregime import (ConfigError, Constants, DegenerateInstanceError,
                        ExperimentConfig, ExperimentError, PathologicalCutError,
-                       PhysicalParams, cli, crossing_probability, cutset, fit_exponent,
-                       emit_phase_diagram, emit_sweep, harness, run_scaling_experiment,
-                       snr_short)
+                       cli, crossing_probability, cutset, fit_exponent,
+                       emit_phase_diagram, emit_sweep, harness, run_scaling_experiment)
 from netregime.rng import CROSSING, derived_seed
 from netregime.harness import operating_point, write_manifest
 
-from helpers import fit_full_and_tail, tail_points
+from helpers import fit_full_and_tail, snr_short, tail_points
 from test_rng import call_site_paths
 
 
@@ -71,8 +70,7 @@ class TestOperatingPoint:
         # unit-power parameters on the returned area give snr_s back
         snr_s, area = operating_point(n, alpha, math.log(snr) / math.log(n))
         assert snr_s == pytest.approx(snr, rel=1e-12)
-        params = PhysicalParams(1.0, 1.0, 1.0, alpha, 1.0)
-        assert snr_short(params, n, area) == pytest.approx(snr_s, rel=1e-12)
+        assert snr_short(n, area, alpha) == pytest.approx(snr_s, rel=1e-12)
 
     def test_snr_is_n_to_the_beta_and_area_back_solved(self):
         for n, alpha, beta in [(1024, 4.0, 0.5), (32, 3, 0.5), (81, 2.5, -0.25)]:
@@ -182,11 +180,7 @@ class TestConfig:
         config = ExperimentConfig.from_json(
             '{"kind": "phase-diagram", "alpha_range": [2, 6], "resolution": [3, 4], '
             '"constants": {"K4": null, "c": 0.5, "K1": 2}}')
-        assert config.constants.k4 == 0.25 and config.alpha_range == (2, 6)
-
-    def test_k4_defaults_to_quarter_k3(self):
-        assert Constants(K3=2.0).k4 == pytest.approx(0.5)
-        assert Constants(K3=2.0, K4=0.1).k4 == pytest.approx(0.1)
+        assert config.constants.K4 is None and config.alpha_range == (2, 6)
 
 
 class TestRunExperiment:
@@ -308,6 +302,22 @@ class TestEmission:
                                       master_seed=7, out=out)
             emit_sweep(config)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_recorded_constants_change_no_output_byte(self, tmp_path):
+        # constants.K4 and constants.delta are recorded but read by nothing
+        csv = {}
+        for name, constants in (("default", "{}"), ("set", '{"K4": 0.7, "delta": 0.3}')):
+            out = tmp_path / f"{name}.csv"
+            emit_sweep(ExperimentConfig.from_json(
+                '{"kind": "scheme", "scheme": "hybrid", "n_list": [64, 128], '
+                '"alpha": 4.0, "beta": 0.5, "trials": 2, "master_seed": 3, '
+                f'"constants": {constants}, "out": {json.dumps(str(out))}}}'))
+            csv[name] = out.read_bytes()
+        manifest = json.loads((tmp_path / "set.csv.manifest.json").read_text())
+        assert manifest["config"]["constants"]["K4"] == 0.7
+        assert manifest["config"]["constants"]["delta"] == 0.3
+        assert csv["set"] == csv["default"]
+        assert len(csv["set"].splitlines()) == 3
 
     def test_phase_diagram_files(self, tmp_path):
         out = str(tmp_path / "pd.csv")

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netregime import (DegenerateInstanceError, PhysicalParams, beta_of,
-                       channel_matrix, generate_network, snr_long,
-                       snr_short)
+from netregime import (DegenerateInstanceError, beta_of, channel_matrix,
+                       generate_network, snr_long)
 from netregime import network
 from netregime.cutset import (CutPartition, PathologicalCutError, _dhat,
                               dof_term_realized, partition_nodes,
@@ -18,13 +17,8 @@ from netregime.harness import operating_point
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json, lexsort_has_coincident,
+                     instance_from_json, lexsort_has_coincident, snr_short,
                      unblocked_dhat, uniform_generate_network)
-
-
-def default_params(alpha=4.0, G=1.0):
-    return PhysicalParams(power_P=1.0, noise_N0=1.0, bandwidth_W=1.0,
-                          alpha=alpha, gain_G=G)
 
 
 class TestGenerate:
@@ -183,11 +177,11 @@ class TestSnrQuantities:
     def test_snr_short_unit_distance(self):
         # A/n = 1 makes the spacing term drop out for any alpha
         for alpha in (2.0, 3.0, 4.5):
-            assert snr_short(default_params(alpha), 16, 16.0) == pytest.approx(1.0)
+            assert snr_short(16, 16.0, alpha) == pytest.approx(1.0)
 
     def test_snr_short_hand_values(self):
-        assert snr_short(default_params(2.0), 4, 16.0) == pytest.approx(0.25)
-        assert snr_short(default_params(4.0, G=2.0), 9, 9.0) == pytest.approx(2.0)
+        assert snr_short(4, 16.0, 2.0) == pytest.approx(0.25)
+        assert snr_short(9, 9.0, 4.0, G=2.0) == pytest.approx(2.0)
 
     def test_snr_long_zero_db_boundary(self):
         # beta = alpha/2 - 1 puts the long-range SNR at 0 dB
@@ -205,12 +199,6 @@ class TestSnrQuantities:
         assert beta_of(16.0, 256) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             beta_of(2.0, 1)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalParams(0.0, 1.0, 1.0, 4.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(1.0, 1.0, 1.0, 1.5)
 
 
 class TestChannel:

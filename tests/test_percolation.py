@@ -484,7 +484,7 @@ class TestCrossingProbability:
             assert hits[j] / T <= bound + 3 * se
 
 
-def recorded_grids(n, c, trials, seed, area_A=None):
+def recorded_grids(n, c, trials, seed):
     """The grids crossing_probability's trials hand to has_open_crossing."""
     grids = []
 
@@ -493,16 +493,15 @@ def recorded_grids(n, c, trials, seed, area_A=None):
         return has_open_crossing(grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(percolation, "has_open_crossing", recording)
-        crossing_probability(n, c, trials, seed, area_A=area_A)
+        crossing_probability(n, c, trials, seed)
     return grids
 
 
 class TestSlabDraw:
-    @pytest.mark.parametrize("n, c, area", [(256, 0.5, 256.0), (1000, 0.25, 1000.0),
-                                            (4096, 0.52, 77.0)])
-    def test_grid_geometry_matches_instance_grid(self, n, c, area):
-        want = build_occupancy_grid(generate_network(n, area, seed=0), c)
-        grids = recorded_grids(n, c, 3, seed=1, area_A=area)
+    @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52)])
+    def test_grid_geometry_matches_instance_grid(self, n, c):
+        want = build_occupancy_grid(generate_network(n, float(n), seed=0), c)
+        grids = recorded_grids(n, c, 3, seed=1)
         assert len(grids) == 3 and len({id(g.closed) for g in grids}) == 3
         for grid in grids:
             assert grid.closed.shape == want.closed.shape

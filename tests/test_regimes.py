@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netregime import (PhysicalParams, Regime, Scheme, beta_of, capacity_estimate,
-                       classify, phase_diagram, regimes, snr_short)
+from netregime import Regime, Scheme, classify, phase_diagram, regimes
 from netregime.regimes import phase_diagram_csv_rows
 
 
@@ -69,63 +68,6 @@ class TestClassify:
         row2 = 2 - 3.0 / 2 + beta
         row34 = 0.5 + beta if beta <= 0 else 0.5 + beta / (3.0 - 2)
         assert abs(row2 - row34) < 1e-9
-
-
-class TestCapacityEstimate:
-    def test_bandwidth_limited_row(self):
-        # huge power puts the long-range SNR far above 0 dB
-        params = PhysicalParams(1e9, 1.0, 2.0, 2.0)
-        value, regime = capacity_estimate(params, n=100, area_A=100.0)
-        assert regime is Regime.I
-        assert value == pytest.approx(100 * 2.0)
-
-    def test_power_limited_fast_decay_row(self):
-        params = PhysicalParams(1.0, 1.0, 1.0, 4.0)   # snr_s = 1/A at A/n=... <1
-        value, regime = capacity_estimate(params, n=100, area_A=400.0)
-        assert regime is Regime.III
-        p_r = (400.0 / 100) ** -2.0
-        assert value == pytest.approx(10.0 * p_r)
-
-    def test_homogeneity_in_w_and_p(self):
-        base = PhysicalParams(1e9, 1.0, 2.0, 2.0)
-        doubled_w = PhysicalParams(1e9, 1.0, 4.0, 2.0)
-        v1, _ = capacity_estimate(base, 100, 100.0)
-        v2, _ = capacity_estimate(doubled_w, 100, 100.0)
-        assert v2 == pytest.approx(2 * v1)
-
-        base = PhysicalParams(1.0, 1.0, 1.0, 4.0)
-        doubled_p = PhysicalParams(2.0, 1.0, 1.0, 4.0)
-        v1, r1 = capacity_estimate(base, 100, 400.0)
-        v2, r2 = capacity_estimate(doubled_p, 100, 400.0)
-        assert r1 is r2 is Regime.III
-        assert v2 == pytest.approx(2 * v1)
-
-    def test_mixed_row_shape(self):
-        # alpha > 3 with snr_s >= 1 but snr_l < 1
-        params = PhysicalParams(16.0, 1.0, 1.0, 4.0)
-        value, regime = capacity_estimate(params, n=10 ** 4, area_A=float(10 ** 4))
-        assert regime is Regime.IV
-        assert value == pytest.approx(100.0 * 16.0 ** 0.5)
-
-    def test_unit_snr_is_regime_three(self):
-        # snr_short = 1 gives beta = 0, which belongs to regime III; the
-        # regime III and IV values agree there
-        params = PhysicalParams(1.0, 1.0, 1.0, 4.0)
-        assert capacity_estimate(params, 100, 100.0) == (10.0, Regime.III)
-
-    @given(st.floats(-6.0, 9.0), st.floats(2.0, 6.0), st.integers(2, 10 ** 6),
-           st.floats(-3.0, 3.0))
-    @settings(max_examples=300, deadline=None)
-    def test_regime_is_classify(self, log_power, alpha, n, log_spacing):
-        params = PhysicalParams(10.0 ** log_power, 1.0, 1.0, alpha)
-        area = n * 10.0 ** log_spacing
-        _, regime = capacity_estimate(params, n, area)
-        beta = beta_of(snr_short(params, n, area), n)
-        assert regime is classify(alpha, beta).regime
-
-    def test_single_pair_has_no_exponent(self):
-        with pytest.raises(ValueError):
-            capacity_estimate(PhysicalParams(1.0, 1.0, 1.0, 4.0), 1, 1.0)
 
 
 class TestSchemeExponents:
