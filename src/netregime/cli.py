@@ -6,18 +6,19 @@ Exit codes: 0 success, 2 configuration error, 3 experiment failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import astuple
 
 from . import rng
-from .cutset import CUT_MODES, CUTSET_CSV_HEADER, PathologicalCutError
-from .harness import (ConfigError, Constants, ExperimentConfig, ExperimentError,
-                      emit_phase_diagram, emit_sweep, fit_exponent, run_cutset,
-                      run_scheme, write_lines)
+from .cutset import CUT_MODES, PathologicalCutError
+from .harness import (CROSSING_CSV_HEADER, CUTSET_CSV_HEADER, SCHEME_CSV_HEADER,
+                      ConfigError, Constants, ExperimentConfig, ExperimentError,
+                      csv_row, cut_json, emit_phase_diagram, emit_sweep,
+                      fit_exponent, fit_json, instance_json, run_cutset,
+                      run_scheme, scheme_row, write_lines)
 from .network import DegenerateInstanceError, generate_network
-from .percolation import CROSSING_CSV_HEADER, certified_cut, crossing_probability
-from .schemes import SCHEME_CSV_HEADER, scheme_csv_row
+from .percolation import certified_cut, crossing_probability
 
 
 def _add_common(p: argparse.ArgumentParser, *, point: bool, trials: bool) -> None:
@@ -105,17 +106,9 @@ def _constants(args) -> Constants:
                         if hasattr(args, f)})
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    if out:
-        write_lines(out, lines[0], lines[1:])
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
 def cmd_gen(args) -> int:
     area = float(args.n) if args.area is None else args.area
-    inst = generate_network(args.n, area, args.seed)
-    _emit([inst.to_json()], args.out)
+    write_lines(args.out, [instance_json(generate_network(args.n, area, args.seed))])
     return 0
 
 
@@ -123,17 +116,16 @@ def cmd_cutset(args) -> int:
     report = run_cutset(args.n, args.alpha, args.beta, _constants(args),
                         args.trials, args.mode, seed=args.seed,
                         phase_seed=rng.derived_seed(args.seed, rng.CLI_PHASES))
-    _emit([CUTSET_CSV_HEADER, report.csv_row()], args.out)
+    write_lines(args.out, [CUTSET_CSV_HEADER, csv_row(astuple(report))])
     return 0
 
 
 def cmd_scheme(args) -> int:
-    k, rows = _constants(args), []
-    for n in args.n_list or [args.n]:
-        est, m, _ = run_scheme(args.name, n, args.alpha, args.beta, k, args.seed)
-        rows.append(scheme_csv_row(n, args.alpha, args.beta, est, m, 0, 0,
-                                   args.seed))
-    _emit([SCHEME_CSV_HEADER] + rows, args.out)
+    k = _constants(args)
+    rows = [scheme_row(n, args.alpha, args.beta, args.seed,
+                       run_scheme(args.name, n, args.alpha, args.beta, k, args.seed))
+            for n in args.n_list or [args.n]]
+    write_lines(args.out, [SCHEME_CSV_HEADER] + rows)
     return 0
 
 
@@ -141,17 +133,16 @@ def cmd_hybrid(args) -> int:
     k, rows = _constants(args), []
     for t in range(args.seeds):
         seed = rng.derived_seed(args.seed, rng.EXPERIMENT, t)
-        est, m, plan = run_scheme("hybrid", args.n, args.alpha, args.beta, k, seed)
-        rows.append(scheme_csv_row(args.n, args.alpha, args.beta, est, m,
-                                   plan.max_cell_load, plan.reroutes, seed))
-    _emit([SCHEME_CSV_HEADER] + rows, args.out)
+        result = run_scheme("hybrid", args.n, args.alpha, args.beta, k, seed)
+        rows.append(scheme_row(args.n, args.alpha, args.beta, seed, result))
+    write_lines(args.out, [SCHEME_CSV_HEADER] + rows)
     return 0
 
 
 def cmd_percolation(args) -> int:
     seed = rng.derived_seed(args.seed, rng.CROSSING)   # a sweep's point 0
     study = crossing_probability(args.n, args.c, args.trials, seed)
-    _emit([CROSSING_CSV_HEADER, study.csv_row()], args.out)
+    write_lines(args.out, [CROSSING_CSV_HEADER, csv_row(astuple(study))])
     if args.export_cut:
         inst = generate_network(args.n, float(args.n),
                                 rng.derived_seed(args.seed, rng.CLI_CUT))
@@ -160,7 +151,7 @@ def cmd_percolation(args) -> int:
             print("no open crossing in the exported instance; nothing exported",
                   file=sys.stderr)
             return 3
-        _emit([cut.to_json()], args.export_cut)
+        write_lines(args.export_cut, [cut_json(cut)])
     return 0
 
 
@@ -189,8 +180,7 @@ def cmd_fit(args) -> int:
                     raise ConfigError(f"{args.csv} line {lineno} has {len(parts)} "
                                       f"columns; the header has {len(header)}")
                 table.append((int(parts[n_col]), float(parts[m_col])))
-    result = fit_exponent(table, args.theory)
-    sys.stdout.write(json.dumps(result.to_dict(), indent=2) + "\n")
+    write_lines(None, [fit_json(fit_exponent(table, args.theory))])
     return 0
 
 

@@ -14,7 +14,6 @@ independent unit-power signalling from the left:
 
     w_hat = sqrt(n)                if snr_s >= n^(alpha/2 - 1)
     w_hat = 1                      if snr_s < 1
-    w_hat = sqrt(n)                if alpha == 2, otherwise
     w_hat = snr_s^(1/(alpha - 2))  for 1 <= snr_s < n^(alpha/2 - 1)
 
 Two cut modes are supported.  The "idealized" mode clears the unit strip
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -89,8 +88,6 @@ def select_cut_width(snr_s: float, n: int, alpha: float) -> float:
         return root_n
     if snr_s < 1.0:
         return 1.0
-    if alpha == 2.0:
-        return root_n
     return snr_s ** (1.0 / (alpha - 2.0))
 
 
@@ -159,17 +156,22 @@ def snr_total(instance: NetworkInstance, partition: CutPartition,
     return snr_s * fsum(d.tolist())
 
 
+def _spans_half(w_hat: float, n: int) -> bool:
+    """w_hat = sqrt(n): the strip spans the half network and the far set is empty."""
+    return abs(w_hat - math.sqrt(n)) <= 1e-12 * math.sqrt(n)
+
+
 def closed_form_snr_total_bound(snr_s: float, n: int, alpha: float,
                                 w_hat: float, K1: float = 1.0) -> float:
     """Closed-form bound on snr_total; natural-log polylog factors.
 
-    Not applicable when w_hat = sqrt(n) (the far set is empty there).
+    Not applicable when w_hat = sqrt(n) (see :func:`_spans_half`).
     """
     if K1 <= 0:
         raise ValueError("K1 must be positive")
     if alpha < 2:
         raise ValueError("alpha must be >= 2")
-    if abs(w_hat - math.sqrt(n)) <= 1e-12 * math.sqrt(n):
+    if _spans_half(w_hat, n):
         raise ValueError("bound does not apply at w_hat = sqrt(n)")
     ln_n = math.log(n)
     if alpha == 2.0:
@@ -282,14 +284,6 @@ class CutsetReport:
     trials: int
     seed: int
 
-    def csv_row(self) -> str:
-        """The fields in order; floats to 17 significant digits."""
-        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                        for v in astuple(self))
-
-
-CUTSET_CSV_HEADER = ",".join(f.name for f in fields(CutsetReport))
-
 
 def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
                     trials: int = 20, phase_seed: int = 0,
@@ -299,11 +293,14 @@ def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
     """Full cutset evaluation of one instance at nearest-neighbor SNR snr_s.
 
     Partition, analytic terms and Monte-Carlo value all use this snr_s and
-    alpha.  ``mode`` is one of :data:`CUT_MODES`; any other value raises
-    ValueError.
+    alpha.  ``mode`` is one of :data:`CUT_MODES`; any other value, or a K1
+    or epsilon that is not positive, raises ValueError before the cut and
+    the phases are drawn.
     """
     if mode not in CUT_MODES:
         raise ValueError(f"unknown cut mode {mode!r}")
+    if not (K1 > 0 and epsilon > 0):
+        raise ValueError(f"K1 and epsilon must be positive, got {K1} and {epsilon}")
     n = instance.n_pairs
     w_hat = select_cut_width(snr_s, n, alpha)   # checks snr_s and alpha
     cut = None
@@ -316,10 +313,8 @@ def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
     snr_tot = snr_total(instance, part, snr_s, alpha)
     dof_real = dof_term_realized(instance, part, snr_s, alpha)
     power = n ** epsilon * snr_tot / LN2
-    try:
-        bound = closed_form_snr_total_bound(snr_s, n, alpha, w_hat, K1)
-    except ValueError:
-        bound = math.nan
+    bound = (math.nan if _spans_half(w_hat, n)
+             else closed_form_snr_total_bound(snr_s, n, alpha, w_hat, K1))
     mc = mc_cutset_logdet(instance, part, snr_s, alpha, trials, phase_seed)
     return CutsetReport(
         n=n, alpha=alpha, beta=beta_of(snr_s, n), w_hat=w_hat,

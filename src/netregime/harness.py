@@ -1,4 +1,4 @@
-"""Experiment orchestration: sweeps over n, exponent fits, file outputs.
+"""Experiment orchestration: sweeps over n, exponent fits, and every output format.
 
 An experiment is a pure function of its configuration.  Unit seeds are
 derived from (master_seed, tag, point, unit) on counter-based substreams,
@@ -13,17 +13,17 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from . import rng
-from .cutset import CUT_MODES, PathologicalCutError, evaluate_cutset
-from .network import DegenerateInstanceError, generate_network
-from .percolation import crossing_probability
-from .regimes import (PHASE_DIAGRAM_HEADER, Scheme, phase_diagram,
-                      phase_diagram_csv_rows, phase_diagram_grid_rows)
+from .cutset import CUT_MODES, CutsetReport, PathologicalCutError, evaluate_cutset
+from .network import DegenerateInstanceError, NetworkInstance, generate_network
+from .percolation import CutPolyline, crossing_probability
+from .regimes import Regime, Scheme, phase_diagram
 from .schemes import (OutOfRegimeError, hc_throughput, hybrid_cell_size,
                       multihop_throughput, simulate_hybrid)
 
@@ -149,12 +149,6 @@ class PointRow:
     n: int
     metric: float
     stderr: float
-
-    def csv_row(self) -> str:
-        return f"{self.n},{self.metric:.17g},{self.stderr:.17g}"
-
-
-SWEEP_CSV_HEADER = "n,metric,stderr"
 
 
 def operating_point(n: int, alpha: float, beta: float) -> tuple[float, float]:
@@ -285,9 +279,6 @@ class FitResult:
     theory_exponent: float
     residuals: tuple
 
-    def to_dict(self) -> dict:
-        return dict(asdict(self), residuals=list(self.residuals))
-
 
 def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
     """Ordinary least squares of ln(metric) on ln(n); the slope is the exponent."""
@@ -312,11 +303,61 @@ def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
                      theory_exponent, tuple(float(r) for r in resid))
 
 
-def write_lines(path: str, header: str, rows: list[str]) -> None:
+# Output formats.  Every CSV header and row, JSON document and file write
+# of the package is defined below; no other module formats output.
+
+SWEEP_CSV_HEADER = "n,metric,stderr"
+CUTSET_CSV_HEADER = ",".join(f.name for f in fields(CutsetReport))
+SCHEME_CSV_HEADER = "n,alpha,beta,scheme,M,aggregate_T,per_pair_R,max_cell_load,reroutes,seed"
+CROSSING_CSV_HEADER = "n,c,trials,empirical_rate,analytic_bound,flag"
+PHASE_DIAGRAM_HEADER = "alpha,beta,regime,exponent,e_multihop,e_hc,e_hybrid,optimal_scheme"
+
+
+def csv_row(values) -> str:
+    """One CSV line: floats as ``.17g``, bools as 0/1, anything else by ``str``."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float)
+                    else str(int(v) if isinstance(v, bool) else v) for v in values)
+
+
+def scheme_row(n: int, alpha: float, beta: float, seed: int, result) -> str:
+    """The SCHEME_CSV_HEADER row of one :func:`run_scheme` result; a closed
+    form has no relay plan, so its max_cell_load and reroutes read 0."""
+    est, M, plan = result
+    load, reroutes = (0, 0) if plan is None else (plan.max_cell_load, plan.reroutes)
+    return csv_row((n, alpha, beta, est.scheme, M, est.aggregate_T, est.per_pair_R,
+                    load, reroutes, seed))
+
+
+def instance_json(inst: NetworkInstance) -> str:
+    """``{n, area_A, seed, positions, roles, pairing}``; roles[i] is 1 for a source."""
+    roles = np.zeros(inst.n_nodes, dtype=int)
+    roles[inst.source_ids] = 1
+    pairing = np.column_stack([inst.source_ids, inst.dest_ids])
+    return json.dumps({"n": inst.n_pairs, "area_A": inst.area_A, "seed": inst.seed,
+                       "positions": inst.positions.tolist(), "roles": roles.tolist(),
+                       "pairing": pairing.tolist()})
+
+
+def cut_json(cut: CutPolyline) -> str:
+    """``{c, cell_side, path, clearance}`` of a certified cut."""
+    return json.dumps({"c": cut.grid.c, "cell_side": cut.grid.cell_side,
+                       "path": [[int(r), int(col)] for r, col in cut.cells],
+                       "clearance": cut.clearance})
+
+
+def fit_json(fit: FitResult) -> str:
+    """The fit's fields as indented JSON; residuals are an array."""
+    return json.dumps(asdict(fit), indent=2)
+
+
+def write_lines(path: str | None, lines) -> None:
+    """Write each line and a newline to ``path``, or to stdout when there is no path."""
+    text = "".join(line + "\n" for line in lines)
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(text)
 
 
 def write_manifest(out_path: str, config: ExperimentConfig) -> str:
@@ -329,9 +370,7 @@ def write_manifest(out_path: str, config: ExperimentConfig) -> str:
         "content_sha256": digest,
     }
     path = out_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])
     return path
 
 
@@ -344,7 +383,7 @@ def emit_sweep(config: ExperimentConfig, workers: int = 1) -> str:
     if not config.out:
         raise ConfigError("config.out must name an output file")
     rows = run_scaling_experiment(config)
-    write_lines(config.out, SWEEP_CSV_HEADER, [r.csv_row() for r in rows])
+    write_lines(config.out, [SWEEP_CSV_HEADER] + [csv_row(astuple(r)) for r in rows])
     write_manifest(config.out, config)
     return config.out
 
@@ -353,17 +392,22 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
     """Write the classification CSV plus a regime-id grid for plotting.
 
     The grid file holds one row per alpha value (ascending), one integer
-    regime id (1..4) per beta value (ascending), space separated.
+    regime id (1..4, in Regime order) per beta value (ascending), space
+    separated.
     """
     if config.kind != "phase-diagram":
         raise ConfigError("emit_phase_diagram needs kind='phase-diagram'")
     if not config.out:
         raise ConfigError("config.out must name an output file")
     points = phase_diagram(config.alpha_range, config.beta_range, config.resolution)
-    write_lines(config.out, PHASE_DIAGRAM_HEADER, phase_diagram_csv_rows(points))
+    write_lines(config.out, [PHASE_DIAGRAM_HEADER] + [
+        csv_row((p.alpha, p.beta, p.regime, p.exponent, p.multihop, p.hierarchical,
+                 p.hybrid, p.optimal)) for p in points])
+    regime_id = {regime: str(i) for i, regime in enumerate(Regime, start=1)}
+    ids = [regime_id[p.regime] for p in points]
+    n_beta = config.resolution[1]
     grid_path = config.out + ".grid.txt"
-    with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in phase_diagram_grid_rows(points, config.resolution[1]):
-            fh.write(row + "\n")
+    write_lines(grid_path, (" ".join(ids[i:i + n_beta])
+                            for i in range(0, len(ids), n_beta)))
     write_manifest(config.out, config)
     return config.out, grid_path

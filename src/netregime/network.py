@@ -22,7 +22,6 @@ Watts.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -110,23 +109,6 @@ class NetworkInstance:
     def nn_scale(self) -> float:
         """Typical nearest-neighbor distance sqrt(A/n)."""
         return math.sqrt(self.area_A / self.n_pairs)
-
-    @property
-    def is_source(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.source_ids] = True
-        return mask
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n_pairs,
-            "area_A": self.area_A,
-            "seed": self.seed,
-            "positions": self.positions.tolist(),
-            "roles": [1 if s else 0 for s in self.is_source],
-            "pairing": [[int(s), int(d)] for s, d in zip(self.source_ids, self.dest_ids)],
-        }
-        return json.dumps(doc)
 
 
 def _has_coincident_nodes(positions: np.ndarray) -> bool:

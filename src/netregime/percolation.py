@@ -18,7 +18,6 @@ with that convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -82,14 +81,6 @@ class CutPolyline:
     vertices: np.ndarray
     grid: PercolationGrid
     clearance: float = math.nan
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "c": self.grid.c,
-            "cell_side": self.grid.cell_side,
-            "path": [[int(r), int(col)] for r, col in self.cells],
-            "clearance": self.clearance,
-        })
 
 
 def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid:
@@ -325,13 +316,6 @@ class CrossingStudy:
     empirical_rate: float      # fraction of seeds with an open crossing
     analytic_bound: float      # closed-form bound on the failure probability
     decay_ok: bool
-
-    def csv_row(self) -> str:
-        return (f"{self.n},{self.c:.17g},{self.trials},{self.empirical_rate:.17g},"
-                f"{self.analytic_bound:.17g},{int(self.decay_ok)}")
-
-
-CROSSING_CSV_HEADER = "n,c,trials,empirical_rate,analytic_bound,flag"
 
 
 def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingStudy:

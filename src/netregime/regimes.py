@@ -124,20 +124,3 @@ def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
     betas = _axis(beta_range, n_beta)
     return [classify(a, b) for a in _axis(alpha_range, n_alpha) for b in betas]
 
-
-PHASE_DIAGRAM_HEADER = "alpha,beta,regime,exponent,e_multihop,e_hc,e_hybrid,optimal_scheme"
-
-
-def phase_diagram_csv_rows(points: list[RegimePoint]) -> list[str]:
-    return [f"{p.alpha:.17g},{p.beta:.17g},{p.regime},{p.exponent:.17g},"
-            f"{p.multihop:.17g},{p.hierarchical:.17g},{p.hybrid:.17g},{p.optimal}"
-            for p in points]
-
-
-_GRID_ID = {Regime.I: 1, Regime.II: 2, Regime.III: 3, Regime.IV: 4}
-
-
-def phase_diagram_grid_rows(points: list[RegimePoint], n_beta: int) -> list[str]:
-    """One row per alpha value of a row-major grid, one regime id (1..4) per beta value."""
-    ids = [str(_GRID_ID[p.regime]) for p in points]
-    return [" ".join(ids[i:i + n_beta]) for i in range(0, len(ids), n_beta)]

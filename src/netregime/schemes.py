@@ -455,12 +455,3 @@ def simulate_hybrid(instance: NetworkInstance, snr_s: float, alpha: float,
     est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha, epsilon, K3)
     return est, plan, grid
 
-
-SCHEME_CSV_HEADER = "n,alpha,beta,scheme,M,aggregate_T,per_pair_R,max_cell_load,reroutes,seed"
-
-
-def scheme_csv_row(n: int, alpha: float, beta: float, est: ThroughputEstimate,
-                   M: int, max_cell_load, reroutes, seed: int) -> str:
-    return (f"{n},{alpha:.17g},{beta:.17g},{est.scheme},{M},"
-            f"{est.aggregate_T:.17g},{est.per_pair_R:.17g},"
-            f"{max_cell_load},{reroutes},{seed}")

@@ -78,7 +78,7 @@ def hand_instance(positions, area_A, seed=0):
 
 
 def instance_from_json(text):
-    """Rebuild an instance from the JSON of ``NetworkInstance.to_json``."""
+    """Rebuild an instance from the JSON of ``harness.instance_json``."""
     doc = json.loads(text)
     pairing = np.asarray(doc["pairing"], dtype=np.intp)
     return NetworkInstance(int(doc["n"]), float(doc["area_A"]), int(doc["seed"]),

@@ -9,6 +9,7 @@ tolerances anyway and fail honestly (see the assertion messages).
 
 import itertools
 import math
+import threading
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        partition_nodes, select_cut_width,
                        simulate_hybrid, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, certified_cut,
-                       has_open_crossing)
+                       has_open_crossing, network)
 from netregime.harness import fit_exponent, operating_point
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
@@ -391,28 +392,36 @@ def test_c12_percolation_mode_cutset():
 # 13. Byte-identical outputs at different parallelism levels
 # --------------------------------------------------------------------------
 
-def test_c13_reproducibility(tmp_path):
+def test_c13_reproducibility(tmp_path, monkeypatch):
     t0 = time.time()
+    real_start, started = threading.Thread.start, []
+
+    def start(thread):   # record the row-block thread count of each started thread
+        started.append(network._workers)
+        real_start(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
     outputs = []
-    for workers in (1, 4):
+    for workers in (1, 3):
+        monkeypatch.setattr(network, "_workers", workers)
         tag = f"w{workers}"
         paths = {}
-        cutset = ExperimentConfig(kind="cutset", n_list=[16, 32, 64],
+        # n = 512 spans two row blocks, so the 3-worker run starts threads
+        cutset = ExperimentConfig(kind="cutset", n_list=[16, 32, 64, 512],
                                   alpha=2.0, beta=1.0, trials=5, instances=2,
                                   master_seed=13, out=str(tmp_path / f"cut_{tag}.csv"))
-        emit_sweep(cutset, workers=workers)
+        emit_sweep(cutset)
         paths["cutset"] = cutset.out
         hybrid = ExperimentConfig(kind="scheme", scheme="hybrid",
                                   n_list=[64, 128], alpha=4.0, beta=0.5,
                                   trials=4, master_seed=13,
                                   out=str(tmp_path / f"hyb_{tag}.csv"))
-        emit_sweep(hybrid, workers=workers)
+        emit_sweep(hybrid)
         paths["hybrid"] = hybrid.out
         perc = ExperimentConfig(kind="percolation", n_list=[256, 1024],
                                 trials=10, master_seed=13,
                                 constants=Constants(c=0.25),
                                 out=str(tmp_path / f"perc_{tag}.csv"))
-        emit_sweep(perc, workers=workers)
+        emit_sweep(perc)
         paths["percolation"] = perc.out
         pd = ExperimentConfig(kind="phase-diagram", resolution=(20, 20),
                               out=str(tmp_path / f"pd_{tag}.csv"))
@@ -420,7 +429,8 @@ def test_c13_reproducibility(tmp_path):
         paths["phase-diagram"] = pd.out
         outputs.append({k: open(v, "rb").read() for k, v in paths.items()})
     same = {k: outputs[0][k] == outputs[1][k] for k in outputs[0]}
-    ok = all(same.values())
+    threads = {w: started.count(w) for w in (1, 3)}
+    ok = all(same.values()) and threads[1] == 0 and threads[3] > 0
     assert report("C13 reproducibility", ok,
-                  f"byte-identical across workers 1 vs 4: {same} "
-                  f"({time.time() - t0:.1f} s)")
+                  f"byte-identical across row-block workers 1 vs 3: {same}; "
+                  f"threads started {threads} ({time.time() - t0:.1f} s)")

@@ -85,6 +85,10 @@ class TestCutset:
         with pytest.raises(TypeError, match="unexpected keyword"):
             run(["cutset", "--n", "16", "--trials", "1"])
 
+    @pytest.mark.parametrize("flag", [["--k1", "-1"], ["--eps", "0"], ["--eps", "-1"]])
+    def test_non_positive_constant_exits_2(self, flag):
+        assert run(["cutset", "--n", "64", "--trials", "1"] + flag) == 2
+
     def test_percolation_mode(self, tmp_path):
         out = tmp_path / "cutp.csv"
         code = run(["cutset", "--n", "256", "--alpha", "4", "--beta", "0",
@@ -208,7 +212,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("field", [{"constants": {"bogus": 1.0}},
                                        {"constants": [1.0]},
-                                       {"instances": 0}])
+                                       {"instances": 0},
+                                       {"constants": {"K1": -1.0}},
+                                       {"constants": {"epsilon": 0.0}}])
     def test_bad_constants_or_instances_exit_2(self, tmp_path, field):
         out = tmp_path / "s.csv"
         cfg = tmp_path / "c.json"

@@ -17,7 +17,7 @@ import pytest
 
 from netregime import Constants, ExperimentConfig, emit_phase_diagram, emit_sweep
 from netregime.cli import main
-from netregime.cutset import CUTSET_CSV_HEADER
+from netregime.harness import CUTSET_CSV_HEADER
 
 SWEEPS = {
     "multihop": dict(kind="scheme", scheme="multihop", alpha=3.5, beta=-0.25,

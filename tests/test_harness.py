@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,12 @@ from netregime import (ConfigError, Constants, DegenerateInstanceError,
                        cli, crossing_probability, cutset, fit_exponent,
                        emit_phase_diagram, emit_sweep, harness, run_scaling_experiment)
 from netregime.rng import CROSSING, derived_seed
-from netregime.harness import operating_point, write_manifest
+from netregime.cli import main
+from netregime.harness import (CROSSING_CSV_HEADER, CUTSET_CSV_HEADER,
+                               PHASE_DIAGRAM_HEADER, SCHEME_CSV_HEADER,
+                               SWEEP_CSV_HEADER, csv_row, operating_point,
+                               write_manifest)
+from netregime.regimes import Scheme
 
 from helpers import fit_full_and_tail, snr_short, tail_points
 from test_rng import call_site_paths
@@ -340,3 +347,64 @@ class TestEmission:
         path = write_manifest(out, config)
         doc = json.loads(open(path).read())
         assert doc["version"]
+
+
+# CSV output -> (its header, a call that writes it to a path)
+CSV_OUTPUTS = {
+    "sweep": (SWEEP_CSV_HEADER, lambda out: emit_sweep(ExperimentConfig(
+        kind="percolation", n_list=[64, 128], trials=2, out=out))),
+    "cutset": (CUTSET_CSV_HEADER, lambda out: main(
+        ["cutset", "--n", "32", "--alpha", "3", "--beta", "0.5", "--trials", "1",
+         "--seed", "2", "--out", out])),
+    "scheme": (SCHEME_CSV_HEADER, lambda out: main(
+        ["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "2",
+         "--out", out])),
+    "crossing": (CROSSING_CSV_HEADER, lambda out: main(
+        ["percolation", "--n", "64", "--trials", "2", "--out", out])),
+    "phase-diagram": (PHASE_DIAGRAM_HEADER, lambda out: emit_phase_diagram(
+        ExperimentConfig(kind="phase-diagram", resolution=(3, 3), out=out))),
+}
+
+
+def output_sites(path: Path) -> list:
+    """(line, kind) of each .17g format spec, json.dump or json.dumps call and
+    open() in a writing mode of a module."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant) and ".17g" in str(node.value):
+            sites.append((node.lineno, ".17g"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            sites.append((node.lineno, "json.dump"))
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                   for m in modes):
+                sites.append((node.lineno, "open for writing"))
+    return sites
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("name", sorted(CSV_OUTPUTS))
+    def test_rows_have_header_columns(self, tmp_path, name):
+        header, write = CSV_OUTPUTS[name]
+        out = tmp_path / "out.csv"
+        write(str(out))
+        lines = out.read_text().splitlines()
+        assert lines[0] == header and len(lines) > 1
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+
+    def test_csv_row_rule(self):
+        assert csv_row((3, 0.1, True, Scheme.HYBRID)) == "3,0.10000000000000001,1,hybrid"
+        assert csv_row((False, math.nan, "x")) == "0,nan,x"
+
+    def test_only_harness_formats_output(self):
+        sites = {path.name: output_sites(path)
+                 for path in sorted(Path(harness.__file__).parent.glob("*.py"))}
+        # the check finds every kind of site in the one module that may hold them
+        assert {kind for _, kind in sites.pop("harness.py")} == {
+            ".17g", "json.dump", "open for writing"}
+        assert {name: found for name, found in sites.items() if found} == {}

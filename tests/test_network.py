@@ -13,7 +13,7 @@ from netregime import network
 from netregime.cutset import (CutPartition, PathologicalCutError, _dhat,
                               dof_term_realized, partition_nodes,
                               select_cut_width, snr_total)
-from netregime.harness import operating_point
+from netregime.harness import instance_json, operating_point
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
@@ -55,7 +55,7 @@ class TestGenerate:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.source_ids, b.source_ids)
         assert np.array_equal(a.dest_ids, b.dest_ids)
-        assert a.to_json() == b.to_json()
+        assert instance_json(a) == instance_json(b)
 
     def test_pairing_is_bijection(self):
         inst = generate_network(64, 64.0, seed=3)
@@ -418,14 +418,14 @@ class TestRowBlockWorkers:
 class TestSerialization:
     def test_round_trip(self):
         inst = generate_network(12, 5.0, seed=42)
-        back = instance_from_json(inst.to_json())
+        back = instance_from_json(instance_json(inst))
         assert np.array_equal(back.positions, inst.positions)
         assert np.array_equal(back.source_ids, inst.source_ids)
         assert np.array_equal(back.dest_ids, inst.dest_ids)
         assert back.n_pairs == 12 and back.area_A == 5.0 and back.seed == 42
 
     def test_schema_fields(self):
-        doc = json.loads(generate_network(3, 3.0, seed=1).to_json())
+        doc = json.loads(instance_json(generate_network(3, 3.0, seed=1)))
         assert set(doc) == {"n", "area_A", "seed", "positions", "roles", "pairing"}
         assert sum(doc["roles"]) == 3
         assert len(doc["pairing"]) == 3

@@ -13,6 +13,7 @@ from netregime.percolation import (PercolationGrid, _distance_to_bottom,
                                    _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
                                    split_by_cut)
+from netregime.harness import cut_json
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      brute_b_set, brute_polyline_clearance,
@@ -339,14 +340,14 @@ class TestExtractCut:
             assert cut.cells == want.cells and cut.clearance == want.clearance
             assert cut.vertices.tobytes() == want.vertices.tobytes()
             assert np.array_equal(cut.grid.closed, grid.closed)
-            assert cut.to_json() == want.to_json()
+            assert cut_json(cut) == cut_json(want)
 
     def test_json_export(self):
         import json
         inst = nodes_left_of_slab(32, 32.0, 0.5, seed=2)
         grid = build_occupancy_grid(inst, 0.5)
         cut = extract_cut(find_open_crossing(grid), inst)
-        doc = json.loads(cut.to_json())
+        doc = json.loads(cut_json(cut))
         assert set(doc) == {"c", "cell_side", "path", "clearance"}
         assert doc["clearance"] == cut.clearance
 
@@ -435,7 +436,6 @@ class TestCrossingProbability:
         study = crossing_probability(256, 0.25, trials=40, seed=5)
         assert 0.0 <= study.empirical_rate <= 1.0
         assert study.decay_ok
-        assert study.csv_row().count(",") == 5
 
     def test_monotone_in_c(self):
         rates = []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netregime import Regime, Scheme, classify, phase_diagram, regimes
-from netregime.regimes import phase_diagram_csv_rows
 
 
 def reference_exponent(alpha, beta):
@@ -141,9 +140,3 @@ class TestPhaseDiagram:
         monkeypatch.setattr(regimes, "classify", counted)
         phase_diagram((2.0, 6.0), (-1.0, 3.0), (10, 10))
         assert len(calls) == 100
-
-    def test_csv_rows_shape(self):
-        cells = phase_diagram((2.0, 6.0), (-1.0, 3.0), (3, 3))
-        rows = phase_diagram_csv_rows(cells)
-        assert len(rows) == 9
-        assert all(len(r.split(",")) == 8 for r in rows)
