@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 from . import rng
 from .cutset import CUT_MODES, PathologicalCutError
@@ -67,14 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scheme", help="closed-form scheme throughput over n")
     _add_common(p, point=True, trials=False)
     _add_constants(p, "--k2", "--k3", "--eps")
-    p.add_argument("--name", choices=("multihop", "hc", "bursty_hc"),
+    p.add_argument("--name", dest="scheme", choices=("multihop", "hc", "bursty_hc"),
                    default="multihop")
     p.add_argument("--n-list", type=int, nargs="+", default=None)
 
     p = sub.add_parser("hybrid", help="simulate the cooperate-locally scheme")
     _add_common(p, point=True, trials=False)
     _add_constants(p, "--k3", "--eps")
-    p.add_argument("--seeds", type=int, default=5, help="instance draws")
+    p.add_argument("--seeds", dest="trials", metavar="SEEDS", type=int, default=5,
+                   help="instance draws")
 
     p = sub.add_parser("percolation", help="crossing-probability study")
     _add_common(p, point=False, trials=True)
@@ -100,10 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _constants(args) -> Constants:
-    """The Constants of the subcommand's flags; the others keep their defaults."""
-    return Constants(**{f: getattr(args, f) for f in _CONSTANT_FLAGS.values()
-                        if hasattr(args, f)})
+def _config(args, kind: str, **fixed) -> ExperimentConfig:
+    """The validated config of a point command, the only reader of its config
+    and constant flags.  A flag sets the field its dest names, and ``--n``
+    sets ``n_list`` when there is no ``--n-list``; the other fields keep
+    their defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    given.setdefault("n_list", [args.n])
+    constants = Constants(**{f: getattr(args, f) for f in _CONSTANT_FLAGS.values()
+                             if hasattr(args, f)})
+    return ExperimentConfig(kind=kind, constants=constants, **given, **fixed)
 
 
 def cmd_gen(args) -> int:
@@ -113,40 +121,38 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cutset(args) -> int:
-    report = run_cutset(args.n, args.alpha, args.beta, _constants(args),
-                        args.trials, args.mode, seed=args.seed,
-                        phase_seed=rng.derived_seed(args.seed, rng.CLI_PHASES))
+    report = run_cutset(_config(args, "cutset"), args.n, args.seed,
+                        rng.derived_seed(args.seed, rng.CLI_PHASES))
     write_lines(args.out, [CUTSET_CSV_HEADER, csv_row(astuple(report))])
     return 0
 
 
 def cmd_scheme(args) -> int:
-    k = _constants(args)
-    rows = [scheme_row(n, args.alpha, args.beta, args.seed,
-                       run_scheme(args.name, n, args.alpha, args.beta, k, args.seed))
-            for n in args.n_list or [args.n]]
-    write_lines(args.out, [SCHEME_CSV_HEADER] + rows)
+    config = _config(args, "scheme")
+    write_lines(args.out, [SCHEME_CSV_HEADER] + [
+        scheme_row(n, config, args.seed, run_scheme(config, n, args.seed))
+        for n in config.n_list])
     return 0
 
 
 def cmd_hybrid(args) -> int:
-    k, rows = _constants(args), []
-    for t in range(args.seeds):
+    config, rows = _config(args, "scheme", scheme="hybrid"), []
+    for t in range(config.trials):
         seed = rng.derived_seed(args.seed, rng.EXPERIMENT, t)
-        result = run_scheme("hybrid", args.n, args.alpha, args.beta, k, seed)
-        rows.append(scheme_row(args.n, args.alpha, args.beta, seed, result))
+        rows.append(scheme_row(args.n, config, seed, run_scheme(config, args.n, seed)))
     write_lines(args.out, [SCHEME_CSV_HEADER] + rows)
     return 0
 
 
 def cmd_percolation(args) -> int:
+    config = _config(args, "percolation")
     seed = rng.derived_seed(args.seed, rng.CROSSING)   # a sweep's point 0
-    study = crossing_probability(args.n, args.c, args.trials, seed)
+    study = crossing_probability(args.n, config.constants.c, config.trials, seed)
     write_lines(args.out, [CROSSING_CSV_HEADER, csv_row(astuple(study))])
     if args.export_cut:
         inst = generate_network(args.n, float(args.n),
                                 rng.derived_seed(args.seed, rng.CLI_CUT))
-        cut = certified_cut(inst, args.c)
+        cut = certified_cut(inst, config.constants.c)
         if cut is None:
             print("no open crossing in the exported instance; nothing exported",
                   file=sys.stderr)

@@ -55,8 +55,9 @@ class PathologicalCutError(ValueError):
 
 
 def _check_point(snr_s: float, alpha: float) -> None:
-    if not (alpha >= 2 and math.isfinite(snr_s) and snr_s > 0):
-        raise ValueError(f"need alpha >= 2 and a finite snr_s > 0, got {alpha} and {snr_s}")
+    if not (2 <= alpha < math.inf and math.isfinite(snr_s) and snr_s > 0):
+        raise ValueError(f"need a finite alpha >= 2 and a finite snr_s > 0, "
+                         f"got {alpha} and {snr_s}")
 
 
 @dataclass

@@ -101,6 +101,10 @@ class ExperimentConfig:
             if not (_is_number(value) or (f.name == "K4" and value is None)):
                 raise ConfigError(f"constants.{f.name} must be a finite number, "
                                   f"got {value!r}")
+            if f.name in ("K1", "K2", "K3", "epsilon") and value <= 0:
+                raise ConfigError(f"constants.{f.name} must be positive, got {value!r}")
+            if f.name == "c" and not 0 < value < 1:
+                raise ConfigError(f"constants.c must be in (0, 1), got {value!r}")
         if self.alpha < 2:
             raise ConfigError(f"alpha must be >= 2, got {self.alpha}")
         for name, least in (("trials", 1), ("instances", 1), ("master_seed", 0)):
@@ -162,68 +166,53 @@ def operating_point(n: int, alpha: float, beta: float) -> tuple[float, float]:
     return snr_s, n * snr_s ** (-2.0 / alpha)
 
 
-def run_cutset(n: int, alpha: float, beta: float, k: Constants, trials: int,
-               mode: str, seed: int, phase_seed: int):
-    """Draw an instance from ``seed`` and evaluate its cutset bound."""
-    snr_s, area = operating_point(n, alpha, beta)
+def run_cutset(config: ExperimentConfig, n: int, seed: int, phase_seed: int) -> CutsetReport:
+    """Draw an instance at n from ``seed`` and evaluate its cutset bound."""
+    snr_s, area = operating_point(n, config.alpha, config.beta)
     inst = generate_network(n, area, seed)
-    return evaluate_cutset(inst, snr_s, alpha, trials=trials, phase_seed=phase_seed,
-                           mode=mode, c=k.c, epsilon=k.epsilon, K1=k.K1)
+    k = config.constants
+    return evaluate_cutset(inst, snr_s, config.alpha, trials=config.trials,
+                           phase_seed=phase_seed, mode=config.mode, c=k.c,
+                           epsilon=k.epsilon, K1=k.K1)
 
 
-def run_scheme(scheme: str, n: int, alpha: float, beta: float,
-               k: Constants, seed: int):
-    """One evaluation of a scheme at n: (estimate, cell size M, relay plan).
+def run_scheme(config: ExperimentConfig, n: int, seed: int):
+    """One evaluation of ``config.scheme`` at n: (estimate, cell size M, relay plan).
 
     The closed forms ignore ``seed`` and return no plan; the hybrid scheme
     draws its instance and routes its lines from ``seed``.
     """
-    snr_s, area = operating_point(n, alpha, beta)
-    if scheme == "multihop":
+    snr_s, area = operating_point(n, config.alpha, config.beta)
+    k = config.constants
+    if config.scheme == "multihop":
         return multihop_throughput(n, snr_s, k.K2), 1, None
-    if scheme in ("hc", "bursty_hc"):
-        return hc_throughput(n, snr_s, alpha, k.epsilon, k.K3,
-                             bursty=scheme == "bursty_hc"), n, None
-    if scheme != "hybrid":
-        raise ValueError(f"unknown scheme {scheme!r}")
+    if config.scheme in ("hc", "bursty_hc"):
+        return hc_throughput(n, snr_s, config.alpha, k.epsilon, k.K3,
+                             bursty=config.scheme == "bursty_hc"), n, None
     inst = generate_network(n, area, seed)
-    M = hybrid_cell_size(snr_s, alpha, n)
-    est, plan, _ = simulate_hybrid(inst, snr_s, alpha, k.epsilon, k.K3, M=M)
+    M = hybrid_cell_size(snr_s, config.alpha, n)
+    est, plan, _ = simulate_hybrid(inst, snr_s, config.alpha, k.epsilon, k.K3, M=M)
     return est, M, plan
 
 
-def _cutset_unit(config: ExperimentConfig, n: int, seed: int, phase_seed: int):
-    report = run_cutset(n, config.alpha, config.beta, config.constants, config.trials,
-                        config.mode, seed, phase_seed)
-    return PointRow(n, report.mc_logdet, report.mc_stderr)
-
-
-def _scheme_unit(config: ExperimentConfig, n: int, seed: int):
-    est, _, _ = run_scheme(config.scheme, n, config.alpha, config.beta,
-                           config.constants, seed)
-    return PointRow(n, est.aggregate_T, 0.0)
-
-
-def _percolation_unit(config: ExperimentConfig, n: int, seed: int):
-    study = crossing_probability(n, config.constants.c, config.trials, seed)
-    rate = study.empirical_rate
-    se = math.sqrt(max(rate * (1 - rate), 0.0) / study.trials)
-    return PointRow(n, rate, se)
-
-
-# kind -> (unit, units per point, seed paths of unit j of point i).  A unit
-# returns the PointRow of its own draw; it takes one seed per path, derived
-# from (master_seed, *path): a cutset unit its instance and its phases, a
-# scheme unit its instance (only the hybrid scheme is random), a percolation
-# point its study.
+# kind -> (runner, units per point, seed paths of unit j of point i, reader).
+# A runner takes (config, n) and one seed per path, derived from
+# (master_seed, *path): a cutset unit its instance and its phases, a scheme
+# unit its instance (only the hybrid scheme is random), a percolation point
+# its study.  The reader returns the (metric, stderr) of the runner's result.
 _UNITS = {
-    "cutset": (_cutset_unit, lambda config: config.instances,
-               lambda i, j: ((rng.EXPERIMENT, i, j), (rng.PHASES, i, j))),
-    "scheme": (_scheme_unit,
+    "cutset": (run_cutset, lambda config: config.instances,
+               lambda i, j: ((rng.EXPERIMENT, i, j), (rng.PHASES, i, j)),
+               lambda report: (report.mc_logdet, report.mc_stderr)),
+    "scheme": (run_scheme,
                lambda config: config.trials if config.scheme == "hybrid" else 1,
-               lambda i, j: ((rng.EXPERIMENT, i, j),)),
-    "percolation": (_percolation_unit, lambda config: 1,
-                    lambda i, j: ((rng.CROSSING, i),)),
+               lambda i, j: ((rng.EXPERIMENT, i, j),),
+               lambda result: (result[0].aggregate_T, 0.0)),
+    "percolation": (lambda config, n, seed: crossing_probability(
+                        n, config.constants.c, config.trials, seed),
+                    lambda config: 1, lambda i, j: ((rng.CROSSING, i),),
+                    lambda study: (study.empirical_rate, math.sqrt(  # binomial stderr
+                        study.empirical_rate * (1 - study.empirical_rate) / study.trials))),
 }
 
 # Errors of a bad draw, a non-finite Monte-Carlo value or a point outside
@@ -234,11 +223,12 @@ _UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
 
 
 def _run_unit(config: ExperimentConfig, i: int, n: int, j: int):
-    """Unit j of point i's row; None, logged with the unit's seed paths, on a unit error."""
-    unit, _, seed_paths = _UNITS[config.kind]
+    """Unit j of point i's (metric, stderr); None, logged with the unit's seed
+    paths, on a unit error."""
+    runner, _, seed_paths, read = _UNITS[config.kind]
     paths = [(config.master_seed, *path) for path in seed_paths(i, j)]
     try:
-        return unit(config, n, *(rng.derived_seed(*path) for path in paths))
+        return read(runner(config, n, *(rng.derived_seed(*path) for path in paths)))
     except _UNIT_ERRORS as exc:
         logger.warning("%s unit failed at n=%d (point %d, unit %d): %s; seed paths %s",
                        config.kind, n, i, j, type(exc).__name__,
@@ -258,13 +248,12 @@ def run_scaling_experiment(config: ExperimentConfig) -> list[PointRow]:
     rows = []
     for i, n in enumerate(config.n_list):
         count = _UNITS[config.kind][1](config)
-        good = [row for row in (_run_unit(config, i, n, j) for j in range(count))
-                if row is not None]
+        good = [unit for unit in (_run_unit(config, i, n, j) for j in range(count))
+                if unit is not None]
         if count - len(good) > 0.1 * count or not good:
             rows.append(PointRow(n, math.nan, math.nan))
             continue
-        metric, stderr = rng.mean_stderr([g.metric for g in good],
-                                         single=good[0].stderr)
+        metric, stderr = rng.mean_stderr([m for m, _ in good], single=good[0][1])
         rows.append(PointRow(n, metric, stderr))
     if all(math.isnan(r.metric) for r in rows):
         raise ExperimentError("every point of the experiment failed")
@@ -319,13 +308,13 @@ def csv_row(values) -> str:
                     else str(int(v) if isinstance(v, bool) else v) for v in values)
 
 
-def scheme_row(n: int, alpha: float, beta: float, seed: int, result) -> str:
+def scheme_row(n: int, config: ExperimentConfig, seed: int, result) -> str:
     """The SCHEME_CSV_HEADER row of one :func:`run_scheme` result; a closed
     form has no relay plan, so its max_cell_load and reroutes read 0."""
     est, M, plan = result
     load, reroutes = (0, 0) if plan is None else (plan.max_cell_load, plan.reroutes)
-    return csv_row((n, alpha, beta, est.scheme, M, est.aggregate_T, est.per_pair_R,
-                    load, reroutes, seed))
+    return csv_row((n, config.alpha, config.beta, est.scheme, M, est.aggregate_T,
+                    est.per_pair_R, load, reroutes, seed))
 
 
 def instance_json(inst: NetworkInstance) -> str:

@@ -137,8 +137,8 @@ def draw_positions(n_pairs: int, area_A: float, seed: int):
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    if area_A <= 0:
-        raise ValueError(f"area_A must be positive, got {area_A}")
+    if not 0 < area_A < math.inf:
+        raise ValueError(f"area_A must be positive and finite, got {area_A}")
     side = math.sqrt(area_A)
     for attempt in range(_MAX_ATTEMPTS):
         retry = (attempt,) if attempt else ()

@@ -86,6 +86,8 @@ def hybrid_cell_size(snr_s: float, alpha: float, n: int) -> int:
     pure multihop or pure cooperative scheme applies instead.  The
     unrounded M satisfies M^(1-alpha/2) * snr_s >= 1 by construction.
     """
+    if not (math.isfinite(snr_s) and math.isfinite(alpha)):
+        raise ValueError(f"snr_s and alpha must be finite, got {snr_s} and {alpha}")
     if alpha <= 2:
         raise OutOfRegimeError("hybrid cells need alpha > 2")
     if snr_s <= 1.0:

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,51 @@ def test_unread_flag_exits_2(command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, "--n", "16", flag, "1"])
     assert exc.value.code == 2
+
+
+# Inputs outside ExperimentConfig's rules or a library call's domain; each
+# once exited 0, 1 or 3.
+INVALID_POINTS = [
+    ["cutset", "--n", "64", "--trials", "1", "--alpha", "inf"],
+    ["scheme", "--name", "hc", "--n", "64", "--beta", "nan"],
+    ["scheme", "--name", "bursty_hc", "--beta", "inf"],
+    ["hybrid", "--n", "256", "--beta", "nan", "--seeds", "1"],
+    ["scheme", "--name", "hc", "--n", "64", "--eps", "inf"],
+    ["hybrid", "--n", "256", "--beta", "0.04", "--seeds", "1", "--eps", "inf"],
+    # constants out of range where the run does not read them
+    ["cutset", "--n", "64", "--trials", "1", "--c", "5"],
+    ["scheme", "--name", "multihop", "--eps", "-1"],
+    ["scheme", "--name", "hc", "--n", "64", "--k2", "-1"],
+    ["scheme", "--name", "multihop", "--alpha", "1.5"],
+    ["scheme", "--name", "multihop", "--n-list", "256", "64"],
+    ["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "0"],
+    ["gen", "--n", "4", "--area", "nan"],
+    ["gen", "--n", "4", "--area", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_POINTS, ids=" ".join)
+def test_invalid_point_exits_2(argv, tmp_path):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# Fields of ExperimentConfig and Constants that a point command's flags set.
+CONFIG_FLAG_FIELDS = {"alpha", "beta", "trials", "mode", "scheme", "n_list",
+                      "K1", "K2", "K3", "epsilon", "c"}
+
+
+def test_only_config_reads_config_flags():
+    """Every config flag reaches a run through cli._config's validated config."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    stray = [(func.name, node.attr) for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef)
+             and func.name != "_config"
+             for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "args" and node.attr in CONFIG_FLAG_FIELDS]
+    assert stray == []
 
 
 class TestGen:
@@ -214,12 +261,18 @@ class TestSweep:
                                        {"constants": [1.0]},
                                        {"instances": 0},
                                        {"constants": {"K1": -1.0}},
-                                       {"constants": {"epsilon": 0.0}}])
+                                       {"constants": {"epsilon": 0.0}},
+                                       # out of range where the run does not read it
+                                       {"constants": {"c": 5.0}},
+                                       {"kind": "scheme", "scheme": "hybrid", "alpha": 4.0,
+                                        "beta": 0.5, "constants": {"K2": -1.0}},
+                                       {"kind": "scheme", "scheme": "hc",
+                                        "constants": {"epsilon": 0.0}}])
     def test_bad_constants_or_instances_exit_2(self, tmp_path, field):
         out = tmp_path / "s.csv"
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(dict(field, kind="cutset", n_list=[16, 32],
-                                       out=str(out))))
+        cfg.write_text(json.dumps({"kind": "cutset", **field, "n_list": [16, 32],
+                                   "out": str(out)}))
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
 

@@ -394,8 +394,9 @@ class TestEvaluateCutset:
                                  mode="percolation", c=0.25)
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
 
-    @pytest.mark.parametrize("snr,alpha", [(2.0, 1.5), (2.0, math.nan), (0.0, 3.0),
-                                           (-1.0, 3.0), (math.nan, 3.0), (math.inf, 3.0)])
+    @pytest.mark.parametrize("snr,alpha", [(2.0, 1.5), (2.0, math.nan), (2.0, math.inf),
+                                           (0.0, 3.0), (-1.0, 3.0), (math.nan, 3.0),
+                                           (math.inf, 3.0)])
     def test_bad_operating_point_rejected_before_any_draw(self, snr, alpha, monkeypatch):
         inst = unit_density_instance(16, seed=1)
         part = partition_nodes(inst, w_hat=2.0)
@@ -407,6 +408,8 @@ class TestEvaluateCutset:
             mc_cutset_logdet(inst, part, snr, alpha, trials=1, phase_seed=0)
         with pytest.raises(ValueError, match="alpha >= 2 and a finite snr_s > 0"):
             evaluate_cutset(inst, snr, alpha, trials=1)
+        with pytest.raises(ValueError, match="alpha >= 2 and a finite snr_s > 0"):
+            select_cut_width(snr, inst.n_pairs, alpha)
 
     def test_unknown_mode_rejected(self):
         _, area = operating_point(16, 3.0, 0.25)   # snr_s = 2

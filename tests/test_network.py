@@ -69,6 +69,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_network(4, -1.0, seed=0)
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf])
+    def test_non_finite_area_rejected(self, area):
+        # a NaN area would draw NaN positions; an infinite one, only redraws
+        with pytest.raises(ValueError, match="area_A must be positive and finite"):
+            network.draw_positions(4, area, 0)
+
     def test_positions_immutable(self):
         inst = generate_network(4, 4.0, seed=0)
         with pytest.raises(ValueError):

@@ -119,6 +119,13 @@ class TestHybridCellSize:
         with pytest.raises(OutOfRegimeError):
             hybrid_cell_size(4.0, 2.0, 100)          # alpha = 2
 
+    @pytest.mark.parametrize("snr,alpha", [(math.nan, 4.0), (math.inf, 4.0),
+                                           (16.0, math.nan), (16.0, math.inf)])
+    def test_non_finite_point_is_value_error(self, snr, alpha):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            hybrid_cell_size(snr, alpha, 256)
+        assert not isinstance(exc.value, OutOfRegimeError)
+
     def test_clamped_to_n(self):
         n = 64
         assert hybrid_cell_size(float(n), 4.0, n) == n
