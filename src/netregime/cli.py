@@ -12,9 +12,9 @@ from dataclasses import astuple, fields
 
 from . import rng
 from .cutset import CUT_MODES, PathologicalCutError
-from .harness import (CROSSING_CSV_HEADER, CUTSET_CSV_HEADER, SCHEME_CSV_HEADER,
-                      ConfigError, Constants, ExperimentConfig, ExperimentError,
-                      csv_row, cut_json, emit_phase_diagram, emit_sweep,
+from .harness import (CROSSING_CSV_HEADER, CUTSET_COLUMNS, CUTSET_CSV_HEADER,
+                      SCHEME_CSV_HEADER, ConfigError, Constants, ExperimentConfig,
+                      ExperimentError, csv_row, cut_json, emit_phase_diagram, emit_sweep,
                       fit_exponent, fit_json, instance_json, run_cutset,
                       run_scheme, scheme_row, write_lines)
 from .network import DegenerateInstanceError, generate_network
@@ -123,7 +123,8 @@ def cmd_gen(args) -> int:
 def cmd_cutset(args) -> int:
     report = run_cutset(_config(args, "cutset"), args.n, args.seed,
                         rng.derived_seed(args.seed, rng.CLI_PHASES))
-    write_lines(args.out, [CUTSET_CSV_HEADER, csv_row(astuple(report))])
+    write_lines(args.out, [CUTSET_CSV_HEADER,
+                           csv_row(getattr(report, name) for name in CUTSET_COLUMNS)])
     return 0
 
 

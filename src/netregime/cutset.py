@@ -27,6 +27,13 @@ achievable value for the power transfer and sits below the analytic
 degrees-of-freedom plus power envelope on every fading realization.
 Rates are bits/s/Hz; the polylog factors in the closed forms use natural
 logarithms.
+
+:func:`evaluate_cutset` draws the cut and takes the Monte-Carlo value.
+The analytic terms of its :class:`CutsetReport` (snr_total, the realized
+strip sum, the power term and the closed-form bound) are computed when
+they are read, so a sweep, which reads only the Monte-Carlo value, skips
+their received-power sums.  ``scipy.linalg`` is loaded by the first
+log-det, not by importing this module.
 """
 
 from __future__ import annotations
@@ -34,10 +41,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy   # scipy.linalg loads on first use, by the first log-det
 
 from . import percolation as perc
 from . import rng
@@ -211,9 +219,9 @@ def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
     factorization fails, as it does on non-finite entries.
     """
     m, k = entries.shape
-    gram = blas.zherk(snr_s, entries.T, trans=2 if m <= k else 0, lower=1)
+    gram = scipy.linalg.blas.zherk(snr_s, entries.T, trans=2 if m <= k else 0, lower=1)
     gram[np.diag_indices_from(gram)] += 1.0
-    factor, info = lapack.zpotrf(gram, lower=1, clean=0, overwrite_a=1)
+    factor, info = scipy.linalg.lapack.zpotrf(gram, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return math.nan
     return 2.0 * fsum(np.log2(factor.diagonal().real).tolist())
@@ -264,11 +272,17 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
 
 @dataclass
 class CutsetReport:
-    """Everything measured for one cut: analytic terms, bound, and Monte-Carlo value.
+    """One cut of one instance: its Monte-Carlo value and its analytic columns.
 
-    ``dof_term`` is the realized strip sum used in per-realization chains;
-    ``power_term`` is n^epsilon * snr_total / ln 2, in bits;
-    ``closed_form_bound`` is NaN when w_hat = sqrt(n).
+    :func:`evaluate_cutset` computes the Monte-Carlo value.  The four
+    analytic columns are computed when first read, once each, so a sweep,
+    which reads only ``mc_logdet`` and ``mc_stderr``, never pays for their
+    received-power sums:
+
+    * ``snr_total``, the total received SNR of the far set;
+    * ``dof_term``, the realized strip sum used in per-realization chains;
+    * ``power_term``, n^epsilon * snr_total / ln 2, in bits;
+    * ``closed_form_bound``, NaN when w_hat = sqrt(n).
     """
 
     n: int
@@ -276,14 +290,35 @@ class CutsetReport:
     beta: float
     w_hat: float
     size_VD: int
-    dof_term: float
-    snr_total: float
-    power_term: float
     mc_logdet: float
     mc_stderr: float
-    closed_form_bound: float
     trials: int
     seed: int
+    # the inputs of the analytic columns
+    instance: NetworkInstance
+    partition: CutPartition
+    snr_s: float
+    epsilon: float
+    K1: float
+
+    @cached_property
+    def dof_term(self) -> float:
+        return dof_term_realized(self.instance, self.partition, self.snr_s, self.alpha)
+
+    @cached_property
+    def snr_total(self) -> float:
+        return snr_total(self.instance, self.partition, self.snr_s, self.alpha)
+
+    @cached_property
+    def power_term(self) -> float:
+        return self.n ** self.epsilon * self.snr_total / LN2
+
+    @cached_property
+    def closed_form_bound(self) -> float:
+        if _spans_half(self.w_hat, self.n):
+            return math.nan
+        return closed_form_snr_total_bound(self.snr_s, self.n, self.alpha,
+                                           self.w_hat, self.K1)
 
 
 def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
@@ -291,7 +326,8 @@ def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
                     mode: str = "idealized", c: float = 0.25,
                     epsilon: float = 0.05,
                     K1: float = 1.0) -> CutsetReport:
-    """Full cutset evaluation of one instance at nearest-neighbor SNR snr_s.
+    """Cut one instance at nearest-neighbor SNR snr_s and take its
+    Monte-Carlo value; the report computes its analytic columns when read.
 
     Partition, analytic terms and Monte-Carlo value all use this snr_s and
     alpha.  ``mode`` is one of :data:`CUT_MODES`; any other value, or a K1
@@ -310,15 +346,9 @@ def evaluate_cutset(instance: NetworkInstance, snr_s: float, alpha: float,
         if cut is None:
             raise PathologicalCutError("no node-free crossing in the slab")
     part = partition_nodes(instance, w_hat, cut)
-
-    snr_tot = snr_total(instance, part, snr_s, alpha)
-    dof_real = dof_term_realized(instance, part, snr_s, alpha)
-    power = n ** epsilon * snr_tot / LN2
-    bound = (math.nan if _spans_half(w_hat, n)
-             else closed_form_snr_total_bound(snr_s, n, alpha, w_hat, K1))
     mc = mc_cutset_logdet(instance, part, snr_s, alpha, trials, phase_seed)
     return CutsetReport(
         n=n, alpha=alpha, beta=beta_of(snr_s, n), w_hat=w_hat,
-        size_VD=int(part.strip_VD.size), dof_term=dof_real, snr_total=snr_tot,
-        power_term=power, mc_logdet=mc.mean, mc_stderr=mc.stderr,
-        closed_form_bound=bound, trials=mc.trials_used, seed=instance.seed)
+        size_VD=int(part.strip_VD.size), mc_logdet=mc.mean, mc_stderr=mc.stderr,
+        trials=mc.trials_used, seed=instance.seed, instance=instance, partition=part,
+        snr_s=snr_s, epsilon=epsilon, K1=K1)

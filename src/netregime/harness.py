@@ -296,7 +296,11 @@ def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
 # of the package is defined below; no other module formats output.
 
 SWEEP_CSV_HEADER = "n,metric,stderr"
-CUTSET_CSV_HEADER = ",".join(f.name for f in fields(CutsetReport))
+# The CutsetReport attributes of a cutset CSV row, in column order.
+CUTSET_COLUMNS = ("n", "alpha", "beta", "w_hat", "size_VD", "dof_term", "snr_total",
+                  "power_term", "mc_logdet", "mc_stderr", "closed_form_bound",
+                  "trials", "seed")
+CUTSET_CSV_HEADER = ",".join(CUTSET_COLUMNS)
 SCHEME_CSV_HEADER = "n,alpha,beta,scheme,M,aggregate_T,per_pair_R,max_cell_load,reroutes,seed"
 CROSSING_CSV_HEADER = "n,c,trials,empirical_rate,analytic_bound,flag"
 PHASE_DIAGRAM_HEADER = "alpha,beta,regime,exponent,e_multihop,e_hc,e_hybrid,optimal_scheme"

@@ -19,10 +19,11 @@ with that convention.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
+import scipy   # scipy.ndimage loads on first use, by the first labelling
 
 from . import rng
 from .network import NetworkInstance
@@ -99,7 +100,8 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
 
 def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
-    with every cell open."""
+    with every cell open.  Raises ValueError, before it allocates, when the
+    slab's cells would need more than the machine's physical memory."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     if n < 2:
@@ -112,6 +114,12 @@ def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     x0 = side - cell / 2.0 - left_cols * cell
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
+    # A cell holds at least a bool state and an int32 label of scipy.ndimage.label.
+    need = rows * cols * 5
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"a slab of {rows} x {cols} cells needs {need / 2**30:.3g} GiB, "
+                         f"more than the {memory / 2**30:.3g} GiB of physical memory")
 
     return PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
 
@@ -138,7 +146,7 @@ def _labels_touching(labels: np.ndarray, first, last) -> bool:
 
 def has_open_crossing(grid: PercolationGrid) -> bool:
     """True iff some 4-connected open component touches both top and bottom rows."""
-    labels, num = ndimage.label(grid.open, structure=_FOUR)
+    labels, num = scipy.ndimage.label(grid.open, structure=_FOUR)
     if num == 0:
         return False
     return _labels_touching(labels, (0, slice(None)), (-1, slice(None)))
@@ -284,7 +292,7 @@ def split_by_cut(path: CutPolyline, instance: NetworkInstance):
     grid = path.grid
     free = np.ones(grid.closed.shape, dtype=bool)
     free[tuple(np.asarray(path.cells).T)] = False
-    labels, _ = ndimage.label(free, structure=_EIGHT)
+    labels, _ = scipy.ndimage.label(free, structure=_EIGHT)
     first, last = (slice(None), 0), (slice(None), -1)
     if _labels_touching(labels, first, last):
         raise AssertionError("cut does not separate the slab")

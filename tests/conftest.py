@@ -1,5 +1,6 @@
 """Suite-wide fixtures."""
 
+import os
 import threading
 
 import pytest
@@ -13,3 +14,16 @@ def no_thread_left_running():
     left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
     if left:
         pytest.fail(f"test left threads running: {left}")
+
+
+@pytest.fixture
+def memory_at_most_8gib(monkeypatch):
+    """Report at most 8 GiB of physical memory through ``os.sysconf``, so a
+    test of the memory pre-flight refuses the same runs on any machine."""
+    real = os.sysconf
+
+    def capped(name):
+        if name == "SC_PHYS_PAGES":
+            return min(real(name), 8 * 2 ** 30 // real("SC_PAGE_SIZE"))
+        return real(name)
+    monkeypatch.setattr(os, "sysconf", capped)

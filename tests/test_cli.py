@@ -1,11 +1,15 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netregime
 from netregime import (ChannelMatrix, DegenerateInstanceError,
                        PathologicalCutError, cli, cutset, harness)
 from netregime.cli import main
@@ -143,6 +147,11 @@ class TestCutset:
                     "--out", str(out)])
         assert code == 0
 
+    def test_slab_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
+        # n = 256 at c = 1e-9 is a slab of 1.6e10 x 6 cells, about 450 GiB
+        assert run(["cutset", "--mode", "percolation", "--c", "1e-9"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
 
 class TestScheme:
     def test_multihop_rows(self, tmp_path):
@@ -190,6 +199,40 @@ class TestPercolation:
                                           constants=harness.Constants(c=0.5))
         assert rate == harness.run_scaling_experiment(config)[0].metric
         assert 0.0 < rate < 1.0
+
+    def test_slab_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
+        # n = 4 at c = 1e-9 is a slab of 2e9 x 2 cells, about 19 GiB
+        assert run(["percolation", "--n", "4", "--trials", "2", "--c", "1e-9"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: other tests load scipy's solvers into this one.
+SCIPY_SOLVERS_LOADED = """
+import sys
+import netregime
+from netregime.cli import main
+
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.ndimage") if m in sys.modules)
+
+out = sys.argv[1]
+assert loaded() == [], loaded()
+for argv in (["gen", "--n", "16"], ["scheme", "--name", "multihop"],
+             ["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "1"],
+             ["phase-diagram", "--resolution", "3", "3"]):
+    assert main(argv + ["--out", out]) == 0, argv
+    assert loaded() == [], (argv, loaded())
+assert main(["cutset", "--n", "64", "--trials", "1", "--out", out]) == 0
+assert loaded() == ["scipy.linalg"], loaded()
+"""
+
+
+def test_scipy_solvers_load_only_where_used(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(netregime.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_SOLVERS_LOADED,
+                           str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestPhaseDiagram:

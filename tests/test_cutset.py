@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from netregime.harness import operating_point
 
 from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
                      eigvalsh_logdet, power_profile, unblocked_dhat)
+from test_golden import (CUTSET_CLI, CUTSET_CLI_CSV, CUTSET_SWEEP, CUTSET_SWEEP_CSV,
+                         assert_close_csv, cli_csv, sweep_csv)
 
 LN2 = math.log(2.0)
 
@@ -416,3 +419,31 @@ class TestEvaluateCutset:
         inst = generate_network(16, area, seed=1)
         with pytest.raises(ValueError, match="unknown cut mode"):
             evaluate_cutset(inst, 2.0, 3.0, trials=1, mode="ideal")
+
+
+ANALYTIC = ("snr_total", "dof_term_realized", "closed_form_snr_total_bound")
+
+
+class TestAnalyticColumnsOnRead:
+    def test_sweep_computes_none(self, tmp_path, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("a sweep computed an analytic column")
+        for name in ANALYTIC:
+            monkeypatch.setattr(cutset, name, unread)
+        got = sweep_csv(tmp_path, "cutset", CUTSET_SWEEP).read_text()
+        assert_close_csv(got, CUTSET_SWEEP_CSV)
+
+    @pytest.mark.parametrize("mode", sorted(CUTSET_CLI))
+    def test_cli_computes_each_once(self, tmp_path, monkeypatch, mode):
+        calls = Counter()
+        for name in ANALYTIC:
+            def counted(*args, _name=name, _real=getattr(cutset, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cutset, name, counted)
+        got = cli_csv(tmp_path, mode, CUTSET_CLI[mode]).read_text()
+        assert_close_csv(got, CUTSET_CLI_CSV[mode])
+        # the idealized point's strip spans the half: its bound is NaN, not computed
+        bound_calls = {"idealized": 0, "percolation": 1}[mode]
+        assert calls == Counter(snr_total=1, dof_term_realized=1,
+                                closed_form_snr_total_bound=bound_calls)

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -537,6 +538,20 @@ class TestSlabDraw:
         centered = counts - counts.mean()
         m2, m4 = (centered ** 2).mean(), (centered ** 4).mean()
         assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((m4 - m2 * m2) / draws)
+
+    def test_slab_beyond_memory_is_refused(self, memory_at_most_8gib):
+        # 2e9 x 2 cells at 5 bytes each, before anything is allocated
+        with pytest.raises(ValueError, match="physical memory"):
+            percolation._open_grid(4, 4.0, 1e-9)
+
+    def test_memory_is_read_from_sysconf(self, monkeypatch):
+        real = os.sysconf
+        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 4480 bytes
+        assert grid.closed.shape == (128, 7)
+        monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE"
+                            else 1 if name == "SC_PHYS_PAGES" else real(name))
+        with pytest.raises(ValueError, match="physical memory"):
+            percolation._open_grid(1024, 1024.0, 0.25)
 
     @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52),
                                       (2 ** 24, 0.35)])
