@@ -96,6 +96,8 @@ class ExperimentConfig:
             if len(value) != 2 or not all(map(ok, value)):
                 raise ConfigError(f"{name} must hold two finite numbers "
                                   f"(integers for resolution), got {value!r}")
+            if name != "resolution" and value[0] > value[1]:
+                raise ConfigError(f"{name} must be ascending, got {value!r}")
         for f in fields(Constants):
             value = getattr(self.constants, f.name)
             if not (_is_number(value) or (f.name == "K4" and value is None)):
@@ -274,6 +276,8 @@ def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
     pts = [(int(n), float(m)) for n, m in table]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a fit")
+    if any(n < 1 for n, _ in pts):
+        raise ValueError("n values must be >= 1")
     if any(m <= 0 or not math.isfinite(m) for _, m in pts):
         raise ValueError("metrics must be positive and finite")
     x = np.log([n for n, _ in pts])

@@ -100,8 +100,8 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
 
 def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
-    with every cell open.  Raises ValueError, before it allocates, when the
-    slab's cells would need more than the machine's physical memory."""
+    with every cell open.  Raises ValueError, before it allocates, when a
+    crossing trial would need more than the machine's physical memory."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     if n < 2:
@@ -114,8 +114,9 @@ def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     x0 = side - cell / 2.0 - left_cols * cell
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
-    # A cell holds at least a bool state and an int32 label of scipy.ndimage.label.
-    need = rows * cols * 5
+    # A trial holds 6 bytes a cell (bool states, their negation, int32 labels)
+    # and, while it draws, 40 bytes a slab node, about c^2 nodes a cell.
+    need = rows * cols * (6 + 40 * c * c)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise ValueError(f"a slab of {rows} x {cols} cells needs {need / 2**30:.3g} GiB, "
@@ -334,17 +335,18 @@ def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingSt
     on the slab, which is the law of the slab's share of 2n uniform nodes
     (Franceschetti, Dousse, Tse & Thiran, IEEE Trans. IT 53(3), 2007).
     Trial t draws on the substream (seed, CROSSING, t); the keys of all
-    trials come from one :func:`rng.philox_keys` pass.
+    trials come from one :func:`rng.philox_keys` pass.  Every trial clears
+    and re-marks the same grid in place.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    empty = _open_grid(n, float(n), c)
+    grid = _open_grid(n, float(n), c)
     bit_generator = np.random.Philox(0)
     gen = np.random.Generator(bit_generator)
     hits = 0
     for key in rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist():
         rng.rekey(bit_generator, key)
-        grid = replace(empty, closed=empty.closed.copy())
+        grid.closed.fill(False)
         grid.closed[_draw_slab_cells(grid, n, math.sqrt(n), gen)] = True
         if has_open_crossing(grid):
             hits += 1

@@ -145,26 +145,6 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
 _WALK_BLOCK = 256
 
 
-def _cell_walks(p0, p1, cell0, cell1, grid: CellGrid):
-    """4-connected cell walks along the segments p0[j] -> p1[j].
-
-    ``cell0`` and ``cell1`` are the flat ids of the cells holding each
-    segment's ends.  Returns the walks concatenated and the offsets of
-    each walk in them (one more than there are segments).  Exact corner
-    crossings step to the horizontal neighbor first so that consecutive
-    cells always share an edge and the walk is deterministic.
-    """
-    cells, lengths = [], []
-    for i in range(0, len(p0), _WALK_BLOCK):
-        block = slice(i, i + _WALK_BLOCK)
-        walk, length = _walk_block(p0[block], p1[block], cell0[block],
-                                   cell1[block], grid)
-        cells.append(walk)
-        lengths.append(length)
-    return (np.concatenate(cells),
-            np.concatenate(([0], np.cumsum(np.concatenate(lengths)))))
-
-
 def _crossing_times(edge, start, delta, side: float, k: int):
     """Parametric times of the first k + 1 cell-boundary crossings on one
     axis, inf where the segment never crosses one.
@@ -182,11 +162,15 @@ def _crossing_times(edge, start, delta, side: float, k: int):
 
 
 def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
-    """Amanatides-Woo walks of one block: (cells concatenated, lengths).
+    """4-connected Amanatides-Woo cell walks along the segments p0[j] -> p1[j],
+    from flat cell cell0[j] to cell1[j]: (walks concatenated, lengths), each
+    length |row1 - row0| + |col1 - col0| + 1.
 
     A walk steps along x while the next x crossing comes no later than the
     next y crossing, and along y otherwise; a stable sort of the crossing
-    times with the x crossings first is that same merge.
+    times with the x crossings first is that same merge.  So an exact
+    corner crossing steps to the horizontal neighbor first, and
+    consecutive cells always share an edge.
     """
     r0, c0 = np.divmod(cell0, grid.columns)
     r1, c1 = np.divmod(cell1, grid.columns)
@@ -260,11 +244,6 @@ def _nearest_occupied(grid: CellGrid):
     return first, count, np.concatenate(found)
 
 
-def _split(flat: np.ndarray, starts: list) -> list:
-    """Views of ``flat`` between consecutive offsets."""
-    return [flat[a:b] for a, b in zip(starts[:-1], starts[1:])]
-
-
 def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """first[i], first[i] + 1, ..., first[i] + counts[i] - 1 for every i,
     concatenated."""
@@ -322,20 +301,32 @@ def _relay_draws(bit_generator: np.random.Philox, keys: list, n_picks: np.ndarra
 class RelayPlan:
     """Cell routes and relay assignments for every source-destination line.
 
-    ``cell_paths`` holds the geometric 4-adjacent walk of each line.
-    ``assignments[j][h]`` is the node relaying line j at hop h, drawn from
-    path cell h or, when that cell is empty, from a nearest occupied
-    neighbor (each substitution counted in ``reroutes``); the first and
-    last entries are the line's own source and destination.  A line whose
-    endpoints share a cell has a one-cell path and the two-entry
-    assignment [source, destination].  Each line's entries are arrays.
+    The plan is flat: line j's geometric 4-adjacent cell walk is
+    ``cells[path_start[j]:path_start[j + 1]]``, and its relay nodes are
+    ``nodes[node_start[j]:node_start[j + 1]]``, one per path cell.  The
+    node at hop h is drawn from path cell h or, when that cell is empty,
+    from a nearest occupied neighbor (each substitution counted in
+    ``reroutes``); the first and last are the line's own source and
+    destination.  A line whose endpoints share a cell has a one-cell path
+    and the two nodes [source, destination].  ``cell_paths`` and
+    ``assignments`` give the per-line views of the two flat arrays.
     """
 
-    cell_paths: list
-    assignments: list
+    cells: np.ndarray
+    path_start: np.ndarray      # n + 1 offsets into cells
+    nodes: np.ndarray
+    node_start: np.ndarray      # n + 1 offsets into nodes
     cell_load: np.ndarray
     node_load: np.ndarray
     reroutes: int
+
+    @property
+    def cell_paths(self) -> list:
+        return np.split(self.cells, self.path_start[1:-1])
+
+    @property
+    def assignments(self) -> list:
+        return np.split(self.nodes, self.node_start[1:-1])
 
     @property
     def max_cell_load(self) -> int:
@@ -353,12 +344,15 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     uniformly on the same substream.
 
     Routing runs on all lines at once, and each output is the same, bit
-    for bit, as a per-line loop of scalar walks and BFS searches.  The
-    cell walks run in blocks of 256 lines; each block builds its crossing
-    times with a row-wise cumsum, which rounds as the scalar walk's
-    ``t += dt`` does, and merges them with a stable sort in which x wins
-    ties, as the scalar ``t_x <= t_y`` does.  The sorted nearest-occupied
-    candidates are computed once per empty cell per call, not once per hop.
+    for bit, as a per-line loop of scalar walks and BFS searches.  A
+    line's path length follows from its end cells, so the flat plan is
+    allocated first and filled by one pass over blocks of 256 lines, each
+    walked, drawn, mapped to nodes and added to the cell loads in turn.
+    A block builds its crossing times with a row-wise cumsum, which
+    rounds as the scalar walk's ``t += dt`` does, and merges them with a
+    stable sort in which x wins ties, as the scalar ``t_x <= t_y`` does.
+    The sorted nearest-occupied candidates are computed once per empty
+    cell per call, not once per hop.
     Line j draws on substream (seed, RELAY, j) the values that
     ``integers(0, 2**31, size=L)`` for its L path cells, and then one
     ``integers(0, k)`` per empty interior cell in hop order (k the cell's
@@ -373,7 +367,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     per-line Python work is to re-key one Philox to the line
     (:func:`rng.rekey`, with every line's key from one array pass of
     :func:`rng.philox_keys`) and make one ``random_raw`` call for its
-    words, as if nothing rejects.  Blocks of 256 lines are then decoded
+    words, as if nothing rejects.  Each block's words are then decoded
     at once; a line with a rejection (odds about k / 2**32 per tie-break)
     shifts its later words, so its tie-breaks are drawn again by one
     ``Generator.integers`` call after re-keying and skipping its picks.
@@ -382,44 +376,44 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     node order, and the loads from ``np.bincount``.
     """
     src, dst = instance.source_ids, instance.dest_ids
-    cells, starts = _cell_walks(instance.positions[src], instance.positions[dst],
-                                grid.cell_of_node[src], grid.cell_of_node[dst],
-                                grid)
-    lengths = np.diff(starts)
+    p0, p1 = instance.positions[src], instance.positions[dst]
+    cell0, cell1 = grid.cell_of_node[src], grid.cell_of_node[dst]
+    r0, c0 = np.divmod(cell0, grid.columns)
+    r1, c1 = np.divmod(cell1, grid.columns)
+    lengths = np.abs(r1 - r0) + np.abs(c1 - c0) + 1
+    path_start = np.concatenate(([0], np.cumsum(lengths)))
+    # a one-cell line is assigned [source, destination]
+    node_start = path_start + np.concatenate(([0], np.cumsum(lengths == 1)))
+    cells = np.empty(path_start[-1], dtype=np.intp)
+    nodes = np.empty(node_start[-1], dtype=np.intp)
+    cell_load = np.zeros(grid.n_cells, dtype=np.intp)
+    reroutes = 0
     pool_size = np.diff(grid.cell_start)
-    # endpoint cells hold the line's own source or destination
-    empty = pool_size[cells] == 0
     first, count, candidates = _nearest_occupied(grid)
-    ties_k = count[cells[empty]]
-    tie_starts = np.concatenate(([0], np.cumsum(empty)))[starts]
-
-    picks = np.empty(len(cells), dtype=np.int64)
-    ties = np.empty(len(ties_k), dtype=np.int64)
     keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(lengths))).tolist()
     bit_generator = np.random.Philox(0)
     for a in range(0, len(lengths), _WALK_BLOCK):
         b = min(a + _WALK_BLOCK, len(lengths))
-        tie_block = slice(tie_starts[a], tie_starts[b])
-        picks[starts[a]:starts[b]], ties[tie_block] = _relay_draws(
-            bit_generator, keys[a:b], lengths[a:b], ties_k[tie_block],
-            np.diff(tie_starts[a:b + 1]))
-
-    relay = cells.copy()
-    relay[empty] = candidates[first[cells[empty]] + ties]
-    np.remainder(picks, pool_size[relay], out=picks)
-    picks += grid.cell_start[relay]
-    nodes = grid.node_order[picks]
-    del picks
-    nodes[starts[:-1]] = src
-    nodes[starts[1:] - 1] = dst
-    # a one-cell line is assigned [source, destination]
-    one_cell = lengths == 1
-    nodes = np.insert(nodes, starts[:-1][one_cell], src[one_cell])
-    slot_starts = starts + np.concatenate(([0], np.cumsum(one_cell)))
-    return RelayPlan(_split(cells, starts.tolist()), _split(nodes, slot_starts.tolist()),
-                     np.bincount(relay, minlength=grid.n_cells),
-                     np.bincount(nodes, minlength=instance.n_nodes),
-                     int(empty.sum()))
+        walk = cells[path_start[a]:path_start[b]]
+        walk[:], _ = _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
+        # endpoint cells hold the line's own source or destination
+        empty = pool_size[walk] == 0
+        picks, ties = _relay_draws(
+            bit_generator, keys[a:b], lengths[a:b], count[walk[empty]],
+            np.add.reduceat(empty, path_start[a:b] - path_start[a]))
+        relay = walk.copy()
+        relay[empty] = candidates[first[walk[empty]] + ties]
+        np.remainder(picks, pool_size[relay], out=picks)
+        picks += grid.cell_start[relay]
+        slots = np.arange(path_start[a], path_start[b]) + np.repeat(
+            node_start[a:b] - path_start[a:b], lengths[a:b])
+        nodes[slots] = grid.node_order[picks]
+        cell_load += np.bincount(relay, minlength=grid.n_cells)
+        reroutes += int(empty.sum())
+    nodes[node_start[:-1]] = src
+    nodes[node_start[1:] - 1] = dst
+    return RelayPlan(cells, path_start, nodes, node_start, cell_load,
+                     np.bincount(nodes, minlength=instance.n_nodes), reroutes)
 
 
 def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
@@ -437,10 +431,8 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
         raise ValueError("epsilon and K3 must be positive")
     relay_rate = (K3 / 4.0) * M ** (-epsilon) * math.log2(
         1.0 + M ** (1.0 - alpha / 2.0) * snr_s)
-    lengths = np.fromiter(map(len, plan.assignments), dtype=np.intp,
-                          count=len(plan.assignments))
-    shares = relay_rate / plan.node_load[np.concatenate(plan.assignments)]
-    per_pair = np.minimum.reduceat(shares, np.cumsum(lengths) - lengths)
+    shares = relay_rate / plan.node_load[plan.nodes]
+    per_pair = np.minimum.reduceat(shares, plan.node_start[:-1])
     aggregate = fsum(per_pair.tolist())
     return ThroughputEstimate(
         aggregate, aggregate / n, Scheme.HYBRID,

@@ -247,6 +247,25 @@ class TestPhaseDiagram:
         assert lines[1].split(",")[2] == "IV"
         assert (tmp_path / "pd.csv.grid.txt").read_text().strip() == "4"
 
+    @pytest.mark.parametrize("ranges", [["--alpha-range", "4", "2"],
+                                        ["--beta-range", "1", "-1"],
+                                        ["--alpha-range", "4", "2", "--beta-range", "1", "-1"]])
+    def test_descending_range_exits_2(self, tmp_path, ranges, capsys):
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", *ranges, "--resolution", "3", "3",
+                    "--out", str(out)]) == 2
+        assert "ascending" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "pd.csv.grid.txt").exists()
+
+    def test_descending_range_in_sweep_config_exits_2(self, tmp_path):
+        out = tmp_path / "pd.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "phase-diagram", "alpha_range": [4, 2],
+                                   "beta_range": [1, -1], "resolution": [3, 3],
+                                   "out": str(out)}))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
     def test_reemission_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -268,6 +287,14 @@ class TestFit:
         csv = tmp_path / "bad.csv"
         csv.write_text("a,b\n1,2\n")
         assert run(["fit", str(csv)]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_1_exits_2(self, tmp_path, capsys, n):
+        csv = tmp_path / "data.csv"
+        csv.write_text(f"n,metric,stderr\n{n},1,0\n100,10,0\n1000,31.6,0\n")
+        assert run(["fit", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n values must be >= 1" in captured.err
 
     def test_short_row_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"

@@ -56,6 +56,9 @@ class TestFit:
             fit_exponent([(10, 1.0), (20, 2.0)])
         with pytest.raises(ValueError):
             fit_exponent([(10, 1.0), (20, -2.0), (40, 3.0)])
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n values"):
+                fit_exponent([(n, 1.0), (20, 2.0), (40, 3.0)])
 
     def test_tail_selection(self):
         short = [(n, 1.0) for n in (1, 2, 3, 4, 5)]
@@ -182,6 +185,12 @@ class TestConfig:
                             ("alpha", "3"), ("beta", False)):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig(kind="scheme", n_list=[4, 8], **{name: value})
+
+    @pytest.mark.parametrize("field", ['"alpha_range": [4, 2]', '"beta_range": [1, -1]',
+                                       '"alpha_range": [6.5, 6.25]'])
+    def test_rejects_descending_ranges(self, field):
+        with pytest.raises(ConfigError, match="ascending"):
+            ExperimentConfig.from_json('{"kind": "phase-diagram", %s}' % field)
 
     def test_accepts_null_k4_and_integer_numbers(self):
         config = ExperimentConfig.from_json(

@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,11 +488,13 @@ class TestCrossingProbability:
 
 
 def recorded_grids(n, c, trials, seed):
-    """The grids crossing_probability's trials hand to has_open_crossing."""
+    """Copies of the grid crossing_probability's trials hand to
+    has_open_crossing, one per trial.  The trials clear and re-mark one
+    grid in place, so each copy is the grid's state in its trial."""
     grids = []
 
     def recording(grid):
-        grids.append(grid)
+        grids.append(replace(grid, closed=grid.closed.copy()))
         return has_open_crossing(grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(percolation, "has_open_crossing", recording)
@@ -503,7 +507,7 @@ class TestSlabDraw:
     def test_grid_geometry_matches_instance_grid(self, n, c):
         want = build_occupancy_grid(generate_network(n, float(n), seed=0), c)
         grids = recorded_grids(n, c, 3, seed=1)
-        assert len(grids) == 3 and len({id(g.closed) for g in grids}) == 3
+        assert len(grids) == 3 and len({g.closed.tobytes() for g in grids}) == 3
         for grid in grids:
             assert grid.closed.shape == want.closed.shape
             assert grid.closed.dtype == want.closed.dtype
@@ -540,18 +544,35 @@ class TestSlabDraw:
         assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((m4 - m2 * m2) / draws)
 
     def test_slab_beyond_memory_is_refused(self, memory_at_most_8gib):
-        # 2e9 x 2 cells at 5 bytes each, before anything is allocated
+        # 2e9 x 2 cells at 6 bytes each, before anything is allocated
         with pytest.raises(ValueError, match="physical memory"):
             percolation._open_grid(4, 4.0, 1e-9)
 
     def test_memory_is_read_from_sysconf(self, monkeypatch):
         real = os.sysconf
-        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 4480 bytes
+        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 7616 bytes
         assert grid.closed.shape == (128, 7)
         monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE"
                             else 1 if name == "SC_PHYS_PAGES" else real(name))
         with pytest.raises(ValueError, match="physical memory"):
             percolation._open_grid(1024, 1024.0, 0.25)
+
+    @pytest.mark.parametrize("c", [0.25, 0.9])
+    def test_trial_peak_within_counted_bytes(self, monkeypatch, c):
+        # The labels dominate a trial at c = 0.25, the draw at c = 0.9.
+        n = 2 ** 16
+        crossing_probability(n, c, 1, 0)                  # first-use allocations
+        tracemalloc.start()
+        try:
+            crossing_probability(n, c, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                            else peak if name == "SC_PHYS_PAGES" else real(name))
+        with pytest.raises(ValueError, match="physical memory"):
+            percolation._open_grid(n, float(n), c)
 
     @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52),
                                       (2 ** 24, 0.35)])

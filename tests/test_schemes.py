@@ -9,19 +9,28 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        multihop_throughput, route_sd_lines, simulate_hybrid)
 from netregime import rng
 from netregime.harness import fit_exponent, operating_point
-from netregime.schemes import _cell_walks, _relay_draws, hybrid_throughput
+from netregime.schemes import (RelayPlan, _relay_draws, _walk_block,
+                               hybrid_throughput)
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, relay_cells_of,
                      scalar_supercover)
 
 
+def manhattan_lengths(cell0, cell1, grid):
+    """|row1 - row0| + |col1 - col0| + 1 for each pair of end cells."""
+    r0, c0 = np.divmod(np.asarray(cell0), grid.columns)
+    r1, c1 = np.divmod(np.asarray(cell1), grid.columns)
+    return np.abs(r1 - r0) + np.abs(c1 - c0) + 1
+
+
 def walk(p0, p1, cell0, cell1, grid):
     """One segment through the all-lines walk, as a list of flat ids."""
-    cells, starts = _cell_walks(np.array([p0], dtype=float),
-                                np.array([p1], dtype=float),
-                                np.array([cell0]), np.array([cell1]), grid)
-    assert starts.tolist() == [0, len(cells)]
+    cells, lengths = _walk_block(np.array([p0], dtype=float),
+                                 np.array([p1], dtype=float),
+                                 np.array([cell0]), np.array([cell1]), grid)
+    assert lengths.tolist() == [len(cells)]
+    assert lengths.tolist() == manhattan_lengths([cell0], [cell1], grid).tolist()
     return cells.tolist()
 
 
@@ -233,9 +242,10 @@ class TestSupercover:
             assert len(set(cells)) == len(cells)
             want.extend(cells)
             starts.append(len(want))
-        cells, got_starts = _cell_walks(p0, p1, cell0, cell1, grid)
+        cells, lengths = _walk_block(p0, p1, cell0, cell1, grid)
         assert cells.tolist() == want
-        assert got_starts.tolist() == starts
+        assert np.diff(starts).tolist() == lengths.tolist()
+        assert lengths.tolist() == manhattan_lengths(cell0, cell1, grid).tolist()
 
     @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3), (4096, 16)])
     def test_matches_scalar_walk_random_segments(self, n, M):
@@ -334,6 +344,13 @@ class TestRouting:
         plan = route_sd_lines(grid, inst, seed=route_seed)
         paths, relay_cells, assignments, cell_load, node_load, reroutes = (
             loop_route_sd_lines(grid, inst, route_seed))
+        assert len(plan.path_start) == len(plan.node_start) == inst.n_pairs + 1
+        assert plan.path_start[0] == plan.node_start[0] == 0
+        assert plan.path_start[-1] == len(plan.cells)
+        assert plan.node_start[-1] == len(plan.nodes)
+        one_cell = np.cumsum([len(p) == 1 for p in paths])
+        assert np.array_equal(plan.node_start - plan.path_start,
+                              np.concatenate(([0], one_cell)))
         assert [p.tolist() for p in plan.cell_paths] == paths
         assert [p.tolist() for p in relay_cells_of(plan, grid)] == relay_cells
         assert len(plan.assignments) == len(assignments)
@@ -377,6 +394,20 @@ class TestRouting:
         plan = route_sd_lines(grid, inst, seed=rng.derived_seed(3, rng.EXPERIMENT))
         assert sum(map(len, plan.cell_paths)) > 2 * len(plan.cell_paths)
 
+    def test_simulate_hybrid_reads_only_the_flat_plan(self, monkeypatch):
+        inst = generate_network(256, 256.0, seed=3)
+        want, _, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
+
+        def refuse(plan):
+            raise AssertionError("a per-line view of the plan was read")
+
+        monkeypatch.setattr(RelayPlan, "cell_paths", property(refuse))
+        monkeypatch.setattr(RelayPlan, "assignments", property(refuse))
+        got, plan, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
+        assert got == want
+        with pytest.raises(AssertionError):
+            plan.assignments
+
     def test_tie_draws_match_scalar_draws(self):
         # Each line draws its relay picks and then all its tie-breaks in one
         # array call.  That call must give the values, and leave the
@@ -405,10 +436,11 @@ class TestRouting:
 
     def test_peak_memory_bounded(self):
         # At n = 4096, M = 1 routing walks 265,108 cells.  simulate_hybrid
-        # peaks at 44-46 bytes per walked cell (11.8-12.1 MB): the plan,
-        # one int64 per cell for the picks, and one block's temporaries.
-        # Decoding every line's relay draws in one pass instead of in
-        # blocks of lines peaks at 80-85 bytes per cell (21.3-22.5 MB).
+        # peaks at 34 bytes per walked cell (9.0-9.2 MB): the flat plan's
+        # cells and nodes, one intp each per cell, and one block's
+        # temporaries.  Walking and drawing all 4096 lines in one block
+        # instead of in blocks of 256 peaks at 165-167 bytes per cell
+        # (44.3-44.6 MB).
         inst = generate_network(4096, 4096.0, seed=0)
         tracemalloc.start()
         try:
