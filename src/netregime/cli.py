@@ -14,9 +14,9 @@ from . import rng
 from .cutset import CUT_MODES, PathologicalCutError
 from .harness import (CROSSING_CSV_HEADER, CUTSET_COLUMNS, CUTSET_CSV_HEADER,
                       SCHEME_CSV_HEADER, ConfigError, Constants, ExperimentConfig,
-                      ExperimentError, csv_row, cut_json, emit_phase_diagram, emit_sweep,
-                      fit_exponent, fit_json, instance_json, run_cutset,
-                      run_scheme, scheme_row, write_lines)
+                      ExperimentError, csv_row, cut_json, emit_sweep, fit_exponent,
+                      fit_json, instance_json, run_cutset, run_scheme, scheme_row,
+                      unit_seeds, write_lines)
 from .network import DegenerateInstanceError, generate_network
 from .percolation import certified_cut, crossing_probability
 
@@ -29,8 +29,8 @@ def _add_common(p: argparse.ArgumentParser, *, point: bool, trials: bool) -> Non
                        help="path-loss exponent")
         p.add_argument("--beta", type=float, default=ExperimentConfig.beta,
                        help="nearest-neighbor SNR exponent; snr_s = n^beta")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
-                   help="master seed")
+    p.add_argument("--seed", type=int, dest="master_seed",
+                   default=ExperimentConfig.master_seed, help="master seed")
     if trials:
         p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     p.add_argument("--out", type=str, default=None, help="output file")
@@ -53,11 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a network instance as JSON")
-    p.add_argument("--n", type=int, default=256)
+    _add_common(p, point=False, trials=False)
     p.add_argument("--area", type=float, default=None,
                    help="network area A (default n, unit density)")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
-    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("cutset", help="evaluate the cutset bound on one instance")
     _add_common(p, point=True, trials=True)
@@ -102,13 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args, kind: str, **fixed) -> ExperimentConfig:
-    """The validated config of a point command, the only reader of its config
-    and constant flags.  A flag sets the field its dest names, and ``--n``
-    sets ``n_list`` when there is no ``--n-list``; the other fields keep
-    their defaults."""
+    """The validated config of a command, the only reader of its config and
+    constant flags.  A flag sets the field its dest names; ``--n`` sets ``n_list``
+    when there is no ``--n-list``, and the other fields keep their defaults."""
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name, None) is not None}
-    given.setdefault("n_list", [args.n])
+    given.setdefault("n_list", [args.n] if "n" in args else [])
     constants = Constants(**{f: getattr(args, f) for f in _CONSTANT_FLAGS.values()
                              if hasattr(args, f)})
     return ExperimentConfig(kind=kind, constants=constants, **given, **fixed)
@@ -116,59 +113,52 @@ def _config(args, kind: str, **fixed) -> ExperimentConfig:
 
 def cmd_gen(args) -> int:
     area = float(args.n) if args.area is None else args.area
-    write_lines(args.out, [instance_json(generate_network(args.n, area, args.seed))])
+    write_lines(args.out, [instance_json(generate_network(args.n, area, args.master_seed))])
     return 0
 
 
 def cmd_cutset(args) -> int:
-    report = run_cutset(_config(args, "cutset"), args.n, args.seed,
-                        rng.derived_seed(args.seed, rng.CLI_PHASES))
-    write_lines(args.out, [CUTSET_CSV_HEADER,
-                           csv_row(getattr(report, name) for name in CUTSET_COLUMNS)])
+    config = _config(args, "cutset")
+    (n,), seed = config.n_list, config.master_seed   # an instance seed itself
+    report = run_cutset(config, n, seed, rng.derived_seed(seed, rng.CLI_PHASES))
+    write_lines(config.out, [CUTSET_CSV_HEADER,
+                             csv_row(getattr(report, name) for name in CUTSET_COLUMNS)])
     return 0
 
 
 def cmd_scheme(args) -> int:
     config = _config(args, "scheme")
-    write_lines(args.out, [SCHEME_CSV_HEADER] + [
-        scheme_row(n, config, args.seed, run_scheme(config, n, args.seed))
-        for n in config.n_list])
+    seed = config.master_seed
+    write_lines(config.out, [SCHEME_CSV_HEADER] + [
+        scheme_row(n, config, seed, run_scheme(config, n, seed)) for n in config.n_list])
     return 0
 
 
 def cmd_hybrid(args) -> int:
-    config, rows = _config(args, "scheme", scheme="hybrid"), []
-    for t in range(config.trials):
-        seed = rng.derived_seed(args.seed, rng.EXPERIMENT, t)
-        rows.append(scheme_row(args.n, config, seed, run_scheme(config, args.n, seed)))
-    write_lines(args.out, [SCHEME_CSV_HEADER] + rows)
+    config = _config(args, "scheme", scheme="hybrid")
+    (n,), trials = config.n_list, range(config.trials)
+    seeds = [unit_seeds(config, t, 0)[0] for t in trials]   # a sweep's units (t, 0)
+    write_lines(config.out, [SCHEME_CSV_HEADER] + [
+        scheme_row(n, config, seed, run_scheme(config, n, seed)) for seed in seeds])
     return 0
 
 
 def cmd_percolation(args) -> int:
-    config = _config(args, "percolation")
-    seed = rng.derived_seed(args.seed, rng.CROSSING)   # a sweep's point 0
-    study = crossing_probability(args.n, config.constants.c, config.trials, seed)
-    write_lines(args.out, [CROSSING_CSV_HEADER, csv_row(astuple(study))])
+    config = _config(args, "percolation")   # the study is a sweep's point 0
+    (n,), c = config.n_list, config.constants.c
+    study = crossing_probability(n, c, config.trials, *unit_seeds(config, 0, 0))
+    write_lines(config.out, [CROSSING_CSV_HEADER, csv_row(astuple(study))])
     if args.export_cut:
-        inst = generate_network(args.n, float(args.n),
-                                rng.derived_seed(args.seed, rng.CLI_CUT))
-        cut = certified_cut(inst, config.constants.c)
+        cut_seed = rng.derived_seed(config.master_seed, rng.CLI_CUT)
+        cut = certified_cut(generate_network(n, float(n), cut_seed), c)
         if cut is None:
-            print("no open crossing in the exported instance; nothing exported",
-                  file=sys.stderr)
-            return 3
+            raise ExperimentError("no open crossing in the export instance; no cut written")
         write_lines(args.export_cut, [cut_json(cut)])
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
-    config = ExperimentConfig(kind="phase-diagram",
-                              alpha_range=tuple(args.alpha_range),
-                              beta_range=tuple(args.beta_range),
-                              resolution=tuple(args.resolution),
-                              out=args.out)
-    emit_phase_diagram(config)
+    emit_sweep(_config(args, "phase-diagram"))
     return 0
 
 
@@ -194,10 +184,7 @@ def cmd_fit(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = ExperimentConfig.from_json(fh.read())
-    if config.kind == "phase-diagram":
-        emit_phase_diagram(config)
-    else:
-        emit_sweep(config)
+    emit_sweep(config)
     return 0
 
 

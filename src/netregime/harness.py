@@ -98,6 +98,7 @@ class ExperimentConfig:
                                   f"(integers for resolution), got {value!r}")
             if name != "resolution" and value[0] > value[1]:
                 raise ConfigError(f"{name} must be ascending, got {value!r}")
+            setattr(self, name, tuple(value))
         for f in fields(Constants):
             value = getattr(self.constants, f.name)
             if not (_is_number(value) or (f.name == "K4" and value is None)):
@@ -130,24 +131,17 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         consts = doc.pop("constants", {})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            for key in ("alpha_range", "beta_range", "resolution"):
-                if key in doc:
-                    doc[key] = tuple(doc[key])
             # Constants(**...) raises TypeError on a non-object or an unknown key
             return cls(constants=Constants(**consts), **doc)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        for key in ("alpha_range", "beta_range", "resolution"):
-            doc[key] = list(doc[key])
-        return doc
+        return asdict(self)   # JSON writes the tuples as arrays
 
 
 @dataclass(frozen=True)
@@ -161,11 +155,13 @@ def operating_point(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """(snr_s, area) of a point: snr_s = n^beta, which every layer takes as it
     is, and the area n * snr_s^(-2/alpha) that instances are drawn on, whose
     snr_short at G = P = N0 = W = 1 is snr_s only up to rounding.  Raises
-    ValueError when n^beta underflows to 0."""
-    snr_s = float(n) ** beta
-    if snr_s <= 0:
-        raise ValueError("snr_s must be positive")
-    return snr_s, n * snr_s ** (-2.0 / alpha)
+    ValueError when n^beta underflows to 0 or either value overflows."""
+    try:
+        snr_s = float(n) ** beta
+        return snr_s, n * snr_s ** (-2.0 / alpha)
+    except (OverflowError, ZeroDivisionError):   # 0.0 ** -x divides by zero
+        raise ValueError(f"snr_s must be positive and finite: n^beta or its area is "
+                         f"out of float range at n={n}, beta={beta}") from None
 
 
 def run_cutset(config: ExperimentConfig, n: int, seed: int, phase_seed: int) -> CutsetReport:
@@ -224,17 +220,24 @@ _UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
                 OutOfRegimeError, ArithmeticError)
 
 
+def unit_seeds(config: ExperimentConfig, i: int, j: int) -> list[int]:
+    """The seeds unit j of point i runs on: one per seed path of its kind,
+    each derived from (master_seed, *path)."""
+    return [rng.derived_seed(config.master_seed, *path)
+            for path in _UNITS[config.kind][2](i, j)]
+
+
 def _run_unit(config: ExperimentConfig, i: int, n: int, j: int):
     """Unit j of point i's (metric, stderr); None, logged with the unit's seed
     paths, on a unit error."""
     runner, _, seed_paths, read = _UNITS[config.kind]
-    paths = [(config.master_seed, *path) for path in seed_paths(i, j)]
     try:
-        return read(runner(config, n, *(rng.derived_seed(*path) for path in paths)))
+        return read(runner(config, n, *unit_seeds(config, i, j)))
     except _UNIT_ERRORS as exc:
         logger.warning("%s unit failed at n=%d (point %d, unit %d): %s; seed paths %s",
                        config.kind, n, i, j, type(exc).__name__,
-                       ", ".join(map(str, paths)))
+                       ", ".join(str((config.master_seed, *path))
+                                 for path in seed_paths(i, j)))
         return None
 
 
@@ -372,11 +375,11 @@ def write_manifest(out_path: str, config: ExperimentConfig) -> str:
 
 
 def emit_sweep(config: ExperimentConfig, workers: int = 1) -> str:
-    """Write the sweep CSV and its manifest.
-
-    ``workers`` has no effect.  It stays because ``perfbench/worker.py``
-    passes it positionally.
-    """
+    """Write any config's output and manifest and return the output path: the
+    sweep CSV, or :func:`emit_phase_diagram`'s files.  ``workers`` has no
+    effect; it stays because ``perfbench/worker.py`` passes it positionally."""
+    if config.kind == "phase-diagram":
+        return emit_phase_diagram(config)[0]
     if not config.out:
         raise ConfigError("config.out must name an output file")
     rows = run_scaling_experiment(config)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,7 +102,7 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
 def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
     with every cell open.  Raises ValueError, before it allocates, when a
-    crossing trial would need more than the machine's physical memory."""
+    slab run would need more than the machine's physical memory."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     if n < 2:
@@ -114,9 +115,10 @@ def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     x0 = side - cell / 2.0 - left_cols * cell
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
-    # A trial holds 6 bytes a cell (bool states, their negation, int32 labels)
-    # and, while it draws, 40 bytes a slab node, about c^2 nodes a cell.
-    need = rows * cols * (6 + 40 * c * c)
+    # A slab run holds at most 24 bytes a cell: a crossing trial 6, certified_cut's
+    # BFS about 22.  A trial's draw adds 40 bytes a node, about c^2 nodes a cell, and
+    # a cut's path about 150 bytes a path cell, one or more a row (200 counted).
+    need = rows * (cols * (24 + 40 * c * c) + 200)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise ValueError(f"a slab of {rows} x {cols} cells needs {need / 2**30:.3g} GiB, "
@@ -158,16 +160,20 @@ def _distance_to_bottom(open_cells: np.ndarray) -> list:
 
     A queue BFS over flat cell ids, seeded with the open cells of the
     bottom row; each open cell is visited once.  Returns a flat list in
-    row-major order.
+    row-major order.  The open flags stay one byte a cell, the queue is an
+    ``array`` of 8-byte ids and the cells of one level share one int, so the
+    BFS holds about 18 bytes a cell and one int a level.
     """
     rows, cols = open_cells.shape
-    is_open = open_cells.ravel().tolist()
+    is_open = open_cells.tobytes()
     dist = [-1] * (rows * cols)
-    queue = [u for u in range((rows - 1) * cols, rows * cols) if is_open[u]]
+    queue = array("l", [u for u in range((rows - 1) * cols, rows * cols) if is_open[u]])
     for u in queue:
         dist[u] = 0
+    d = 1                    # the distance of the cells the next pops append
     for u in queue:          # the loop also visits the cells appended below
-        d = dist[u] + 1
+        if dist[u] == d:     # u starts the next level
+            d = dist[u] + 1
         col = u % cols
         for v, inside in ((u - cols, u >= cols), (u + cols, u < (rows - 1) * cols),
                           (u - 1, col > 0), (u + 1, col < cols - 1)):
@@ -202,6 +208,7 @@ def find_open_crossing(grid: PercolationGrid):
         else:
             raise AssertionError("BFS distance field is inconsistent")
         path.append(u)
+    del dist
     cells = [divmod(u, cols) for u in path]
     vertices = _centerline(grid, np.divmod(path, cols))
     return CutPolyline(cells, vertices, grid)

@@ -3,16 +3,15 @@
 All randomness in the package flows through numpy's counter-based Philox
 generator. Every consumer derives its substream from a (seed, *path)
 tuple of non-negative integers, so trials can be evaluated in any order
-without changing a single bit of output.  Paths that differ only by
-trailing zeros share a stream (see :func:`substream`).  Where many paths
-share a prefix, as the hybrid scheme's per-line relay streams do,
+without changing a single bit of output.  Short paths that differ only
+by trailing zeros share a stream (see :func:`substream`).  Where many
+paths share a prefix, as the hybrid scheme's per-line relay streams do,
 :func:`philox_keys` derives all their keys in one array pass and
 :func:`rekey` points one generator at each in turn: the same streams,
-without one ``SeedSequence`` per path.  Hybrid routing then takes each
-line's raw Philox words in one ``random_raw`` call and decodes the
-values ``Generator.integers`` would give from them, for all lines of a
-block at once.  A percolation study draws its trials on re-keyed
-streams too, on (seed, CROSSING, trial).
+without one ``SeedSequence`` per path.  Hybrid routing decodes its draws
+from raw Philox words, as :func:`netregime.schemes.route_sd_lines` tells.
+A percolation study draws its trials on re-keyed streams too, on
+(seed, CROSSING, trial).
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -47,8 +46,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     ``seed`` and all ``path`` entries must be non-negative integers.  The
     mapping is stable across runs and processes, but not injective:
-    ``SeedSequence`` zero-pads its entropy, so paths that differ only by
-    trailing zeros, such as (5, 1) and (5, 1, 0), give the same stream.
+    ``SeedSequence`` zero-pads its entropy to four 32-bit words, so paths
+    that differ only by trailing zeros within those words, such as (5, 1)
+    and (5, 1, 0), give the same stream; an entry of 2^32 or more takes
+    more than one word.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
@@ -145,8 +146,8 @@ def rekey(bit_generator: np.random.Philox, key) -> None:
 def derived_seed(seed: int, *path: int) -> int:
     """Collapse (seed, *path) into a single reproducible 63-bit integer.
 
-    Like :func:`substream`, trailing zeros in the path do not change the
-    value: ``derived_seed(7, 6, 3) == derived_seed(7, 6, 3, 0)``.
+    Like :func:`substream`, trailing zeros within four words do not change
+    the value: ``derived_seed(7, 6, 3) == derived_seed(7, 6, 3, 0)``.
     """
     state = _seed_sequence(seed, path).generate_state(1, np.uint64)[0]
     return int(state >> np.uint64(1))

@@ -11,7 +11,7 @@ import pytest
 
 import netregime
 from netregime import (ChannelMatrix, DegenerateInstanceError,
-                       PathologicalCutError, cli, cutset, harness)
+                       PathologicalCutError, cli, cutset, harness, rng)
 from netregime.cli import main
 
 from helpers import instance_from_json
@@ -54,6 +54,11 @@ INVALID_POINTS = [
     ["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "0"],
     ["gen", "--n", "4", "--area", "nan"],
     ["gen", "--n", "4", "--area", "inf"],
+    # 64^200 overflows a float; 16^200 does not
+    ["cutset", "--n", "64", "--trials", "1", "--beta", "200"],
+    ["scheme", "--name", "multihop", "--n", "64", "--beta", "200"],
+    ["scheme", "--name", "hc", "--n-list", "16", "64", "--beta", "200"],
+    ["hybrid", "--n", "64", "--alpha", "4", "--beta", "200", "--seeds", "1"],
 ]
 
 
@@ -79,6 +84,47 @@ def test_only_config_reads_config_flags():
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id == "args" and node.attr in CONFIG_FLAG_FIELDS]
     assert stray == []
+
+
+# One valid run of each point command, without --seed and --out.
+POINT_COMMANDS = {
+    "cutset": ["cutset", "--n", "16", "--trials", "1"],
+    "scheme": ["scheme", "--name", "multihop"],
+    "hybrid": ["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "1"],
+    "percolation": ["percolation", "--n", "64", "--trials", "2"],
+}
+
+
+def test_point_commands_read_only_their_config():
+    """Past cli._config, a point command reads no flag but --export-cut."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {(func.name, node.attr) for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and func.name in {"cmd_" + name for name in POINT_COMMANDS}
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    assert read == {("cmd_percolation", "export_cut")}
+
+
+@pytest.mark.parametrize("argv", POINT_COMMANDS.values(), ids=POINT_COMMANDS)
+def test_config_carries_the_seed(argv, monkeypatch, tmp_path):
+    made, real = [], cli._config
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(cli, "_config", recording)
+    assert run(argv + ["--seed", "7", "--out", str(tmp_path / "out")]) == 0
+    assert [config.master_seed for config in made] == [7]
+
+
+@pytest.mark.parametrize("argv", POINT_COMMANDS.values(), ids=POINT_COMMANDS)
+def test_negative_seed_exits_2(argv, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "master_seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGen:
@@ -148,7 +194,7 @@ class TestCutset:
         assert code == 0
 
     def test_slab_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
-        # n = 256 at c = 1e-9 is a slab of 1.6e10 x 6 cells, about 450 GiB
+        # n = 256 at c = 1e-9 is a slab of 1.6e10 x 6 cells, about 5 TiB
         assert run(["cutset", "--mode", "percolation", "--c", "1e-9"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
@@ -172,6 +218,16 @@ class TestScheme:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert all(l.split(",")[3] == "hybrid" for l in lines[1:])
+
+    def test_hybrid_trials_are_sweep_units_past_32_bits(self, tmp_path):
+        # a master seed >= 2^32 takes two words, so (m, EXPERIMENT, t) is no
+        # longer the sweep's (m, EXPERIMENT, t, 0)
+        m, out = 2 ** 40, tmp_path / "hy.csv"
+        assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5", "--seeds", "2",
+                    "--seed", str(m), "--out", str(out)]) == 0
+        seeds = [int(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]]
+        assert seeds == [rng.derived_seed(m, rng.EXPERIMENT, t, 0) for t in range(2)]
+        assert seeds[1] != rng.derived_seed(m, rng.EXPERIMENT, 1)
 
     def test_hybrid_out_of_regime(self):
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "-0.5"]) == 2
@@ -200,8 +256,28 @@ class TestPercolation:
         assert rate == harness.run_scaling_experiment(config)[0].metric
         assert 0.0 < rate < 1.0
 
+    def test_study_is_a_sweep_point_0_past_64_bits(self, tmp_path, monkeypatch):
+        # a master seed >= 2^64 takes three words, so (m, CROSSING) is no
+        # longer the sweep's (m, CROSSING, 0)
+        m, seeds, real = 2 ** 64, [], harness.crossing_probability
+
+        def recording(n, c, trials, seed):
+            seeds.append(seed)
+            return real(n, c, trials, seed)
+        monkeypatch.setattr(cli, "crossing_probability", recording)
+        monkeypatch.setattr(harness, "crossing_probability", recording)
+        out = tmp_path / "perc.csv"
+        assert run(["percolation", "--n", "256", "--c", "0.5", "--trials", "30",
+                    "--seed", str(m), "--out", str(out)]) == 0
+        config = harness.ExperimentConfig(kind="percolation", n_list=[256], trials=30,
+                                          master_seed=m, constants=harness.Constants(c=0.5))
+        rate = float(out.read_text().splitlines()[1].split(",")[3])
+        assert rate == harness.run_scaling_experiment(config)[0].metric
+        assert seeds == [rng.derived_seed(m, rng.CROSSING, 0)] * 2
+        assert seeds[0] != rng.derived_seed(m, rng.CROSSING)
+
     def test_slab_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
-        # n = 4 at c = 1e-9 is a slab of 2e9 x 2 cells, about 19 GiB
+        # n = 4 at c = 1e-9 is a slab of 2e9 x 2 cells, about 460 GiB
         assert run(["percolation", "--n", "4", "--trials", "2", "--c", "1e-9"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
@@ -372,6 +448,16 @@ class TestSweep:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(dict(field, out=str(out))))
         assert run(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_snr_in_sweep_config_exits_2(self, tmp_path, capsys):
+        # 16^200 is finite and 64^200 overflows, which once made a failed unit
+        out = tmp_path / "s.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "scheme", "scheme": "multihop", "beta": 200.0,
+                                   "n_list": [16, 64], "out": str(out)}))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert "out of float range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_point_failing_exit_3(self, tmp_path):

@@ -93,6 +93,12 @@ class TestOperatingPoint:
         with pytest.raises(ValueError, match="snr_s must be positive"):
             operating_point(2, 3.0, -2000.0)
 
+    @pytest.mark.parametrize("n,alpha,beta", [(64, 3.0, 200.0), (2, 2.0, -1074.0)])
+    def test_overflow_is_a_value_error(self, n, alpha, beta):
+        # 64^200 overflows; 2^-1074 is subnormal, and its area at alpha = 2 overflows
+        with pytest.raises(ValueError, match="out of float range"):
+            operating_point(n, alpha, beta)
+
     @pytest.mark.parametrize("n,alpha,beta", [(1024, 4.0, 0.5), (32, 3.0, 0.5)])
     def test_cutset_gets_n_to_the_beta_exactly(self, n, alpha, beta, monkeypatch,
                                                tmp_path):
@@ -197,6 +203,15 @@ class TestConfig:
             '{"kind": "phase-diagram", "alpha_range": [2, 6], "resolution": [3, 4], '
             '"constants": {"K4": null, "c": 0.5, "K1": 2}}')
         assert config.constants.K4 is None and config.alpha_range == (2, 6)
+
+    def test_pairs_are_tuples(self):
+        pairs = {"alpha_range": [2, 4], "beta_range": [0, 1.5], "resolution": [3, 2]}
+        doc = json.dumps(dict(pairs, kind="phase-diagram"))
+        for config in (ExperimentConfig(kind="phase-diagram", **pairs),
+                       ExperimentConfig.from_json(doc)):
+            for name, value in pairs.items():
+                assert type(getattr(config, name)) is tuple
+                assert getattr(config, name) == tuple(value)
 
 
 class TestRunExperiment:
@@ -349,6 +364,20 @@ class TestEmission:
         ids = {int(v) for row in grid for v in row.split()}
         assert ids <= {1, 2, 3, 4} and len(ids) == 4
 
+    def test_emit_sweep_writes_a_phase_diagram(self, tmp_path):
+        files = {}
+        for emit in (emit_sweep, emit_phase_diagram):
+            (tmp_path / emit.__name__).mkdir()
+            out = str(tmp_path / emit.__name__ / "pd.csv")
+            emit(ExperimentConfig(kind="phase-diagram", resolution=(5, 7), out=out))
+            files[emit] = [Path(out + suffix).read_bytes()
+                           for suffix in ("", ".grid.txt", ".manifest.json")]
+        csv, grid, manifest = files[emit_sweep]
+        assert csv.startswith(PHASE_DIAGRAM_HEADER.encode()) and len(grid.split()) == 35
+        assert [csv, grid] == files[emit_phase_diagram][:2]
+        assert (json.loads(manifest)["content_sha256"]
+                == json.loads(files[emit_phase_diagram][2])["content_sha256"])
+
     def test_manifest_written_for_any_output(self, tmp_path):
         out = str(tmp_path / "x.csv")
         (tmp_path / "x.csv").write_text("n,metric,stderr\n1,2,3\n")
@@ -417,3 +446,15 @@ class TestOutputFormats:
         assert {kind for _, kind in sites.pop("harness.py")} == {
             ".17g", "json.dump", "open for writing"}
         assert {name: found for name, found in sites.items() if found} == {}
+
+    def test_only_harness_derives_sweep_seed_paths(self):
+        # the CLI takes a sweep unit's seeds from harness.unit_seeds; it
+        # derives only the seeds of its own tags
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        named = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "rng"}
+        named |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert {"CLI_PHASES", "CLI_CUT"} <= named
+        assert not named & {"EXPERIMENT", "PHASES", "CROSSING"}

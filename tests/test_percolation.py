@@ -544,13 +544,13 @@ class TestSlabDraw:
         assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt((m4 - m2 * m2) / draws)
 
     def test_slab_beyond_memory_is_refused(self, memory_at_most_8gib):
-        # 2e9 x 2 cells at 6 bytes each, before anything is allocated
+        # 2e9 x 2 cells, about 460 GiB, before anything is allocated
         with pytest.raises(ValueError, match="physical memory"):
             percolation._open_grid(4, 4.0, 1e-9)
 
     def test_memory_is_read_from_sysconf(self, monkeypatch):
         real = os.sysconf
-        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 7616 bytes
+        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 49344 bytes
         assert grid.closed.shape == (128, 7)
         monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE"
                             else 1 if name == "SC_PHYS_PAGES" else real(name))
@@ -568,6 +568,25 @@ class TestSlabDraw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        real = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                            else peak if name == "SC_PHYS_PAGES" else real(name))
+        with pytest.raises(ValueError, match="physical memory"):
+            percolation._open_grid(n, float(n), c)
+
+    @pytest.mark.parametrize("n, c", [(4096, 0.01), (4096, 0.002), (16, 0.001)])
+    def test_cut_peak_within_counted_bytes(self, monkeypatch, n, c):
+        # The BFS dominates at n = 4096; at n = 16 a slab row has 3 cells,
+        # and the cut's path, one cell a row, does.
+        instance = generate_network(n, float(n), 1)
+        certified_cut(instance, c)                         # first-use allocations
+        tracemalloc.start()
+        try:
+            cut = certified_cut(instance, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cut is not None
         real = os.sysconf
         monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
                             else peak if name == "SC_PHYS_PAGES" else real(name))

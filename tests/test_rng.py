@@ -113,18 +113,18 @@ def trimmed(path):
 
 def call_site_paths(m, i, j):
     """(purpose, call site) -> the seed paths rooted at master seed m that
-    the call site derives at point or trial i and unit j.  The raw seed of
+    the call site derives at point i and unit j.  The raw seed of
     `netregime gen` and `netregime cutset` is an instance seed itself, so
-    its paths are the instance streams, with retry j."""
+    its paths are the instance streams, with retry j.  `netregime hybrid`
+    trial t takes a sweep unit's seed at (t, 0), and `netregime percolation`
+    a sweep point's at 0, from the harness."""
     return {
         ("instance", "sweep cutset or hybrid unit"): {(m, rng.EXPERIMENT, i, j)},
-        ("instance", "netregime hybrid trial"): {(m, rng.EXPERIMENT, i)},
         ("instance", "netregime gen or cutset"): {
             (m, tag, j) for tag in (rng.POSITIONS, rng.ROLES, rng.PAIRING)},
         ("sweep phases", "sweep cutset unit"): {(m, rng.PHASES, i, j)},
         ("cli phases", "netregime cutset"): {(m, rng.CLI_PHASES)},
         ("crossing study", "sweep percolation point"): {(m, rng.CROSSING, i)},
-        ("crossing study", "netregime percolation"): {(m, rng.CROSSING)},
         ("exported cut", "netregime percolation --export-cut"): {(m, rng.CLI_CUT)},
     }
 
@@ -187,9 +187,9 @@ class TestSeedPaths:
                                          "netregime cutset")
         assert cli.main(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5",
                          "--seeds", "2"] + seed) == 0
-        assert rooted() == (self.expected(m, 0, 0, "netregime hybrid trial")
-                            | self.expected(m, 1, 0, "netregime hybrid trial"))
+        assert rooted() == (self.expected(m, 0, 0, "sweep cutset or hybrid unit")
+                            | self.expected(m, 1, 0, "sweep cutset or hybrid unit"))
         assert cli.main(["percolation", "--n", "64", "--trials", "2",
                          "--export-cut", str(tmp_path / "cut.json")] + seed) == 0
-        assert rooted() == self.expected(m, 0, 0, "netregime percolation",
+        assert rooted() == self.expected(m, 0, 0, "sweep percolation point",
                                          "netregime percolation --export-cut")
