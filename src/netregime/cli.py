@@ -112,6 +112,8 @@ def _config(args, kind: str, **fixed) -> ExperimentConfig:
 
 
 def cmd_gen(args) -> int:
+    if args.master_seed < 0:   # gen builds no ExperimentConfig; this is its check
+        raise ConfigError(f"master_seed must be an integer >= 0, got {args.master_seed}")
     area = float(args.n) if args.area is None else args.area
     write_lines(args.out, [instance_json(generate_network(args.n, area, args.master_seed))])
     return 0

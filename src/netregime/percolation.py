@@ -36,6 +36,9 @@ _EIGHT = np.ones((3, 3), dtype=bool)
 # Polyline segments per block of the clearance; each block's temporaries
 # are _SEGMENT_BLOCK x (points) x 2.
 _SEGMENT_BLOCK = 64
+# Cells of one crossing_probability batch: one labelling per trial's slab
+# (2,313 cells at n = 4096, c = 0.25) pays mostly per-call overhead.
+_BATCH_CELLS = 2 ** 15
 
 
 class ClearanceCertificationError(RuntimeError):
@@ -115,10 +118,11 @@ def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     x0 = side - cell / 2.0 - left_cols * cell
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
-    # A slab run holds at most 24 bytes a cell: a crossing trial 6, certified_cut's
-    # BFS about 22.  A trial's draw adds 40 bytes a node, about c^2 nodes a cell, and
-    # a cut's path about 150 bytes a path cell, one or more a row (200 counted).
-    need = rows * (cols * (24 + 40 * c * c) + 200)
+    # A slab run holds at most 24 bytes a cell: a crossing trial 7, certified_cut's
+    # BFS about 22.  Binning nodes takes 64 bytes a node, about c^2 a cell, and a
+    # cut's path about 150 bytes a path cell, one or more a row (200 counted).  A
+    # batch of trials adds _BATCH_CELLS cells of 6 bytes and their nodes.
+    need = rows * (cols * (24 + 64 * c * c) + 200) + _BATCH_CELLS * (6 + 64 * c * c)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise ValueError(f"a slab of {rows} x {cols} cells needs {need / 2**30:.3g} GiB, "
@@ -139,20 +143,23 @@ def _slab_cells(grid: PercolationGrid, positions: np.ndarray):
     return idx, grid.total_rows - 1 - row_up, col
 
 
-def _labels_touching(labels: np.ndarray, first, last) -> bool:
-    a = np.unique(labels[first])
-    b = np.unique(labels[last])
-    a = a[a > 0]
-    b = b[b > 0]
-    return bool(np.intersect1d(a, b, assume_unique=True).size)
+def _crossings(stack: np.ndarray) -> np.ndarray:
+    """Which slabs of a (slabs, rows + 1, cols) stack of open flags have a 4-connected
+    open path from row 0 to row rows - 1.  Each slab's last row must be closed, so one
+    labelling serves all; it runs on the transposed stack, as long lines label faster."""
+    slabs, height, cols = stack.shape
+    labels, num = scipy.ndimage.label(stack.reshape(-1, cols).T, structure=_FOUR)
+    labels = labels.reshape(cols, slabs, height)
+    top = np.zeros(num + 1, dtype=bool)
+    top[labels[:, :, 0]] = True
+    top[0] = False                       # label 0 marks the closed cells
+    return top[labels[:, :, -2]].any(axis=0)
 
 
 def has_open_crossing(grid: PercolationGrid) -> bool:
     """True iff some 4-connected open component touches both top and bottom rows."""
-    labels, num = scipy.ndimage.label(grid.open, structure=_FOUR)
-    if num == 0:
-        return False
-    return _labels_touching(labels, (0, slice(None)), (-1, slice(None)))
+    stack = np.concatenate([grid.open, np.zeros_like(grid.closed[:1])])
+    return bool(_crossings(stack[None])[0])
 
 
 def _distance_to_bottom(open_cells: np.ndarray) -> list:
@@ -300,16 +307,17 @@ def split_by_cut(path: CutPolyline, instance: NetworkInstance):
     grid = path.grid
     free = np.ones(grid.closed.shape, dtype=bool)
     free[tuple(np.asarray(path.cells).T)] = False
-    labels, _ = scipy.ndimage.label(free, structure=_EIGHT)
-    first, last = (slice(None), 0), (slice(None), -1)
-    if _labels_touching(labels, first, last):
+    labels, num = scipy.ndimage.label(free, structure=_EIGHT)
+    right = np.zeros(num + 1, dtype=bool)   # by label: on the right column
+    right[labels[:, -1]] = True
+    right[0] = False
+    if right[labels[:, 0]].any():
         raise AssertionError("cut does not separate the slab")
 
     x = instance.positions[:, 0]
     left = x < grid.slab_x0
     idx, row, col = _slab_cells(grid, instance.positions)
-    right_labels = labels[last]
-    is_right = np.isin(labels[row, col], right_labels[right_labels > 0])
+    is_right = right[labels[row, col]]
     left[idx[~is_right]] = True   # left side, plus enclosed pockets
     return (np.nonzero(left)[0], idx[is_right], np.nonzero(x >= grid.slab_x1)[0])
 
@@ -342,29 +350,39 @@ def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingSt
     on the slab, which is the law of the slab's share of 2n uniform nodes
     (Franceschetti, Dousse, Tse & Thiran, IEEE Trans. IT 53(3), 2007).
     Trial t draws on the substream (seed, CROSSING, t); the keys of all
-    trials come from one :func:`rng.philox_keys` pass.  Every trial clears
-    and re-marks the same grid in place.
+    trials come from one :func:`rng.philox_keys` pass.  Trials run in
+    batches of _BATCH_CELLS cells, or of one slab when a slab is larger: a
+    batch's draws are binned at once into a stack of its slabs, each followed
+    by a closed separator row, and one labelling decides its crossings.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _open_grid(n, float(n), c)
-    bit_generator = np.random.Philox(0)
-    gen = np.random.Generator(bit_generator)
+    rows, cols = grid.closed.shape
+    side = math.sqrt(n)
+    batch = max(1, _BATCH_CELLS // ((rows + 1) * cols))
+    gen = np.random.Generator(np.random.Philox(0))
+    keys = rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist()
     hits = 0
-    for key in rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist():
-        rng.rekey(bit_generator, key)
-        grid.closed.fill(False)
-        grid.closed[_draw_slab_cells(grid, n, math.sqrt(n), gen)] = True
-        if has_open_crossing(grid):
-            hits += 1
+    for start in range(0, trials, batch):
+        draws = []
+        for key in keys[start:start + batch]:
+            rng.rekey(gen.bit_generator, key)
+            draws.append(_draw_slab_units(grid, n, side, gen))
+        slabs = np.ones((len(draws), rows + 1, cols), dtype=bool)
+        slabs[:, rows] = False
+        row, col = _unit_cells(grid, side, np.concatenate(draws))
+        first = np.repeat(np.arange(len(draws)) * slabs[0].size, [len(u) for u in draws])
+        slabs.reshape(-1)[first + row * cols + col] = False    # flat ids index fastest
+        hits += int(np.count_nonzero(_crossings(slabs)))
     return CrossingStudy(n, c, trials, hits / trials,
                          analytic_failure_bound(n, c), decay_condition_holds(c))
 
 
-def _draw_slab_cells(grid: PercolationGrid, n: int, side: float, gen):
-    """(row, col) cells of the slab's nodes in a fresh draw of 2n uniform nodes."""
+def _draw_slab_units(grid: PercolationGrid, n: int, side: float, gen) -> np.ndarray:
+    """(k, 2) unit draws of the slab's k nodes in a fresh draw of 2n uniform nodes."""
     count = gen.binomial(2 * n, grid.slab_columns * grid.cell_side / (2.0 * side))
-    return _unit_cells(grid, side, gen.random((count, 2)))
+    return gen.random((count, 2))
 
 
 def _unit_cells(grid: PercolationGrid, side: float, u: np.ndarray):

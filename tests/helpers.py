@@ -15,7 +15,8 @@ from netregime import rng
 from netregime.cutset import _dhat
 from netregime.harness import fit_exponent
 from netregime.network import DegenerateInstanceError, NetworkInstance
-from netregime.percolation import (_EIGHT, CrossingStudy, _labels_touching,
+from netregime.percolation import (_EIGHT, _FOUR, CrossingStudy, _draw_slab_units,
+                                   _open_grid, _unit_cells,
                                    analytic_failure_bound, build_occupancy_grid,
                                    decay_condition_holds, has_open_crossing)
 
@@ -195,12 +196,43 @@ def eigvalsh_logdet(entries, snr_s):
     return math.fsum(math.log2(1.0 + snr_s * float(v)) for v in lam)
 
 
+def _labels_touching(labels, first, last):
+    """Whether some label > 0 is on both ``labels[first]`` and ``labels[last]``."""
+    a = np.unique(labels[first])
+    b = np.unique(labels[last])
+    a = a[a > 0]
+    b = b[b > 0]
+    return bool(np.intersect1d(a, b, assume_unique=True).size)
+
+
 def exists_closed_lr_crossing(grid):
     """True iff some 8-connected closed component joins the slab's left and right columns."""
     labels, num = ndimage.label(grid.closed, structure=_EIGHT)
     if num == 0:
         return False
     return _labels_touching(labels, (slice(None), 0), (slice(None), -1))
+
+
+def label_open_top_bottom(closed):
+    """Per-slab crossing oracle: one 4-connected labelling of the slab's open
+    cells, and whether its top and bottom rows share a label."""
+    labels, num = ndimage.label(~np.asarray(closed, dtype=bool), structure=_FOUR)
+    if num == 0:
+        return False
+    return _labels_touching(labels, (0, slice(None)), (-1, slice(None)))
+
+
+def trial_crossing_hits(n, c, trials, seed):
+    """Hit-count oracle for crossing_probability: trial t draws on its own
+    substream (seed, CROSSING, t), marks a fresh grid and is checked alone by
+    label_open_top_bottom."""
+    grid, side, hits = _open_grid(n, float(n), c), math.sqrt(n), 0
+    for t in range(trials):
+        gen = rng.substream(seed, rng.CROSSING, t)
+        closed = np.zeros_like(grid.closed)
+        closed[_unit_cells(grid, side, _draw_slab_units(grid, n, side, gen))] = True
+        hits += label_open_top_bottom(closed)
+    return hits
 
 
 def bfs_open_top_bottom(closed):

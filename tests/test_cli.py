@@ -143,6 +143,12 @@ class TestGen:
     def test_bad_n_is_config_error(self):
         assert run(["gen", "--n", "0"]) == 2
 
+    def test_negative_seed_names_its_flag(self, capsys, tmp_path):
+        out = tmp_path / "net.json"
+        assert run(["gen", "--n", "8", "--seed", "-1", "--out", str(out)]) == 2
+        assert "master_seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_draw_is_experiment_failure(self, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateInstanceError("coincident nodes")

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 from netregime import (build_occupancy_grid, certified_cut, crossing_probability,
                        extract_cut, find_open_crossing, generate_network,
                        has_open_crossing, percolation)
-from netregime.percolation import (PercolationGrid, _distance_to_bottom,
+from netregime.percolation import (PercolationGrid, _crossings, _distance_to_bottom,
                                    _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
                                    split_by_cut)
@@ -21,8 +21,9 @@ from netregime.harness import cut_json
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      brute_b_set, brute_polyline_clearance,
                      exists_closed_lr_crossing, instance_crossing_probability,
-                     level_distance_to_bottom, loop_distance_to_polyline,
-                     scalar_find_open_crossing)
+                     label_open_top_bottom, level_distance_to_bottom,
+                     loop_distance_to_polyline, scalar_find_open_crossing,
+                     trial_crossing_hits)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -294,6 +295,65 @@ class TestDuality:
             assert (find_open_crossing(grid) is not None) == has_open_crossing(grid)
 
 
+def separated(closed):
+    """The (slabs, rows + 1, cols) stack of open flags _crossings takes, from
+    slabs of closed flags, each followed by a closed separator row."""
+    slabs, rows, cols = closed.shape
+    stack = np.zeros((slabs, rows + 1, cols), dtype=bool)
+    stack[:, :-1] = ~closed
+    return stack
+
+
+def winding_slab(last_open=True):
+    """Closed 7 x 5 slab but for a one-cell path from (0, 0) down column 0,
+    back up column 2 and down column 4, whose last cell is (6, 4)."""
+    closed = np.ones((7, 5), dtype=bool)
+    for cells in ((slice(0, 6), 0), (5, slice(0, 3)), (slice(1, 6), 2),
+                  (1, slice(2, 5)), (slice(1, 7), 4)):
+        closed[cells] = False
+    closed[6, 4] = not last_open
+    return closed
+
+
+class TestBatchedCrossings:
+    @pytest.mark.parametrize("rows, cols, slabs", [(2, 1, 12), (3, 2, 9), (8, 3, 7),
+                                                   (40, 9, 5), (1, 4, 6)])
+    def test_random_stacks_match_label_oracle(self, rows, cols, slabs):
+        gen = np.random.default_rng(rows * 100 + cols)
+        for p_closed in (0.1, 0.3, 0.45, 0.6):
+            closed = gen.random((slabs, rows, cols)) < p_closed
+            closed[0], closed[-1] = False, True     # an all-open and an all-closed slab
+            got = _crossings(separated(closed))
+            assert got.tolist() == [label_open_top_bottom(s) for s in closed]
+            assert got.tolist() == [has_open_crossing(synthetic_grid(s)) for s in closed]
+
+    def test_winding_path(self):
+        closed = np.stack([winding_slab(), winding_slab(last_open=False),
+                           winding_slab()[:, ::-1]])
+        assert [label_open_top_bottom(s) for s in closed] == [True, False, True]
+        assert _crossings(separated(closed)).tolist() == [True, False, True]
+
+    def test_separator_keeps_slabs_apart(self):
+        # slab 0 is open only in its bottom row, slab 1 only in its top row:
+        # joined they would cross
+        closed = np.ones((3, 4, 2), dtype=bool)
+        closed[0, -1], closed[1, 0], closed[2] = False, False, False
+        assert _crossings(separated(closed)).tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("batch", ["one cell", "three slabs", "the study"])
+    def test_study_hits_match_trial_oracle(self, monkeypatch, batch):
+        # near the threshold, with batches of one slab, a count of batches
+        # that does not divide the trials, and one batch for every trial
+        n, c, trials, seed = 4096, 0.52, 50, 3
+        rows, cols = percolation._open_grid(n, float(n), c).closed.shape
+        cells = {"one cell": 1, "three slabs": 3 * (rows + 1) * cols,
+                 "the study": trials * (rows + 1) * cols}[batch]
+        monkeypatch.setattr(percolation, "_BATCH_CELLS", cells)
+        hits = trial_crossing_hits(n, c, trials, seed)
+        assert 0 < hits < trials
+        assert crossing_probability(n, c, trials, seed).empirical_rate == hits / trials
+
+
 class TestExtractCut:
     def test_straight_cut_clearance(self):
         inst = nodes_left_of_slab(32, 32.0, 0.5, seed=2)
@@ -488,18 +548,44 @@ class TestCrossingProbability:
 
 
 def recorded_grids(n, c, trials, seed):
-    """Copies of the grid crossing_probability's trials hand to
-    has_open_crossing, one per trial.  The trials clear and re-mark one
-    grid in place, so each copy is the grid's state in its trial."""
-    grids = []
+    """One grid per trial of crossing_probability: the grid it builds, with the
+    closed cells of the trial's slab in the stacks it hands to _crossings,
+    without the separator row.  The batches re-mark one stack in place, so
+    each slab is copied when its stack is handed over."""
+    built, grids = [], []
+    open_grid, crossings = percolation._open_grid, percolation._crossings
 
-    def recording(grid):
-        grids.append(replace(grid, closed=grid.closed.copy()))
-        return has_open_crossing(grid)
+    def building(*args):
+        built.append(open_grid(*args))
+        return built[-1]
+
+    def recording(stack):
+        grids.extend(replace(built[-1], closed=~slab[:-1]) for slab in stack)
+        return crossings(stack)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(percolation, "has_open_crossing", recording)
+        mp.setattr(percolation, "_open_grid", building)
+        mp.setattr(percolation, "_crossings", recording)
         crossing_probability(n, c, trials, seed)
     return grids
+
+
+def traced_peak(run, *args):
+    """Peak bytes tracemalloc sees while run(*args) runs."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_counted(monkeypatch, n, c, peak):
+    """_open_grid counts more than ``peak`` bytes for the slab of (n, c)."""
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                        else peak if name == "SC_PHYS_PAGES" else real(name))
+    with pytest.raises(ValueError, match="physical memory"):
+        percolation._open_grid(n, float(n), c)
 
 
 class TestSlabDraw:
@@ -529,13 +615,13 @@ class TestSlabDraw:
             def random(self, shape):
                 return np.zeros(shape)
         gen = Recorder()
-        rows, cols = percolation._draw_slab_cells(grid, n, side, gen)
+        u = percolation._draw_slab_units(grid, n, side, gen)
         assert gen.args[0] == 2 * n and gen.args[1] == pytest.approx(p, rel=1e-15)
-        assert len(rows) == len(cols) == 3
+        assert u.shape == (3, 2)
 
         draws = 20000
         gen = np.random.default_rng(12)
-        counts = np.array([len(percolation._draw_slab_cells(grid, n, side, gen)[0])
+        counts = np.array([len(percolation._draw_slab_units(grid, n, side, gen))
                            for _ in range(draws)], dtype=float)
         mean, var = 2 * n * p, 2 * n * p * (1 - p)
         assert abs(counts.mean() - mean) < 4 * math.sqrt(var / draws)
@@ -550,7 +636,7 @@ class TestSlabDraw:
 
     def test_memory_is_read_from_sysconf(self, monkeypatch):
         real = os.sysconf
-        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 49344 bytes
+        grid = percolation._open_grid(1024, 1024.0, 0.25)   # 128 x 7 cells, 378368 bytes
         assert grid.closed.shape == (128, 7)
         monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE"
                             else 1 if name == "SC_PHYS_PAGES" else real(name))
@@ -562,36 +648,25 @@ class TestSlabDraw:
         # The labels dominate a trial at c = 0.25, the draw at c = 0.9.
         n = 2 ** 16
         crossing_probability(n, c, 1, 0)                  # first-use allocations
-        tracemalloc.start()
-        try:
-            crossing_probability(n, c, 3, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        real = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
-                            else peak if name == "SC_PHYS_PAGES" else real(name))
-        with pytest.raises(ValueError, match="physical memory"):
-            percolation._open_grid(n, float(n), c)
+        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, 3, 1))
+
+    @pytest.mark.parametrize("c", [0.25, 0.9])
+    def test_batches_peak_within_counted_bytes(self, monkeypatch, c):
+        # Two full batches of trials and a short one
+        n = 2 ** 16
+        rows, cols = percolation._open_grid(n, float(n), c).closed.shape
+        trials = 2 * (percolation._BATCH_CELLS // ((rows + 1) * cols)) + 1
+        assert trials > 3
+        crossing_probability(n, c, 1, 0)                  # first-use allocations
+        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, trials, 1))
 
     @pytest.mark.parametrize("n, c", [(4096, 0.01), (4096, 0.002), (16, 0.001)])
     def test_cut_peak_within_counted_bytes(self, monkeypatch, n, c):
         # The BFS dominates at n = 4096; at n = 16 a slab row has 3 cells,
         # and the cut's path, one cell a row, does.
         instance = generate_network(n, float(n), 1)
-        certified_cut(instance, c)                         # first-use allocations
-        tracemalloc.start()
-        try:
-            cut = certified_cut(instance, c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cut is not None
-        real = os.sysconf
-        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
-                            else peak if name == "SC_PHYS_PAGES" else real(name))
-        with pytest.raises(ValueError, match="physical memory"):
-            percolation._open_grid(n, float(n), c)
+        assert certified_cut(instance, c) is not None     # first-use allocations
+        assert_counted(monkeypatch, n, c, traced_peak(certified_cut, instance, c))
 
     @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52),
                                       (2 ** 24, 0.35)])
