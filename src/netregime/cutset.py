@@ -50,7 +50,7 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 from . import percolation as perc
 from . import rng
 from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_matrix,
-                      distances, run_row_blocks)
+                      path_gain, run_row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,8 @@ CUT_MODES = ("idealized", "percolation")
 
 
 class PathologicalCutError(ValueError):
-    """A cut left one side of the network empty."""
+    """A cut failed: it left one side of the network empty, or the slab
+    held no node-free crossing."""
 
 
 def _check_point(snr_s: float, alpha: float) -> None:
@@ -137,20 +138,18 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
     """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free.
 
     Evaluated in blocks of ROW_BLOCK targets by
-    :func:`~netregime.network.run_row_blocks`, in place in each thread's
-    buffers; each row's sum is the same as in one unblocked evaluation.
+    :func:`~netregime.network.run_row_blocks`; each block's gains come from
+    :func:`~netregime.network.path_gain` in place in its thread's buffers,
+    so a target on a source raises DegenerateInstanceError.  Each row's sum
+    is the same as in one unblocked evaluation.
     """
     d = np.empty(len(targets))
 
-    def block_sums(start, rhat, work):
+    def block_sums(start, gain, work):
         rows = targets[start:start + ROW_BLOCK]
-        rhat, work = rhat[:rows.size], work[:rows.size]
-        distances(instance, rows, sources, rhat, work)
-        rhat /= instance.nn_scale
-        if np.any(rhat == 0.0):
-            raise PathologicalCutError("coincident nodes across the cut")
-        rhat **= -alpha
-        np.sum(rhat, axis=1, out=d[start:start + rows.size])
+        gain, work = gain[:rows.size], work[:rows.size]
+        path_gain(instance, rows, sources, -alpha, gain, work)
+        np.sum(gain, axis=1, out=d[start:start + rows.size])
 
     run_row_blocks(len(targets), len(sources), block_sums)
     return d

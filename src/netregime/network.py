@@ -22,7 +22,6 @@ Watts.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import threading
@@ -32,25 +31,19 @@ import numpy as np
 
 from . import rng
 
-logger = logging.getLogger(__name__)
-
 # Receive rows per block of the channel build and of the cutset's
 # received-power sums.  run_row_blocks deals the blocks to one thread per
 # usable CPU, at most one per block, and each thread works in two
 # ROW_BLOCK x |tx| float buffers that the call allocates once.  A row's
 # values depend only on that row's inputs, so no output depends on the split.
 ROW_BLOCK = 256
-# Thread count of run_row_blocks; None means one per usable CPU.  Tests set it.
-_workers = None
 # Unrequested phases a phase draw draws and drops rather than jumping over
 # them: a counter jump costs about as much as drawing this many.
 _MAX_GAP = 512
-# Draws draw_positions makes before it gives up on distinct positions.
-_MAX_ATTEMPTS = 16
 
 
 class DegenerateInstanceError(ValueError):
-    """Raised when node geometry makes a channel quantity undefined."""
+    """Two nodes share a position, so their path gain is undefined."""
 
 
 @dataclass
@@ -86,6 +79,8 @@ class NetworkInstance:
             raise ValueError("source and destination sets overlap")
         if np.any(np.bincount(ids, minlength=2 * n) != 1):
             raise ValueError("roles must cover every node exactly once")
+        if not 0 < self.area_A < math.inf:
+            raise ValueError(f"area_A must be positive and finite, got {self.area_A}")
         side = math.sqrt(self.area_A)
         eps = 1e-9 * side
         if (np.any(self.positions < -eps)
@@ -111,59 +106,38 @@ class NetworkInstance:
         return math.sqrt(self.area_A / self.n_pairs)
 
 
-def _has_coincident_nodes(positions: np.ndarray) -> bool:
-    """True iff two rows of ``positions`` are equal in both coordinates.
+def draw_positions(n_pairs: int, area_A: float, seed: int) -> np.ndarray:
+    """2n i.i.d. uniform positions on the rectangle, from substream (seed, POSITIONS).
 
-    Coincident nodes share an x, so the exact check over both columns runs
-    only when the sorted x column has two equal neighbours.
-    """
-    x = np.sort(positions[:, 0])
-    if not np.any(x[1:] == x[:-1]):
-        return False
-    order = np.lexsort(positions.T)
-    p = positions[order]
-    return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
-
-
-def draw_positions(n_pairs: int, area_A: float, seed: int):
-    """2n distinct uniform positions on the rectangle, and the retry suffix used.
-
-    Deterministic given ``seed``.  Draws with exactly coincident nodes (a
-    probability-zero event that floating point makes merely improbable) are
-    rejected and redrawn; attempt k > 0 appends k to the substream path, so
-    a redraw does not repeat the first draw of seed + k.  Each coordinate is
-    a draw from [0, 1) scaled by the rectangle's side, which keeps it inside
-    the rectangle and has the bits of ``uniform`` with a lower bound of 0.
+    Each coordinate is a draw from [0, 1) scaled by the rectangle's side,
+    which keeps it inside the rectangle and has the bits of ``uniform``
+    with a lower bound of 0.  Positions are not checked for coincidence:
+    two given nodes share a position with probability at most 2^-104, and
+    a coincident pair raises :class:`DegenerateInstanceError` from
+    :func:`path_gain`, as it does on a hand-built instance.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if not 0 < area_A < math.inf:
         raise ValueError(f"area_A must be positive and finite, got {area_A}")
     side = math.sqrt(area_A)
-    for attempt in range(_MAX_ATTEMPTS):
-        retry = (attempt,) if attempt else ()
-        positions = rng.substream(seed, rng.POSITIONS, *retry).random((2 * n_pairs, 2))
-        positions[:, 0] *= 2 * side
-        positions[:, 1] *= side
-        if not _has_coincident_nodes(positions):
-            return positions, retry
-        logger.warning("coincident nodes for seed %d, attempt %d; redrawing",
-                       seed, attempt)
-    raise DegenerateInstanceError(
-        f"could not draw distinct positions after {_MAX_ATTEMPTS} attempts")
+    positions = rng.substream(seed, rng.POSITIONS).random((2 * n_pairs, 2))
+    positions[:, 0] *= 2 * side
+    positions[:, 1] *= side
+    return positions
 
 
 def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
 
-    Positions come from :func:`draw_positions`; roles and pairing are drawn
-    on the same retry suffix as the positions that were kept.
+    Positions come from :func:`draw_positions`, the roles from substream
+    (seed, ROLES) and the pairing from substream (seed, PAIRING).
     """
-    positions, retry = draw_positions(n_pairs, area_A, seed)
-    role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
+    positions = draw_positions(n_pairs, area_A, seed)
+    role_perm = rng.substream(seed, rng.ROLES).permutation(2 * n_pairs)
     is_source = np.zeros(2 * n_pairs, dtype=bool)
     is_source[role_perm[:n_pairs]] = True
-    dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(
+    dest_ids = rng.substream(seed, rng.PAIRING).permutation(
         np.flatnonzero(~is_source))
     return NetworkInstance(n_pairs, float(area_A), seed, positions,
                            np.flatnonzero(is_source), dest_ids)
@@ -247,13 +221,15 @@ def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
     return phases
 
 
-def distances(instance: NetworkInstance, rx, tx, out: np.ndarray,
-              work: np.ndarray) -> np.ndarray:
-    """Unscaled distances r[i, k] from node rx[i] to node tx[k], written to ``out``.
+def path_gain(instance: NetworkInstance, rx, tx, exponent: float,
+              out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Rescaled path gains rhat[i, k]^exponent from node tx[k] to node rx[i], in ``out``.
 
-    sqrt(dx*dx + dy*dy) one coordinate at a time rounds exactly as a sum
-    over a coordinate axis does.  dx is formed in ``out`` and dy in
-    ``work``; both have shape (|rx|, |tx|).
+    rhat is the distance sqrt(dx*dx + dy*dy), formed one coordinate at a
+    time, which rounds exactly as a sum over a coordinate axis does, and
+    then divided by nn_scale.  dx is formed in ``out`` and dy in ``work``;
+    both have shape (|rx|, |tx|).  A coincident pair (rhat = 0) raises
+    :class:`DegenerateInstanceError`; no other path checks for one.
     """
     x, y = instance.positions[:, 0], instance.positions[:, 1]
     dx = np.subtract(x[rx][:, None], x[tx], out=out)
@@ -261,7 +237,12 @@ def distances(instance: NetworkInstance, rx, tx, out: np.ndarray,
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx, out=dx)
+    rhat = np.sqrt(dx, out=dx)
+    rhat /= instance.nn_scale
+    if np.any(rhat == 0.0):
+        raise DegenerateInstanceError("coincident nodes: a path gain is undefined")
+    rhat **= exponent
+    return rhat
 
 
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
@@ -281,7 +262,7 @@ def run_row_blocks(n_rows: int, width: int, kernel) -> None:
     # sched_getaffinity, which honours CPU pinning, exists only on some platforms
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = max(1, min(_workers or cpus, blocks))
+    workers = max(1, min(cpus, blocks))
     height = min(n_rows, ROW_BLOCK)
     scratch = [(np.empty((height, width)), np.empty((height, width)))
                for _ in range(workers)]
@@ -317,8 +298,9 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
                    tx_set, rx_set, phase_seed: int) -> ChannelMatrix:
     """Channel matrix between two disjoint node sets for one fading draw.
 
-    Magnitudes are rescaled, rhat^(-alpha/2); entry (i, k) has the phase
-    ``node_phases(n_nodes, phase_seed, [rx[i]])[0, tx[k]]``.  The matrix is
+    Magnitudes are the path gains rhat^(-alpha/2) of :func:`path_gain`, so
+    coincident nodes raise DegenerateInstanceError.  Entry (i, k) has the
+    phase ``node_phases(n_nodes, phase_seed, [rx[i]])[0, tx[k]]``.  The matrix is
     filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
     A block draws only its own phase rows with ``random()``, keeps their
     transmit columns and scales them by 2pi, which gives the bits of
@@ -335,17 +317,12 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 
-    exponent = -alpha / 2.0
     entries = np.empty((rx.size, tx.size), dtype=complex)
 
     def fill(start, theta, magnitude):
         rows = rx[start:start + ROW_BLOCK]
         theta, magnitude = theta[:rows.size], magnitude[:rows.size]
-        distances(instance, rows, tx, magnitude, theta)
-        if np.any(magnitude == 0.0):
-            raise DegenerateInstanceError("coincident transmitter/receiver positions")
-        magnitude /= instance.nn_scale
-        magnitude **= exponent
+        path_gain(instance, rows, tx, -alpha / 2.0, magnitude, theta)
         _draw_rows(instance.n_nodes, phase_seed, rows, tx, theta)
         theta *= 2.0 * math.pi
         block = entries[start:start + ROW_BLOCK]

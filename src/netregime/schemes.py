@@ -42,7 +42,6 @@ class ThroughputEstimate:
     aggregate_T: float
     per_pair_R: float
     scheme: Scheme
-    analytic_per_pair: float | None = None
 
 
 def multihop_throughput(n: int, snr_s: float, K2: float = 1.0) -> ThroughputEstimate:
@@ -163,8 +162,8 @@ def _crossing_times(edge, start, delta, side: float, k: int):
 
 def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     """4-connected Amanatides-Woo cell walks along the segments p0[j] -> p1[j],
-    from flat cell cell0[j] to cell1[j]: (walks concatenated, lengths), each
-    length |row1 - row0| + |col1 - col0| + 1.
+    from flat cell cell0[j] to cell1[j], concatenated; walk j has
+    |row1 - row0| + |col1 - col0| + 1 cells.
 
     A walk steps along x while the next x crossing comes no later than the
     next y crossing, and along y otherwise; a stable sort of the crossing
@@ -201,8 +200,7 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     dr = np.where(is_y, step_r[:, None], 0).cumsum(axis=1)
     walks = np.concatenate((cell0[:, None], cell0[:, None] + dr * grid.columns + dc),
                            axis=1)
-    lengths = nx + ny + 1
-    return walks[np.arange(walks.shape[1]) < lengths[:, None]], lengths
+    return walks[np.arange(walks.shape[1]) < (nx + ny + 1)[:, None]]
 
 
 def _nearest_occupied(grid: CellGrid):
@@ -395,7 +393,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     for a in range(0, len(lengths), _WALK_BLOCK):
         b = min(a + _WALK_BLOCK, len(lengths))
         walk = cells[path_start[a]:path_start[b]]
-        walk[:], _ = _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
+        walk[:] = _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
         # endpoint cells hold the line's own source or destination
         empty = pool_size[walk] == 0
         picks, ties = _relay_draws(
@@ -424,8 +422,7 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     Every relay node shares its outbound budget
     (K3/4) * M^(-eps) * log2(1 + M^(1-alpha/2) * snr_s) equally among the
     lines assigned to it; a line runs at the minimum share along its route
-    and the aggregate is the sum over lines.  The analytic per-pair value
-    (K3/4) * sqrt(M) * n^(-1/2-eps) is reported alongside.
+    and the aggregate is the sum over lines.
     """
     if epsilon <= 0 or K3 <= 0:
         raise ValueError("epsilon and K3 must be positive")
@@ -434,16 +431,13 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     shares = relay_rate / plan.node_load[plan.nodes]
     per_pair = np.minimum.reduceat(shares, plan.node_start[:-1])
     aggregate = fsum(per_pair.tolist())
-    return ThroughputEstimate(
-        aggregate, aggregate / n, Scheme.HYBRID,
-        analytic_per_pair=(K3 / 4.0) * math.sqrt(M) * n ** (-0.5 - epsilon))
+    return ThroughputEstimate(aggregate, aggregate / n, Scheme.HYBRID)
 
 
 def simulate_hybrid(instance: NetworkInstance, snr_s: float, alpha: float,
-                    epsilon: float = 0.05, K3: float = 1.0, M: int | None = None):
-    """Grid + routing on instance.seed + throughput; returns (estimate, plan, grid)."""
-    if M is None:
-        M = hybrid_cell_size(snr_s, alpha, instance.n_pairs)
+                    epsilon: float = 0.05, K3: float = 1.0, *, M: int):
+    """Grid of M-node cells + routing on instance.seed + throughput; returns
+    (estimate, plan, grid)."""
     grid = build_cell_grid(instance, M)
     plan = route_sd_lines(grid, instance, instance.seed)
     est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha, epsilon, K3)

@@ -6,6 +6,7 @@ formulas) so they stay independent of the library's vectorized paths.
 
 import json
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import ndimage
 from netregime import rng
 from netregime.cutset import _dhat
 from netregime.harness import fit_exponent
-from netregime.network import DegenerateInstanceError, NetworkInstance
+from netregime.network import NetworkInstance
 from netregime.percolation import (_EIGHT, _FOUR, CrossingStudy, _draw_slab_units,
                                    _open_grid, _unit_cells,
                                    analytic_failure_bound, build_occupancy_grid,
@@ -26,30 +27,29 @@ def snr_short(n, area, alpha, G=1, P=1, N0=1, W=1):
     return G * P / (N0 * W * (area / n) ** (alpha / 2.0))
 
 
-def lexsort_has_coincident(positions):
-    """Coincidence oracle: sort rows by (y, x) and compare neighbours."""
-    order = np.lexsort(positions.T)
-    p = positions[order]
-    return bool(np.any(np.all(p[1:] == p[:-1], axis=1)))
+def pin_cpus(monkeypatch, count):
+    """Make run_row_blocks, which starts min(usable CPUs, blocks) - 1
+    threads, see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
 
 
-def uniform_generate_network(n_pairs, area_A, seed, coincident=lexsort_has_coincident):
-    """Instance oracle: each attempt draws positions with ``uniform`` on the
-    rectangle, roles by sorting the two halves of a permutation, and the
-    pairing; a draw that ``coincident`` rejects is redrawn on suffix k."""
+def hybrid_analytic_per_pair(n, M, epsilon, K3=1.0):
+    """Analytic hybrid per-pair rate (K3/4) * sqrt(M) * n^(-1/2-eps)."""
+    return (K3 / 4.0) * math.sqrt(M) * n ** (-0.5 - epsilon)
+
+
+def uniform_generate_network(n_pairs, area_A, seed):
+    """Instance oracle: positions drawn with ``uniform`` on the rectangle,
+    roles by sorting the two halves of a permutation, and the pairing."""
     side = math.sqrt(area_A)
-    for attempt in range(16):
-        retry = (attempt,) if attempt else ()
-        gen = rng.substream(seed, rng.POSITIONS, *retry)
-        positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
-        if coincident(positions):
-            continue
-        role_perm = rng.substream(seed, rng.ROLES, *retry).permutation(2 * n_pairs)
-        source_ids = np.sort(role_perm[:n_pairs])
-        dest_pool = np.sort(role_perm[n_pairs:])
-        dest_ids = rng.substream(seed, rng.PAIRING, *retry).permutation(dest_pool)
-        return positions, source_ids, dest_ids
-    raise DegenerateInstanceError("no distinct positions in 16 attempts")
+    gen = rng.substream(seed, rng.POSITIONS)
+    positions = gen.uniform((0.0, 0.0), (2 * side, side), size=(2 * n_pairs, 2))
+    role_perm = rng.substream(seed, rng.ROLES).permutation(2 * n_pairs)
+    source_ids = np.sort(role_perm[:n_pairs])
+    dest_pool = np.sort(role_perm[n_pairs:])
+    dest_ids = rng.substream(seed, rng.PAIRING).permutation(dest_pool)
+    return positions, source_ids, dest_ids
 
 
 def instance_crossing_probability(n, cs, trials, seed):

@@ -9,6 +9,7 @@ tolerances anyway and fail honestly (see the assertion messages).
 
 import itertools
 import math
+import os
 import threading
 import time
 
@@ -20,13 +21,14 @@ from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        partition_nodes, select_cut_width,
                        simulate_hybrid, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, certified_cut,
-                       has_open_crossing, network)
+                       has_open_crossing)
 from netregime.harness import fit_exponent, operating_point
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
 
 from helpers import (brute_dhat, brute_snr_total, exists_closed_lr_crossing,
-                     fit_full_and_tail, power_profile)
+                     fit_full_and_tail, hybrid_analytic_per_pair, pin_cpus,
+                     power_profile)
 
 LN2 = math.log(2.0)
 
@@ -225,14 +227,12 @@ def test_c7_hybrid_regime_slope():
         snr, area = operating_point(n, 4.0, 0.5)
         m = hybrid_cell_size(snr, 4.0, n)
         vals = []
-        last = None
         for t in range(20):
             inst = generate_network(n, area, derived_seed(700, i, t))
             est, _, _ = simulate_hybrid(inst, snr, 4.0, epsilon=epsilon, M=m)
             vals.append(est.aggregate_T)
-            last = est
         sim.append((n, math.fsum(vals) / len(vals)))
-        analytic.append((n, last.analytic_per_pair * n))
+        analytic.append((n, hybrid_analytic_per_pair(n, m, epsilon) * n))
     _, sim_tail = fit_full_and_tail(sim, 0.75)
     ana_fit = fit_exponent(analytic, 0.75)
     ok_sim = 0.60 <= sim_tail.slope <= 0.90
@@ -396,16 +396,16 @@ def test_c13_reproducibility(tmp_path, monkeypatch):
     t0 = time.time()
     real_start, started = threading.Thread.start, []
 
-    def start(thread):   # record the row-block thread count of each started thread
-        started.append(network._workers)
+    def start(thread):   # record the usable CPU count at each started thread
+        started.append(len(os.sched_getaffinity(0)))
         real_start(thread)
     monkeypatch.setattr(threading.Thread, "start", start)
     outputs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(network, "_workers", workers)
-        tag = f"w{workers}"
+    for cpus in (1, 3):
+        pin_cpus(monkeypatch, cpus)
+        tag = f"c{cpus}"
         paths = {}
-        # n = 512 spans two row blocks, so the 3-worker run starts threads
+        # n = 512 spans two row blocks, so the 3-CPU run starts threads
         cutset = ExperimentConfig(kind="cutset", n_list=[16, 32, 64, 512],
                                   alpha=2.0, beta=1.0, trials=5, instances=2,
                                   master_seed=13, out=str(tmp_path / f"cut_{tag}.csv"))
@@ -432,5 +432,5 @@ def test_c13_reproducibility(tmp_path, monkeypatch):
     threads = {w: started.count(w) for w in (1, 3)}
     ok = all(same.values()) and threads[1] == 0 and threads[3] > 0
     assert report("C13 reproducibility", ok,
-                  f"byte-identical across row-block workers 1 vs 3: {same}; "
+                  f"byte-identical across 1 vs 3 usable CPUs: {same}; "
                   f"threads started {threads} ({time.time() - t0:.1f} s)")

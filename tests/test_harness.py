@@ -425,6 +425,20 @@ def output_sites(path: Path) -> list:
     return sites
 
 
+def raising_functions(path: Path, error: str) -> set:
+    """Names of the top-level functions and classes of a module that raise
+    ``error``, with None for a raise at module level."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Raise) and node.exc is not None):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == error:
+                found.add(getattr(top, "name", None))
+    return found
+
+
 class TestOutputFormats:
     @pytest.mark.parametrize("name", sorted(CSV_OUTPUTS))
     def test_rows_have_header_columns(self, tmp_path, name):
@@ -446,6 +460,18 @@ class TestOutputFormats:
         assert {kind for _, kind in sites.pop("harness.py")} == {
             ".17g", "json.dump", "open for writing"}
         assert {name: found for name, found in sites.items() if found} == {}
+
+    def test_one_owner_per_failure(self):
+        # coincident nodes fail only in the path-gain kernel, and a cut
+        # failure is raised only where the cut is drawn and split
+        modules = sorted(Path(harness.__file__).parent.glob("*.py"))
+        owners = {error: {path.name: found for path in modules
+                          if (found := raising_functions(path, error))}
+                  for error in ("DegenerateInstanceError", "PathologicalCutError")}
+        assert owners == {
+            "DegenerateInstanceError": {"network.py": {"path_gain"}},
+            "PathologicalCutError": {"cutset.py": {"partition_nodes", "evaluate_cutset"}},
+        }
 
     def test_only_harness_derives_sweep_seed_paths(self):
         # the CLI takes a sweep unit's seeds from harness.unit_seeds; it

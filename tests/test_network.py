@@ -10,15 +10,14 @@ from scipy import stats
 from netregime import (DegenerateInstanceError, beta_of, channel_matrix,
                        generate_network, snr_long)
 from netregime import network
-from netregime.cutset import (CutPartition, PathologicalCutError, _dhat,
-                              dof_term_realized, partition_nodes,
-                              select_cut_width, snr_total)
+from netregime.cutset import (CutPartition, _dhat, dof_term_realized,
+                              partition_nodes, select_cut_width, snr_total)
 from netregime.harness import instance_json, operating_point
 from netregime.network import NetworkInstance, node_phases
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json, lexsort_has_coincident, snr_short,
-                     unblocked_dhat, uniform_generate_network)
+                     instance_from_json, pin_cpus, snr_short, unblocked_dhat,
+                     uniform_generate_network)
 
 
 class TestGenerate:
@@ -71,7 +70,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("area", [math.nan, math.inf])
     def test_non_finite_area_rejected(self, area):
-        # a NaN area would draw NaN positions; an infinite one, only redraws
+        # checked before the draw: a NaN area would draw NaN positions and an
+        # infinite one infinite positions
         with pytest.raises(ValueError, match="area_A must be positive and finite"):
             network.draw_positions(4, area, 0)
 
@@ -79,21 +79,6 @@ class TestGenerate:
         inst = generate_network(4, 4.0, seed=0)
         with pytest.raises(ValueError):
             inst.positions[0, 0] = 5.0
-
-    def test_retry_does_not_repeat_next_seed(self, monkeypatch):
-        first = generate_network(16, 16.0, seed=5).positions
-        next_seed = generate_network(16, 16.0, seed=6).positions
-        draws = []
-
-        def reject_first(positions):
-            draws.append(positions)
-            return len(draws) == 1
-        monkeypatch.setattr(network, "_has_coincident_nodes", reject_first)
-        inst = generate_network(16, 16.0, seed=5)
-        assert len(draws) == 2 and inst.seed == 5
-        assert np.array_equal(draws[0], first)
-        assert not np.array_equal(inst.positions, first)
-        assert not np.array_equal(inst.positions, next_seed)
 
 
 class TestDrawOracle:
@@ -105,41 +90,12 @@ class TestDrawOracle:
         area = float(n) if area is None else area
         for seed in range(20):
             inst = generate_network(n, area, seed)
-            positions, retry = network.draw_positions(n, area, seed)
+            positions = network.draw_positions(n, area, seed)
             want = uniform_generate_network(n, area, seed)
-            assert retry == ()
             for got, ref in ((inst.positions, want[0]), (positions, want[0]),
                              (inst.source_ids, want[1]), (inst.dest_ids, want[2])):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
-
-    def test_forced_redraw_uses_attempt_one(self, monkeypatch):
-        calls = []
-
-        def reject_first(positions):
-            calls.append(positions)
-            return len(calls) % 2 == 1       # attempt 0 of each draw
-        want = uniform_generate_network(64, 64.0, 5, coincident=reject_first)
-        calls.clear()
-        monkeypatch.setattr(network, "_has_coincident_nodes", reject_first)
-        inst = generate_network(64, 64.0, 5)
-        positions, retry = network.draw_positions(64, 64.0, 5)
-        assert len(calls) == 4 and retry == (1,)
-        assert inst.positions.tobytes() == positions.tobytes() == want[0].tobytes()
-        assert inst.source_ids.tobytes() == want[1].tobytes()
-        assert inst.dest_ids.tobytes() == want[2].tobytes()
-        unforced = uniform_generate_network(64, 64.0, 5)
-        assert inst.source_ids.tobytes() != unforced[1].tobytes()
-
-    def test_every_attempt_coincident_raises(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(network, "_has_coincident_nodes",
-                            lambda positions: calls.append(1) or True)
-        with pytest.raises(DegenerateInstanceError):
-            generate_network(8, 8.0, 0)
-        with pytest.raises(DegenerateInstanceError):
-            network.draw_positions(8, 8.0, 0)
-        assert len(calls) == 32
 
 
 class TestValidation:
@@ -155,28 +111,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             NetworkInstance(4, 1.0, 0, self.POSITIONS, sources, dests)
 
-    @pytest.mark.parametrize("positions,coincident", [
-        ([[0.5, 0.1], [0.5, 0.7]], False),                 # equal x, different y
-        ([[0.2, 0.4], [0.9, 0.4]], False),                 # equal y, different x
-        ([[0.3, 0.3], [0.1, 0.2], [0.3, 0.3]], True),      # exact duplicate
-        ([[0.3, 0.3], [0.3, 0.2], [0.1, 0.2], [0.3, 0.2]], True),
-        ([[0.3, 0.3]], False),
-        ([[0.3, 0.3], [0.7, 0.6]], False),                 # n = 1
-    ])
-    def test_coincidence_matches_lexsort_oracle(self, positions, coincident):
-        positions = np.asarray(positions, dtype=float)
-        assert network._has_coincident_nodes(positions) is coincident
-        assert lexsort_has_coincident(positions) is coincident
-
-    def test_coincidence_on_drawn_positions(self):
-        for seed in range(20):
-            pos = generate_network(64, 64.0, seed=seed).positions.copy()
-            variants = [pos, pos.copy(), pos.copy()]
-            variants[1][7, 0] = pos[40, 0]                 # shared x only
-            variants[2][7] = pos[40]                       # duplicate node
-            for p in variants:
-                assert network._has_coincident_nodes(p) == lexsort_has_coincident(p)
-            assert network._has_coincident_nodes(variants[2])
+    # an infinite area would make every rescaled distance 0, which
+    # path_gain would report as coincident nodes, and a NaN area would pass
+    # the rectangle check
+    @pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_area_rejected(self, area):
+        with pytest.raises(ValueError, match="area_A must be positive and finite"):
+            NetworkInstance(4, area, 0, self.POSITIONS, np.arange(4), np.arange(4, 8))
 
 
 class TestSnrQuantities:
@@ -324,7 +265,7 @@ class TestBlockedChannel:
         # the bound covers the result plus every thread's buffers
         inst, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
         for workers in (1, 2):
-            monkeypatch.setattr(network, "_workers", workers)
+            pin_cpus(monkeypatch, workers)
             tracemalloc.start()
             try:
                 h = channel_matrix(inst, 4.0, tx, rx, phase_seed=7)
@@ -353,7 +294,7 @@ class TestRowBlockWorkers:
         for tx, rx in ((a, b), (b, a)):
             want = full_channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
             for workers in (1, 2, 3):
-                monkeypatch.setattr(network, "_workers", workers)
+                pin_cpus(monkeypatch, workers)
                 h = channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
                 assert h.entries.tobytes() == want.tobytes(), workers
 
@@ -364,7 +305,7 @@ class TestRowBlockWorkers:
             want = unblocked_dhat(inst, 4.0, targets, sources)
             part = CutPartition(sources, targets, targets)
             for workers in (1, 2, 3):
-                monkeypatch.setattr(network, "_workers", workers)
+                pin_cpus(monkeypatch, workers)
                 d = _dhat(inst, 4.0, targets, sources)
                 assert d.tobytes() == want.tobytes(), workers
                 assert (snr_total(inst, part, snr_s, 4.0)
@@ -372,12 +313,12 @@ class TestRowBlockWorkers:
                 assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
                     math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
 
-    # 4 blocks on 3 workers use 3 threads; 2 blocks use 2 whatever the
-    # worker count; one block runs on the calling thread
-    @pytest.mark.parametrize("n_rows,workers,threads", [(1000, 3, 3), (300, 3, 2),
-                                                        (300, 1, 1), (256, 3, 1)])
-    def test_blocks_split_across_threads(self, n_rows, workers, threads, monkeypatch):
-        monkeypatch.setattr(network, "_workers", workers)
+    # 4 blocks on 3 CPUs use 3 threads; 2 blocks use 2 whatever the CPU
+    # count; one block runs on the calling thread
+    @pytest.mark.parametrize("n_rows,cpus,threads", [(1000, 3, 3), (300, 3, 2),
+                                                     (300, 1, 1), (256, 3, 1)])
+    def test_blocks_split_across_threads(self, n_rows, cpus, threads, monkeypatch):
+        pin_cpus(monkeypatch, cpus)
         # each thread waits with its first block until every thread has one
         barrier = threading.Barrier(threads, timeout=30)
         lock = threading.Lock()
@@ -402,7 +343,7 @@ class TestRowBlockWorkers:
 
     def test_error_in_last_block_raised_after_workers_stop(self, monkeypatch):
         # the last rx node sits on a tx node: block 3 of 3 is degenerate
-        monkeypatch.setattr(network, "_workers", 2)
+        pin_cpus(monkeypatch, 2)
         inst, snr_s, rx, tx = _split_sets(1024, 600, seed=5)
         positions = inst.positions.copy()
         positions[rx[-1]] = positions[tx[0]]
@@ -413,10 +354,10 @@ class TestRowBlockWorkers:
         with pytest.raises(DegenerateInstanceError):
             channel_matrix(inst, 4.0, tx, rx, phase_seed=1)
         assert threading.active_count() == before
-        with pytest.raises(PathologicalCutError):
+        with pytest.raises(DegenerateInstanceError):
             snr_total(inst, part, snr_s, 4.0)
         assert threading.active_count() == before
-        with pytest.raises(PathologicalCutError):
+        with pytest.raises(DegenerateInstanceError):
             _dhat(inst, 4.0, rx, tx)
         assert threading.active_count() == before
 

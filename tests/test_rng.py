@@ -115,13 +115,13 @@ def call_site_paths(m, i, j):
     """(purpose, call site) -> the seed paths rooted at master seed m that
     the call site derives at point i and unit j.  The raw seed of
     `netregime gen` and `netregime cutset` is an instance seed itself, so
-    its paths are the instance streams, with retry j.  `netregime hybrid`
+    its paths are the instance streams.  `netregime hybrid`
     trial t takes a sweep unit's seed at (t, 0), and `netregime percolation`
     a sweep point's at 0, from the harness."""
     return {
         ("instance", "sweep cutset or hybrid unit"): {(m, rng.EXPERIMENT, i, j)},
         ("instance", "netregime gen or cutset"): {
-            (m, tag, j) for tag in (rng.POSITIONS, rng.ROLES, rng.PAIRING)},
+            (m, tag) for tag in (rng.POSITIONS, rng.ROLES, rng.PAIRING)},
         ("sweep phases", "sweep cutset unit"): {(m, rng.PHASES, i, j)},
         ("cli phases", "netregime cutset"): {(m, rng.CLI_PHASES)},
         ("crossing study", "sweep percolation point"): {(m, rng.CROSSING, i)},

@@ -26,11 +26,9 @@ def manhattan_lengths(cell0, cell1, grid):
 
 def walk(p0, p1, cell0, cell1, grid):
     """One segment through the all-lines walk, as a list of flat ids."""
-    cells, lengths = _walk_block(np.array([p0], dtype=float),
-                                 np.array([p1], dtype=float),
-                                 np.array([cell0]), np.array([cell1]), grid)
-    assert lengths.tolist() == [len(cells)]
-    assert lengths.tolist() == manhattan_lengths([cell0], [cell1], grid).tolist()
+    cells = _walk_block(np.array([p0], dtype=float), np.array([p1], dtype=float),
+                        np.array([cell0]), np.array([cell1]), grid)
+    assert [len(cells)] == manhattan_lengths([cell0], [cell1], grid).tolist()
     return cells.tolist()
 
 
@@ -242,10 +240,8 @@ class TestSupercover:
             assert len(set(cells)) == len(cells)
             want.extend(cells)
             starts.append(len(want))
-        cells, lengths = _walk_block(p0, p1, cell0, cell1, grid)
-        assert cells.tolist() == want
-        assert np.diff(starts).tolist() == lengths.tolist()
-        assert lengths.tolist() == manhattan_lengths(cell0, cell1, grid).tolist()
+        assert _walk_block(p0, p1, cell0, cell1, grid).tolist() == want
+        assert np.diff(starts).tolist() == manhattan_lengths(cell0, cell1, grid).tolist()
 
     @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3), (4096, 16)])
     def test_matches_scalar_walk_random_segments(self, n, M):
@@ -541,18 +537,9 @@ class TestHybridThroughput:
 
     def test_aggregate_is_n_times_mean_rate(self):
         inst = generate_network(128, 128.0, seed=5)
-        est, _, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0)
+        est, _, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0,
+                                    M=hybrid_cell_size(4.0, 4.0, 128))
         assert est.aggregate_T == pytest.approx(128 * est.per_pair_R, rel=1e-12)
-
-    def test_analytic_value_reported_and_monotone_in_m(self):
-        inst = generate_network(256, 256.0, seed=6)
-        prev = 0.0
-        for M in (1, 2, 4, 8, 16):
-            est, _, _ = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=M)
-            assert est.analytic_per_pair == pytest.approx(
-                0.25 * math.sqrt(M) * 256.0 ** -0.55, rel=1e-12)
-            assert est.analytic_per_pair >= prev
-            prev = est.analytic_per_pair
 
     def test_degenerate_equivalence_slopes(self):
         # M = 1 tracks the multihop sqrt(n) scaling at desk scale; the
