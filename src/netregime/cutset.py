@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
@@ -50,7 +51,7 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 from . import percolation as perc
 from . import rng
 from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_matrix,
-                      path_gain, run_row_blocks)
+                      path_gain, row_block_workers, run_row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -206,24 +207,77 @@ def dof_term_realized(instance: NetworkInstance, partition: CutPartition,
     return fsum(math.log2(1.0 + n * snr_s * float(di)) for di in d)
 
 
-def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
-    """log2 det(I + snr_s * H H*) from a Cholesky factor of the smaller Gram.
+def _rfp_diagonal(k: int) -> np.ndarray:
+    """Positions of the diagonal of a k x k matrix in lower, transr='N'
+    rectangular full packed (RFP) storage, as LAPACK's ``ztrttf`` lays it out."""
+    i = np.arange(k)
+    h = (k + 1) // 2
+    if k % 2:
+        return np.where(i < h, i * (k + 1), (i - h) * (k + 1) + k)
+    return np.where(i < h, i * (k + 2) + 1, (i - h) * (k + 2))
 
-    ``zherk`` forms the lower triangle of snr_s times the smaller Gram from
-    ``entries.T``, which for a C-ordered H is a Fortran-ordered view that
-    BLAS reads without a copy.  It yields the complex conjugate of H H*
-    (or of H* H), which has the same determinant.  Every eigenvalue of
-    I + snr_s * G is at least 1, so the Cholesky factor L is backward
-    stable, and log2 det = 2 * sum_i log2 L_ii.  Returns NaN when the
-    factorization fails, as it does on non-finite entries.
+
+def _gram_logdet(chunks, k: int, snr_s: float) -> float:
+    """log2 det(I + snr_s * H* H) for the k-column H stacked from ``chunks``.
+
+    The Gram matrix is held in rectangular full packed storage, k(k+1)/2
+    entries.  ``zhfrk`` adds snr_s times each chunk's Gram into it from
+    ``chunk.T``, which for a C-ordered chunk is a Fortran-ordered view that
+    BLAS reads without a copy; this forms the complex conjugate of H* H,
+    which has the same determinant.  Each chunk is dropped before the next
+    is drawn from ``chunks``.  Every eigenvalue of I + snr_s * G is at
+    least 1, so the Cholesky factor L from ``zpftrf`` is backward stable,
+    and log2 det = 2 * sum_i log2 L_ii.  Returns NaN when the factorization
+    fails or its diagonal is not finite, as on non-finite entries.
     """
-    m, k = entries.shape
-    gram = scipy.linalg.blas.zherk(snr_s, entries.T, trans=2 if m <= k else 0, lower=1)
-    gram[np.diag_indices_from(gram)] += 1.0
-    factor, info = scipy.linalg.lapack.zpotrf(gram, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
+    lapack = scipy.linalg.lapack
+    gram = np.zeros(k * (k + 1) // 2, dtype=complex)
+    for chunk in chunks:
+        gram = lapack.zhfrk(k, chunk.shape[0], snr_s, chunk.T, 1.0, gram,
+                            transr="N", uplo="L", overwrite_c=1)
+        del chunk   # else it lives on while the next chunk is built
+    diagonal = _rfp_diagonal(k)
+    gram[diagonal] += 1.0
+    factor, info = lapack.zpftrf(k, gram, transr="N", uplo="L", overwrite_a=1)
+    pivots = factor[diagonal].real
+    if info != 0 or not np.isfinite(pivots).all():
         return math.nan
-    return 2.0 * fsum(np.log2(factor.diagonal().real).tolist())
+    return 2.0 * fsum(np.log2(pivots).tolist())
+
+
+def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
+    """log2 det(I + snr_s * H H*) of one matrix H = ``entries``: the one-chunk
+    case of the Monte-Carlo kernel, which factors the Gram of H's columns."""
+    return _gram_logdet([entries], entries.shape[1], snr_s)
+
+
+def _chunk_bounds(n_rx: int, n_tx: int) -> list:
+    """Receive-row bounds of the chunks one Monte-Carlo trial builds H in.
+
+    A chunk has ceil(n_tx / 2) rows, at least ROW_BLOCK, so it holds about
+    as many bytes as the packed Gram.  The chunk count is n_rx over that,
+    rounded, at least 1, so the last chunk takes the rest: between half
+    and one and a half chunks of rows when there are two or more.  The
+    split depends only on the two set sizes.
+    """
+    size = max(ROW_BLOCK, -(-n_tx // 2))
+    chunks = max(1, round(n_rx / size))
+    return [j * size for j in range(chunks)] + [n_rx]
+
+
+def _check_trial_memory(bounds: list, k: int) -> None:
+    """Raise ValueError when one trial would need more than the machine's
+    physical memory: the packed Gram, 8 k(k+1) bytes, plus the largest
+    chunk of H, 16 bytes an entry, plus the two ROW_BLOCK x k float
+    buffers of each row-block thread that builds it."""
+    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    need = (8 * k * (k + 1) + 16 * rows * k
+            + row_block_workers(rows) * 2 * 8 * min(rows, ROW_BLOCK) * k)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"a cutset trial with {k} transmitters needs "
+                         f"{need / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -245,19 +299,26 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
 
     Each trial redraws every pairwise phase from an independent substream
     of ``phase_seed``, so trial t is reproducible regardless of execution
-    order.  Non-finite trial values are discarded and counted.
+    order.  A trial builds H's receive rows with :func:`channel_matrix` in
+    the chunks of :func:`_chunk_bounds` and adds each into the packed
+    transmit-side Gram of :func:`_gram_logdet`, so it never holds all of H.
+    A trial that would not fit in physical memory raises ValueError before
+    any phase is drawn.  Non-finite trial values are discarded and counted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_point(snr_s, alpha)
     tx = np.sort(partition.left_S)
     rx = partition.right_D
+    bounds = _chunk_bounds(rx.size, tx.size)
+    _check_trial_memory(bounds, tx.size)
     values = []
     discarded = 0
     for t in range(trials):
-        h = channel_matrix(instance, alpha, tx, rx,
-                           phase_seed=rng.derived_seed(phase_seed, t))
-        v = identity_logdet(h.entries, snr_s)
+        seed = rng.derived_seed(phase_seed, t)
+        chunks = (channel_matrix(instance, alpha, tx, rx[a:b], phase_seed=seed).entries
+                  for a, b in zip(bounds, bounds[1:]))
+        v = _gram_logdet(chunks, tx.size, snr_s)
         if math.isfinite(v):
             values.append(v)
         else:

@@ -245,24 +245,29 @@ def path_gain(instance: NetworkInstance, rx, tx, exponent: float,
     return rhat
 
 
+def row_block_workers(n_rows: int) -> int:
+    """Threads :func:`run_row_blocks` runs n_rows rows on, the calling one
+    included: one per usable CPU, at most one per ROW_BLOCK block."""
+    # sched_getaffinity, which honours CPU pinning, exists only on some platforms
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, -(-n_rows // ROW_BLOCK)))
+
+
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
     """Call ``kernel(start, a, b)`` once for each ROW_BLOCK block of n_rows rows.
 
     ``a`` and ``b`` are float buffers of shape (min(n_rows, ROW_BLOCK),
     width), one pair per thread, which the kernel may overwrite; it writes
     only its own rows of the result.  The calling thread and
-    min(usable CPUs, blocks) - 1 started threads take blocks in turn, so
-    with one block, or one usable CPU, no thread is started.  Every thread
-    has stopped when this returns; after a kernel raises, no block starts,
-    and the first exception raised is re-raised once all threads have
-    stopped.
+    ``row_block_workers(n_rows) - 1`` started threads take blocks in turn,
+    so with one block, or one usable CPU, no thread is started.  Every
+    thread has stopped when this returns; after a kernel raises, no block
+    starts, and the first exception raised is re-raised once all threads
+    have stopped.
     """
     starts = iter(range(0, n_rows, ROW_BLOCK))
-    blocks = -(-n_rows // ROW_BLOCK)
-    # sched_getaffinity, which honours CPU pinning, exists only on some platforms
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = max(1, min(cpus, blocks))
+    workers = row_block_workers(n_rows)
     height = min(n_rows, ROW_BLOCK)
     scratch = [(np.empty((height, width)), np.empty((height, width)))
                for _ in range(workers)]

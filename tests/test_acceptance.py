@@ -12,6 +12,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        simulate_hybrid, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, certified_cut,
                        has_open_crossing)
+from netregime import cutset as cutset_module
 from netregime.harness import fit_exponent, operating_point
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
@@ -400,12 +402,19 @@ def test_c13_reproducibility(tmp_path, monkeypatch):
         started.append(len(os.sched_getaffinity(0)))
         real_start(thread)
     monkeypatch.setattr(threading.Thread, "start", start)
+    real_channel, builds = cutset_module.channel_matrix, Counter()
+
+    def channel_matrix(instance, *args, phase_seed):   # count each trial's chunks
+        builds[len(os.sched_getaffinity(0)), instance.n_pairs, phase_seed] += 1
+        return real_channel(instance, *args, phase_seed=phase_seed)
+    monkeypatch.setattr(cutset_module, "channel_matrix", channel_matrix)
     outputs = []
     for cpus in (1, 3):
         pin_cpus(monkeypatch, cpus)
         tag = f"c{cpus}"
         paths = {}
-        # n = 512 spans two row blocks, so the 3-CPU run starts threads
+        # each n = 512 trial builds H in two chunks; one instance's first
+        # chunk has 259 rows, two row blocks, so the 3-CPU run starts threads
         cutset = ExperimentConfig(kind="cutset", n_list=[16, 32, 64, 512],
                                   alpha=2.0, beta=1.0, trials=5, instances=2,
                                   master_seed=13, out=str(tmp_path / f"cut_{tag}.csv"))
@@ -430,7 +439,9 @@ def test_c13_reproducibility(tmp_path, monkeypatch):
         outputs.append({k: open(v, "rb").read() for k, v in paths.items()})
     same = {k: outputs[0][k] == outputs[1][k] for k in outputs[0]}
     threads = {w: started.count(w) for w in (1, 3)}
-    ok = all(same.values()) and threads[1] == 0 and threads[3] > 0
+    chunks = min(count for (_, n, _), count in builds.items() if n == 512)
+    ok = all(same.values()) and threads[1] == 0 and threads[3] > 0 and chunks >= 2
     assert report("C13 reproducibility", ok,
                   f"byte-identical across 1 vs 3 usable CPUs: {same}; "
-                  f"threads started {threads} ({time.time() - t0:.1f} s)")
+                  f"threads started {threads}; n = 512 trials in >= {chunks} chunks "
+                  f"({time.time() - t0:.1f} s)")

@@ -204,6 +204,11 @@ class TestCutset:
         assert run(["cutset", "--mode", "percolation", "--c", "1e-9"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    def test_trial_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
+        # n = 2^16 has about 2^16 transmitters: a packed Gram of about 34 GB
+        assert run(["cutset", "--n", str(2 ** 16), "--trials", "1"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
 
 class TestScheme:
     def test_multihop_rows(self, tmp_path):

@@ -1,21 +1,24 @@
 import math
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netregime import (PathologicalCutError, certified_cut,
                        dof_term_realized, closed_form_snr_total_bound,
                        generate_network, mc_cutset_logdet, partition_nodes,
                        select_cut_width, snr_total,
                        classify, evaluate_cutset)
-from netregime import cutset
+from netregime import cutset, rng
 from netregime.cutset import identity_logdet
-from netregime.network import ChannelMatrix, channel_matrix
+from netregime.network import ROW_BLOCK, ChannelMatrix, channel_matrix, row_block_workers
 from netregime.harness import operating_point
 
 from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
-                     eigvalsh_logdet, power_profile, unblocked_dhat)
+                     eigvalsh_logdet, pin_cpus, power_profile, unblocked_dhat)
 from test_golden import (CUTSET_CLI, CUTSET_CLI_CSV, CUTSET_SWEEP, CUTSET_SWEEP_CSV,
                          assert_close_csv, cli_csv, sweep_csv)
 
@@ -313,19 +316,119 @@ class TestCholeskyLogdet:
         assert math.isnan(identity_logdet(h.T.copy(), 1.0))
 
 
+class TestPackedGramKernel:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_rfp_diagonal_matches_ztrttf(self, k):
+        marked = np.diag(np.arange(1.0, k + 1)) + np.tril(np.full((k, k), -1.0), -1)
+        packed, info = scipy.linalg.lapack.ztrttf(marked.astype(complex), transr="N",
+                                                   uplo="L")
+        assert info == 0
+        assert packed[cutset._rfp_diagonal(k)].real.tolist() == list(range(1, k + 1))
+
+    # row bounds as fractions of the rows: one chunk, two, three; the last is short
+    @pytest.mark.parametrize("fractions", [(), (0.6,), (0.45, 0.9)])
+    @pytest.mark.parametrize("rows,k", [(150, 61), (150, 62), (40, 61), (41, 62)])
+    def test_chunks_match_eigvalsh(self, rows, k, fractions):
+        n, alpha = 200, 3.0
+        snr, area = operating_point(n, alpha, 0.5)
+        inst = generate_network(n, area, seed=4)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        h = channel_matrix(inst, alpha, np.sort(part.left_S)[:k], part.right_D[:rows],
+                           phase_seed=8).entries
+        bounds = [0] + [int(f * rows) for f in fractions] + [rows]
+        chunks = [h[a:b] for a, b in zip(bounds, bounds[1:])]
+        want = eigvalsh_logdet(h, snr)
+        assert cutset._gram_logdet(iter(chunks), k, snr) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_gives_nan_in_any_chunk(self, bad):
+        # zpftrf can report success on a NaN entry; the diagonal check catches
+        # it before log2, which would warn (an error under this suite's filters)
+        for row in range(5):
+            h = np.ones((5, 4), dtype=complex)
+            h[row, 1] = bad
+            assert math.isnan(cutset._gram_logdet([h[:2], h[2:]], 4, 1.0))
+
+    def test_chunk_bounds(self):
+        assert cutset._chunk_bounds(10, 3) == [0, 10]
+        # chunks of ceil(2049 / 2) rows; no short last chunk
+        assert cutset._chunk_bounds(2047, 2049) == [0, 1025, 2047]
+        assert cutset._chunk_bounds(1500, 2049) == [0, 1500]
+        assert cutset._chunk_bounds(1600, 2049) == [0, 1025, 1600]
+        assert cutset._chunk_bounds(3100, 2000) == [0, 1000, 2000, 3100]
+        # at least ROW_BLOCK rows a chunk
+        assert cutset._chunk_bounds(600, 100) == [0, ROW_BLOCK, 600]
+
+    def test_trial_beyond_memory_refused_before_any_phase(self, memory_at_most_8gib,
+                                                         monkeypatch):
+        # about 2^16 transmitters: a packed Gram of 8 k(k+1), about 34 GB
+        inst = unit_density_instance(2 ** 16, seed=0)
+        part = partition_nodes(inst, w_hat=1.0)
+        calls = []
+        monkeypatch.setattr(cutset, "channel_matrix", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="physical memory"):
+            mc_cutset_logdet(inst, part, 1.0, 4.0, trials=1, phase_seed=0)
+        assert calls == []
+
+    def test_memory_count_read_from_sysconf(self, monkeypatch):
+        n, alpha = 200, 4.0
+        snr, area = operating_point(n, alpha, 0.5)
+        inst = generate_network(n, area, seed=1)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        k, m = part.left_S.size, part.right_D.size
+        rows = max(np.diff(cutset._chunk_bounds(m, k)))
+        need = (8 * k * (k + 1) + 16 * rows * k
+                + row_block_workers(rows) * 2 * 8 * min(rows, ROW_BLOCK) * k)
+        real = os.sysconf
+
+        def memory_is(total):
+            monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                                else total if name == "SC_PHYS_PAGES" else real(name))
+        memory_is(need - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2)
+        memory_is(need)
+        assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_peak_memory_bounded(self, monkeypatch, workers):
+        # One trial holds the packed Gram, one chunk of H and each row-block
+        # thread's two buffers.  All of H and a full Gram, as one zherk
+        # forms it, peaked at 1.27 (2 threads) and 1.52 (1 thread) times
+        # the count here, so they fail this bound.
+        n, alpha = 1024, 4.0
+        snr, area = operating_point(n, alpha, 0.5)
+        inst = generate_network(n, area, seed=2)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        k, m = part.left_S.size, part.right_D.size
+        bounds = cutset._chunk_bounds(m, k)
+        assert len(bounds) == 3
+        rows = max(np.diff(bounds))
+        pin_cpus(monkeypatch, workers)
+        identity_logdet(np.ones((1, 1), dtype=complex), 1.0)   # loads scipy.linalg
+        tracemalloc.start()
+        try:
+            mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = 8 * k * (k + 1) + 16 * rows * k + workers * 2 * 8 * ROW_BLOCK * k
+        assert peak < 1.2 * counted
+
+
 class TestDiscardPath:
     def _setup(self):
         inst = unit_density_instance(12, seed=6)
         return inst, partition_nodes(inst, w_hat=2.0)
 
     def _nan_on(self, monkeypatch, bad_trials):
+        # keyed on the trial's phase seed, since a trial may build H in chunks
         real = cutset.channel_matrix
-        calls = []
+        bad_seeds = {rng.derived_seed(11, t) for t in bad_trials}
 
         def flaky(*args, **kwargs):
             h = real(*args, **kwargs)
-            calls.append(None)
-            if len(calls) - 1 in bad_trials:
+            if kwargs["phase_seed"] in bad_seeds:
                 return ChannelMatrix(np.full(h.entries.shape, np.nan, dtype=complex))
             return h
         monkeypatch.setattr(cutset, "channel_matrix", flaky)
