@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
@@ -51,7 +50,7 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 from . import percolation as perc
 from . import rng
 from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_matrix,
-                      path_gain, row_block_workers, run_row_blocks)
+                      check_memory, path_gain, row_block_bytes, run_row_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +137,7 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
           sources: np.ndarray) -> np.ndarray:
     """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free.
 
-    Evaluated in blocks of ROW_BLOCK targets by
+    Evaluated in row blocks of targets by
     :func:`~netregime.network.run_row_blocks`; each block's gains come from
     :func:`~netregime.network.path_gain` in place in its thread's buffers,
     so a target on a source raises DegenerateInstanceError.  Each row's sum
@@ -146,11 +145,9 @@ def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
     """
     d = np.empty(len(targets))
 
-    def block_sums(start, gain, work):
-        rows = targets[start:start + ROW_BLOCK]
-        gain, work = gain[:rows.size], work[:rows.size]
-        path_gain(instance, rows, sources, -alpha, gain, work)
-        np.sum(gain, axis=1, out=d[start:start + rows.size])
+    def block_sums(rows, gain, work):
+        path_gain(instance, targets[rows], sources, -alpha, gain, work)
+        np.sum(gain, axis=1, out=d[rows])
 
     run_row_blocks(len(targets), len(sources), block_sums)
     return d
@@ -265,21 +262,6 @@ def _chunk_bounds(n_rx: int, n_tx: int) -> list:
     return [j * size for j in range(chunks)] + [n_rx]
 
 
-def _check_trial_memory(bounds: list, k: int) -> None:
-    """Raise ValueError when one trial would need more than the machine's
-    physical memory: the packed Gram, 8 k(k+1) bytes, plus the largest
-    chunk of H, 16 bytes an entry, plus the two ROW_BLOCK x k float
-    buffers of each row-block thread that builds it."""
-    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
-    need = (8 * k * (k + 1) + 16 * rows * k
-            + row_block_workers(rows) * 2 * 8 * min(rows, ROW_BLOCK) * k)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(f"a cutset trial with {k} transmitters needs "
-                         f"{need / 2**30:.3g} GiB, more than the "
-                         f"{memory / 2**30:.3g} GiB of physical memory")
-
-
 @dataclass(frozen=True)
 class MCLogdet:
     mean: float
@@ -310,15 +292,20 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     _check_point(snr_s, alpha)
     tx = np.sort(partition.left_S)
     rx = partition.right_D
-    bounds = _chunk_bounds(rx.size, tx.size)
-    _check_trial_memory(bounds, tx.size)
+    k = tx.size
+    bounds = _chunk_bounds(rx.size, k)
+    # One trial holds the packed Gram, 8 k(k+1) bytes, the largest chunk of
+    # H, 16 bytes an entry, and the row-block buffers that build that chunk.
+    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    check_memory(8 * k * (k + 1) + 16 * rows * k + row_block_bytes(rows, k),
+                 f"a cutset trial with {k} transmitters")
     values = []
     discarded = 0
     for t in range(trials):
         seed = rng.derived_seed(phase_seed, t)
         chunks = (channel_matrix(instance, alpha, tx, rx[a:b], phase_seed=seed).entries
                   for a, b in zip(bounds, bounds[1:]))
-        v = _gram_logdet(chunks, tx.size, snr_s)
+        v = _gram_logdet(chunks, k, snr_s)
         if math.isfinite(v):
             values.append(v)
         else:

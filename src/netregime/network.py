@@ -18,6 +18,9 @@ Two SNR summaries drive everything downstream:
 
 Rates are in bits (log base 2) throughout; positions in meters, powers in
 Watts.
+
+Only this module splits rows into blocks (:func:`run_row_blocks`) and
+reads the machine's physical memory (:func:`check_memory`).
 """
 
 from __future__ import annotations
@@ -254,23 +257,27 @@ def row_block_workers(n_rows: int) -> int:
     return max(1, min(cpus, -(-n_rows // ROW_BLOCK)))
 
 
-def run_row_blocks(n_rows: int, width: int, kernel) -> None:
-    """Call ``kernel(start, a, b)`` once for each ROW_BLOCK block of n_rows rows.
+def row_block_bytes(n_rows: int, width: int) -> int:
+    """Bytes of the buffers :func:`run_row_blocks` allocates for n_rows rows."""
+    return row_block_workers(n_rows) * 2 * 8 * min(n_rows, ROW_BLOCK) * width
 
-    ``a`` and ``b`` are float buffers of shape (min(n_rows, ROW_BLOCK),
-    width), one pair per thread, which the kernel may overwrite; it writes
-    only its own rows of the result.  The calling thread and
-    ``row_block_workers(n_rows) - 1`` started threads take blocks in turn,
-    so with one block, or one usable CPU, no thread is started.  Every
-    thread has stopped when this returns; after a kernel raises, no block
-    starts, and the first exception raised is re-raised once all threads
-    have stopped.
+
+def run_row_blocks(n_rows: int, width: int, kernel) -> None:
+    """Call ``kernel(rows, a, b)`` once for each ROW_BLOCK block of n_rows rows.
+
+    ``rows`` is the block's slice, and ``a`` and ``b`` are float buffers of
+    its height by width, cut from one pair per thread.  The kernel may
+    overwrite them, and writes only its own rows of the result.  The calling
+    thread and ``row_block_workers(n_rows) - 1`` started threads take
+    blocks in turn, so with one block, or one usable CPU, no thread is
+    started.  Every thread has stopped when this returns; after a kernel
+    raises, no block starts, and the first exception raised is re-raised
+    once all threads have stopped.
     """
     starts = iter(range(0, n_rows, ROW_BLOCK))
-    workers = row_block_workers(n_rows)
     height = min(n_rows, ROW_BLOCK)
     scratch = [(np.empty((height, width)), np.empty((height, width)))
-               for _ in range(workers)]
+               for _ in range(row_block_workers(n_rows))]
     lock = threading.Lock()
     errors = []
 
@@ -280,8 +287,9 @@ def run_row_blocks(n_rows: int, width: int, kernel) -> None:
                 start = None if errors else next(starts, None)
             if start is None:
                 return
+            stop = min(start + ROW_BLOCK, n_rows)
             try:
-                kernel(start, a, b)
+                kernel(slice(start, stop), a[:stop - start], b[:stop - start])
             except BaseException as exc:
                 with lock:
                     errors.append(exc)
@@ -297,6 +305,15 @@ def run_row_blocks(n_rows: int, width: int, kernel) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def check_memory(need: float, what: str) -> None:
+    """Raise ValueError, before a stage allocates, when ``what`` needs more
+    than the machine's physical memory: ``need`` bytes, the stage's count."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(f"{what} needs {need / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 def channel_matrix(instance: NetworkInstance, alpha: float,
@@ -324,14 +341,11 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
 
     entries = np.empty((rx.size, tx.size), dtype=complex)
 
-    def fill(start, theta, magnitude):
-        rows = rx[start:start + ROW_BLOCK]
-        theta, magnitude = theta[:rows.size], magnitude[:rows.size]
-        path_gain(instance, rows, tx, -alpha / 2.0, magnitude, theta)
-        _draw_rows(instance.n_nodes, phase_seed, rows, tx, theta)
+    def fill(rows, theta, magnitude):
+        path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
+        _draw_rows(instance.n_nodes, phase_seed, rx[rows], tx, theta)
         theta *= 2.0 * math.pi
-        block = entries[start:start + ROW_BLOCK]
-        re, im = block.real, block.imag
+        re, im = entries[rows].real, entries[rows].imag
         np.cos(theta, out=re)
         np.sin(theta, out=im)
         re *= magnitude

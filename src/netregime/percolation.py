@@ -19,7 +19,6 @@ with that convention.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,7 @@ import numpy as np
 import scipy   # scipy.ndimage loads on first use, by the first labelling
 
 from . import rng
-from .network import NetworkInstance
+from .network import NetworkInstance, check_memory
 # Unused here: the benchmark's traced run wraps this binding (ROADMAP item 2).
 from .network import generate_network  # noqa: F401
 
@@ -102,10 +101,11 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
     return grid
 
 
-def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
+def _open_grid(n: int, area_A: float, c: float, trials: int = 0) -> PercolationGrid:
     """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
     with every cell open.  Raises ValueError, before it allocates, when a
-    slab run would need more than the machine's physical memory."""
+    slab run, with the keys of a study of ``trials`` crossing trials, would
+    need more than the machine's physical memory."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     if n < 2:
@@ -121,12 +121,12 @@ def _open_grid(n: int, area_A: float, c: float) -> PercolationGrid:
     # A slab run holds at most 24 bytes a cell: a crossing trial 7, certified_cut's
     # BFS about 22.  Binning nodes takes 64 bytes a node, about c^2 a cell, and a
     # cut's path about 150 bytes a path cell, one or more a row (200 counted).  A
-    # batch of trials adds _BATCH_CELLS cells of 6 bytes and their nodes.
-    need = rows * (cols * (24 + 64 * c * c) + 200) + _BATCH_CELLS * (6 + 64 * c * c)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ValueError(f"a slab of {rows} x {cols} cells needs {need / 2**30:.3g} GiB, "
-                         f"more than the {memory / 2**30:.3g} GiB of physical memory")
+    # batch of trials adds _BATCH_CELLS cells of 6 bytes and their nodes, and a
+    # study holds its trials' keys throughout.
+    need = (rows * (cols * (24 + 64 * c * c) + 200) + _BATCH_CELLS * (6 + 64 * c * c)
+            + trials * rng.KEY_LIST_BYTES)
+    what = f"a slab of {rows} x {cols} cells"
+    check_memory(need, f"a study of {trials} crossing trials on {what}" if trials else what)
 
     return PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
 
@@ -350,14 +350,15 @@ def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingSt
     on the slab, which is the law of the slab's share of 2n uniform nodes
     (Franceschetti, Dousse, Tse & Thiran, IEEE Trans. IT 53(3), 2007).
     Trial t draws on the substream (seed, CROSSING, t); the keys of all
-    trials come from one :func:`rng.philox_keys` pass.  Trials run in
+    trials come from one :func:`rng.philox_keys` pass, which the slab's
+    memory pre-flight counts before it runs.  Trials run in
     batches of _BATCH_CELLS cells, or of one slab when a slab is larger: a
     batch's draws are binned at once into a stack of its slabs, each followed
     by a closed separator row, and one labelling decides its crossings.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    grid = _open_grid(n, float(n), c)
+    grid = _open_grid(n, float(n), c, trials)
     rows, cols = grid.closed.shape
     side = math.sqrt(n)
     batch = max(1, _BATCH_CELLS // ((rows + 1) * cols))

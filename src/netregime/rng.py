@@ -107,6 +107,12 @@ def _generate_keys(entropy: list[np.ndarray]) -> np.ndarray:
     return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
 
 
+# Peak bytes a key of ``philox_keys(...).tolist()`` takes while the list is
+# made: 152 held, a list of two Python ints, plus its rows of the key and
+# index arrays.  A caller that holds such a list counts it at this rate.
+KEY_LIST_BYTES = 168
+
+
 def philox_keys(seed: int, prefix, last) -> np.ndarray:
     """Philox keys of the substreams (seed, *prefix, l) for each l in ``last``.
 

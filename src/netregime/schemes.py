@@ -27,7 +27,7 @@ from math import fsum
 import numpy as np
 
 from . import rng
-from .network import NetworkInstance, snr_long
+from .network import NetworkInstance, check_memory, snr_long
 from .regimes import Scheme
 
 
@@ -341,6 +341,9 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     a nearest occupied cell by 4-adjacency BFS distance, with ties drawn
     uniformly on the same substream.
 
+    A run whose bytes would exceed the machine's physical memory raises
+    ValueError before the plan is allocated.
+
     Routing runs on all lines at once, and each output is the same, bit
     for bit, as a per-line loop of scalar walks and BFS searches.  A
     line's path length follows from its end cells, so the flat plan is
@@ -380,6 +383,10 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     r1, c1 = np.divmod(cell1, grid.columns)
     lengths = np.abs(r1 - r0) + np.abs(c1 - c0) + 1
     path_start = np.concatenate(([0], np.cumsum(lengths)))
+    # Routing holds 64 bytes a walked cell (the flat plan and one walk block's
+    # temporaries) and, a line, its key and 13 words of line arrays.
+    check_memory(64 * int(path_start[-1]) + (rng.KEY_LIST_BYTES + 104) * len(lengths),
+                 f"hybrid routing of {len(lengths)} lines over {path_start[-1]} cells")
     # a one-cell line is assigned [source, destination]
     node_start = path_start + np.concatenate(([0], np.cumsum(lengths == 1)))
     cells = np.empty(path_start[-1], dtype=np.intp)

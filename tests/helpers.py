@@ -34,6 +34,24 @@ def pin_cpus(monkeypatch, count):
                         raising=False)
 
 
+def physical_memory_is(monkeypatch, total):
+    """Make ``os.sysconf`` report ``total`` bytes of physical memory."""
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                        else total if name == "SC_PHYS_PAGES" else real(name))
+
+
+def recording_keys(monkeypatch):
+    """Record each call of ``rng.philox_keys`` in the returned list."""
+    calls, real = [], rng.philox_keys
+
+    def philox_keys(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(rng, "philox_keys", philox_keys)
+    return calls
+
+
 def hybrid_analytic_per_pair(n, M, epsilon, K3=1.0):
     """Analytic hybrid per-pair rate (K3/4) * sqrt(M) * n^(-1/2-eps)."""
     return (K3 / 4.0) * math.sqrt(M) * n ** (-0.5 - epsilon)

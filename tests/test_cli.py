@@ -14,7 +14,7 @@ from netregime import (ChannelMatrix, DegenerateInstanceError,
                        PathologicalCutError, cli, cutset, harness, rng)
 from netregime.cli import main
 
-from helpers import instance_from_json
+from helpers import instance_from_json, physical_memory_is
 
 
 def run(argv):
@@ -243,6 +243,12 @@ class TestScheme:
     def test_hybrid_out_of_regime(self):
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "-0.5"]) == 2
 
+    def test_routing_beyond_memory_exits_2(self, monkeypatch, capsys):
+        # routing 64 lines counts at least 64 x 272 bytes
+        physical_memory_is(monkeypatch, 4096)
+        assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
 
 class TestPercolation:
     def test_study_and_cut_export(self, tmp_path):
@@ -290,6 +296,15 @@ class TestPercolation:
     def test_slab_beyond_memory_exits_2(self, memory_at_most_8gib, capsys):
         # n = 4 at c = 1e-9 is a slab of 2e9 x 2 cells, about 460 GiB
         assert run(["percolation", "--n", "4", "--trials", "2", "--c", "1e-9"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_trial_keys_beyond_memory_exit_2(self, monkeypatch, capsys):
+        # the slab of n = 64 counts 0.34 MB, the keys of 10^6 trials 168 MB
+        def philox_keys(*args):
+            raise AssertionError("keys made before the memory pre-flight")
+        monkeypatch.setattr(rng, "philox_keys", philox_keys)
+        physical_memory_is(monkeypatch, 16 * 2 ** 20)
+        assert run(["percolation", "--n", "64", "--trials", str(10 ** 6)]) == 2
         assert "physical memory" in capsys.readouterr().err
 
 

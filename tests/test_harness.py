@@ -439,6 +439,20 @@ def raising_functions(path: Path, error: str) -> set:
     return found
 
 
+def naming_functions(path: Path, name: str) -> set:
+    """Names of the top-level functions and classes of a module that name
+    ``name``, as a variable, attribute, import, definition or whole string,
+    with None for a module-level use."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))
+                    or (isinstance(node, ast.Constant) and node.value == name)):
+                found.add(getattr(top, "name", None))
+    return found
+
+
 class TestOutputFormats:
     @pytest.mark.parametrize("name", sorted(CSV_OUTPUTS))
     def test_rows_have_header_columns(self, tmp_path, name):
@@ -471,6 +485,22 @@ class TestOutputFormats:
         assert owners == {
             "DegenerateInstanceError": {"network.py": {"path_gain"}},
             "PathologicalCutError": {"cutset.py": {"partition_nodes", "evaluate_cutset"}},
+        }
+
+    def test_one_owner_of_the_machine(self):
+        # only network.py reads physical memory and sizes row blocks; outside
+        # it, only the cutset's chunk floor names ROW_BLOCK
+        modules = sorted(Path(harness.__file__).parent.glob("*.py"))
+        owners = {name: {path.name: found for path in modules
+                         if (found := naming_functions(path, name))}
+                  for name in ("SC_PHYS_PAGES", "row_block_workers", "ROW_BLOCK")}
+        assert owners == {
+            "SC_PHYS_PAGES": {"network.py": {"check_memory"}},
+            "row_block_workers": {"network.py": {"row_block_workers", "row_block_bytes",
+                                                 "run_row_blocks"}},
+            "ROW_BLOCK": {"network.py": {None, "row_block_workers", "row_block_bytes",
+                                         "run_row_blocks"},
+                          "cutset.py": {None, "_chunk_bounds"}},
         }
 
     def test_only_harness_derives_sweep_seed_paths(self):

@@ -322,21 +322,23 @@ class TestRowBlockWorkers:
         # each thread waits with its first block until every thread has one
         barrier = threading.Barrier(threads, timeout=30)
         lock = threading.Lock()
-        seen, buffers, starts = set(), set(), []
+        seen, buffers, blocks = set(), set(), []
 
-        def kernel(start, a, b):
-            assert a.shape == b.shape == (min(n_rows, network.ROW_BLOCK), 7)
+        def kernel(rows, a, b):
+            assert a.shape == b.shape == (rows.stop - rows.start, 7)
+            assert a.base.shape == b.base.shape == (min(n_rows, network.ROW_BLOCK), 7)
             ident = threading.get_ident()
             with lock:
                 first = ident not in seen
                 seen.add(ident)
-                buffers.update((id(a), id(b)))
-                starts.append(start)
+                buffers.update((id(a.base), id(b.base)))
+                blocks.append((rows.start, rows.stop))
             if first:
                 barrier.wait()
 
         network.run_row_blocks(n_rows, 7, kernel)
-        assert sorted(starts) == list(range(0, n_rows, network.ROW_BLOCK))
+        assert sorted(blocks) == [(start, min(start + network.ROW_BLOCK, n_rows))
+                                  for start in range(0, n_rows, network.ROW_BLOCK)]
         assert len(seen) == threads and len(buffers) == 2 * threads
         if threads == 1:
             assert seen == {threading.get_ident()}

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from netregime import (build_occupancy_grid, certified_cut, crossing_probability,
                        extract_cut, find_open_crossing, generate_network,
-                       has_open_crossing, percolation)
+                       has_open_crossing, percolation, rng)
 from netregime.percolation import (PercolationGrid, _crossings, _distance_to_bottom,
                                    _distance_to_polyline, analytic_failure_bound,
                                    decay_condition_holds, exact_clearance,
@@ -22,8 +22,8 @@ from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      brute_b_set, brute_polyline_clearance,
                      exists_closed_lr_crossing, instance_crossing_probability,
                      label_open_top_bottom, level_distance_to_bottom,
-                     loop_distance_to_polyline, scalar_find_open_crossing,
-                     trial_crossing_hits)
+                     loop_distance_to_polyline, physical_memory_is, recording_keys,
+                     scalar_find_open_crossing, trial_crossing_hits)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -659,6 +659,31 @@ class TestSlabDraw:
         assert trials > 3
         crossing_probability(n, c, 1, 0)                  # first-use allocations
         assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, trials, 1))
+
+    def test_study_keys_counted_before_they_are_made(self, monkeypatch):
+        # A study's count is its slab's plus its trials' key list.  One byte
+        # short of it, no key is made.
+        n, c, trials = 64, 0.25, 1000
+        rows, cols = percolation._open_grid(n, float(n), c).closed.shape
+        need = (rows * (cols * (24 + 64 * c * c) + 200)
+                + percolation._BATCH_CELLS * (6 + 64 * c * c) + trials * rng.KEY_LIST_BYTES)
+        made = recording_keys(monkeypatch)
+        physical_memory_is(monkeypatch, math.ceil(need) - 1)
+        with pytest.raises(ValueError, match="1000 crossing trials.*physical memory"):
+            crossing_probability(n, c, trials, 0)
+        assert made == []
+        physical_memory_is(monkeypatch, math.ceil(need))
+        assert crossing_probability(n, c, trials, 0).trials == trials
+        assert len(made) == 1
+
+    def test_study_peak_within_counted_bytes(self, monkeypatch):
+        # The keys of 10^4 trials, 1.7 MB, dominate a slab of 32 x 5 cells
+        n, c, trials = 64, 0.25, 10 ** 4
+        crossing_probability(n, c, 1, 0)                  # first-use allocations
+        peak = traced_peak(crossing_probability, n, c, trials, 1)
+        physical_memory_is(monkeypatch, peak)
+        with pytest.raises(ValueError, match="physical memory"):
+            percolation._open_grid(n, float(n), c, trials)
 
     @pytest.mark.parametrize("n, c", [(4096, 0.01), (4096, 0.002), (16, 0.001)])
     def test_cut_peak_within_counted_bytes(self, monkeypatch, n, c):

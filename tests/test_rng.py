@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ class TestPhiloxKeys:
             rng.philox_keys(-1, (rng.RELAY,), [0])
         with pytest.raises(ValueError):
             rng.philox_keys(3, (rng.RELAY,), [0, -2])
+
+
+    def test_key_list_bytes_cover_its_peak(self):
+        # philox_keys(...).tolist() peaks at about 167.5 bytes a key
+        count = 10 ** 5
+        tracemalloc.start()
+        try:
+            keys = rng.philox_keys(5, (rng.CROSSING,), np.arange(count)).tolist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == count
+        assert 0.95 * rng.KEY_LIST_BYTES * count < peak <= rng.KEY_LIST_BYTES * count
 
 
 class TestRekey:

@@ -13,8 +13,8 @@ from netregime.schemes import (RelayPlan, _relay_draws, _walk_block,
                                hybrid_throughput)
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
-                     loop_route_sd_lines, mean_occupancy, relay_cells_of,
-                     scalar_supercover)
+                     loop_route_sd_lines, mean_occupancy, physical_memory_is,
+                     recording_keys, relay_cells_of, scalar_supercover)
 
 
 def manhattan_lengths(cell0, cell1, grid):
@@ -445,6 +445,41 @@ class TestRouting:
         finally:
             tracemalloc.stop()
         assert peak < 64 * sum(map(len, plan.cell_paths))
+
+    @staticmethod
+    def routing_count(plan, n):
+        """The routing pre-flight's count: 64 bytes a walked cell, and a
+        line's key list and 13 words of line arrays."""
+        return 64 * int(plan.path_start[-1]) + (rng.KEY_LIST_BYTES + 104) * n
+
+    @pytest.mark.parametrize("M", [1, 4096])
+    def test_routing_peak_within_counted_bytes(self, M):
+        # At M = 1 the walked cells dominate (265,108 cells, peak 0.47 of the
+        # count); at M = n, two cells, the keys and line arrays (0.82)
+        n = 4096
+        inst = generate_network(n, float(n), seed=0)
+        grid = build_cell_grid(inst, M)
+        route_sd_lines(grid, inst, 1)                     # first-use allocations
+        tracemalloc.start()
+        try:
+            plan = route_sd_lines(grid, inst, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.routing_count(plan, n)
+
+    def test_routing_beyond_memory_refused_before_the_plan(self, monkeypatch):
+        inst = generate_network(64, 64.0, seed=0)
+        grid = build_cell_grid(inst, 1)
+        need = self.routing_count(route_sd_lines(grid, inst, 0), 64)
+        made = recording_keys(monkeypatch)
+        physical_memory_is(monkeypatch, need - 1)
+        with pytest.raises(ValueError, match="64 lines.*physical memory"):
+            route_sd_lines(grid, inst, 0)
+        assert made == []
+        physical_memory_is(monkeypatch, need)
+        route_sd_lines(grid, inst, 0)
+        assert len(made) == 1
 
 
 def _words_drawn(bit_generator):
