@@ -49,8 +49,8 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 
 from . import percolation as perc
 from . import rng
-from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_matrix,
-                      check_memory, path_gain, row_block_bytes, run_row_blocks)
+from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_bytes,
+                      channel_matrix, check_memory, pair_sums, snr_edge)
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +93,8 @@ def select_cut_width(snr_s: float, n: int, alpha: float) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_point(snr_s, alpha)
-    root_n = math.sqrt(n)
-    if snr_s >= n ** (alpha / 2.0 - 1.0):
-        return root_n
+    if snr_s >= snr_edge(n, alpha):
+        return math.sqrt(n)
     if snr_s < 1.0:
         return 1.0
     return snr_s ** (1.0 / (alpha - 2.0))
@@ -133,32 +132,10 @@ def partition_nodes(instance: NetworkInstance, w_hat: float,
     return part
 
 
-def _dhat(instance: NetworkInstance, alpha: float, targets: np.ndarray,
-          sources: np.ndarray) -> np.ndarray:
-    """Received power profile d_hat_i = sum_k rhat_ik^(-alpha), phase free.
-
-    Evaluated in row blocks of targets by
-    :func:`~netregime.network.run_row_blocks`; each block's gains come from
-    :func:`~netregime.network.path_gain` in place in its thread's buffers,
-    so a target on a source raises DegenerateInstanceError.  Each row's sum
-    is the same as in one unblocked evaluation.
-    """
-    d = np.empty(len(targets))
-
-    def block_sums(rows, gain, work):
-        path_gain(instance, targets[rows], sources, -alpha, gain, work)
-        np.sum(gain, axis=1, out=d[rows])
-
-    run_row_blocks(len(targets), len(sources), block_sums)
-    return d
-
-
 def snr_total(instance: NetworkInstance, partition: CutPartition,
               snr_s: float, alpha: float) -> float:
     """Total received SNR of the power-limited right-side nodes, exactly summed."""
-    if partition.far_D.size == 0:
-        return 0.0
-    d = _dhat(instance, alpha, partition.far_D, partition.left_S)
+    d = pair_sums(instance, partition.far_D, partition.left_S, -alpha)
     return snr_s * fsum(d.tolist())
 
 
@@ -197,10 +174,8 @@ def dof_term_realized(instance: NetworkInstance, partition: CutPartition,
     per-node power, so this dominates the identity-covariance log-det of
     the strip block on every realization.
     """
-    if partition.strip_VD.size == 0:
-        return 0.0
     n = instance.n_pairs
-    d = _dhat(instance, alpha, partition.strip_VD, partition.left_S)
+    d = pair_sums(instance, partition.strip_VD, partition.left_S, -alpha)
     return fsum(math.log2(1.0 + n * snr_s * float(di)) for di in d)
 
 
@@ -294,10 +269,10 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     rx = partition.right_D
     k = tx.size
     bounds = _chunk_bounds(rx.size, k)
-    # One trial holds the packed Gram, 8 k(k+1) bytes, the largest chunk of
-    # H, 16 bytes an entry, and the row-block buffers that build that chunk.
+    # One trial holds the packed Gram, 8 k(k+1) bytes, and the largest chunk
+    # of H with the buffers that build it.
     rows = max(b - a for a, b in zip(bounds, bounds[1:]))
-    check_memory(8 * k * (k + 1) + 16 * rows * k + row_block_bytes(rows, k),
+    check_memory(8 * k * (k + 1) + channel_bytes(rows, k),
                  f"a cutset trial with {k} transmitters")
     values = []
     discarded = 0

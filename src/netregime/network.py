@@ -19,8 +19,10 @@ Two SNR summaries drive everything downstream:
 Rates are in bits (log base 2) throughout; positions in meters, powers in
 Watts.
 
-Only this module splits rows into blocks (:func:`run_row_blocks`) and
-reads the machine's physical memory (:func:`check_memory`).
+Only this module passes over node pairs (:func:`channel_matrix`,
+:func:`pair_sums`), splits their rows into blocks (:func:`run_row_blocks`),
+counts what they allocate (:func:`channel_bytes`) and reads the machine's
+physical memory (:func:`check_memory`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 
 from . import rng
 
-# Receive rows per block of the channel build and of the cutset's
-# received-power sums.  run_row_blocks deals the blocks to one thread per
-# usable CPU, at most one per block, and each thread works in two
-# ROW_BLOCK x |tx| float buffers that the call allocates once.  A row's
-# values depend only on that row's inputs, so no output depends on the split.
+# Receive rows per block of the channel build and of the pair sums.
+# run_row_blocks deals the blocks to one thread per usable CPU, at most one
+# per block, and each thread works in two ROW_BLOCK x |tx| float buffers
+# that the call allocates once.  A row's values depend only on that row's
+# inputs, so no output depends on the split.
 ROW_BLOCK = 256
 # Unrequested phases a phase draw draws and drops rather than jumping over
 # them: a counter jump costs about as much as drawing this many.
@@ -153,6 +155,15 @@ def snr_long(snr_s: float, n: int, alpha: float) -> float:
     return n ** (1.0 - alpha / 2.0) * snr_s
 
 
+def snr_edge(n: int, alpha: float) -> float:
+    """The snr_s = n^(alpha/2-1) at which snr_long reaches 1, or math.inf
+    when that overflows a float."""
+    try:
+        return n ** (alpha / 2.0 - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 def beta_of(snr_s: float, n: int) -> float:
     """Finite-n exponent ln(snr_s)/ln(n) of the nearest-neighbor SNR."""
     if n < 2:
@@ -257,9 +268,10 @@ def row_block_workers(n_rows: int) -> int:
     return max(1, min(cpus, -(-n_rows // ROW_BLOCK)))
 
 
-def row_block_bytes(n_rows: int, width: int) -> int:
-    """Bytes of the buffers :func:`run_row_blocks` allocates for n_rows rows."""
-    return row_block_workers(n_rows) * 2 * 8 * min(n_rows, ROW_BLOCK) * width
+def channel_bytes(n_rx: int, n_tx: int) -> int:
+    """Bytes one :func:`channel_matrix` call allocates for n_rx x n_tx entries:
+    the complex128 entries and the row-block buffers that fill them."""
+    return 16 * n_rx * n_tx + row_block_workers(n_rx) * 16 * min(n_rx, ROW_BLOCK) * n_tx
 
 
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
@@ -305,6 +317,24 @@ def run_row_blocks(n_rows: int, width: int, kernel) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def pair_sums(instance: NetworkInstance, rx, tx, exponent: float) -> np.ndarray:
+    """sum_k rhat[rx[i], tx[k]]^exponent for each receive node rx[i], phase free.
+
+    Each row block's gains come from :func:`path_gain` in its thread's
+    buffers, so a receive node on a transmit node raises
+    DegenerateInstanceError.  Each row's sum is that of one unblocked
+    evaluation.
+    """
+    sums = np.empty(len(rx))
+
+    def block_sums(rows, gain, work):
+        path_gain(instance, rx[rows], tx, exponent, gain, work)
+        np.sum(gain, axis=1, out=sums[rows])
+
+    run_row_blocks(len(rx), len(tx), block_sums)
+    return sums
 
 
 def check_memory(need: float, what: str) -> None:

@@ -27,7 +27,7 @@ from math import fsum
 import numpy as np
 
 from . import rng
-from .network import NetworkInstance, check_memory, snr_long
+from .network import NetworkInstance, check_memory, snr_edge, snr_long
 from .regimes import Scheme
 
 
@@ -72,7 +72,9 @@ def hc_throughput(n: int, snr_s: float, alpha: float, epsilon: float = 0.05,
     if bursty:
         scheme = Scheme.BURSTY_HC
         tau = min(1.0, snr_l)
-        aggregate = tau * K3 * n ** (1.0 - epsilon) * math.log2(1.0 + snr_l / tau)
+        # max(1, snr_l) is snr_l / tau for every snr_l > 0, and 1, not 0 / 0,
+        # when snr_l underflows to 0
+        aggregate = tau * K3 * n ** (1.0 - epsilon) * math.log2(1.0 + max(1.0, snr_l))
     else:
         aggregate = K3 * n ** (1.0 - epsilon) * math.log2(1.0 + snr_l)
     return ThroughputEstimate(aggregate, aggregate / n, scheme)
@@ -91,7 +93,7 @@ def hybrid_cell_size(snr_s: float, alpha: float, n: int) -> int:
         raise OutOfRegimeError("hybrid cells need alpha > 2")
     if snr_s <= 1.0:
         raise OutOfRegimeError("snr_s <= 1: use plain multihop")
-    if snr_s > n ** (alpha / 2.0 - 1.0):
+    if snr_s > snr_edge(n, alpha):
         raise OutOfRegimeError("snr_s > n^(alpha/2-1): use network-wide cooperation")
     m_raw = snr_s ** (1.0 / (alpha / 2.0 - 1.0))
     assert m_raw ** (1.0 - alpha / 2.0) * snr_s >= 1.0 - 1e-12

@@ -4,6 +4,12 @@ import os
 import threading
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples and writes no example database, so a
+# tier-1 run is deterministic.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

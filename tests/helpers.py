@@ -13,9 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from netregime import rng
-from netregime.cutset import _dhat
 from netregime.harness import fit_exponent
-from netregime.network import NetworkInstance
+from netregime.network import NetworkInstance, pair_sums
 from netregime.percolation import (_EIGHT, _FOUR, CrossingStudy, _draw_slab_units,
                                    _open_grid, _unit_cells,
                                    analytic_failure_bound, build_occupancy_grid,
@@ -122,7 +121,7 @@ def power_profile(instance, alpha, target_ids, source_ids=None):
         sources = np.nonzero(instance.positions[:, 0] < mid)[0]
     else:
         sources = np.asarray(source_ids, dtype=np.intp)
-    d = _dhat(instance, alpha, targets, sources)
+    d = pair_sums(instance, targets, sources, -alpha)
     xhat = (instance.positions[targets, 0] - mid) / instance.nn_scale
     approx = xhat ** (2.0 - alpha) if alpha != 2.0 else np.ones_like(xhat)
     return [ProfileEntry(int(i), float(dh), float(ap))

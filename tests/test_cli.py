@@ -69,6 +69,37 @@ def test_invalid_point_exits_2(argv, tmp_path):
     assert not out.exists()
 
 
+# The regime edge n^(alpha/2 - 1) overflows a float, so snr_s lies below it;
+# each once exited 3.
+EXTREME_POINTS = [
+    (["hybrid", "--n", "1024", "--alpha", "1000", "--beta", "0.04"], "aggregate_T"),
+    (["cutset", "--n", "64", "--alpha", "1000", "--beta", "0.5", "--trials", "1"],
+     "mc_logdet"),
+]
+
+
+@pytest.mark.parametrize("argv,column", EXTREME_POINTS,
+                         ids=[" ".join(argv) for argv, _ in EXTREME_POINTS])
+def test_extreme_exponent_gives_a_number(argv, column, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    at = header.split(",").index(column)
+    assert rows and all(math.isfinite(float(row.split(",")[at])) for row in rows)
+
+
+def test_bursty_hc_underflow_rows(tmp_path):
+    # the last subnormal rate keeps its bytes; one step lower snr_long
+    # underflows to 0, and with it bursty HC's duty cycle and rate
+    out = tmp_path / "out.csv"
+    rates = []
+    for beta in ("-105", "-106"):
+        assert run(["scheme", "--name", "bursty_hc", "--n", "1024", "--alpha", "6",
+                    "--beta", beta, "--out", str(out)]) == 0
+        rates.append(out.read_text().splitlines()[1].split(",")[5])
+    assert rates == ["5.7237505070708412e-320", "0"]
+
+
 # Fields of ExperimentConfig and Constants that a point command's flags set.
 CONFIG_FLAG_FIELDS = {"alpha", "beta", "trials", "mode", "scheme", "n_list",
                       "K1", "K2", "K3", "epsilon", "c"}

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -38,6 +39,10 @@ class TestCutWidth:
 
     def test_low_snr_unit_strip(self):
         assert select_cut_width(0.5, 100, 4.0) == 1.0
+
+    def test_edge_past_float_range(self):
+        # 64^499 overflows a float: snr_s = 8 lies below the edge
+        assert select_cut_width(8.0, 64, 1000.0) == 8.0 ** (1.0 / 998.0)
 
     def test_intermediate_strip(self):
         assert select_cut_width(16.0, 256, 4.0) == pytest.approx(4.0)
@@ -389,6 +394,28 @@ class TestPackedGramKernel:
             mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2)
         memory_is(need)
         assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
+
+    def test_chunked_trial_built_on_threads(self, monkeypatch):
+        # chunks of 513 and 476 receive rows: on 3 CPUs the first is built in
+        # 3 blocks on 3 threads and the second in 2 on 2, so 2 + 1 threads
+        # are started; on 1 CPU none is, and the mean keeps every bit
+        n, alpha = 1024, 4.0
+        snr, area = operating_point(n, alpha, 0.5)
+        inst = generate_network(n, area, seed=2)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        assert cutset._chunk_bounds(part.right_D.size, part.left_S.size) == [0, 513, 989]
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        for cpus, threads in ((3, 3), (1, 0)):
+            pin_cpus(monkeypatch, cpus)
+            started.clear()
+            mc = mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
+            assert len(started) == threads, cpus
+            assert mc.mean.hex() == "0x1.cbc40828363f9p+7", cpus
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trial_peak_memory_bounded(self, monkeypatch, workers):

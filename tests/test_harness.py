@@ -488,19 +488,26 @@ class TestOutputFormats:
         }
 
     def test_one_owner_of_the_machine(self):
-        # only network.py reads physical memory and sizes row blocks; outside
-        # it, only the cutset's chunk floor names ROW_BLOCK
+        # only network.py reads physical memory, passes over node pairs and
+        # sizes their row blocks; outside it, only the cutset's chunk floor
+        # names ROW_BLOCK, and the old cutset-side kernel and count are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name: found for path in modules
                          if (found := naming_functions(path, name))}
-                  for name in ("SC_PHYS_PAGES", "row_block_workers", "ROW_BLOCK")}
+                  for name in ("SC_PHYS_PAGES", "row_block_workers", "ROW_BLOCK",
+                               "path_gain", "run_row_blocks", "row_block_bytes", "_dhat")}
         assert owners == {
             "SC_PHYS_PAGES": {"network.py": {"check_memory"}},
-            "row_block_workers": {"network.py": {"row_block_workers", "row_block_bytes",
+            "row_block_workers": {"network.py": {"row_block_workers", "channel_bytes",
                                                  "run_row_blocks"}},
-            "ROW_BLOCK": {"network.py": {None, "row_block_workers", "row_block_bytes",
+            "ROW_BLOCK": {"network.py": {None, "row_block_workers", "channel_bytes",
                                          "run_row_blocks"},
                           "cutset.py": {None, "_chunk_bounds"}},
+            "path_gain": {"network.py": {"path_gain", "pair_sums", "channel_matrix"}},
+            "run_row_blocks": {"network.py": {"run_row_blocks", "pair_sums",
+                                              "channel_matrix"}},
+            "row_block_bytes": {},
+            "_dhat": {},
         }
 
     def test_only_harness_derives_sweep_seed_paths(self):

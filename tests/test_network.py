@@ -10,10 +10,10 @@ from scipy import stats
 from netregime import (DegenerateInstanceError, beta_of, channel_matrix,
                        generate_network, snr_long)
 from netregime import network
-from netregime.cutset import (CutPartition, _dhat, dof_term_realized,
-                              partition_nodes, select_cut_width, snr_total)
+from netregime.cutset import (CutPartition, dof_term_realized, partition_nodes,
+                              select_cut_width, snr_total)
 from netregime.harness import instance_json, operating_point
-from netregime.network import NetworkInstance, node_phases
+from netregime.network import NetworkInstance, node_phases, pair_sums
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
                      instance_from_json, pin_cpus, snr_short, unblocked_dhat,
@@ -134,6 +134,12 @@ class TestSnrQuantities:
         # beta = alpha/2 - 1 puts the long-range SNR at 0 dB
         n = 81
         assert snr_long(float(n), n, 4.0) == pytest.approx(1.0)
+
+    def test_snr_edge(self):
+        # snr_long reaches 1 at the edge; past a float's range the edge is inf
+        assert network.snr_edge(100, 4.0) == 100.0
+        assert snr_long(network.snr_edge(100, 4.0), 100, 4.0) == 1.0
+        assert network.snr_edge(64, 1000.0) == math.inf
 
     def test_snr_long_hand_values(self):
         # n^(1-alpha/2) * snr_s evaluated directly
@@ -306,7 +312,7 @@ class TestRowBlockWorkers:
             part = CutPartition(sources, targets, targets)
             for workers in (1, 2, 3):
                 pin_cpus(monkeypatch, workers)
-                d = _dhat(inst, 4.0, targets, sources)
+                d = pair_sums(inst, targets, sources, -4.0)
                 assert d.tobytes() == want.tobytes(), workers
                 assert (snr_total(inst, part, snr_s, 4.0)
                         == snr_s * math.fsum(want.tolist()))
@@ -360,7 +366,7 @@ class TestRowBlockWorkers:
             snr_total(inst, part, snr_s, 4.0)
         assert threading.active_count() == before
         with pytest.raises(DegenerateInstanceError):
-            _dhat(inst, 4.0, rx, tx)
+            pair_sums(inst, rx, tx, -4.0)
         assert threading.active_count() == before
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        generate_network, hc_throughput, hybrid_cell_size,
-                       multihop_throughput, route_sd_lines, simulate_hybrid)
+                       multihop_throughput, route_sd_lines, simulate_hybrid,
+                       snr_long)
 from netregime import rng
 from netregime.harness import fit_exponent, operating_point
 from netregime.schemes import (RelayPlan, _relay_draws, _walk_block,
@@ -110,6 +111,15 @@ class TestHierarchical:
         bursty = hc_throughput(n, snr, alpha, bursty=True)
         assert plain.aggregate_T == pytest.approx(bursty.aggregate_T, rel=1e-12)
 
+    def test_bursty_snr_is_snr_long_over_tau(self):
+        # max(1, snr_l) has the bits of snr_l / min(1, snr_l) at every
+        # snr_l > 0, subnormals included
+        snr_l = np.geomspace(1e-320, 1e300, 200_000)
+        assert np.array_equal(np.maximum(1.0, snr_l), snr_l / np.minimum(1.0, snr_l))
+        # where snr_long underflows to 0 the duty cycle, and the rate, is 0
+        assert snr_long(1024.0 ** -106, 1024, 6.0) == 0.0
+        assert hc_throughput(1024, 1024.0 ** -106, 6.0, bursty=True).aggregate_T == 0.0
+
 
 class TestHybridCellSize:
     def test_hand_values(self):
@@ -136,6 +146,10 @@ class TestHybridCellSize:
     def test_clamped_to_n(self):
         n = 64
         assert hybrid_cell_size(float(n), 4.0, n) == n
+
+    def test_edge_past_float_range(self):
+        # 1024^499 overflows a float: every finite snr_s lies below the edge
+        assert hybrid_cell_size(1024.0 ** 0.04, 1000.0, 1024) == 1
 
 
 class TestCellGrid:
