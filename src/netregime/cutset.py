@@ -272,7 +272,7 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     # One trial holds the packed Gram, 8 k(k+1) bytes, and the largest chunk
     # of H with the buffers that build it.
     rows = max(b - a for a, b in zip(bounds, bounds[1:]))
-    check_memory(8 * k * (k + 1) + channel_bytes(rows, k),
+    check_memory(8 * k * (k + 1) + channel_bytes(rows, k, instance.n_nodes),
                  f"a cutset trial with {k} transmitters")
     values = []
     discarded = 0

@@ -42,9 +42,6 @@ from . import rng
 # that the call allocates once.  A row's values depend only on that row's
 # inputs, so no output depends on the split.
 ROW_BLOCK = 256
-# Unrequested phases a phase draw draws and drops rather than jumping over
-# them: a counter jump costs about as much as drawing this many.
-_MAX_GAP = 512
 
 
 class DegenerateInstanceError(ValueError):
@@ -136,8 +133,14 @@ def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
 
     Positions come from :func:`draw_positions`, the roles from substream
-    (seed, ROLES) and the pairing from substream (seed, PAIRING).
+    (seed, ROLES) and the pairing from substream (seed, PAIRING).  A draw
+    that would not fit in physical memory raises ValueError before any
+    position is drawn.
     """
+    # The draw peaks at 102 bytes a pair: 48 held (positions and role ids)
+    # and 54 of role permutation, masks and the instance's role checks, with
+    # at most 4 KiB of small objects besides.
+    check_memory(102 * n_pairs + 4096, f"an instance of {n_pairs} pairs")
     positions = draw_positions(n_pairs, area_A, seed)
     role_perm = rng.substream(seed, rng.ROLES).permutation(2 * n_pairs)
     is_source = np.zeros(2 * n_pairs, dtype=bool)
@@ -187,50 +190,23 @@ class ChannelMatrix:
         self.entries.setflags(write=False)
 
 
-def _draw_rows(n_nodes: int, phase_seed: int, rows: np.ndarray,
-               cols: np.ndarray, out: np.ndarray) -> None:
-    """Write the [0, 1) draws behind the phases of pairs (rows[j], cols[k]) to out[j, k].
-
-    Row i of the (n_nodes, n_nodes) row-major draw from the substream
-    (phase_seed, PHASES) starts i * n_nodes // 4 Philox counter steps after
-    the seeded state, with i * n_nodes % 4 outputs discarded: each double
-    consumes one output and each step yields four.  Requested rows are
-    drawn in ascending runs: rows at most _MAX_GAP unrequested outputs
-    apart share one draw, and each run starts with a counter jump.  Only
-    the ``cols`` columns of a run are kept.
-    """
-    if rows.min() < 0 or rows.max() >= n_nodes:
-        raise ValueError(f"phase rows must lie in [0, {n_nodes})")
-    gen = rng.substream(phase_seed, rng.PHASES)
-    bits = gen.bit_generator
-    seeded = bits.state
-    order = np.argsort(rows, kind="stable")
-    gaps = (np.diff(rows[order]) - 1) * n_nodes
-    for run in np.split(order, np.flatnonzero(gaps > _MAX_GAP) + 1):
-        first, last = int(rows[run[0]]), int(rows[run[-1]])
-        bits.state = seeded
-        bits.advance(first * n_nodes // 4)
-        bits.random_raw(first * n_nodes % 4)
-        span = gen.random((last - first + 1, n_nodes))
-        out[run] = span[rows[run] - first].take(cols, axis=1)
-
-
 def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
     """Uniform [0, 2pi) phases of the ordered node pairs (i, k), i in ``rows``.
 
     Row j is row ``rows[j]`` of one (n_nodes, n_nodes) row-major draw
     ``uniform(0, 2pi)`` from the substream (phase_seed, PHASES), value for
     value.  ``uniform(0, 2pi)`` is 0 + 2pi * random(), which is exactly
-    random() * 2pi, so the rows are drawn with ``random`` and scaled.  The
-    phase of pair (i, k) is thus a pure function of (phase_seed, i, k), and
-    any submatrix is consistent across calls: :func:`channel_matrix` draws
-    the same values for only its transmit columns.  A fresh phase_seed
-    models a fresh fading realization.
+    random() * 2pi, so the rows are drawn by :func:`rng.uniform_rows` and
+    scaled.  The phase of pair (i, k) is thus a pure function of
+    (phase_seed, i, k), and any submatrix is consistent across calls:
+    :func:`channel_matrix` draws the same values for only its transmit
+    columns.  A fresh phase_seed models a fresh fading realization.
     """
     rows = np.asarray(rows, dtype=np.intp)
     phases = np.empty((rows.size, n_nodes))
     if rows.size:
-        _draw_rows(n_nodes, phase_seed, rows, np.arange(n_nodes), phases)
+        rng.uniform_rows(phase_seed, (rng.PHASES,), (n_nodes, n_nodes), rows,
+                         np.arange(n_nodes), phases)
         phases *= 2.0 * math.pi
     return phases
 
@@ -268,10 +244,13 @@ def row_block_workers(n_rows: int) -> int:
     return max(1, min(cpus, -(-n_rows // ROW_BLOCK)))
 
 
-def channel_bytes(n_rx: int, n_tx: int) -> int:
-    """Bytes one :func:`channel_matrix` call allocates for n_rx x n_tx entries:
-    the complex128 entries and the row-block buffers that fill them."""
-    return 16 * n_rx * n_tx + row_block_workers(n_rx) * 16 * min(n_rx, ROW_BLOCK) * n_tx
+def channel_bytes(n_rx: int, n_tx: int, n_nodes: int) -> int:
+    """Bytes one :func:`channel_matrix` call allocates for n_rx x n_tx entries
+    of an instance of n_nodes nodes: the complex128 entries and, for each
+    thread, the row-block buffers that fill them and one block's phase draw."""
+    height = min(n_rx, ROW_BLOCK)
+    return 16 * n_rx * n_tx + row_block_workers(n_rx) * (
+        16 * height * n_tx + rng.uniform_rows_bytes(height, n_nodes, n_tx))
 
 
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
@@ -354,8 +333,8 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     coincident nodes raise DegenerateInstanceError.  Entry (i, k) has the
     phase ``node_phases(n_nodes, phase_seed, [rx[i]])[0, tx[k]]``.  The matrix is
     filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
-    A block draws only its own phase rows with ``random()``, keeps their
-    transmit columns and scales them by 2pi, which gives the bits of
+    A block draws only its own phase rows with :func:`rng.uniform_rows`,
+    keeps their transmit columns and scales them by 2pi, which gives the bits of
     ``uniform(0, 2pi)``.  It writes cos and sin of the phases straight
     into the real and imaginary parts of the result, which gives the bits
     of exp(1j * phase), and scales both parts by the magnitude in place.
@@ -373,7 +352,8 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
 
     def fill(rows, theta, magnitude):
         path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
-        _draw_rows(instance.n_nodes, phase_seed, rx[rows], tx, theta)
+        rng.uniform_rows(phase_seed, (rng.PHASES,), (instance.n_nodes,) * 2,
+                         rx[rows], tx, theta)
         theta *= 2.0 * math.pi
         re, im = entries[rows].real, entries[rows].imag
         np.cos(theta, out=re)

@@ -18,6 +18,7 @@ with that convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -362,14 +363,12 @@ def crossing_probability(n: int, c: float, trials: int, seed: int) -> CrossingSt
     rows, cols = grid.closed.shape
     side = math.sqrt(n)
     batch = max(1, _BATCH_CELLS // ((rows + 1) * cols))
-    gen = np.random.Generator(np.random.Philox(0))
-    keys = rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist()
+    gens = rng.keyed_generators(
+        rng.philox_keys(seed, (rng.CROSSING,), np.arange(trials)).tolist())
     hits = 0
-    for start in range(0, trials, batch):
-        draws = []
-        for key in keys[start:start + batch]:
-            rng.rekey(gen.bit_generator, key)
-            draws.append(_draw_slab_units(grid, n, side, gen))
+    for _ in range(0, trials, batch):
+        draws = [_draw_slab_units(grid, n, side, gen)
+                 for gen in itertools.islice(gens, batch)]
         slabs = np.ones((len(draws), rows + 1, cols), dtype=bool)
         slabs[:, rows] = False
         row, col = _unit_cells(grid, side, np.concatenate(draws))

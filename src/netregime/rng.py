@@ -5,13 +5,12 @@ generator. Every consumer derives its substream from a (seed, *path)
 tuple of non-negative integers, so trials can be evaluated in any order
 without changing a single bit of output.  Short paths that differ only
 by trailing zeros share a stream (see :func:`substream`).  Where many
-paths share a prefix, as the hybrid scheme's per-line relay streams do,
-:func:`philox_keys` derives all their keys in one array pass and
+paths share a prefix, as the hybrid scheme's relay streams and a
+percolation study's trials do, :func:`philox_keys` derives all their keys in one array pass and
 :func:`rekey` points one generator at each in turn: the same streams,
-without one ``SeedSequence`` per path.  Hybrid routing decodes its draws
-from raw Philox words, as :func:`netregime.schemes.route_sd_lines` tells.
-A percolation study draws its trials on re-keyed streams too, on
-(seed, CROSSING, trial).
+without one ``SeedSequence`` per path (:func:`keyed_generators`).  No
+other module builds a bit generator, reads or sets its state, jumps its
+counter (:func:`uniform_rows`) or decodes its raw words (:func:`relay_draws`).
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -147,6 +146,111 @@ def rekey(bit_generator: np.random.Philox, key) -> None:
                            "state": {"counter": (0, 0, 0, 0), "key": key},
                            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                            "has_uint32": 0, "uinteger": 0}
+
+
+def keyed_generators(keys):
+    """Yield one Generator, re-keyed to each key in turn: it draws as the
+    substream of that key's path until the next is taken."""
+    gen = np.random.Generator(np.random.Philox(0))
+    for key in keys:
+        rekey(gen.bit_generator, key)
+        yield gen
+
+
+# Unrequested outputs a row draw draws and drops rather than jumping over
+# them: a counter jump costs about as much as drawing this many.
+_MAX_GAP = 512
+
+
+def uniform_rows(seed: int, path, shape, rows: np.ndarray, cols: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Write element (rows[j], cols[k]) of one ``shape`` row-major ``random()``
+    draw of the substream (seed, *path) to out[j, k].
+
+    Philox yields four outputs a counter step and ``random()`` takes one
+    a double, so row i of a draw of width w starts i * w // 4 counter
+    steps after the seeded state, with i * w % 4 outputs discarded.
+    Requested rows, which must lie in the draw, are drawn in ascending runs:
+    rows at most _MAX_GAP unrequested outputs apart share one draw, and each
+    run starts with a counter jump.  Only the ``cols`` columns are kept.
+    """
+    height, width = shape
+    if rows.min() < 0 or rows.max() >= height:
+        raise ValueError(f"rows must lie in [0, {height})")
+    gen = substream(seed, *path)
+    bits = gen.bit_generator
+    seeded = bits.state
+    order = np.argsort(rows, kind="stable")
+    gaps = (np.diff(rows[order]) - 1) * width
+    for run in np.split(order, np.flatnonzero(gaps > _MAX_GAP) + 1):
+        first, last = int(rows[run[0]]), int(rows[run[-1]])
+        bits.state = seeded
+        bits.advance(first * width // 4)
+        bits.random_raw(first * width % 4)
+        span = gen.random((last - first + 1, width))
+        out[run] = span[rows[run] - first].take(cols, axis=1)
+
+
+def uniform_rows_bytes(n_rows: int, width: int, n_cols: int) -> int:
+    """Bytes one :func:`uniform_rows` call allocates for n_rows rows of a
+    draw of the given width, keeping n_cols columns: a run's span with its
+    merged gaps, at most _MAX_GAP outputs a row, the span's row copy, the
+    kept columns, the sort order and gaps of the rows, and 4 KiB of
+    generator state."""
+    return 8 * n_rows * (2 * width + _MAX_GAP + n_cols + 2) + 4096
+
+
+def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + counts[i] - 1 for every i,
+    concatenated."""
+    return (np.repeat(first - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
+def relay_draws(keys: list, n_picks: np.ndarray, ks: np.ndarray, n_ties: np.ndarray):
+    """Per-line ``integers(0, 2**31, size=n_picks[i])`` and then
+    ``integers(0, ks_i)``, each on a Philox freshly keyed to keys[i].
+
+    ``ks`` holds every line's tie-break bounds (each below 2**32) in line
+    order, n_ties[i] of them for line i.  Returns the picks and the
+    tie-breaks as int64, each concatenated over the lines.
+
+    The values are decoded from raw 64-bit words, each split into its low
+    32-bit half and then its high half, as numpy's ``next_uint32`` takes
+    them.  A pick is its word >> 1: numpy's bounded integers use Lemire's
+    multiply-shift, which never rejects for a power-of-two range.  A
+    tie-break among k candidates takes m = word * k and is m >> 32, but
+    rejects the word and takes the next while m & 0xFFFFFFFF < 2**32 % k;
+    k == 1 draws no word.  So a line costs one ``random_raw`` call, as if
+    nothing rejects, and all words are decoded at once.  A line with a
+    rejection (odds about k / 2**32 per tie-break) shifts its later words,
+    so its tie-breaks are drawn again with ``Generator.integers``.
+    """
+    draws = ks > 1
+    drawn = np.concatenate(([0], np.cumsum(draws)))    # drawn ties before each
+    tie_edges = np.concatenate(([0], np.cumsum(n_ties)))
+    n_raw = (n_picks + drawn[tie_edges[1:]] - drawn[tie_edges[:-1]] + 1) // 2
+    raw = np.concatenate([gen.bit_generator.random_raw(size) for gen, size
+                          in zip(keyed_generators(keys), n_raw.tolist())])
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & _MASK32
+    words[1::2] = raw >> 32
+    first = 2 * (np.cumsum(n_raw) - n_raw)              # each line's first word
+    picks = (words[_ragged_arange(first, n_picks)] >> 1).astype(np.int64)
+
+    # a drawn tie's word follows its line's picks and earlier drawn ties
+    ties = np.zeros(len(ks), dtype=np.int64)
+    tie = np.flatnonzero(draws)
+    line = np.repeat(np.arange(len(n_ties)), n_ties)[tie]
+    k = ks[tie].astype(np.uint64)
+    m = words[first[line] + n_picks[line] + drawn[tie] - drawn[tie_edges[line]]] * k
+    ties[tie] = m >> 32
+    rejected = np.unique(line[(m & _MASK32) < (2 ** 32) % k]).tolist()
+    for i, gen in zip(rejected, keyed_generators(keys[i] for i in rejected)):
+        gen.integers(0, 2 ** 31, size=n_picks[i])         # the picks' words
+        own = slice(tie_edges[i], tie_edges[i + 1])
+        ties[own] = gen.integers(0, ks[own])
+    return picks, ties
 
 
 def derived_seed(seed: int, *path: int) -> int:

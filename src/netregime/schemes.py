@@ -244,59 +244,6 @@ def _nearest_occupied(grid: CellGrid):
     return first, count, np.concatenate(found)
 
 
-def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """first[i], first[i] + 1, ..., first[i] + counts[i] - 1 for every i,
-    concatenated."""
-    return (np.repeat(first - np.cumsum(counts) + counts, counts)
-            + np.arange(counts.sum()))
-
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _relay_draws(bit_generator: np.random.Philox, keys: list, n_picks: np.ndarray,
-                 ks: np.ndarray, n_ties: np.ndarray):
-    """Per-line ``integers(0, 2**31, size=n_picks[i])`` and then
-    ``integers(0, ks_i)``, each on a Philox freshly keyed to keys[i].
-
-    ``ks`` holds every line's tie-break bounds (each below 2**32) in line
-    order, n_ties[i] of them for line i.  Returns the picks and the
-    tie-breaks as int64, each concatenated over the lines.  The values
-    are decoded from raw Philox words as :func:`route_sd_lines` says; a
-    line whose tie-breaks reject a word draws them again with numpy.
-    """
-    draws = ks > 1
-    drawn = np.concatenate(([0], np.cumsum(draws)))    # drawn ties before each
-    tie_edges = np.concatenate(([0], np.cumsum(n_ties)))
-    n_raw = (n_picks + drawn[tie_edges[1:]] - drawn[tie_edges[:-1]] + 1) // 2
-    chunks = []
-    for key, size in zip(keys, n_raw.tolist()):
-        rng.rekey(bit_generator, key)
-        chunks.append(bit_generator.random_raw(size))
-    raw = np.concatenate(chunks)
-    words = np.empty(2 * len(raw), dtype=np.uint64)
-    words[0::2] = raw & _MASK32
-    words[1::2] = raw >> 32
-    first = 2 * (np.cumsum(n_raw) - n_raw)              # each line's first word
-    picks = (words[_ragged_arange(first, n_picks)] >> 1).astype(np.int64)
-
-    # a drawn tie's word follows its line's picks and earlier drawn ties
-    ties = np.zeros(len(ks), dtype=np.int64)
-    tie = np.flatnonzero(draws)
-    line = np.repeat(np.arange(len(n_ties)), n_ties)[tie]
-    k = ks[tie].astype(np.uint64)
-    m = words[first[line] + n_picks[line] + drawn[tie] - drawn[tie_edges[line]]] * k
-    ties[tie] = m >> 32
-    rejected = (m & _MASK32) < (2 ** 32) % k
-    gen = np.random.Generator(bit_generator)
-    for i in np.unique(line[rejected]).tolist():
-        rng.rekey(bit_generator, keys[i])
-        gen.integers(0, 2 ** 31, size=n_picks[i])         # the picks' words
-        own = slice(tie_edges[i], tie_edges[i + 1])
-        ties[own] = gen.integers(0, ks[own])
-    return picks, ties
-
-
 @dataclass
 class RelayPlan:
     """Cell routes and relay assignments for every source-destination line.
@@ -359,22 +306,10 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     Line j draws on substream (seed, RELAY, j) the values that
     ``integers(0, 2**31, size=L)`` for its L path cells, and then one
     ``integers(0, k)`` per empty interior cell in hop order (k the cell's
-    candidate count), would give.  Those values are decoded from the
-    Philox stream's raw 64-bit words, each split into its low 32-bit half
-    and then its high half, as numpy's ``next_uint32`` takes them.  A
-    relay pick is its word >> 1: numpy's bounded integers
-    use Lemire's multiply-shift, which never rejects for a power-of-two
-    range.  A tie-break among k candidates takes m = word * k and is
-    m >> 32, but rejects the word and takes the next while
-    m & 0xFFFFFFFF < 2**32 % k; k == 1 draws no word.  So the only
-    per-line Python work is to re-key one Philox to the line
-    (:func:`rng.rekey`, with every line's key from one array pass of
-    :func:`rng.philox_keys`) and make one ``random_raw`` call for its
-    words, as if nothing rejects.  Each block's words are then decoded
-    at once; a line with a rejection (odds about k / 2**32 per tie-break)
-    shifts its later words, so its tie-breaks are drawn again by one
-    ``Generator.integers`` call after re-keying and skipping its picks.
-    A line with no interior cell draws too, but its picks are all
+    candidate count), would give.  Every line's key comes from one array
+    pass of :func:`rng.philox_keys`, and each block's values from one
+    :func:`rng.relay_draws` call, which decodes them from raw words.  A
+    line with no interior cell draws too, but its picks are all
     overwritten by its endpoints.  Relay nodes come from the grid's sorted
     node order, and the loads from ``np.bincount``.
     """
@@ -398,15 +333,14 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     pool_size = np.diff(grid.cell_start)
     first, count, candidates = _nearest_occupied(grid)
     keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(lengths))).tolist()
-    bit_generator = np.random.Philox(0)
     for a in range(0, len(lengths), _WALK_BLOCK):
         b = min(a + _WALK_BLOCK, len(lengths))
         walk = cells[path_start[a]:path_start[b]]
         walk[:] = _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
         # endpoint cells hold the line's own source or destination
         empty = pool_size[walk] == 0
-        picks, ties = _relay_draws(
-            bit_generator, keys[a:b], lengths[a:b], count[walk[empty]],
+        picks, ties = rng.relay_draws(
+            keys[a:b], lengths[a:b], count[walk[empty]],
             np.add.reduceat(empty, path_start[a:b] - path_start[a]))
         relay = walk.copy()
         relay[empty] = candidates[first[walk[empty]] + ties]

@@ -69,6 +69,17 @@ def test_invalid_point_exits_2(argv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "hybrid", "cutset"])
+def test_instance_beyond_memory_exits_2(command, monkeypatch, capsys, tmp_path):
+    # an instance of 1000 pairs counts 102 bytes a pair and 4 KiB; each
+    # command once ran out of memory in the draw and exited 1
+    out = tmp_path / "out"
+    physical_memory_is(monkeypatch, 102 * 1000 + 4095)
+    assert run([command, "--n", "1000", "--out", str(out)]) == 2
+    assert "an instance of 1000 pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The regime edge n^(alpha/2 - 1) overflows a float, so snr_s lies below it;
 # each once exited 3.
 EXTREME_POINTS = [
@@ -275,10 +286,11 @@ class TestScheme:
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "-0.5"]) == 2
 
     def test_routing_beyond_memory_exits_2(self, monkeypatch, capsys):
-        # routing 64 lines counts at least 64 x 272 bytes
-        physical_memory_is(monkeypatch, 4096)
+        # routing 64 lines counts at least 64 x 272 bytes, their instance
+        # 64 x 102 bytes and 4 KiB
+        physical_memory_is(monkeypatch, 16384)
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5"]) == 2
-        assert "physical memory" in capsys.readouterr().err
+        assert "hybrid routing of 64 lines" in capsys.readouterr().err
 
 
 class TestPercolation:

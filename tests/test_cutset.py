@@ -314,6 +314,23 @@ class TestCholeskyLogdet:
             assert identity_logdet(h, snr) == pytest.approx(want, rel=1e-13)
             assert identity_logdet(h.T.copy(), snr) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the transmit-side Gram I + snr_s H*H of a wide H is "
+                       "singular to working precision at high SNR")
+    def test_high_snr_wide_channel_matches_eigvalsh(self):
+        # 51 receivers and 69 transmitters at snr_s = 64^12: the 69 x 69
+        # Gram has rank 51 and condition number near snr_s * lambda_max, so
+        # its Cholesky factor fails and the trial would be discarded
+        n, alpha = 64, 2.0
+        snr, area = operating_point(n, alpha, 12.0)
+        inst = generate_network(n, area, seed=3)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        tx, rx = np.sort(part.left_S), part.right_D
+        assert (rx.size, tx.size) == (51, 69)
+        h = channel_matrix(inst, alpha, tx, rx, phase_seed=3).entries
+        assert identity_logdet(h, snr) == pytest.approx(eigvalsh_logdet(h, snr),
+                                                        rel=1e-13)
+
     def test_non_finite_entries_give_nan(self):
         h = np.ones((3, 4), dtype=complex)
         h[1, 2] = np.nan
@@ -382,8 +399,9 @@ class TestPackedGramKernel:
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         k, m = part.left_S.size, part.right_D.size
         rows = max(np.diff(cutset._chunk_bounds(m, k)))
-        need = (8 * k * (k + 1) + 16 * rows * k
-                + row_block_workers(rows) * 2 * 8 * min(rows, ROW_BLOCK) * k)
+        height = min(rows, ROW_BLOCK)
+        need = (8 * k * (k + 1) + 16 * rows * k + row_block_workers(rows) * (
+            2 * 8 * height * k + rng.uniform_rows_bytes(height, inst.n_nodes, k)))
         real = os.sysconf
 
         def memory_is(total):

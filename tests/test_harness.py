@@ -510,6 +510,19 @@ class TestOutputFormats:
             "_dhat": {},
         }
 
+    def test_one_owner_of_the_streams(self):
+        # only rng.py builds a bit generator, reads or sets its state, jumps
+        # its counter or decodes its raw words; the old row and relay
+        # decoders outside it are gone
+        modules = sorted(Path(harness.__file__).parent.glob("*.py"))
+        owners = {name: {path.name for path in modules if naming_functions(path, name)}
+                  for name in ("Philox", "bit_generator", "random_raw", "advance",
+                               "rekey", "_MASK32", "_MAX_GAP", "_draw_rows",
+                               "_relay_draws")}
+        assert owners == {name: {"rng.py"} for name in (
+            "Philox", "bit_generator", "random_raw", "advance", "rekey", "_MASK32",
+            "_MAX_GAP")} | {"_draw_rows": set(), "_relay_draws": set()}
+
     def test_only_harness_derives_sweep_seed_paths(self):
         # the CLI takes a sweep unit's seeds from harness.unit_seeds; it
         # derives only the seeds of its own tags

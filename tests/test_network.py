@@ -16,8 +16,8 @@ from netregime.harness import instance_json, operating_point
 from netregime.network import NetworkInstance, node_phases, pair_sums
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json, pin_cpus, snr_short, unblocked_dhat,
-                     uniform_generate_network)
+                     instance_from_json, physical_memory_is, pin_cpus, snr_short,
+                     unblocked_dhat, uniform_generate_network)
 
 
 class TestGenerate:
@@ -74,6 +74,31 @@ class TestGenerate:
         # infinite one infinite positions
         with pytest.raises(ValueError, match="area_A must be positive and finite"):
             network.draw_positions(4, area, 0)
+
+    def test_peak_within_counted_bytes(self):
+        # the pre-flight counts 102 bytes a pair and 4 KiB; at n = 10^5 the
+        # draw peaks at 102 bytes a pair and 1.4 KiB
+        n = 10 ** 5
+        generate_network(1, 1.0, seed=0)                  # first-use allocations
+        tracemalloc.start()
+        try:
+            generate_network(n, float(n), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 102 * n + 4096
+
+    def test_beyond_memory_refused_before_any_draw(self, monkeypatch):
+        n = 1000
+        physical_memory_is(monkeypatch, 102 * n + 4096)
+        generate_network(n, float(n), seed=0)
+
+        def refuse(*args):
+            raise AssertionError("a stream opened before the memory pre-flight")
+        monkeypatch.setattr(network.rng, "substream", refuse)
+        physical_memory_is(monkeypatch, 102 * n + 4095)
+        with pytest.raises(ValueError, match="1000 pairs.*physical memory"):
+            generate_network(n, float(n), seed=0)
 
     def test_positions_immutable(self):
         inst = generate_network(4, 4.0, seed=0)
@@ -279,6 +304,26 @@ class TestBlockedChannel:
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * h.entries.nbytes, workers
+
+    # Random receive ids draw each row alone; ids 0-1023 draw one run; every
+    # other id of 2n = 512 <= _MAX_GAP nodes draws runs that span a 1-row gap.
+    @pytest.mark.parametrize("case", ["random", "consecutive", "every other"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_within_channel_bytes(self, case, workers, monkeypatch):
+        perm = np.random.default_rng(1).permutation(4096)
+        n, rx, tx = {"random": (2048, perm[:1024], perm[1024:1536]),
+                     "consecutive": (2048, np.arange(1024), 1024 + perm[perm < 3072][:512]),
+                     "every other": (256, np.arange(0, 512, 2), np.arange(1, 512, 2))}[case]
+        inst = generate_network(n, float(n), seed=5)
+        pin_cpus(monkeypatch, workers)
+        channel_matrix(inst, 4.0, tx, rx, phase_seed=1)   # first-use allocations
+        tracemalloc.start()
+        try:
+            channel_matrix(inst, 4.0, tx, rx, phase_seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= network.channel_bytes(rx.size, tx.size, inst.n_nodes)
 
 
 def _split_sets(n, m, seed):

@@ -116,6 +116,41 @@ class TestRekey:
         assert not np.array_equal(gen.integers(0, 2 ** 31, size=3), want)
 
 
+class TestKeyedGenerators:
+    def test_each_draws_its_substream(self):
+        # each line leaves half of a 64-bit output buffered; the next key's
+        # Generator must not draw it
+        keys = rng.philox_keys(4, (rng.CROSSING,), np.arange(6)).tolist()
+        gens = rng.keyed_generators(keys)
+        for t, gen in enumerate(itertools.islice(gens, 5)):
+            ref = rng.substream(4, rng.CROSSING, t)
+            assert gen.binomial(100, 0.3) == ref.binomial(100, 0.3)
+            assert gen.random(3).tobytes() == ref.random(3).tobytes()
+            assert gen.integers(0, 2 ** 31) == ref.integers(0, 2 ** 31)
+        assert next(gens).random() == rng.substream(4, rng.CROSSING, 5).random()
+        assert next(gens, None) is None
+
+
+class TestUniformRows:
+    # rows of width 1030 start mid counter step and lie over _MAX_GAP apart;
+    # rows of width 6 share runs across gaps
+    @pytest.mark.parametrize("shape", [(3, 1030), (40, 6), (7, 130)])
+    def test_matches_one_draw(self, shape):
+        full = rng.substream(2, rng.PHASES, 5).random(shape)
+        gen = np.random.default_rng(shape[1])
+        rows = gen.integers(0, shape[0], size=2 * shape[0])
+        cols = gen.permutation(shape[1])[: shape[1] // 2 + 1]
+        out = np.empty((rows.size, cols.size))
+        rng.uniform_rows(2, (rng.PHASES, 5), shape, rows, cols, out)
+        assert out.tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+    def test_rows_out_of_range_rejected(self):
+        out = np.empty((1, 4))
+        for rows in ([-1], [3]):
+            with pytest.raises(ValueError, match=r"\[0, 3\)"):
+                rng.uniform_rows(2, (rng.PHASES,), (3, 4), np.array(rows), np.arange(4), out)
+
+
 def trimmed(path):
     """A seed path as ``SeedSequence`` hashes it.  For paths of at most four
     one-word entries it pads with zeros, so trailing zeros drop out."""

@@ -10,8 +10,7 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        snr_long)
 from netregime import rng
 from netregime.harness import fit_exponent, operating_point
-from netregime.schemes import (RelayPlan, _relay_draws, _walk_block,
-                               hybrid_throughput)
+from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, physical_memory_is,
@@ -528,7 +527,7 @@ class TestRelayDraws:
 
     def assert_matches_numpy(self, seed, n_picks, ks, n_ties):
         keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(n_picks))).tolist()
-        picks, ties = _relay_draws(np.random.Philox(0), keys, n_picks, ks, n_ties)
+        picks, ties = rng.relay_draws(keys, n_picks, ks, n_ties)
         want_picks, want_ties, rejected = self.numpy_draws(keys, n_picks, ks, n_ties)
         assert picks.dtype == ties.dtype == np.int64
         assert picks.tolist() == want_picks
