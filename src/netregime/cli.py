@@ -11,13 +11,13 @@ import sys
 from dataclasses import astuple, fields
 
 from . import rng
-from .cutset import CUT_MODES, PathologicalCutError
-from .harness import (CROSSING_CSV_HEADER, CUTSET_COLUMNS, CUTSET_CSV_HEADER,
+from .cutset import CUT_MODES
+from .harness import (CROSSING_CSV_HEADER, CUTSET_COLUMNS, CUTSET_CSV_HEADER, DRAW_ERRORS,
                       SCHEME_CSV_HEADER, ConfigError, Constants, ExperimentConfig,
                       ExperimentError, csv_row, cut_json, emit_sweep, fit_exponent,
                       fit_json, instance_json, run_cutset, run_scheme, scheme_row,
                       unit_seeds, write_lines)
-from .network import DegenerateInstanceError, generate_network
+from .network import generate_network
 from .percolation import certified_cut, crossing_probability
 
 
@@ -206,8 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (PathologicalCutError, DegenerateInstanceError, ArithmeticError,
-            ExperimentError) as exc:
+    except DRAW_ERRORS + (ExperimentError,) as exc:
         # bad draws, non-finite Monte-Carlo values, a sweep with no usable point
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from . import rng
 from .cutset import CUT_MODES, CutsetReport, PathologicalCutError, evaluate_cutset
-from .network import DegenerateInstanceError, NetworkInstance, generate_network
+from .network import (DegenerateInstanceError, NetworkInstance, check_memory,
+                      generate_network)
 from .percolation import CutPolyline, crossing_probability
 from .regimes import Regime, Scheme, phase_diagram
 from .schemes import (OutOfRegimeError, hc_throughput, hybrid_cell_size,
@@ -213,11 +214,11 @@ _UNITS = {
                         study.empirical_rate * (1 - study.empirical_rate) / study.trials))),
 }
 
-# Errors of a bad draw, a non-finite Monte-Carlo value or a point outside
-# the hybrid regime; a unit that raises one is logged and counted as failed.
-# Anything else is a bug and propagates.
-_UNIT_ERRORS = (PathologicalCutError, DegenerateInstanceError,
-                OutOfRegimeError, ArithmeticError)
+# Errors of a bad draw or a non-finite Monte-Carlo value: a sweep unit that
+# raises one, or leaves the hybrid regime, is logged and counted as failed,
+# and a CLI run exits 3.  Anything else is a bug and propagates.
+DRAW_ERRORS = (PathologicalCutError, DegenerateInstanceError, ArithmeticError)
+_UNIT_ERRORS = DRAW_ERRORS + (OutOfRegimeError,)
 
 
 def unit_seeds(config: ExperimentConfig, i: int, j: int) -> list[int]:
@@ -399,13 +400,17 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
         raise ConfigError("emit_phase_diagram needs kind='phase-diagram'")
     if not config.out:
         raise ConfigError("config.out must name an output file")
+    n_alpha, n_beta = config.resolution
+    # The points, their CSV lines and regime ids peak at 526-529 bytes a
+    # cell from 100 x 100 to 600 x 600 cells, with 13 KiB besides.
+    check_memory(544 * n_alpha * n_beta + 16384,
+                 f"a phase diagram of {n_alpha} x {n_beta} cells")
     points = phase_diagram(config.alpha_range, config.beta_range, config.resolution)
     write_lines(config.out, [PHASE_DIAGRAM_HEADER] + [
         csv_row((p.alpha, p.beta, p.regime, p.exponent, p.multihop, p.hierarchical,
                  p.hybrid, p.optimal)) for p in points])
     regime_id = {regime: str(i) for i, regime in enumerate(Regime, start=1)}
     ids = [regime_id[p.regime] for p in points]
-    n_beta = config.resolution[1]
     grid_path = config.out + ".grid.txt"
     write_lines(grid_path, (" ".join(ids[i:i + n_beta])
                             for i in range(0, len(ids), n_beta)))

@@ -190,25 +190,22 @@ class ChannelMatrix:
         self.entries.setflags(write=False)
 
 
-def node_phases(n_nodes: int, phase_seed: int, rows) -> np.ndarray:
-    """Uniform [0, 2pi) phases of the ordered node pairs (i, k), i in ``rows``.
+def node_phases(n_nodes: int, phase_seed: int, rows: np.ndarray, cols: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Uniform [0, 2pi) phases of the node pairs (rows[j], cols[k]), in out[j, k].
 
-    Row j is row ``rows[j]`` of one (n_nodes, n_nodes) row-major draw
+    Element (i, k) is that of one (n_nodes, n_nodes) row-major draw
     ``uniform(0, 2pi)`` from the substream (phase_seed, PHASES), value for
     value.  ``uniform(0, 2pi)`` is 0 + 2pi * random(), which is exactly
     random() * 2pi, so the rows are drawn by :func:`rng.uniform_rows` and
     scaled.  The phase of pair (i, k) is thus a pure function of
-    (phase_seed, i, k), and any submatrix is consistent across calls:
-    :func:`channel_matrix` draws the same values for only its transmit
-    columns.  A fresh phase_seed models a fresh fading realization.
+    (phase_seed, i, k), and any submatrix is consistent across calls.  A
+    fresh phase_seed models a fresh fading realization.  This is the one
+    phase path: :func:`channel_matrix` draws every phase through it.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    phases = np.empty((rows.size, n_nodes))
-    if rows.size:
-        rng.uniform_rows(phase_seed, (rng.PHASES,), (n_nodes, n_nodes), rows,
-                         np.arange(n_nodes), phases)
-        phases *= 2.0 * math.pi
-    return phases
+    rng.uniform_rows(phase_seed, (rng.PHASES,), (n_nodes, n_nodes), rows, cols, out)
+    out *= 2.0 * math.pi
+    return out
 
 
 def path_gain(instance: NetworkInstance, rx, tx, exponent: float,
@@ -229,7 +226,7 @@ def path_gain(instance: NetworkInstance, rx, tx, exponent: float,
     dx += dy
     rhat = np.sqrt(dx, out=dx)
     rhat /= instance.nn_scale
-    if np.any(rhat == 0.0):
+    if not rhat.all():         # a zero distance; no |rx| x |tx| mask
         raise DegenerateInstanceError("coincident nodes: a path gain is undefined")
     rhat **= exponent
     return rhat
@@ -247,10 +244,15 @@ def row_block_workers(n_rows: int) -> int:
 def channel_bytes(n_rx: int, n_tx: int, n_nodes: int) -> int:
     """Bytes one :func:`channel_matrix` call allocates for n_rx x n_tx entries
     of an instance of n_nodes nodes: the complex128 entries and, for each
-    thread, the row-block buffers that fill them and one block's phase draw."""
+    thread, the row-block buffers that fill them, a block's receive ids, and
+    the larger of its distance scratch and its phase draw.  The distance
+    scratch is the gathered coordinates, two ufunc buffers of
+    ``np.getbufsize()`` doubles that broadcasting takes, and 4 KiB besides."""
     height = min(n_rx, ROW_BLOCK)
+    scratch = max(8 * (height + n_tx) + 16 * np.getbufsize() + 4096,
+                  rng.uniform_rows_bytes(height, n_nodes, n_tx))
     return 16 * n_rx * n_tx + row_block_workers(n_rx) * (
-        16 * height * n_tx + rng.uniform_rows_bytes(height, n_nodes, n_tx))
+        16 * height * n_tx + 8 * height + scratch)
 
 
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
@@ -331,13 +333,12 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
 
     Magnitudes are the path gains rhat^(-alpha/2) of :func:`path_gain`, so
     coincident nodes raise DegenerateInstanceError.  Entry (i, k) has the
-    phase ``node_phases(n_nodes, phase_seed, [rx[i]])[0, tx[k]]``.  The matrix is
-    filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
-    A block draws only its own phase rows with :func:`rng.uniform_rows`,
-    keeps their transmit columns and scales them by 2pi, which gives the bits of
-    ``uniform(0, 2pi)``.  It writes cos and sin of the phases straight
-    into the real and imaginary parts of the result, which gives the bits
-    of exp(1j * phase), and scales both parts by the magnitude in place.
+    phase of node pair (rx[i], tx[k]) from :func:`node_phases`.  The matrix
+    is filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
+    A block draws only its own phase rows and transmit columns.  It writes
+    cos and sin of the phases straight into the real and imaginary parts
+    of the result, which gives the bits of exp(1j * phase), and scales
+    both parts by the magnitude in place.
     No temporary besides the result and the per-thread buffers grows with
     |rx|.
     """
@@ -352,9 +353,7 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
 
     def fill(rows, theta, magnitude):
         path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
-        rng.uniform_rows(phase_seed, (rng.PHASES,), (instance.n_nodes,) * 2,
-                         rx[rows], tx, theta)
-        theta *= 2.0 * math.pi
+        node_phases(instance.n_nodes, phase_seed, rx[rows], tx, theta)
         re, im = entries[rows].real, entries[rows].imag
         np.cos(theta, out=re)
         np.sin(theta, out=im)

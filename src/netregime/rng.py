@@ -157,11 +157,6 @@ def keyed_generators(keys):
         yield gen
 
 
-# Unrequested outputs a row draw draws and drops rather than jumping over
-# them: a counter jump costs about as much as drawing this many.
-_MAX_GAP = 512
-
-
 def uniform_rows(seed: int, path, shape, rows: np.ndarray, cols: np.ndarray,
                  out: np.ndarray) -> None:
     """Write element (rows[j], cols[k]) of one ``shape`` row-major ``random()``
@@ -169,35 +164,35 @@ def uniform_rows(seed: int, path, shape, rows: np.ndarray, cols: np.ndarray,
 
     Philox yields four outputs a counter step and ``random()`` takes one
     a double, so row i of a draw of width w starts i * w // 4 counter
-    steps after the seeded state, with i * w % 4 outputs discarded.
-    Requested rows, which must lie in the draw, are drawn in ascending runs:
-    rows at most _MAX_GAP unrequested outputs apart share one draw, and each
-    run starts with a counter jump.  Only the ``cols`` columns are kept.
+    steps after the seeded state, with i * w % 4 outputs discarded.  Each
+    requested row, which must lie in the draw, is drawn on its own from
+    the seeded state into one row buffer, and its ``cols`` columns are
+    kept.  An empty row set draws nothing.
     """
     height, width = shape
-    if rows.min() < 0 or rows.max() >= height:
+    rows = rows.tolist()
+    if not rows:
+        return
+    if min(rows) < 0 or max(rows) >= height:
         raise ValueError(f"rows must lie in [0, {height})")
     gen = substream(seed, *path)
     bits = gen.bit_generator
     seeded = bits.state
-    order = np.argsort(rows, kind="stable")
-    gaps = (np.diff(rows[order]) - 1) * width
-    for run in np.split(order, np.flatnonzero(gaps > _MAX_GAP) + 1):
-        first, last = int(rows[run[0]]), int(rows[run[-1]])
+    row = np.empty(width)
+    for j, i in enumerate(rows):
         bits.state = seeded
-        bits.advance(first * width // 4)
-        bits.random_raw(first * width % 4)
-        span = gen.random((last - first + 1, width))
-        out[run] = span[rows[run] - first].take(cols, axis=1)
+        bits.advance(i * width // 4)
+        bits.random_raw(i * width % 4)
+        gen.random(out=row)
+        row.take(cols, out=out[j])
 
 
 def uniform_rows_bytes(n_rows: int, width: int, n_cols: int) -> int:
     """Bytes one :func:`uniform_rows` call allocates for n_rows rows of a
-    draw of the given width, keeping n_cols columns: a run's span with its
-    merged gaps, at most _MAX_GAP outputs a row, the span's row copy, the
-    kept columns, the sort order and gaps of the rows, and 4 KiB of
-    generator state."""
-    return 8 * n_rows * (2 * width + _MAX_GAP + n_cols + 2) + 4096
+    draw of the given width, keeping n_cols columns: the row buffer, the
+    copy of the kept columns that ``take`` makes, the row list at 40 bytes
+    a row, and 4 KiB of generator state."""
+    return 8 * (width + n_cols) + 40 * n_rows + 4096
 
 
 def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:

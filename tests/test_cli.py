@@ -411,6 +411,17 @@ class TestPhaseDiagram:
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
 
+    def test_grid_beyond_memory_exits_2(self, tmp_path, memory_at_most_8gib,
+                                        monkeypatch, capsys):
+        # 10^10 cells at 544 bytes each; no cell is classified
+        monkeypatch.setattr(harness, "phase_diagram",
+                            lambda *a: pytest.fail("classified a cell"))
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--resolution", "100000", "100000",
+                    "--out", str(out)]) == 2
+        assert "phase diagram of 100000 x 100000 cells" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reemission_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

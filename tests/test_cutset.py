@@ -400,8 +400,10 @@ class TestPackedGramKernel:
         k, m = part.left_S.size, part.right_D.size
         rows = max(np.diff(cutset._chunk_bounds(m, k)))
         height = min(rows, ROW_BLOCK)
+        scratch = max(8 * (height + k) + 16 * np.getbufsize() + 4096,
+                      rng.uniform_rows_bytes(height, inst.n_nodes, k))
         need = (8 * k * (k + 1) + 16 * rows * k + row_block_workers(rows) * (
-            2 * 8 * height * k + rng.uniform_rows_bytes(height, inst.n_nodes, k)))
+            2 * 8 * height * k + 8 * height + scratch))
         real = os.sysconf
 
         def memory_is(total):

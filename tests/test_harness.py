@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from netregime.harness import (CROSSING_CSV_HEADER, CUTSET_CSV_HEADER,
                                write_manifest)
 from netregime.regimes import Scheme
 
-from helpers import fit_full_and_tail, snr_short, tail_points
+from helpers import fit_full_and_tail, physical_memory_is, snr_short, tail_points
 from test_rng import call_site_paths
 
 
@@ -364,6 +365,33 @@ class TestEmission:
         ids = {int(v) for row in grid for v in row.split()}
         assert ids <= {1, 2, 3, 4} and len(ids) == 4
 
+    def test_phase_diagram_beyond_memory_refused(self, tmp_path, monkeypatch):
+        # 544 bytes a cell and 16 KiB besides, counted before any cell is
+        # classified
+        calls, real = [], harness.phase_diagram
+        monkeypatch.setattr(harness, "phase_diagram", lambda *a: calls.append(a) or real(*a))
+        config = ExperimentConfig(kind="phase-diagram", resolution=(40, 30),
+                                  out=str(tmp_path / "pd.csv"))
+        physical_memory_is(monkeypatch, 544 * 40 * 30 + 16383)
+        with pytest.raises(ValueError, match="phase diagram of 40 x 30 cells"):
+            emit_phase_diagram(config)
+        assert calls == [] and not (tmp_path / "pd.csv").exists()
+        physical_memory_is(monkeypatch, 544 * 40 * 30 + 16384)
+        emit_phase_diagram(config)
+        assert len(calls) == 1 and (tmp_path / "pd.csv").exists()
+
+    def test_phase_diagram_peak_within_count(self, tmp_path):
+        config = ExperimentConfig(kind="phase-diagram", resolution=(100, 100),
+                                  out=str(tmp_path / "pd.csv"))
+        emit_phase_diagram(config)      # first-use allocations
+        tracemalloc.start()
+        try:
+            emit_phase_diagram(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 544 * 100 * 100 + 16384
+
     def test_emit_sweep_writes_a_phase_diagram(self, tmp_path):
         files = {}
         for emit in (emit_sweep, emit_phase_diagram):
@@ -513,15 +541,26 @@ class TestOutputFormats:
     def test_one_owner_of_the_streams(self):
         # only rng.py builds a bit generator, reads or sets its state, jumps
         # its counter or decodes its raw words; the old row and relay
-        # decoders outside it are gone
+        # decoders outside it, and the row draw's run merging, are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name for path in modules if naming_functions(path, name)}
                   for name in ("Philox", "bit_generator", "random_raw", "advance",
                                "rekey", "_MASK32", "_MAX_GAP", "_draw_rows",
                                "_relay_draws")}
         assert owners == {name: {"rng.py"} for name in (
-            "Philox", "bit_generator", "random_raw", "advance", "rekey", "_MASK32",
-            "_MAX_GAP")} | {"_draw_rows": set(), "_relay_draws": set()}
+            "Philox", "bit_generator", "random_raw", "advance", "rekey", "_MASK32")} | {
+            "_MAX_GAP": set(), "_draw_rows": set(), "_relay_draws": set()}
+
+    def test_one_phase_path(self):
+        # outside rng.py only node_phases draws rows, so every phase, the
+        # channel's included, comes through it
+        modules = sorted(Path(harness.__file__).parent.glob("*.py"))
+        owners = {path.name: found for path in modules
+                  if (found := naming_functions(path, "uniform_rows"))}
+        assert owners == {"rng.py": {"uniform_rows"}, "network.py": {"node_phases"}}
+        network_py = Path(harness.__file__).parent / "network.py"
+        assert naming_functions(network_py, "node_phases") == {"node_phases",
+                                                               "channel_matrix"}
 
     def test_only_harness_derives_sweep_seed_paths(self):
         # the CLI takes a sweep unit's seeds from harness.unit_seeds; it

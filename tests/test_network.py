@@ -216,14 +216,14 @@ class TestChannel:
         assert np.allclose(resc.entries, raw * factor, rtol=1e-12)
 
     def test_unit_modulus_phases(self):
-        ph = node_phases(30, phase_seed=77, rows=np.arange(30))
+        ph = node_phases(30, 77, np.arange(30), np.arange(30), np.empty((30, 30)))
         assert np.all((ph >= 0) & (ph < 2 * math.pi))
         mods = np.abs(np.exp(1j * ph))
         assert np.allclose(mods, 1.0, atol=1e-14)
 
     def test_phase_uniformity_ks(self):
         # >= 1e5 entries against Uniform[0, 2pi) at significance 0.01
-        ph = node_phases(400, phase_seed=123, rows=np.arange(400))
+        ph = node_phases(400, 123, np.arange(400), np.arange(400), np.empty((400, 400)))
         res = stats.kstest(ph.ravel(), stats.uniform(loc=0, scale=2 * math.pi).cdf)
         assert ph.size >= 10 ** 5
         assert res.pvalue > 0.01
@@ -249,26 +249,27 @@ class TestChannel:
 
 
 class TestPhaseRows:
-    # 2n = 14, 126 and 1030 give rows that start mid counter step (2n % 4 == 2);
-    # at 2n = 1030 rows are over 512 draws apart, so each is its own run
+    # 2n = 14, 126 and 1030 give rows that start mid counter step (2n % 4 == 2)
     @pytest.mark.parametrize("n_nodes", [2, 14, 16, 126, 1030])
     def test_rows_match_full_draw(self, n_nodes):
         full = full_node_phases(n_nodes, phase_seed=31)
         gen = np.random.default_rng(n_nodes)
         cols = gen.permutation(n_nodes)[: max(1, n_nodes // 3)]
-        row_sets = [np.arange(n_nodes), [0], [n_nodes - 1], np.array([], dtype=int),
+        row_sets = [np.arange(n_nodes), [0], [n_nodes - 1], [],
                     np.sort(gen.choice(n_nodes, size=(n_nodes + 1) // 2, replace=False)),
                     gen.permutation(n_nodes), [n_nodes // 2] * 3 + [0]]
         for rows in row_sets:
-            got = node_phases(n_nodes, 31, rows)
-            assert got.shape == (len(rows), n_nodes)
+            rows = np.asarray(rows, dtype=np.intp)
+            got = node_phases(n_nodes, 31, rows, np.arange(n_nodes),
+                              np.empty((rows.size, n_nodes)))
             assert got.tobytes() == full[rows].tobytes()
-            assert got[:, cols].tobytes() == full[np.ix_(rows, cols)].tobytes()
+            got = node_phases(n_nodes, 31, rows, cols, np.empty((rows.size, cols.size)))
+            assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
 
     def test_rows_out_of_range_rejected(self):
         for rows in ([-1], [10], [0, 10]):
             with pytest.raises(ValueError):
-                node_phases(10, 3, rows)
+                node_phases(10, 3, np.array(rows), np.arange(10), np.empty((len(rows), 10)))
 
 
 def _cut_sets(n, alpha, beta, seed):
@@ -305,15 +306,17 @@ class TestBlockedChannel:
                 tracemalloc.stop()
             assert peak < 2.5 * h.entries.nbytes, workers
 
-    # Random receive ids draw each row alone; ids 0-1023 draw one run; every
-    # other id of 2n = 512 <= _MAX_GAP nodes draws runs that span a 1-row gap.
-    @pytest.mark.parametrize("case", ["random", "consecutive", "every other"])
+    # Random receive ids, ids 0-1023 and every other id of 2n = 512 nodes:
+    # each row is drawn alone, so the count fits all three.  With 3584
+    # transmitters a block's distances dwarf its phase draw and ufunc buffers.
+    @pytest.mark.parametrize("case", ["random", "consecutive", "every other", "wide"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_within_channel_bytes(self, case, workers, monkeypatch):
         perm = np.random.default_rng(1).permutation(4096)
         n, rx, tx = {"random": (2048, perm[:1024], perm[1024:1536]),
                      "consecutive": (2048, np.arange(1024), 1024 + perm[perm < 3072][:512]),
-                     "every other": (256, np.arange(0, 512, 2), np.arange(1, 512, 2))}[case]
+                     "every other": (256, np.arange(0, 512, 2), np.arange(1, 512, 2)),
+                     "wide": (2048, perm[:512], perm[512:])}[case]
         inst = generate_network(n, float(n), seed=5)
         pin_cpus(monkeypatch, workers)
         channel_matrix(inst, 4.0, tx, rx, phase_seed=1)   # first-use allocations

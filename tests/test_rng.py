@@ -132,8 +132,8 @@ class TestKeyedGenerators:
 
 
 class TestUniformRows:
-    # rows of width 1030 start mid counter step and lie over _MAX_GAP apart;
-    # rows of width 6 share runs across gaps
+    # rows of width 1030 start mid counter step; random rows repeat and come
+    # in any order
     @pytest.mark.parametrize("shape", [(3, 1030), (40, 6), (7, 130)])
     def test_matches_one_draw(self, shape):
         full = rng.substream(2, rng.PHASES, 5).random(shape)
@@ -143,6 +143,25 @@ class TestUniformRows:
         out = np.empty((rows.size, cols.size))
         rng.uniform_rows(2, (rng.PHASES, 5), shape, rows, cols, out)
         assert out.tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 5), (6, 7), (11, 1031)])
+    def test_edge_rows_match_one_draw(self, shape):
+        # the first and last rows, and rows whose start discards each of
+        # i * w % 4 = 0, 1, 2 and 3 outputs of a counter step
+        height, width = shape
+        rows = np.array([0, height - 1, 1, 2, 3])
+        assert {int(i) * width % 4 for i in rows} == {0, 1, 2, 3}
+        full = rng.substream(6, rng.PHASES).random(shape)
+        for cols in (np.arange(width), np.array([width - 1, 0])):
+            out = np.empty((rows.size, cols.size))
+            rng.uniform_rows(6, (rng.PHASES,), shape, rows, cols, out)
+            assert out.tobytes() == full[np.ix_(rows, cols)].tobytes()
+
+    def test_no_rows_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(rng, "substream", lambda *a: pytest.fail("drew a stream"))
+        out = np.empty((0, 4))
+        rng.uniform_rows(2, (rng.PHASES,), (3, 4), np.array([], dtype=np.intp),
+                         np.arange(4), out)
 
     def test_rows_out_of_range_rejected(self):
         out = np.empty((1, 4))
