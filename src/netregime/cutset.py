@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
@@ -49,13 +50,16 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 
 from . import percolation as perc
 from . import rng
-from .network import (ROW_BLOCK, NetworkInstance, beta_of, channel_bytes,
+from .network import (NetworkInstance, beta_of, channel_bytes,
                       channel_matrix, check_memory, pair_sums, snr_edge)
 
 logger = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 CUT_MODES = ("idealized", "percolation")
+# Receive rows per chunk of a Monte-Carlo trial's H: four ROW_BLOCK blocks,
+# so the row-block threads share each chunk's build.
+CHUNK_ROWS = 256
 
 
 class PathologicalCutError(ValueError):
@@ -189,6 +193,22 @@ def _rfp_diagonal(k: int) -> np.ndarray:
     return np.where(i < h, i * (k + 2) + 1, (i - h) * (k + 2))
 
 
+def _mapped_zeros(shape: tuple) -> np.ndarray:
+    """A zeroed complex array in a private memory map of its own, unmapped
+    when the array is freed, for a trial's packed Gram and chunk buffer.
+
+    From malloc, a freed block of up to 32 MiB raises glibc's mmap
+    threshold, so later blocks as large come from a heap that keeps what
+    they free, and a sweep's peak RSS grew by about one Gram after its
+    first pass.  The map asks for huge pages, as numpy does for its large
+    blocks, which halves the time spent faulting it in.
+    """
+    block = mmap.mmap(-1, 16 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):   # Linux only
+        block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype=complex).reshape(shape)
+
+
 def _gram_logdet(chunks, k: int, snr_s: float) -> float:
     """log2 det(I + snr_s * H* H) for the k-column H stacked from ``chunks``.
 
@@ -196,18 +216,18 @@ def _gram_logdet(chunks, k: int, snr_s: float) -> float:
     entries.  ``zhfrk`` adds snr_s times each chunk's Gram into it from
     ``chunk.T``, which for a C-ordered chunk is a Fortran-ordered view that
     BLAS reads without a copy; this forms the complex conjugate of H* H,
-    which has the same determinant.  Each chunk is dropped before the next
-    is drawn from ``chunks``.  Every eigenvalue of I + snr_s * G is at
-    least 1, so the Cholesky factor L from ``zpftrf`` is backward stable,
-    and log2 det = 2 * sum_i log2 L_ii.  Returns NaN when the factorization
-    fails or its diagonal is not finite, as on non-finite entries.
+    which has the same determinant.  Each chunk is added before the next is
+    drawn from ``chunks``, so every chunk may be a view of one buffer.
+    Every eigenvalue of I + snr_s * G is at least 1, so the Cholesky factor
+    L from ``zpftrf`` is backward stable, and log2 det = 2 * sum_i log2 L_ii.
+    Returns NaN when the factorization fails or its diagonal is not finite,
+    as on non-finite entries.
     """
     lapack = scipy.linalg.lapack
-    gram = np.zeros(k * (k + 1) // 2, dtype=complex)
+    gram = _mapped_zeros((k * (k + 1) // 2,))
     for chunk in chunks:
         gram = lapack.zhfrk(k, chunk.shape[0], snr_s, chunk.T, 1.0, gram,
                             transr="N", uplo="L", overwrite_c=1)
-        del chunk   # else it lives on while the next chunk is built
     diagonal = _rfp_diagonal(k)
     gram[diagonal] += 1.0
     factor, info = lapack.zpftrf(k, gram, transr="N", uplo="L", overwrite_a=1)
@@ -223,18 +243,11 @@ def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
     return _gram_logdet([entries], entries.shape[1], snr_s)
 
 
-def _chunk_bounds(n_rx: int, n_tx: int) -> list:
-    """Receive-row bounds of the chunks one Monte-Carlo trial builds H in.
-
-    A chunk has ceil(n_tx / 2) rows, at least ROW_BLOCK, so it holds about
-    as many bytes as the packed Gram.  The chunk count is n_rx over that,
-    rounded, at least 1, so the last chunk takes the rest: between half
-    and one and a half chunks of rows when there are two or more.  The
-    split depends only on the two set sizes.
-    """
-    size = max(ROW_BLOCK, -(-n_tx // 2))
-    chunks = max(1, round(n_rx / size))
-    return [j * size for j in range(chunks)] + [n_rx]
+def _chunk_bounds(n_rx: int) -> list:
+    """Receive-row bounds of the chunks one Monte-Carlo trial builds H in:
+    CHUNK_ROWS rows each, and the rest in the last.  The split depends only
+    on the receive set's size, never on the machine."""
+    return list(range(0, n_rx, CHUNK_ROWS)) + [n_rx]
 
 
 @dataclass(frozen=True)
@@ -257,10 +270,12 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     Each trial redraws every pairwise phase from an independent substream
     of ``phase_seed``, so trial t is reproducible regardless of execution
     order.  A trial builds H's receive rows with :func:`channel_matrix` in
-    the chunks of :func:`_chunk_bounds` and adds each into the packed
-    transmit-side Gram of :func:`_gram_logdet`, so it never holds all of H.
-    A trial that would not fit in physical memory raises ValueError before
-    any phase is drawn.  Non-finite trial values are discarded and counted.
+    the chunks of :func:`_chunk_bounds`, each into one CHUNK_ROWS x |tx|
+    buffer, and adds each into the packed transmit-side Gram of
+    :func:`_gram_logdet`, so it holds the Gram and one chunk, never all of
+    H.  A trial that would not fit in physical memory raises ValueError
+    before any phase is drawn.  Non-finite trial values are discarded and
+    counted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -268,17 +283,19 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     tx = np.sort(partition.left_S)
     rx = partition.right_D
     k = tx.size
-    bounds = _chunk_bounds(rx.size, k)
-    # One trial holds the packed Gram, 8 k(k+1) bytes, and the largest chunk
-    # of H with the buffers that build it.
-    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    bounds = _chunk_bounds(rx.size)
+    rows = min(rx.size, CHUNK_ROWS)
+    # One trial holds the packed Gram, 8 k(k+1) bytes, and the chunk buffer
+    # with the row-block buffers that fill it.
     check_memory(8 * k * (k + 1) + channel_bytes(rows, k, instance.n_nodes),
                  f"a cutset trial with {k} transmitters")
+    buffer = _mapped_zeros((rows, k))
     values = []
     discarded = 0
     for t in range(trials):
         seed = rng.derived_seed(phase_seed, t)
-        chunks = (channel_matrix(instance, alpha, tx, rx[a:b], phase_seed=seed).entries
+        chunks = (channel_matrix(instance, alpha, tx, rx[a:b], phase_seed=seed,
+                                 out=buffer[:b - a]).entries
                   for a, b in zip(bounds, bounds[1:]))
         v = _gram_logdet(chunks, k, snr_s)
         if math.isfinite(v):

@@ -24,7 +24,7 @@ from .cutset import CUT_MODES, CutsetReport, PathologicalCutError, evaluate_cuts
 from .network import (DegenerateInstanceError, NetworkInstance, check_memory,
                       generate_network)
 from .percolation import CutPolyline, crossing_probability
-from .regimes import Regime, Scheme, phase_diagram
+from .regimes import Regime, Scheme, phase_diagram_rows
 from .schemes import (OutOfRegimeError, hc_throughput, hybrid_cell_size,
                       multihop_throughput, simulate_hybrid)
 
@@ -351,20 +351,29 @@ def fit_json(fit: FitResult) -> str:
     return json.dumps(asdict(fit), indent=2)
 
 
+def _open_text(path: str):
+    """``path`` opened for writing UTF-8 text with newline as the line end."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_lines(path: str | None, lines) -> None:
     """Write each line and a newline to ``path``, or to stdout when there is no path."""
     text = "".join(line + "\n" for line in lines)
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)
 
 
 def write_manifest(out_path: str, config: ExperimentConfig) -> str:
-    """Record config, package version and a content hash next to the output."""
+    """Record config, package version and a content hash next to the output.
+    The output is hashed in blocks of 64 KiB, so it is never held whole."""
+    sha = hashlib.sha256()
     with open(out_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(2 ** 16), b""):
+            sha.update(block)
+    digest = sha.hexdigest()
     manifest = {
         "config": config.to_dict(),
         "version": __version__,
@@ -394,25 +403,29 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
 
     The grid file holds one row per alpha value (ascending), one integer
     regime id (1..4, in Regime order) per beta value (ascending), space
-    separated.
+    separated.  Both files are written one alpha value at a time, so
+    memory grows with the beta cells alone.
     """
     if config.kind != "phase-diagram":
         raise ConfigError("emit_phase_diagram needs kind='phase-diagram'")
     if not config.out:
         raise ConfigError("config.out must name an output file")
     n_alpha, n_beta = config.resolution
-    # The points, their CSV lines and regime ids peak at 526-529 bytes a
-    # cell from 100 x 100 to 600 x 600 cells, with 13 KiB besides.
-    check_memory(544 * n_alpha * n_beta + 16384,
+    # One alpha value's points and grid line and the beta axis peak at
+    # 179-227 bytes a beta cell, with about 40 KiB besides; hashing the
+    # CSV for the manifest afterwards peaks at about 138 KiB.
+    check_memory(240 * n_beta + 163840,
                  f"a phase diagram of {n_alpha} x {n_beta} cells")
-    points = phase_diagram(config.alpha_range, config.beta_range, config.resolution)
-    write_lines(config.out, [PHASE_DIAGRAM_HEADER] + [
-        csv_row((p.alpha, p.beta, p.regime, p.exponent, p.multihop, p.hierarchical,
-                 p.hybrid, p.optimal)) for p in points])
+    rows = phase_diagram_rows(config.alpha_range, config.beta_range, config.resolution)
     regime_id = {regime: str(i) for i, regime in enumerate(Regime, start=1)}
-    ids = [regime_id[p.regime] for p in points]
     grid_path = config.out + ".grid.txt"
-    write_lines(grid_path, (" ".join(ids[i:i + n_beta])
-                            for i in range(0, len(ids), n_beta)))
+    with _open_text(config.out) as csv_fh, _open_text(grid_path) as grid_fh:
+        csv_fh.write(PHASE_DIAGRAM_HEADER + "\n")
+        for points in rows:
+            csv_fh.writelines(
+                csv_row((p.alpha, p.beta, p.regime, p.exponent, p.multihop,
+                         p.hierarchical, p.hybrid, p.optimal)) + "\n" for p in points)
+            grid_fh.write(" ".join(regime_id[p.regime] for p in points) + "\n")
+            del points   # else it is held while the next row is classified
     write_manifest(config.out, config)
     return config.out, grid_path

@@ -40,8 +40,9 @@ from . import rng
 # run_row_blocks deals the blocks to one thread per usable CPU, at most one
 # per block, and each thread works in two ROW_BLOCK x |tx| float buffers
 # that the call allocates once.  A row's values depend only on that row's
-# inputs, so no output depends on the split.
-ROW_BLOCK = 256
+# inputs, so no output depends on the split.  A cutset chunk of
+# cutset.CHUNK_ROWS = 256 receive rows is four blocks.
+ROW_BLOCK = 64
 
 
 class DegenerateInstanceError(ValueError):
@@ -242,17 +243,20 @@ def row_block_workers(n_rows: int) -> int:
 
 
 def channel_bytes(n_rx: int, n_tx: int, n_nodes: int) -> int:
-    """Bytes one :func:`channel_matrix` call allocates for n_rx x n_tx entries
-    of an instance of n_nodes nodes: the complex128 entries and, for each
-    thread, the row-block buffers that fill them, a block's receive ids, and
-    the larger of its distance scratch and its phase draw.  The distance
-    scratch is the gathered coordinates, two ufunc buffers of
-    ``np.getbufsize()`` doubles that broadcasting takes, and 4 KiB besides."""
+    """Bytes one :func:`channel_matrix` call holds for n_rx x n_tx entries
+    of an instance of n_nodes nodes: the complex128 entries (its result, or
+    the caller's ``out``) and, for each thread, the row-block buffers that
+    fill them, a block's receive ids, and the larger of its distance
+    scratch and its phase draw, and 4 KiB for each started thread's
+    objects.  The distance scratch is the gathered coordinates, two ufunc
+    buffers of ``np.getbufsize()`` doubles that broadcasting takes, and
+    4 KiB besides."""
     height = min(n_rx, ROW_BLOCK)
+    workers = row_block_workers(n_rx)
     scratch = max(8 * (height + n_tx) + 16 * np.getbufsize() + 4096,
                   rng.uniform_rows_bytes(height, n_nodes, n_tx))
-    return 16 * n_rx * n_tx + row_block_workers(n_rx) * (
-        16 * height * n_tx + 8 * height + scratch)
+    return (16 * n_rx * n_tx + workers * (16 * height * n_tx + 8 * height + scratch)
+            + 4096 * (workers - 1))
 
 
 def run_row_blocks(n_rows: int, width: int, kernel) -> None:
@@ -328,7 +332,8 @@ def check_memory(need: float, what: str) -> None:
 
 
 def channel_matrix(instance: NetworkInstance, alpha: float,
-                   tx_set, rx_set, phase_seed: int) -> ChannelMatrix:
+                   tx_set, rx_set, phase_seed: int,
+                   out: np.ndarray | None = None) -> ChannelMatrix:
     """Channel matrix between two disjoint node sets for one fading draw.
 
     Magnitudes are the path gains rhat^(-alpha/2) of :func:`path_gain`, so
@@ -340,7 +345,9 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     of the result, which gives the bits of exp(1j * phase), and scales
     both parts by the magnitude in place.
     No temporary besides the result and the per-thread buffers grows with
-    |rx|.
+    |rx|.  Given a complex ``out`` of shape (|rx|, |tx|), the entries are
+    written there, and the result marks a read-only view of ``out``, so the
+    caller can refill it for the next draw.
     """
     tx = np.asarray(tx_set, dtype=np.intp)
     rx = np.asarray(rx_set, dtype=np.intp)
@@ -349,16 +356,19 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 
-    entries = np.empty((rx.size, tx.size), dtype=complex)
+    if out is None:
+        out = np.empty((rx.size, tx.size), dtype=complex)
+    elif out.shape != (rx.size, tx.size) or out.dtype != complex:
+        raise ValueError(f"out must be a complex array of shape {(rx.size, tx.size)}")
 
     def fill(rows, theta, magnitude):
         path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
         node_phases(instance.n_nodes, phase_seed, rx[rows], tx, theta)
-        re, im = entries[rows].real, entries[rows].imag
+        re, im = out[rows].real, out[rows].imag
         np.cos(theta, out=re)
         np.sin(theta, out=im)
         re *= magnitude
         im *= magnitude
 
     run_row_blocks(rx.size, tx.size, fill)
-    return ChannelMatrix(entries)
+    return ChannelMatrix(out.view())

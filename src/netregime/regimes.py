@@ -103,24 +103,36 @@ def classify(alpha: float, beta: float) -> RegimePoint:
     return RegimePoint(alpha, beta, regime, mh, hc, hyb)
 
 
-def _axis(bounds, count: int) -> list[float]:
-    """``count`` evenly spaced values from bounds[0] to bounds[1], both included."""
+def _axis(bounds, count: int):
+    """``count`` evenly spaced values from bounds[0] to bounds[1], both
+    included, each made as it is read."""
     lo, hi = bounds
-    return [lo] if count == 1 else [lo + i * (hi - lo) / (count - 1)
-                                    for i in range(count)]
+    if count == 1:
+        return iter([lo])
+    return (lo + i * (hi - lo) / (count - 1) for i in range(count))
 
 
-def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
-                  resolution=(100, 100)) -> list[RegimePoint]:
-    """Row-major classification grid: alpha varies in the outer loop.
+def phase_diagram_rows(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
+                       resolution=(100, 100)):
+    """The classification grid one alpha value at a time: an iterator over
+    the alpha values (ascending) that yields each one's list of beta cells
+    (ascending), classified when it is drawn.
 
     Endpoints are included; ``resolution`` is (alpha cells, beta cells).
+    The arguments are checked by this call, before any cell is classified.
     """
     n_alpha, n_beta = resolution
     if n_alpha < 1 or n_beta < 1:
         raise ValueError("resolution entries must be >= 1")
     if alpha_range[0] < 2:
         raise ValueError("alpha range must stay within alpha >= 2")
-    betas = _axis(beta_range, n_beta)
-    return [classify(a, b) for a in _axis(alpha_range, n_alpha) for b in betas]
+    betas = list(_axis(beta_range, n_beta))
+    return ([classify(a, b) for b in betas] for a in _axis(alpha_range, n_alpha))
 
+
+def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
+                  resolution=(100, 100)) -> list[RegimePoint]:
+    """Row-major classification grid: alpha varies in the outer loop; the
+    rows of :func:`phase_diagram_rows`, concatenated."""
+    return [point for row in phase_diagram_rows(alpha_range, beta_range, resolution)
+            for point in row]

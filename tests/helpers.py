@@ -7,6 +7,7 @@ formulas) so they stay independent of the library's vectorized paths.
 import json
 import math
 import os
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,17 @@ def pin_cpus(monkeypatch, count):
     threads, see ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
+
+
+def traced_peak(run, *args, **kwargs):
+    """Peak bytes tracemalloc sees while run(*args, **kwargs) runs, and its
+    result, which is still held when the peak is read."""
+    tracemalloc.start()
+    try:
+        result = run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def physical_memory_is(monkeypatch, total):

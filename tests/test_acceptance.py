@@ -404,17 +404,17 @@ def test_c13_reproducibility(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     real_channel, builds = cutset_module.channel_matrix, Counter()
 
-    def channel_matrix(instance, *args, phase_seed):   # count each trial's chunks
+    def channel_matrix(instance, *args, phase_seed, **kw):   # count each trial's chunks
         builds[len(os.sched_getaffinity(0)), instance.n_pairs, phase_seed] += 1
-        return real_channel(instance, *args, phase_seed=phase_seed)
+        return real_channel(instance, *args, phase_seed=phase_seed, **kw)
     monkeypatch.setattr(cutset_module, "channel_matrix", channel_matrix)
     outputs = []
     for cpus in (1, 3):
         pin_cpus(monkeypatch, cpus)
         tag = f"c{cpus}"
         paths = {}
-        # each n = 512 trial builds H in two chunks; one instance's first
-        # chunk has 259 rows, two row blocks, so the 3-CPU run starts threads
+        # each n = 512 trial builds H in chunks of 256 rows, four row
+        # blocks each, so the 3-CPU run starts threads
         cutset = ExperimentConfig(kind="cutset", n_list=[16, 32, 64, 512],
                                   alpha=2.0, beta=1.0, trials=5, instances=2,
                                   master_seed=13, out=str(tmp_path / f"cut_{tag}.csv"))

@@ -413,13 +413,13 @@ class TestPhaseDiagram:
 
     def test_grid_beyond_memory_exits_2(self, tmp_path, memory_at_most_8gib,
                                         monkeypatch, capsys):
-        # 10^10 cells at 544 bytes each; no cell is classified
-        monkeypatch.setattr(harness, "phase_diagram",
+        # 10^10 beta cells at 240 bytes each; no cell is classified
+        monkeypatch.setattr(harness, "phase_diagram_rows",
                             lambda *a: pytest.fail("classified a cell"))
         out = tmp_path / "pd.csv"
-        assert run(["phase-diagram", "--resolution", "100000", "100000",
+        assert run(["phase-diagram", "--resolution", "2", "10000000000",
                     "--out", str(out)]) == 2
-        assert "phase diagram of 100000 x 100000 cells" in capsys.readouterr().err
+        assert "phase diagram of 2 x 10000000000 cells" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reemission_identical(self, tmp_path):

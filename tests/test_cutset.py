@@ -1,7 +1,6 @@
 import math
 import os
 import threading
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,8 @@ from netregime.network import ROW_BLOCK, ChannelMatrix, channel_matrix, row_bloc
 from netregime.harness import operating_point
 
 from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
-                     eigvalsh_logdet, pin_cpus, power_profile, unblocked_dhat)
+                     eigvalsh_logdet, pin_cpus, power_profile, traced_peak,
+                     unblocked_dhat)
 from test_golden import (CUTSET_CLI, CUTSET_CLI_CSV, CUTSET_SWEEP, CUTSET_SWEEP_CSV,
                          assert_close_csv, cli_csv, sweep_csv)
 
@@ -372,14 +372,15 @@ class TestPackedGramKernel:
             assert math.isnan(cutset._gram_logdet([h[:2], h[2:]], 4, 1.0))
 
     def test_chunk_bounds(self):
-        assert cutset._chunk_bounds(10, 3) == [0, 10]
-        # chunks of ceil(2049 / 2) rows; no short last chunk
-        assert cutset._chunk_bounds(2047, 2049) == [0, 1025, 2047]
-        assert cutset._chunk_bounds(1500, 2049) == [0, 1500]
-        assert cutset._chunk_bounds(1600, 2049) == [0, 1025, 1600]
-        assert cutset._chunk_bounds(3100, 2000) == [0, 1000, 2000, 3100]
-        # at least ROW_BLOCK rows a chunk
-        assert cutset._chunk_bounds(600, 100) == [0, ROW_BLOCK, 600]
+        # CHUNK_ROWS rows a chunk, four row blocks, and the rest in the last,
+        # whatever the transmit set's size or the machine
+        assert cutset.CHUNK_ROWS == 256 == 4 * ROW_BLOCK
+        assert cutset._chunk_bounds(10) == [0, 10]
+        assert cutset._chunk_bounds(256) == [0, 256]
+        assert cutset._chunk_bounds(257) == [0, 256, 257]
+        assert cutset._chunk_bounds(989) == [0, 256, 512, 768, 989]
+        assert cutset._chunk_bounds(2047) == [0, 256, 512, 768, 1024, 1280, 1536,
+                                              1792, 2047]
 
     def test_trial_beyond_memory_refused_before_any_phase(self, memory_at_most_8gib,
                                                          monkeypatch):
@@ -398,12 +399,13 @@ class TestPackedGramKernel:
         inst = generate_network(n, area, seed=1)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         k, m = part.left_S.size, part.right_D.size
-        rows = max(np.diff(cutset._chunk_bounds(m, k)))
+        rows = max(np.diff(cutset._chunk_bounds(m)))
         height = min(rows, ROW_BLOCK)
         scratch = max(8 * (height + k) + 16 * np.getbufsize() + 4096,
                       rng.uniform_rows_bytes(height, inst.n_nodes, k))
-        need = (8 * k * (k + 1) + 16 * rows * k + row_block_workers(rows) * (
-            2 * 8 * height * k + 8 * height + scratch))
+        workers = row_block_workers(rows)
+        need = (8 * k * (k + 1) + 16 * rows * k + 4096 * (workers - 1)
+                + workers * (2 * 8 * height * k + 8 * height + scratch))
         real = os.sysconf
 
         def memory_is(total):
@@ -416,51 +418,57 @@ class TestPackedGramKernel:
         assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
 
     def test_chunked_trial_built_on_threads(self, monkeypatch):
-        # chunks of 513 and 476 receive rows: on 3 CPUs the first is built in
-        # 3 blocks on 3 threads and the second in 2 on 2, so 2 + 1 threads
-        # are started; on 1 CPU none is, and the mean keeps every bit
+        # chunks of 256, 256, 256 and 221 receive rows, four row blocks each:
+        # each chunk starts min(cpus, 4) - 1 threads, and the mean keeps
+        # every bit at every CPU count
         n, alpha = 1024, 4.0
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=2)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-        assert cutset._chunk_bounds(part.right_D.size, part.left_S.size) == [0, 513, 989]
+        assert cutset._chunk_bounds(part.right_D.size) == [0, 256, 512, 768, 989]
         started, start = [], threading.Thread.start
 
         def counted_start(thread):
             started.append(thread)
             start(thread)
         monkeypatch.setattr(threading.Thread, "start", counted_start)
-        for cpus, threads in ((3, 3), (1, 0)):
+        for cpus in (1, 2, 3):
             pin_cpus(monkeypatch, cpus)
             started.clear()
             mc = mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
-            assert len(started) == threads, cpus
+            assert len(started) == 4 * (cpus - 1), cpus
             assert mc.mean.hex() == "0x1.cbc40828363f9p+7", cpus
+
+    def test_mapped_zeros(self):
+        block = cutset._mapped_zeros((3, 5))
+        assert block.shape == (3, 5) and block.dtype == complex
+        assert block.flags.c_contiguous and block.flags.writeable
+        assert not block.any()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trial_peak_memory_bounded(self, monkeypatch, workers):
-        # One trial holds the packed Gram, one chunk of H and each row-block
-        # thread's two buffers.  All of H and a full Gram, as one zherk
-        # forms it, peaked at 1.27 (2 threads) and 1.52 (1 thread) times
-        # the count here, so they fail this bound.
+        # One trial holds the packed Gram, one CHUNK_ROWS-row chunk of H and
+        # each row-block thread's two ROW_BLOCK-row buffers; it peaked at
+        # 1.011 (1 thread) and 1.019 (2 threads) times that count, the rest
+        # being the phase row, ufunc buffers and ids.  Two chunks of about
+        # |tx| / 2 rows each, built in 256-row blocks, peaked at 1.55 and
+        # 1.73 times it, and all of H with a full Gram at more, so they fail
+        # this bound.  tracemalloc does not see memory maps, so the Gram and
+        # the chunk buffer come from numpy here.
+        monkeypatch.setattr(cutset, "_mapped_zeros",
+                            lambda shape: np.zeros(shape, dtype=complex))
         n, alpha = 1024, 4.0
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=2)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         k, m = part.left_S.size, part.right_D.size
-        bounds = cutset._chunk_bounds(m, k)
-        assert len(bounds) == 3
-        rows = max(np.diff(bounds))
+        assert m > 3 * cutset.CHUNK_ROWS
         pin_cpus(monkeypatch, workers)
         identity_logdet(np.ones((1, 1), dtype=complex), 1.0)   # loads scipy.linalg
-        tracemalloc.start()
-        try:
-            mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        counted = 8 * k * (k + 1) + 16 * rows * k + workers * 2 * 8 * ROW_BLOCK * k
-        assert peak < 1.2 * counted
+        peak, _ = traced_peak(mc_cutset_logdet, inst, part, snr, alpha, 1, phase_seed=3)
+        counted = (8 * k * (k + 1) + 16 * cutset.CHUNK_ROWS * k
+                   + workers * 2 * 8 * ROW_BLOCK * k)
+        assert peak < 1.05 * counted
 
 
 class TestDiscardPath:

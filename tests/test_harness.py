@@ -3,7 +3,6 @@ import hashlib
 import json
 import logging
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,8 @@ from netregime.harness import (CROSSING_CSV_HEADER, CUTSET_CSV_HEADER,
                                write_manifest)
 from netregime.regimes import Scheme
 
-from helpers import fit_full_and_tail, physical_memory_is, snr_short, tail_points
+from helpers import (fit_full_and_tail, physical_memory_is, snr_short, tail_points,
+                     traced_peak)
 from test_rng import call_site_paths
 
 
@@ -366,31 +366,42 @@ class TestEmission:
         assert ids <= {1, 2, 3, 4} and len(ids) == 4
 
     def test_phase_diagram_beyond_memory_refused(self, tmp_path, monkeypatch):
-        # 544 bytes a cell and 16 KiB besides, counted before any cell is
-        # classified
-        calls, real = [], harness.phase_diagram
-        monkeypatch.setattr(harness, "phase_diagram", lambda *a: calls.append(a) or real(*a))
+        # 240 bytes a beta cell and 160 KiB besides, whatever the alpha
+        # cells, counted before any cell is classified
+        calls, real = [], harness.phase_diagram_rows
+        monkeypatch.setattr(harness, "phase_diagram_rows",
+                            lambda *a: calls.append(a) or real(*a))
         config = ExperimentConfig(kind="phase-diagram", resolution=(40, 30),
                                   out=str(tmp_path / "pd.csv"))
-        physical_memory_is(monkeypatch, 544 * 40 * 30 + 16383)
+        physical_memory_is(monkeypatch, 240 * 30 + 163839)
         with pytest.raises(ValueError, match="phase diagram of 40 x 30 cells"):
             emit_phase_diagram(config)
         assert calls == [] and not (tmp_path / "pd.csv").exists()
-        physical_memory_is(monkeypatch, 544 * 40 * 30 + 16384)
+        physical_memory_is(monkeypatch, 240 * 30 + 163840)
         emit_phase_diagram(config)
         assert len(calls) == 1 and (tmp_path / "pd.csv").exists()
 
     def test_phase_diagram_peak_within_count(self, tmp_path):
-        config = ExperimentConfig(kind="phase-diagram", resolution=(100, 100),
-                                  out=str(tmp_path / "pd.csv"))
-        emit_phase_diagram(config)      # first-use allocations
-        tracemalloc.start()
-        try:
-            emit_phase_diagram(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 544 * 100 * 100 + 16384
+        # hashing the CSV for the manifest sets the peak at 100 x 100, one
+        # alpha value's cells at 2 x 10000
+        for n_alpha, n_beta in ((100, 100), (2, 10000)):
+            config = ExperimentConfig(kind="phase-diagram", resolution=(n_alpha, n_beta),
+                                      out=str(tmp_path / "pd.csv"))
+            emit_phase_diagram(config)      # first-use allocations
+            peak, _ = traced_peak(emit_phase_diagram, config)
+            assert peak <= 240 * n_beta + 163840, n_beta
+
+    def test_phase_diagram_peak_flat_in_alpha_cells(self, tmp_path):
+        # The files are written one alpha value at a time: 12 alpha values
+        # peak within 10% of 2.  Holding the whole grid, 2 to 20 alpha
+        # values grew the peak 10.8 times.
+        peaks = []
+        for n_alpha in (2, 12):
+            config = ExperimentConfig(kind="phase-diagram", resolution=(n_alpha, 2000),
+                                      out=str(tmp_path / "pd.csv"))
+            emit_phase_diagram(config)      # first-use allocations
+            peaks.append(traced_peak(emit_phase_diagram, config)[0])
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_emit_sweep_writes_a_phase_diagram(self, tmp_path):
         files = {}
@@ -517,8 +528,8 @@ class TestOutputFormats:
 
     def test_one_owner_of_the_machine(self):
         # only network.py reads physical memory, passes over node pairs and
-        # sizes their row blocks; outside it, only the cutset's chunk floor
-        # names ROW_BLOCK, and the old cutset-side kernel and count are gone
+        # sizes their row blocks, and the old cutset-side kernel and count
+        # are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name: found for path in modules
                          if (found := naming_functions(path, name))}
@@ -529,8 +540,7 @@ class TestOutputFormats:
             "row_block_workers": {"network.py": {"row_block_workers", "channel_bytes",
                                                  "run_row_blocks"}},
             "ROW_BLOCK": {"network.py": {None, "row_block_workers", "channel_bytes",
-                                         "run_row_blocks"},
-                          "cutset.py": {None, "_chunk_bounds"}},
+                                         "run_row_blocks"}},
             "path_gain": {"network.py": {"path_gain", "pair_sums", "channel_matrix"}},
             "run_row_blocks": {"network.py": {"run_row_blocks", "pair_sums",
                                               "channel_matrix"}},

@@ -1,7 +1,6 @@
 import json
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from netregime.network import NetworkInstance, node_phases, pair_sums
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
                      instance_from_json, physical_memory_is, pin_cpus, snr_short,
-                     unblocked_dhat, uniform_generate_network)
+                     traced_peak, unblocked_dhat, uniform_generate_network)
 
 
 class TestGenerate:
@@ -80,12 +79,7 @@ class TestGenerate:
         # draw peaks at 102 bytes a pair and 1.4 KiB
         n = 10 ** 5
         generate_network(1, 1.0, seed=0)                  # first-use allocations
-        tracemalloc.start()
-        try:
-            generate_network(n, float(n), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(generate_network, n, float(n), seed=1)
         assert peak <= 102 * n + 4096
 
     def test_beyond_memory_refused_before_any_draw(self, monkeypatch):
@@ -293,17 +287,23 @@ class TestBlockedChannel:
             assert h.entries.dtype == want.dtype
             assert h.entries.tobytes() == want.tobytes()
 
+    def test_out_filled_and_left_writable(self):
+        inst, tx, rx = _cut_sets(256, 3.0, 0.5, seed=256)
+        want = channel_matrix(inst, 3.0, tx, rx, phase_seed=5).entries
+        out = np.empty((rx.size, tx.size), dtype=complex)
+        h = channel_matrix(inst, 3.0, tx, rx, phase_seed=5, out=out)
+        assert h.entries.tobytes() == want.tobytes() and np.shares_memory(h.entries, out)
+        assert not h.entries.flags.writeable and out.flags.writeable
+        for bad in (out[1:], out.real.copy()):
+            with pytest.raises(ValueError, match="out must be a complex array"):
+                channel_matrix(inst, 3.0, tx, rx, phase_seed=5, out=bad)
+
     def test_peak_memory_bounded(self, monkeypatch):
         # the bound covers the result plus every thread's buffers
         inst, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
         for workers in (1, 2):
             pin_cpus(monkeypatch, workers)
-            tracemalloc.start()
-            try:
-                h = channel_matrix(inst, 4.0, tx, rx, phase_seed=7)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, h = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)
             assert peak < 2.5 * h.entries.nbytes, workers
 
     # Random receive ids, ids 0-1023 and every other id of 2n = 512 nodes:
@@ -320,12 +320,7 @@ class TestBlockedChannel:
         inst = generate_network(n, float(n), seed=5)
         pin_cpus(monkeypatch, workers)
         channel_matrix(inst, 4.0, tx, rx, phase_seed=1)   # first-use allocations
-        tracemalloc.start()
-        try:
-            channel_matrix(inst, 4.0, tx, rx, phase_seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)
         assert peak <= network.channel_bytes(rx.size, tx.size, inst.n_nodes)
 
 
@@ -367,10 +362,10 @@ class TestRowBlockWorkers:
                 assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
                     math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
 
-    # 4 blocks on 3 CPUs use 3 threads; 2 blocks use 2 whatever the CPU
-    # count; one block runs on the calling thread
-    @pytest.mark.parametrize("n_rows,cpus,threads", [(1000, 3, 3), (300, 3, 2),
-                                                     (300, 1, 1), (256, 3, 1)])
+    # 16 blocks on 3 CPUs use 3 threads; 2 blocks use 2 whatever the CPU
+    # count; 5 blocks on 1 CPU, and one block, run on the calling thread
+    @pytest.mark.parametrize("n_rows,cpus,threads", [(1000, 3, 3), (75, 3, 2),
+                                                     (300, 1, 1), (64, 3, 1)])
     def test_blocks_split_across_threads(self, n_rows, cpus, threads, monkeypatch):
         pin_cpus(monkeypatch, cpus)
         # each thread waits with its first block until every thread has one

@@ -1,7 +1,6 @@
 import functools
 import math
 import os
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
                      exists_closed_lr_crossing, instance_crossing_probability,
                      label_open_top_bottom, level_distance_to_bottom,
                      loop_distance_to_polyline, physical_memory_is, recording_keys,
-                     scalar_find_open_crossing, trial_crossing_hits)
+                     scalar_find_open_crossing, traced_peak, trial_crossing_hits)
 
 
 def synthetic_grid(closed, c=0.25, cell_side=0.25):
@@ -569,16 +568,6 @@ def recorded_grids(n, c, trials, seed):
     return grids
 
 
-def traced_peak(run, *args):
-    """Peak bytes tracemalloc sees while run(*args) runs."""
-    tracemalloc.start()
-    try:
-        run(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def assert_counted(monkeypatch, n, c, peak):
     """_open_grid counts more than ``peak`` bytes for the slab of (n, c)."""
     real = os.sysconf
@@ -648,7 +637,7 @@ class TestSlabDraw:
         # The labels dominate a trial at c = 0.25, the draw at c = 0.9.
         n = 2 ** 16
         crossing_probability(n, c, 1, 0)                  # first-use allocations
-        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, 3, 1))
+        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, 3, 1)[0])
 
     @pytest.mark.parametrize("c", [0.25, 0.9])
     def test_batches_peak_within_counted_bytes(self, monkeypatch, c):
@@ -658,7 +647,7 @@ class TestSlabDraw:
         trials = 2 * (percolation._BATCH_CELLS // ((rows + 1) * cols)) + 1
         assert trials > 3
         crossing_probability(n, c, 1, 0)                  # first-use allocations
-        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, trials, 1))
+        assert_counted(monkeypatch, n, c, traced_peak(crossing_probability, n, c, trials, 1)[0])
 
     def test_study_keys_counted_before_they_are_made(self, monkeypatch):
         # A study's count is its slab's plus its trials' key list.  One byte
@@ -680,7 +669,7 @@ class TestSlabDraw:
         # The keys of 10^4 trials, 1.7 MB, dominate a slab of 32 x 5 cells
         n, c, trials = 64, 0.25, 10 ** 4
         crossing_probability(n, c, 1, 0)                  # first-use allocations
-        peak = traced_peak(crossing_probability, n, c, trials, 1)
+        peak, _ = traced_peak(crossing_probability, n, c, trials, 1)
         physical_memory_is(monkeypatch, peak)
         with pytest.raises(ValueError, match="physical memory"):
             percolation._open_grid(n, float(n), c, trials)
@@ -691,7 +680,7 @@ class TestSlabDraw:
         # and the cut's path, one cell a row, does.
         instance = generate_network(n, float(n), 1)
         assert certified_cut(instance, c) is not None     # first-use allocations
-        assert_counted(monkeypatch, n, c, traced_peak(certified_cut, instance, c))
+        assert_counted(monkeypatch, n, c, traced_peak(certified_cut, instance, c)[0])
 
     @pytest.mark.parametrize("n, c", [(256, 0.5), (1000, 0.25), (4096, 0.52),
                                       (2 ** 24, 0.35)])

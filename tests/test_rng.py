@@ -1,10 +1,11 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from netregime import cli, harness, rng
+
+from helpers import traced_peak
 
 
 def seed_sequence_keys(seed, prefix, last):
@@ -53,12 +54,8 @@ class TestPhiloxKeys:
     def test_key_list_bytes_cover_its_peak(self):
         # philox_keys(...).tolist() peaks at about 167.5 bytes a key
         count = 10 ** 5
-        tracemalloc.start()
-        try:
-            keys = rng.philox_keys(5, (rng.CROSSING,), np.arange(count)).tolist()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, keys = traced_peak(
+            lambda: rng.philox_keys(5, (rng.CROSSING,), np.arange(count)).tolist())
         assert len(keys) == count
         assert 0.95 * rng.KEY_LIST_BYTES * count < peak <= rng.KEY_LIST_BYTES * count
 

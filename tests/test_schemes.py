@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, physical_memory_is,
-                     recording_keys, relay_cells_of, scalar_supercover)
+                     recording_keys, relay_cells_of, scalar_supercover, traced_peak)
 
 
 def manhattan_lengths(cell0, cell1, grid):
@@ -451,12 +450,7 @@ class TestRouting:
         # instead of in blocks of 256 peaks at 165-167 bytes per cell
         # (44.3-44.6 MB).
         inst = generate_network(4096, 4096.0, seed=0)
-        tracemalloc.start()
-        try:
-            _, plan, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, plan, _) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
         assert peak < 64 * sum(map(len, plan.cell_paths))
 
     @staticmethod
@@ -473,12 +467,7 @@ class TestRouting:
         inst = generate_network(n, float(n), seed=0)
         grid = build_cell_grid(inst, M)
         route_sd_lines(grid, inst, 1)                     # first-use allocations
-        tracemalloc.start()
-        try:
-            plan = route_sd_lines(grid, inst, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, plan = traced_peak(route_sd_lines, grid, inst, 0)
         assert peak < self.routing_count(plan, n)
 
     def test_routing_beyond_memory_refused_before_the_plan(self, monkeypatch):
