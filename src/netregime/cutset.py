@@ -57,8 +57,9 @@ logger = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 CUT_MODES = ("idealized", "percolation")
-# Receive rows per chunk of a Monte-Carlo trial's H: four ROW_BLOCK blocks,
-# so the row-block threads share each chunk's build.
+# Receive rows per chunk of a Monte-Carlo trial's H, four ROW_BLOCK blocks.
+# A constant, so the chunks, and the order their Grams are summed in, depend
+# only on the receive set's size.
 CHUNK_ROWS = 256
 
 

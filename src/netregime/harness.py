@@ -411,10 +411,11 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
     if not config.out:
         raise ConfigError("config.out must name an output file")
     n_alpha, n_beta = config.resolution
-    # One alpha value's points and grid line and the beta axis peak at
-    # 179-227 bytes a beta cell, with about 40 KiB besides; hashing the
-    # CSV for the manifest afterwards peaks at about 138 KiB.
-    check_memory(240 * n_beta + 163840,
+    # One alpha value's points and grid line and the beta axis peak at up
+    # to 174 bytes a beta cell besides 160 KiB (5,000-30,000 beta cells, 25
+    # alpha and beta ranges); hashing the CSV for the manifest afterwards
+    # peaks at about 138 KiB.
+    check_memory(190 * n_beta + 163840,
                  f"a phase diagram of {n_alpha} x {n_beta} cells")
     rows = phase_diagram_rows(config.alpha_range, config.beta_range, config.resolution)
     regime_id = {regime: str(i) for i, regime in enumerate(Regime, start=1)}

@@ -20,7 +20,7 @@ Rates are in bits (log base 2) throughout; positions in meters, powers in
 Watts.
 
 Only this module passes over node pairs (:func:`channel_matrix`,
-:func:`pair_sums`), splits their rows into blocks (:func:`run_row_blocks`),
+:func:`pair_sums`), splits their rows into blocks (:func:`row_blocks`),
 counts what they allocate (:func:`channel_bytes`) and reads the machine's
 physical memory (:func:`check_memory`).
 """
@@ -29,19 +29,17 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 
-# Receive rows per block of the channel build and of the pair sums.
-# run_row_blocks deals the blocks to one thread per usable CPU, at most one
-# per block, and each thread works in two ROW_BLOCK x |tx| float buffers
-# that the call allocates once.  A row's values depend only on that row's
-# inputs, so no output depends on the split.  A cutset chunk of
-# cutset.CHUNK_ROWS = 256 receive rows is four blocks.
+# Receive rows per block of the channel build and of the pair sums, which
+# work in two ROW_BLOCK x |tx| float buffers allocated once per call.  A
+# row's values depend only on that row's inputs, so no output depends on
+# the block size.  A cutset chunk of cutset.CHUNK_ROWS = 256 receive rows is
+# four blocks.
 ROW_BLOCK = 64
 
 
@@ -233,92 +231,47 @@ def path_gain(instance: NetworkInstance, rx, tx, exponent: float,
     return rhat
 
 
-def row_block_workers(n_rows: int) -> int:
-    """Threads :func:`run_row_blocks` runs n_rows rows on, the calling one
-    included: one per usable CPU, at most one per ROW_BLOCK block."""
-    # sched_getaffinity, which honours CPU pinning, exists only on some platforms
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(cpus, -(-n_rows // ROW_BLOCK)))
-
-
 def channel_bytes(n_rx: int, n_tx: int, n_nodes: int) -> int:
     """Bytes one :func:`channel_matrix` call holds for n_rx x n_tx entries
     of an instance of n_nodes nodes: the complex128 entries (its result, or
-    the caller's ``out``) and, for each thread, the row-block buffers that
-    fill them, a block's receive ids, and the larger of its distance
-    scratch and its phase draw, and 4 KiB for each started thread's
-    objects.  The distance scratch is the gathered coordinates, two ufunc
-    buffers of ``np.getbufsize()`` doubles that broadcasting takes, and
-    4 KiB besides."""
+    the caller's ``out``), the two row-block buffers that fill them, a
+    block's receive ids, and the larger of its distance scratch and its
+    phase draw.  The distance scratch is the gathered coordinates, two
+    ufunc buffers of ``np.getbufsize()`` doubles that broadcasting takes,
+    and 4 KiB besides."""
     height = min(n_rx, ROW_BLOCK)
-    workers = row_block_workers(n_rx)
     scratch = max(8 * (height + n_tx) + 16 * np.getbufsize() + 4096,
                   rng.uniform_rows_bytes(height, n_nodes, n_tx))
-    return (16 * n_rx * n_tx + workers * (16 * height * n_tx + 8 * height + scratch)
-            + 4096 * (workers - 1))
+    return 16 * n_rx * n_tx + 16 * height * n_tx + 8 * height + scratch
 
 
-def run_row_blocks(n_rows: int, width: int, kernel) -> None:
-    """Call ``kernel(rows, a, b)`` once for each ROW_BLOCK block of n_rows rows.
+def row_blocks(n_rows: int, width: int):
+    """Yield ``(rows, a, b)`` for each ROW_BLOCK block of n_rows rows, in order.
 
     ``rows`` is the block's slice, and ``a`` and ``b`` are float buffers of
-    its height by width, cut from one pair per thread.  The kernel may
-    overwrite them, and writes only its own rows of the result.  The calling
-    thread and ``row_block_workers(n_rows) - 1`` started threads take
-    blocks in turn, so with one block, or one usable CPU, no thread is
-    started.  Every thread has stopped when this returns; after a kernel
-    raises, no block starts, and the first exception raised is re-raised
-    once all threads have stopped.
+    its height by width, cut from one pair that the call allocates once.
+    The caller may overwrite them, and writes only the block's rows of its
+    result.
     """
-    starts = iter(range(0, n_rows, ROW_BLOCK))
     height = min(n_rows, ROW_BLOCK)
-    scratch = [(np.empty((height, width)), np.empty((height, width)))
-               for _ in range(row_block_workers(n_rows))]
-    lock = threading.Lock()
-    errors = []
-
-    def work(a, b):
-        while True:
-            with lock:
-                start = None if errors else next(starts, None)
-            if start is None:
-                return
-            stop = min(start + ROW_BLOCK, n_rows)
-            try:
-                kernel(slice(start, stop), a[:stop - start], b[:stop - start])
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=work, args=pair) for pair in scratch[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(*scratch[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    a, b = np.empty((height, width)), np.empty((height, width))
+    for start in range(0, n_rows, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n_rows)
+        yield slice(start, stop), a[:stop - start], b[:stop - start]
 
 
 def pair_sums(instance: NetworkInstance, rx, tx, exponent: float) -> np.ndarray:
     """sum_k rhat[rx[i], tx[k]]^exponent for each receive node rx[i], phase free.
 
-    Each row block's gains come from :func:`path_gain` in its thread's
-    buffers, so a receive node on a transmit node raises
+    Each row block's gains come from :func:`path_gain` in the buffers of
+    :func:`row_blocks`, so a receive node on a transmit node raises
     DegenerateInstanceError.  Each row's sum is that of one unblocked
     evaluation.
     """
     sums = np.empty(len(rx))
-
-    def block_sums(rows, gain, work):
+    for rows, gain, work in row_blocks(len(rx), len(tx)):
         path_gain(instance, rx[rows], tx, exponent, gain, work)
         np.sum(gain, axis=1, out=sums[rows])
-
-    run_row_blocks(len(rx), len(tx), block_sums)
     return sums
 
 
@@ -339,15 +292,15 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     Magnitudes are the path gains rhat^(-alpha/2) of :func:`path_gain`, so
     coincident nodes raise DegenerateInstanceError.  Entry (i, k) has the
     phase of node pair (rx[i], tx[k]) from :func:`node_phases`.  The matrix
-    is filled in blocks of ROW_BLOCK receive rows by :func:`run_row_blocks`.
+    is filled in the ROW_BLOCK blocks of receive rows of :func:`row_blocks`.
     A block draws only its own phase rows and transmit columns.  It writes
     cos and sin of the phases straight into the real and imaginary parts
     of the result, which gives the bits of exp(1j * phase), and scales
     both parts by the magnitude in place.
-    No temporary besides the result and the per-thread buffers grows with
-    |rx|.  Given a complex ``out`` of shape (|rx|, |tx|), the entries are
-    written there, and the result marks a read-only view of ``out``, so the
-    caller can refill it for the next draw.
+    No temporary besides the result grows with |rx|.  Given a complex
+    ``out`` of shape (|rx|, |tx|), the entries are written there, and the
+    result marks a read-only view of ``out``, so the caller can refill it
+    for the next draw.
     """
     tx = np.asarray(tx_set, dtype=np.intp)
     rx = np.asarray(rx_set, dtype=np.intp)
@@ -361,7 +314,7 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     elif out.shape != (rx.size, tx.size) or out.dtype != complex:
         raise ValueError(f"out must be a complex array of shape {(rx.size, tx.size)}")
 
-    def fill(rows, theta, magnitude):
+    for rows, theta, magnitude in row_blocks(rx.size, tx.size):
         path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
         node_phases(instance.n_nodes, phase_seed, rx[rows], tx, theta)
         re, im = out[rows].real, out[rows].imag
@@ -369,6 +322,4 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
         np.sin(theta, out=im)
         re *= magnitude
         im *= magnitude
-
-    run_row_blocks(rx.size, tx.size, fill)
     return ChannelMatrix(out.view())

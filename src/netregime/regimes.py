@@ -51,7 +51,7 @@ _OPTIMAL = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegimePoint:
     """The regime of one (alpha, beta) point and each scheme's exponent there.
 

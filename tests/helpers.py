@@ -28,8 +28,7 @@ def snr_short(n, area, alpha, G=1, P=1, N0=1, W=1):
 
 
 def pin_cpus(monkeypatch, count):
-    """Make run_row_blocks, which starts min(usable CPUs, blocks) - 1
-    threads, see ``count`` usable CPUs."""
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 

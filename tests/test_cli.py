@@ -413,7 +413,7 @@ class TestPhaseDiagram:
 
     def test_grid_beyond_memory_exits_2(self, tmp_path, memory_at_most_8gib,
                                         monkeypatch, capsys):
-        # 10^10 beta cells at 240 bytes each; no cell is classified
+        # 10^10 beta cells at 190 bytes each; no cell is classified
         monkeypatch.setattr(harness, "phase_diagram_rows",
                             lambda *a: pytest.fail("classified a cell"))
         out = tmp_path / "pd.csv"

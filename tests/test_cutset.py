@@ -1,6 +1,5 @@
 import math
 import os
-import threading
 from collections import Counter
 
 import numpy as np
@@ -14,11 +13,11 @@ from netregime import (PathologicalCutError, certified_cut,
                        classify, evaluate_cutset)
 from netregime import cutset, rng
 from netregime.cutset import identity_logdet
-from netregime.network import ROW_BLOCK, ChannelMatrix, channel_matrix, row_block_workers
+from netregime.network import ROW_BLOCK, ChannelMatrix, channel_matrix
 from netregime.harness import operating_point
 
 from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
-                     eigvalsh_logdet, pin_cpus, power_profile, traced_peak,
+                     eigvalsh_logdet, power_profile, traced_peak,
                      unblocked_dhat)
 from test_golden import (CUTSET_CLI, CUTSET_CLI_CSV, CUTSET_SWEEP, CUTSET_SWEEP_CSV,
                          assert_close_csv, cli_csv, sweep_csv)
@@ -403,9 +402,7 @@ class TestPackedGramKernel:
         height = min(rows, ROW_BLOCK)
         scratch = max(8 * (height + k) + 16 * np.getbufsize() + 4096,
                       rng.uniform_rows_bytes(height, inst.n_nodes, k))
-        workers = row_block_workers(rows)
-        need = (8 * k * (k + 1) + 16 * rows * k + 4096 * (workers - 1)
-                + workers * (2 * 8 * height * k + 8 * height + scratch))
+        need = 8 * k * (k + 1) + 16 * rows * k + 2 * 8 * height * k + 8 * height + scratch
         real = os.sysconf
 
         def memory_is(total):
@@ -417,27 +414,16 @@ class TestPackedGramKernel:
         memory_is(need)
         assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
 
-    def test_chunked_trial_built_on_threads(self, monkeypatch):
-        # chunks of 256, 256, 256 and 221 receive rows, four row blocks each:
-        # each chunk starts min(cpus, 4) - 1 threads, and the mean keeps
-        # every bit at every CPU count
+    def test_chunked_trial_built_on_threads(self):
+        # chunks of 256, 256, 256 and 221 receive rows, four row blocks each,
+        # and the mean keeps every bit
         n, alpha = 1024, 4.0
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=2)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         assert cutset._chunk_bounds(part.right_D.size) == [0, 256, 512, 768, 989]
-        started, start = [], threading.Thread.start
-
-        def counted_start(thread):
-            started.append(thread)
-            start(thread)
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
-        for cpus in (1, 2, 3):
-            pin_cpus(monkeypatch, cpus)
-            started.clear()
-            mc = mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
-            assert len(started) == 4 * (cpus - 1), cpus
-            assert mc.mean.hex() == "0x1.cbc40828363f9p+7", cpus
+        mc = mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
+        assert mc.mean.hex() == "0x1.cbc40828363f9p+7"
 
     def test_mapped_zeros(self):
         block = cutset._mapped_zeros((3, 5))
@@ -445,15 +431,13 @@ class TestPackedGramKernel:
         assert block.flags.c_contiguous and block.flags.writeable
         assert not block.any()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_trial_peak_memory_bounded(self, monkeypatch, workers):
+    def test_trial_peak_memory_bounded(self, monkeypatch):
         # One trial holds the packed Gram, one CHUNK_ROWS-row chunk of H and
-        # each row-block thread's two ROW_BLOCK-row buffers; it peaked at
-        # 1.011 (1 thread) and 1.019 (2 threads) times that count, the rest
-        # being the phase row, ufunc buffers and ids.  Two chunks of about
-        # |tx| / 2 rows each, built in 256-row blocks, peaked at 1.55 and
-        # 1.73 times it, and all of H with a full Gram at more, so they fail
-        # this bound.  tracemalloc does not see memory maps, so the Gram and
+        # the two ROW_BLOCK-row buffers that fill it; it peaked at 1.011
+        # times that count, the rest being the phase row, ufunc buffers and
+        # ids.  Two chunks of about |tx| / 2 rows each, built in 256-row
+        # blocks, peaked at 1.55 and 1.73 times it, and all of H with a full
+        # Gram at more, so they fail this bound.  tracemalloc does not see memory maps, so the Gram and
         # the chunk buffer come from numpy here.
         monkeypatch.setattr(cutset, "_mapped_zeros",
                             lambda shape: np.zeros(shape, dtype=complex))
@@ -463,11 +447,9 @@ class TestPackedGramKernel:
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
         k, m = part.left_S.size, part.right_D.size
         assert m > 3 * cutset.CHUNK_ROWS
-        pin_cpus(monkeypatch, workers)
         identity_logdet(np.ones((1, 1), dtype=complex), 1.0)   # loads scipy.linalg
         peak, _ = traced_peak(mc_cutset_logdet, inst, part, snr, alpha, 1, phase_seed=3)
-        counted = (8 * k * (k + 1) + 16 * cutset.CHUNK_ROWS * k
-                   + workers * 2 * 8 * ROW_BLOCK * k)
+        counted = 8 * k * (k + 1) + 16 * cutset.CHUNK_ROWS * k + 2 * 8 * ROW_BLOCK * k
         assert peak < 1.05 * counted
 
 

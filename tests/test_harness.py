@@ -366,18 +366,18 @@ class TestEmission:
         assert ids <= {1, 2, 3, 4} and len(ids) == 4
 
     def test_phase_diagram_beyond_memory_refused(self, tmp_path, monkeypatch):
-        # 240 bytes a beta cell and 160 KiB besides, whatever the alpha
+        # 190 bytes a beta cell and 160 KiB besides, whatever the alpha
         # cells, counted before any cell is classified
         calls, real = [], harness.phase_diagram_rows
         monkeypatch.setattr(harness, "phase_diagram_rows",
                             lambda *a: calls.append(a) or real(*a))
         config = ExperimentConfig(kind="phase-diagram", resolution=(40, 30),
                                   out=str(tmp_path / "pd.csv"))
-        physical_memory_is(monkeypatch, 240 * 30 + 163839)
+        physical_memory_is(monkeypatch, 190 * 30 + 163839)
         with pytest.raises(ValueError, match="phase diagram of 40 x 30 cells"):
             emit_phase_diagram(config)
         assert calls == [] and not (tmp_path / "pd.csv").exists()
-        physical_memory_is(monkeypatch, 240 * 30 + 163840)
+        physical_memory_is(monkeypatch, 190 * 30 + 163840)
         emit_phase_diagram(config)
         assert len(calls) == 1 and (tmp_path / "pd.csv").exists()
 
@@ -389,7 +389,7 @@ class TestEmission:
                                       out=str(tmp_path / "pd.csv"))
             emit_phase_diagram(config)      # first-use allocations
             peak, _ = traced_peak(emit_phase_diagram, config)
-            assert peak <= 240 * n_beta + 163840, n_beta
+            assert peak <= 190 * n_beta + 163840, n_beta
 
     def test_phase_diagram_peak_flat_in_alpha_cells(self, tmp_path):
         # The files are written one alpha value at a time: 12 alpha values
@@ -528,22 +528,23 @@ class TestOutputFormats:
 
     def test_one_owner_of_the_machine(self):
         # only network.py reads physical memory, passes over node pairs and
-        # sizes their row blocks, and the old cutset-side kernel and count
-        # are gone
+        # cuts their row blocks; no module starts a thread or reads the CPU
+        # affinity, and the old cutset-side kernel and count are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name: found for path in modules
                          if (found := naming_functions(path, name))}
-                  for name in ("SC_PHYS_PAGES", "row_block_workers", "ROW_BLOCK",
-                               "path_gain", "run_row_blocks", "row_block_bytes", "_dhat")}
+                  for name in ("SC_PHYS_PAGES", "ROW_BLOCK", "path_gain", "row_blocks",
+                               "threading", "sched_getaffinity", "row_block_workers",
+                               "run_row_blocks", "row_block_bytes", "_dhat")}
         assert owners == {
             "SC_PHYS_PAGES": {"network.py": {"check_memory"}},
-            "row_block_workers": {"network.py": {"row_block_workers", "channel_bytes",
-                                                 "run_row_blocks"}},
-            "ROW_BLOCK": {"network.py": {None, "row_block_workers", "channel_bytes",
-                                         "run_row_blocks"}},
+            "ROW_BLOCK": {"network.py": {None, "channel_bytes", "row_blocks"}},
             "path_gain": {"network.py": {"path_gain", "pair_sums", "channel_matrix"}},
-            "run_row_blocks": {"network.py": {"run_row_blocks", "pair_sums",
-                                              "channel_matrix"}},
+            "row_blocks": {"network.py": {"row_blocks", "pair_sums", "channel_matrix"}},
+            "threading": {},
+            "sched_getaffinity": {},
+            "row_block_workers": {},
+            "run_row_blocks": {},
             "row_block_bytes": {},
             "_dhat": {},
         }

@@ -1,6 +1,5 @@
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from netregime.harness import instance_json, operating_point
 from netregime.network import NetworkInstance, node_phases, pair_sums
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
-                     instance_from_json, physical_memory_is, pin_cpus, snr_short,
+                     instance_from_json, physical_memory_is, snr_short,
                      traced_peak, unblocked_dhat, uniform_generate_network)
 
 
@@ -298,27 +297,23 @@ class TestBlockedChannel:
             with pytest.raises(ValueError, match="out must be a complex array"):
                 channel_matrix(inst, 3.0, tx, rx, phase_seed=5, out=bad)
 
-    def test_peak_memory_bounded(self, monkeypatch):
-        # the bound covers the result plus every thread's buffers
+    def test_peak_memory_bounded(self):
+        # the bound covers the result plus the row-block buffers
         inst, tx, rx = _cut_sets(1024, 4.0, 0.5, seed=3)
-        for workers in (1, 2):
-            pin_cpus(monkeypatch, workers)
-            peak, h = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)
-            assert peak < 2.5 * h.entries.nbytes, workers
+        peak, h = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)
+        assert peak < 2.5 * h.entries.nbytes
 
     # Random receive ids, ids 0-1023 and every other id of 2n = 512 nodes:
     # each row is drawn alone, so the count fits all three.  With 3584
     # transmitters a block's distances dwarf its phase draw and ufunc buffers.
     @pytest.mark.parametrize("case", ["random", "consecutive", "every other", "wide"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_within_channel_bytes(self, case, workers, monkeypatch):
+    def test_peak_within_channel_bytes(self, case):
         perm = np.random.default_rng(1).permutation(4096)
         n, rx, tx = {"random": (2048, perm[:1024], perm[1024:1536]),
                      "consecutive": (2048, np.arange(1024), 1024 + perm[perm < 3072][:512]),
                      "every other": (256, np.arange(0, 512, 2), np.arange(1, 512, 2)),
                      "wide": (2048, perm[:512], perm[512:])}[case]
         inst = generate_network(n, float(n), seed=5)
-        pin_cpus(monkeypatch, workers)
         channel_matrix(inst, 4.0, tx, rx, phase_seed=1)   # first-use allocations
         peak, _ = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)
         assert peak <= network.channel_bytes(rx.size, tx.size, inst.n_nodes)
@@ -334,83 +329,44 @@ def _split_sets(n, m, seed):
 
 
 class TestRowBlockWorkers:
-    # C13 for the threaded row blocks: 100 rows fit one block, 512 fill two
-    # exactly, and 1500 leave a short last block; each set is used on both
-    # sides, so the other side gives 1948, 1536 and 548 rows
+    # The row blocks against unblocked oracles: 100 rows fit one block, 512
+    # fill several exactly, and 1500 leave a short last block; each set is
+    # used on both sides, so the other side gives 1948, 1536 and 548 rows
     @pytest.mark.parametrize("m", [100, 512, 1500])
-    def test_channel_bytes_independent_of_workers(self, m, monkeypatch):
+    def test_channel_bytes_independent_of_workers(self, m):
         inst, _, a, b = _split_sets(1024, m, seed=m)
         for tx, rx in ((a, b), (b, a)):
             want = full_channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
-            for workers in (1, 2, 3):
-                pin_cpus(monkeypatch, workers)
-                h = channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
-                assert h.entries.tobytes() == want.tobytes(), workers
+            h = channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
+            assert h.entries.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [100, 512, 1500])
-    def test_power_sums_independent_of_workers(self, m, monkeypatch):
+    def test_power_sums_independent_of_workers(self, m):
         inst, snr_s, a, b = _split_sets(1024, m, seed=m)
         for sources, targets in ((a, b), (b, a)):
             want = unblocked_dhat(inst, 4.0, targets, sources)
             part = CutPartition(sources, targets, targets)
-            for workers in (1, 2, 3):
-                pin_cpus(monkeypatch, workers)
-                d = pair_sums(inst, targets, sources, -4.0)
-                assert d.tobytes() == want.tobytes(), workers
-                assert (snr_total(inst, part, snr_s, 4.0)
-                        == snr_s * math.fsum(want.tolist()))
-                assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
-                    math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
+            d = pair_sums(inst, targets, sources, -4.0)
+            assert d.tobytes() == want.tobytes()
+            assert (snr_total(inst, part, snr_s, 4.0)
+                    == snr_s * math.fsum(want.tolist()))
+            assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
+                math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
 
-    # 16 blocks on 3 CPUs use 3 threads; 2 blocks use 2 whatever the CPU
-    # count; 5 blocks on 1 CPU, and one block, run on the calling thread
-    @pytest.mark.parametrize("n_rows,cpus,threads", [(1000, 3, 3), (75, 3, 2),
-                                                     (300, 1, 1), (64, 3, 1)])
-    def test_blocks_split_across_threads(self, n_rows, cpus, threads, monkeypatch):
-        pin_cpus(monkeypatch, cpus)
-        # each thread waits with its first block until every thread has one
-        barrier = threading.Barrier(threads, timeout=30)
-        lock = threading.Lock()
-        seen, buffers, blocks = set(), set(), []
-
-        def kernel(rows, a, b):
-            assert a.shape == b.shape == (rows.stop - rows.start, 7)
-            assert a.base.shape == b.base.shape == (min(n_rows, network.ROW_BLOCK), 7)
-            ident = threading.get_ident()
-            with lock:
-                first = ident not in seen
-                seen.add(ident)
-                buffers.update((id(a.base), id(b.base)))
-                blocks.append((rows.start, rows.stop))
-            if first:
-                barrier.wait()
-
-        network.run_row_blocks(n_rows, 7, kernel)
-        assert sorted(blocks) == [(start, min(start + network.ROW_BLOCK, n_rows))
-                                  for start in range(0, n_rows, network.ROW_BLOCK)]
-        assert len(seen) == threads and len(buffers) == 2 * threads
-        if threads == 1:
-            assert seen == {threading.get_ident()}
-
-    def test_error_in_last_block_raised_after_workers_stop(self, monkeypatch):
-        # the last rx node sits on a tx node: block 3 of 3 is degenerate
-        pin_cpus(monkeypatch, 2)
+    def test_error_in_last_block_raised_after_workers_stop(self):
+        # the last rx node sits on a tx node: block 10 of 10 is degenerate
         inst, snr_s, rx, tx = _split_sets(1024, 600, seed=5)
         positions = inst.positions.copy()
         positions[rx[-1]] = positions[tx[0]]
         inst = NetworkInstance(inst.n_pairs, inst.area_A, inst.seed, positions,
                                inst.source_ids, inst.dest_ids)
         part = CutPartition(tx, rx[:0], rx)
-        before = threading.active_count()
         with pytest.raises(DegenerateInstanceError):
             channel_matrix(inst, 4.0, tx, rx, phase_seed=1)
-        assert threading.active_count() == before
         with pytest.raises(DegenerateInstanceError):
             snr_total(inst, part, snr_s, 4.0)
-        assert threading.active_count() == before
         with pytest.raises(DegenerateInstanceError):
             pair_sums(inst, rx, tx, -4.0)
-        assert threading.active_count() == before
 
 
 class TestSerialization:
