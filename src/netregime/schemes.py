@@ -139,10 +139,11 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
     return CellGrid(side, cols, rows, flat, order, start)
 
 
-# Segments walked together, and lines whose relay draws are decoded
-# together.  A walk block's temporaries grow as its size times rows +
-# columns: at n = 4096, M = 1 the walk peaks at 4.5 MB with blocks of 256
-# and at 38 MB with all 4096 lines in one block.
+# Segments walked together, lines whose relay draws are decoded together,
+# and lines whose peak loads are gathered together.  A walk block's
+# temporaries grow as its size times rows + columns: at n = 4096, M = 1
+# the largest block's walk peaks at 2.47 MB with blocks of 256 and at
+# 38.7 MB with all 4096 lines in one block.
 _WALK_BLOCK = 256
 
 
@@ -244,28 +245,47 @@ def _nearest_occupied(grid: CellGrid):
     return first, count, np.concatenate(found)
 
 
+def _walk_blocks(grid: CellGrid, instance: NetworkInstance):
+    """(a, b, walk) for each block of _WALK_BLOCK lines in order: ``walk``
+    is lines a .. b - 1's cell walks, concatenated, in a fresh array."""
+    src, dst = instance.source_ids, instance.dest_ids
+    p0, p1 = instance.positions[src], instance.positions[dst]
+    cell0, cell1 = grid.cell_of_node[src], grid.cell_of_node[dst]
+    for a in range(0, len(src), _WALK_BLOCK):
+        b = min(a + _WALK_BLOCK, len(src))
+        yield a, b, _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
+
+
 @dataclass
 class RelayPlan:
-    """Cell routes and relay assignments for every source-destination line.
+    """Relay assignments and loads for every source-destination line.
 
-    The plan is flat: line j's geometric 4-adjacent cell walk is
-    ``cells[path_start[j]:path_start[j + 1]]``, and its relay nodes are
-    ``nodes[node_start[j]:node_start[j + 1]]``, one per path cell.  The
-    node at hop h is drawn from path cell h or, when that cell is empty,
-    from a nearest occupied neighbor (each substitution counted in
-    ``reroutes``); the first and last are the line's own source and
-    destination.  A line whose endpoints share a cell has a one-cell path
-    and the two nodes [source, destination].  ``cell_paths`` and
-    ``assignments`` give the per-line views of the two flat arrays.
+    Line j's relay nodes are ``nodes[node_start[j]:node_start[j + 1]]``,
+    one per cell of its geometric 4-adjacent cell walk, which has
+    ``path_start[j + 1] - path_start[j]`` cells.  The node at hop h is
+    drawn from path cell h or, when that cell is empty, from a nearest
+    occupied neighbor (each substitution counted in ``reroutes``); the
+    first and last are the line's own source and destination.  A line
+    whose endpoints share a cell has a one-cell path and the two nodes
+    [source, destination].  ``assignments`` gives the per-line view of
+    ``nodes``.  The walks are not held: ``cells`` (all of them,
+    concatenated) and ``cell_paths`` (one per line) walk the lines of
+    ``instance`` across ``grid`` again, through routing's own block walk,
+    each time they are read.
     """
 
-    cells: np.ndarray
-    path_start: np.ndarray      # n + 1 offsets into cells
+    path_start: np.ndarray      # n + 1 offsets into the concatenated walks
     nodes: np.ndarray
     node_start: np.ndarray      # n + 1 offsets into nodes
     cell_load: np.ndarray
     node_load: np.ndarray
     reroutes: int
+    grid: CellGrid
+    instance: NetworkInstance
+
+    @property
+    def cells(self) -> np.ndarray:
+        return np.concatenate([walk for _, _, walk in _walk_blocks(self.grid, self.instance)])
 
     @property
     def cell_paths(self) -> list:
@@ -295,9 +315,10 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
 
     Routing runs on all lines at once, and each output is the same, bit
     for bit, as a per-line loop of scalar walks and BFS searches.  A
-    line's path length follows from its end cells, so the flat plan is
+    line's path length follows from its end cells, so ``nodes`` is
     allocated first and filled by one pass over blocks of 256 lines, each
-    walked, drawn, mapped to nodes and added to the cell loads in turn.
+    walked into a temporary, drawn, mapped to nodes and added to the cell
+    loads in turn; no walk outlives its block.
     A block builds its crossing times with a row-wise cumsum, which
     rounds as the scalar walk's ``t += dt`` does, and merges them with a
     stable sort in which x wins ties, as the scalar ``t_x <= t_y`` does.
@@ -314,47 +335,46 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     node order, and the loads from ``np.bincount``.
     """
     src, dst = instance.source_ids, instance.dest_ids
-    p0, p1 = instance.positions[src], instance.positions[dst]
-    cell0, cell1 = grid.cell_of_node[src], grid.cell_of_node[dst]
-    r0, c0 = np.divmod(cell0, grid.columns)
-    r1, c1 = np.divmod(cell1, grid.columns)
+    r0, c0 = np.divmod(grid.cell_of_node[src], grid.columns)
+    r1, c1 = np.divmod(grid.cell_of_node[dst], grid.columns)
     lengths = np.abs(r1 - r0) + np.abs(c1 - c0) + 1
     path_start = np.concatenate(([0], np.cumsum(lengths)))
-    # Routing holds 64 bytes a walked cell (the flat plan and one walk block's
-    # temporaries) and, a line, its key and 13 words of line arrays.
-    check_memory(64 * int(path_start[-1]) + (rng.KEY_LIST_BYTES + 104) * len(lengths),
+    # Routing holds 8 bytes a walked cell (``nodes``), one walk block's
+    # temporaries (72 bytes a line of the block and a row or column of the
+    # grid), 6 words a grid cell, 16 KiB and, a line, its key and 16 words
+    # of line arrays.
+    block = min(_WALK_BLOCK, len(lengths))
+    check_memory(8 * int(path_start[-1]) + 72 * block * (grid.rows + grid.columns)
+                 + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * len(lengths),
                  f"hybrid routing of {len(lengths)} lines over {path_start[-1]} cells")
     # a one-cell line is assigned [source, destination]
     node_start = path_start + np.concatenate(([0], np.cumsum(lengths == 1)))
-    cells = np.empty(path_start[-1], dtype=np.intp)
     nodes = np.empty(node_start[-1], dtype=np.intp)
     cell_load = np.zeros(grid.n_cells, dtype=np.intp)
     reroutes = 0
     pool_size = np.diff(grid.cell_start)
     first, count, candidates = _nearest_occupied(grid)
     keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(lengths))).tolist()
-    for a in range(0, len(lengths), _WALK_BLOCK):
-        b = min(a + _WALK_BLOCK, len(lengths))
-        walk = cells[path_start[a]:path_start[b]]
-        walk[:] = _walk_block(p0[a:b], p1[a:b], cell0[a:b], cell1[a:b], grid)
+    for a, b, walk in _walk_blocks(grid, instance):
         # endpoint cells hold the line's own source or destination
         empty = pool_size[walk] == 0
+        holes = walk[empty]
         picks, ties = rng.relay_draws(
-            keys[a:b], lengths[a:b], count[walk[empty]],
+            keys[a:b], lengths[a:b], count[holes],
             np.add.reduceat(empty, path_start[a:b] - path_start[a]))
-        relay = walk.copy()
-        relay[empty] = candidates[first[walk[empty]] + ties]
-        np.remainder(picks, pool_size[relay], out=picks)
-        picks += grid.cell_start[relay]
+        walk[empty] = candidates[first[holes] + ties]     # now the relay cells
+        np.remainder(picks, pool_size[walk], out=picks)
+        picks += grid.cell_start[walk]
         slots = np.arange(path_start[a], path_start[b]) + np.repeat(
             node_start[a:b] - path_start[a:b], lengths[a:b])
         nodes[slots] = grid.node_order[picks]
-        cell_load += np.bincount(relay, minlength=grid.n_cells)
-        reroutes += int(empty.sum())
+        cell_load += np.bincount(walk, minlength=grid.n_cells)
+        reroutes += len(holes)
     nodes[node_start[:-1]] = src
     nodes[node_start[1:] - 1] = dst
-    return RelayPlan(cells, path_start, nodes, node_start, cell_load,
-                     np.bincount(nodes, minlength=instance.n_nodes), reroutes)
+    return RelayPlan(path_start, nodes, node_start, cell_load,
+                     np.bincount(nodes, minlength=instance.n_nodes), reroutes,
+                     grid, instance)
 
 
 def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
@@ -364,15 +384,22 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
 
     Every relay node shares its outbound budget
     (K3/4) * M^(-eps) * log2(1 + M^(1-alpha/2) * snr_s) equally among the
-    lines assigned to it; a line runs at the minimum share along its route
-    and the aggregate is the sum over lines.
+    lines assigned to it; a line runs at the minimum share along its route,
+    the budget over the peak load on it, and the aggregate is the sum over
+    lines.  The peak loads are gathered one block of lines at a time.
     """
     if epsilon <= 0 or K3 <= 0:
         raise ValueError("epsilon and K3 must be positive")
     relay_rate = (K3 / 4.0) * M ** (-epsilon) * math.log2(
         1.0 + M ** (1.0 - alpha / 2.0) * snr_s)
-    shares = relay_rate / plan.node_load[plan.nodes]
-    per_pair = np.minimum.reduceat(shares, plan.node_start[:-1])
+    peak = np.empty(len(plan.node_start) - 1, dtype=plan.node_load.dtype)
+    for a in range(0, len(peak), _WALK_BLOCK):
+        s = plan.node_start[a:a + _WALK_BLOCK + 1]
+        peak[a:a + len(s) - 1] = np.maximum.reduceat(
+            plan.node_load[plan.nodes[s[0]:s[-1]]], s[:-1] - s[0])
+    # Correctly rounded division by a positive load is monotone, so
+    # relay_rate / (a line's peak load) is its minimum share, bit for bit.
+    per_pair = relay_rate / peak
     aggregate = fsum(per_pair.tolist())
     return ThroughputEstimate(aggregate, aggregate / n, Scheme.HYBRID)
 

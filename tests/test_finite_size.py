@@ -1,16 +1,20 @@
 """Finite-size diagnostics next to the acceptance gates.
 
 These do not test the gates in ``test_acceptance.py``; they show how a
-gated quantity moves as the range of ``n`` grows: C6b's fit, and C11's
-crossing failure rate against its analytic bound.
+gated quantity moves as the range of ``n`` grows: C6b's fit, C8's relay
+load concentration, and C11's crossing failure rate against its analytic
+bound.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from netregime import crossing_probability, multihop_throughput
+from netregime import crossing_probability, generate_network, multihop_throughput, simulate_hybrid
+from netregime.harness import operating_point
 from netregime.percolation import analytic_failure_bound, decay_condition_holds
+from netregime.rng import derived_seed
 
 from helpers import fit_full_and_tail
 
@@ -31,6 +35,31 @@ def test_c6b_slope_falls_toward_the_exponent():
         [0.2959, 0.2687, 0.2535, 0.2506], abs=5e-5)
     assert all(slopes[k] > slopes[k + 1] > 0.25 for k in range(14, 40))
     assert abs(slopes[20] - 0.25) <= 0.02
+
+
+def test_c8_peak_load_ratio_grows_with_n():
+    # C8's hybrid rate at M = 1 is each line's relay budget over the peak
+    # node load on its path.  Over n = 2^9 ... 2^14 (C8's parameters and
+    # seed path, 4 instances each) the mean peak load along a line, over
+    # the mean load of the nodes that relay, read 3.65, 3.82, 4.17, 4.20,
+    # 4.53 and 4.67, about +0.30 per unit of ln n (4.89 at 2^15): the
+    # growth C8's failure message calls logarithmic, which keeps the
+    # simulated slope below multihop's.  Only the rise is asserted.
+    ratios = {}
+    for i, n in enumerate(2 ** k for k in range(9, 15)):
+        _, area = operating_point(n, 4.0, 0.0)
+        per_instance = []
+        for t in range(4):
+            inst = generate_network(n, area, derived_seed(800, i, t))
+            _, plan, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
+            load = plan.node_load
+            peak = np.maximum.reduceat(load[plan.nodes], plan.node_start[:-1])
+            per_instance.append(peak.mean() / load[load > 0].mean())
+        ratios[n] = math.fsum(per_instance) / len(per_instance)
+    slope = np.polyfit(np.log(list(ratios)), list(ratios.values()), 1)[0]
+    print("C8 peak/mean relay load: " + ", ".join(
+        f"n={n}: {r:.2f}" for n, r in ratios.items()) + f"; slope {slope:.3f} per ln n")
+    assert ratios[2 ** 14] > ratios[2 ** 9]
 
 
 @pytest.mark.parametrize("c", [0.25, 0.35])

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        generate_network, hc_throughput, hybrid_cell_size,
                        multihop_throughput, route_sd_lines, simulate_hybrid,
                        snr_long)
-from netregime import rng
-from netregime.harness import fit_exponent, operating_point
+from netregime import harness, rng
+from netregime.harness import ExperimentConfig, fit_exponent, operating_point
 from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
@@ -409,12 +410,24 @@ class TestRouting:
         def refuse(plan):
             raise AssertionError("a per-line view of the plan was read")
 
+        # cells and cell_paths walk the lines again: a sweep must not
+        monkeypatch.setattr(RelayPlan, "cells", property(refuse))
         monkeypatch.setattr(RelayPlan, "cell_paths", property(refuse))
         monkeypatch.setattr(RelayPlan, "assignments", property(refuse))
         got, plan, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
         assert got == want
-        with pytest.raises(AssertionError):
-            plan.assignments
+        for view in ("cells", "cell_paths", "assignments"):
+            with pytest.raises(AssertionError):
+                getattr(plan, view)
+        config = ExperimentConfig(kind="scheme", scheme="hybrid", alpha=4.0,
+                                  beta=0.04, n_list=[256])
+        snr_s, area = operating_point(256, 4.0, 0.04)
+        M = hybrid_cell_size(snr_s, 4.0, 256)
+        seed = rng.derived_seed(5, rng.EXPERIMENT, 0, 0)
+        est, got_M, _ = harness.run_scheme(config, 256, seed)
+        assert got_M == M == 1
+        assert est == simulate_hybrid(generate_network(256, area, seed), snr_s, 4.0,
+                                      M=M)[0]
 
     def test_tie_draws_match_scalar_draws(self):
         # Each line draws its relay picks and then all its tie-breaks in one
@@ -444,25 +457,31 @@ class TestRouting:
 
     def test_peak_memory_bounded(self):
         # At n = 4096, M = 1 routing walks 265,108 cells.  simulate_hybrid
-        # peaks at 34 bytes per walked cell (9.0-9.2 MB): the flat plan's
-        # cells and nodes, one intp each per cell, and one block's
-        # temporaries.  Walking and drawing all 4096 lines in one block
-        # instead of in blocks of 256 peaks at 165-167 bytes per cell
-        # (44.3-44.6 MB).
-        inst = generate_network(4096, 4096.0, seed=0)
+        # peaks at 25 bytes per walked cell (6.66 MB, 0.92 of the routing
+        # count): 8 for the intp relay nodes, and one block's walk
+        # temporaries (2.46-2.47 MB).  Walking all 4096 lines in one block
+        # instead of in blocks of 256 takes 38.5-38.7 MB for the walk alone.
+        n = 4096
+        inst = generate_network(n, float(n), seed=0)
         peak, (_, plan, _) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
-        assert peak < 64 * sum(map(len, plan.cell_paths))
+        assert peak < self.routing_count(plan, n)
 
     @staticmethod
     def routing_count(plan, n):
-        """The routing pre-flight's count: 64 bytes a walked cell, and a
-        line's key list and 13 words of line arrays."""
-        return 64 * int(plan.path_start[-1]) + (rng.KEY_LIST_BYTES + 104) * n
+        """The routing pre-flight's count: 8 bytes a walked cell, 72 bytes a
+        line of a walk block and a grid row or column, 6 words a grid
+        cell, 16 KiB, and a line's key list and 16 words of line arrays."""
+        grid = plan.grid
+        return (8 * int(plan.path_start[-1])
+                + 72 * min(256, n) * (grid.rows + grid.columns)
+                + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * n)
 
     @pytest.mark.parametrize("M", [1, 4096])
     def test_routing_peak_within_counted_bytes(self, M):
-        # At M = 1 the walked cells dominate (265,108 cells, peak 0.47 of the
-        # count); at M = n, two cells, the keys and line arrays (0.82)
+        # At M = 1 the walked cells and the walk block dominate (265,108
+        # cells, peak 0.89 of the count); at M = n, two cells, the keys and
+        # line arrays (0.89).  Over n = 64-16384, M in {1, 4, 16, n} and
+        # seeds 0-3 the peak read 0.68-0.93 of the count.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
         grid = build_cell_grid(inst, M)
@@ -552,6 +571,21 @@ class TestRelayDraws:
 
 
 class TestHybridThroughput:
+    @settings(max_examples=300)
+    @given(data=st.data(), loads=st.lists(st.integers(1, 2 ** 53), min_size=1, max_size=64),
+           rate=st.floats(5e-324, 1.7976931348623157e308))
+    def test_rate_over_peak_load_is_min_share(self, data, loads, rate):
+        # hybrid_throughput divides the budget once by each line's peak load
+        # instead of taking the least of its shares: correctly rounded
+        # division by a positive number is monotone in the divisor, so the
+        # two agree bit for bit, subnormal and huge rates included.
+        loads = np.array(loads, dtype=np.intp)
+        cuts = data.draw(st.sets(st.integers(0, len(loads) - 1)))
+        start = np.array(sorted(cuts | {0}))
+        got = rate / np.maximum.reduceat(loads, start)
+        want = np.minimum.reduceat(rate / loads, start)
+        assert got.tobytes() == want.tobytes()
+
     def test_unit_cell_hop_rate(self):
         # M = 1 reduces the per-hop budget to (K3/4) * log2(1 + snr)
         inst = generate_network(64, 64.0, seed=2)
