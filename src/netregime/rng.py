@@ -136,24 +136,23 @@ def philox_keys(seed: int, prefix, last) -> np.ndarray:
     return keys
 
 
-def rekey(bit_generator: np.random.Philox, key) -> None:
-    """Put ``bit_generator`` in the fresh state of a Philox with ``key``.
-
-    Counter, output buffer and the buffered 32-bit half are all reset, so
-    the draws that follow are those of a new ``Philox`` seeded to ``key``.
-    """
-    bit_generator.state = {"bit_generator": "Philox",
-                           "state": {"counter": (0, 0, 0, 0), "key": key},
-                           "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                           "has_uint32": 0, "uinteger": 0}
+def rekey(bit_generator: np.random.Philox, fresh: dict, key) -> None:
+    """Put ``bit_generator`` in the fresh state of a Philox with ``key``:
+    counter, output buffer and buffered 32-bit half reset.  Only the key of
+    ``fresh``, the state dict :func:`keyed_generators` reuses, is replaced."""
+    fresh["state"]["key"] = key
+    bit_generator.state = fresh
 
 
 def keyed_generators(keys):
     """Yield one Generator, re-keyed to each key in turn: it draws as the
     substream of that key's path until the next is taken."""
     gen = np.random.Generator(np.random.Philox(0))
+    # tuples, which numpy's setter reads faster than a state's own arrays
+    fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for key in keys:
-        rekey(gen.bit_generator, key)
+        rekey(gen.bit_generator, fresh, key)
         yield gen
 
 

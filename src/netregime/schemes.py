@@ -142,8 +142,8 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
 # Segments walked together, lines whose relay draws are decoded together,
 # and lines whose peak loads are gathered together.  A walk block's
 # temporaries grow as its size times rows + columns: at n = 4096, M = 1
-# the largest block's walk peaks at 2.47 MB with blocks of 256 and at
-# 38.7 MB with all 4096 lines in one block.
+# the largest block's walk peaks at 0.85 MB with blocks of 256 and at
+# 13.7 MB with all 4096 lines in one block.
 _WALK_BLOCK = 256
 
 
@@ -154,13 +154,11 @@ def _crossing_times(edge, start, delta, side: float, k: int):
     ``edge`` indexes the first boundary.  The cumsum adds the step to the
     running time one crossing after another, as ``t += dt`` would.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(delta != 0, (edge * side - start) / delta, np.inf)
-        dt = np.where(delta != 0, np.abs(side / delta), np.inf)
     times = np.empty((len(delta), k + 1))
-    times[:, 0] = t0
-    times[:, 1:] = dt[:, None]
-    return np.cumsum(times, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        times[:, 0] = np.where(delta != 0, (edge * side - start) / delta, np.inf)
+        times[:, 1:] = np.abs(side / delta)[:, None]           # inf where delta == 0
+    return np.cumsum(times, axis=1, out=times)
 
 
 def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
@@ -172,7 +170,12 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     next y crossing, and along y otherwise; a stable sort of the crossing
     times with the x crossings first is that same merge.  So an exact
     corner crossing steps to the horizontal neighbor first, and
-    consecutive cells always share an edge.
+    consecutive cells always share an edge.  The walk stops in its end
+    cell only if x crossing nx comes after y crossing ny - 1 and y crossing
+    ny no earlier than x crossing nx - 1, which is checked; then every
+    crossing past its first nx + ny sorts after all of those, so no sort
+    key is masked.  One cumsum of the sorted steps' flat id offsets, from
+    the start cell, gives the cells.
     """
     r0, c0 = np.divmod(cell0, grid.columns)
     r1, c1 = np.divmod(cell1, grid.columns)
@@ -187,22 +190,21 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     s = grid.cell_side
     tx = _crossing_times(c0 + (dx > 0), p0[:, 0], dx, s, int(nx.max()))
     ty = _crossing_times(r0 + (dy > 0), p0[:, 1], dy, s, int(ny.max()))
-    # The walk stops in its end cell only if its first nx x crossings and
-    # ny y crossings all come before the next crossing on either axis.
     line = np.arange(len(dx))
     tx_last = np.where(nx > 0, tx[line, nx - 1], -np.inf)
     ty_last = np.where(ny > 0, ty[line, ny - 1], -np.inf)
     if ((tx[line, nx] <= ty_last) | (ty[line, ny] < tx_last)).any():
         raise AssertionError("cell walk failed to reach the destination cell")
     kx, ky = tx.shape[1] - 1, ty.shape[1] - 1
-    keys = np.concatenate(
-        (np.where(np.arange(kx) < nx[:, None], tx[:, :kx], np.inf),
-         np.where(np.arange(ky) < ny[:, None], ty[:, :ky], np.inf)), axis=1)
+    keys = np.concatenate((tx[:, :kx], ty[:, :ky]), axis=1)
+    del tx, ty          # free each dense array once read: they set the peak
     is_y = np.argsort(keys, axis=1, kind="stable") >= kx
-    dc = np.where(is_y, 0, step_c[:, None]).cumsum(axis=1)
-    dr = np.where(is_y, step_r[:, None], 0).cumsum(axis=1)
-    walks = np.concatenate((cell0[:, None], cell0[:, None] + dr * grid.columns + dc),
-                           axis=1)
+    del keys
+    walks = np.empty((len(dx), kx + ky + 1), dtype=np.intp)
+    walks[:, 0] = cell0
+    np.multiply(is_y, (step_r * grid.columns - step_c)[:, None], out=walks[:, 1:])
+    walks[:, 1:] += step_c[:, None]
+    np.cumsum(walks, axis=1, out=walks)
     return walks[np.arange(walks.shape[1]) < (nx + ny + 1)[:, None]]
 
 
@@ -318,12 +320,12 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     line's path length follows from its end cells, so ``nodes`` is
     allocated first and filled by one pass over blocks of 256 lines, each
     walked into a temporary, drawn, mapped to nodes and added to the cell
-    loads in turn; no walk outlives its block.
-    A block builds its crossing times with a row-wise cumsum, which
-    rounds as the scalar walk's ``t += dt`` does, and merges them with a
-    stable sort in which x wins ties, as the scalar ``t_x <= t_y`` does.
-    The sorted nearest-occupied candidates are computed once per empty
-    cell per call, not once per hop.
+    loads in turn; no walk outlives its block.  A block's crossing times
+    come from a row-wise cumsum, which rounds as the scalar ``t += dt``
+    does, and merge in one stable sort, x first as in ``t_x <= t_y``; the
+    keys need no mask, as the reachability check puts a line's later
+    crossings after its own, and one cumsum of the sorted steps gives the
+    cells.  Empty cells' nearest-occupied candidates are found once a call.
     Line j draws on substream (seed, RELAY, j) the values that
     ``integers(0, 2**31, size=L)`` for its L path cells, and then one
     ``integers(0, k)`` per empty interior cell in hop order (k the cell's
@@ -339,12 +341,11 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     r1, c1 = np.divmod(grid.cell_of_node[dst], grid.columns)
     lengths = np.abs(r1 - r0) + np.abs(c1 - c0) + 1
     path_start = np.concatenate(([0], np.cumsum(lengths)))
-    # Routing holds 8 bytes a walked cell (``nodes``), one walk block's
-    # temporaries (72 bytes a line of the block and a row or column of the
-    # grid), 6 words a grid cell, 16 KiB and, a line, its key and 16 words
-    # of line arrays.
+    # Routing holds 8 bytes a walked cell (``nodes``), one walk block's temporaries
+    # (48 bytes a line of the block and a grid row or column), 6 words a grid
+    # cell, 16 KiB and, a line, its key and 16 words of line arrays.
     block = min(_WALK_BLOCK, len(lengths))
-    check_memory(8 * int(path_start[-1]) + 72 * block * (grid.rows + grid.columns)
+    check_memory(8 * int(path_start[-1]) + 48 * block * (grid.rows + grid.columns)
                  + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * len(lengths),
                  f"hybrid routing of {len(lengths)} lines over {path_start[-1]} cells")
     # a one-cell line is assigned [source, destination]
@@ -356,13 +357,13 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     first, count, candidates = _nearest_occupied(grid)
     keys = rng.philox_keys(seed, (rng.RELAY,), np.arange(len(lengths))).tolist()
     for a, b, walk in _walk_blocks(grid, instance):
-        # endpoint cells hold the line's own source or destination
-        empty = pool_size[walk] == 0
-        holes = walk[empty]
-        picks, ties = rng.relay_draws(
-            keys[a:b], lengths[a:b], count[holes],
-            np.add.reduceat(empty, path_start[a:b] - path_start[a]))
-        walk[empty] = candidates[first[holes] + ties]     # now the relay cells
+        # endpoint cells hold the line's own source or destination; integer
+        # indices into the walk read and write far faster than a bool mask
+        at = np.flatnonzero(pool_size[walk] == 0)
+        holes = walk[at]
+        picks, ties = rng.relay_draws(keys[a:b], lengths[a:b], count[holes], np.diff(
+            np.searchsorted(at, path_start[a:b + 1] - path_start[a])))
+        walk[at] = candidates[first[holes] + ties]        # now the relay cells
         np.remainder(picks, pool_size[walk], out=picks)
         picks += grid.cell_start[walk]
         slots = np.arange(path_start[a], path_start[b]) + np.repeat(

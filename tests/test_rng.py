@@ -60,20 +60,42 @@ class TestPhiloxKeys:
         assert 0.95 * rng.KEY_LIST_BYTES * count < peak <= rng.KEY_LIST_BYTES * count
 
 
+def assert_fresh_state(bit_generator, seed, *path):
+    """``bit_generator`` is in the state of ``substream(seed, *path)``'s."""
+    want = rng.substream(seed, *path).bit_generator.state
+    got = bit_generator.state
+    for field in ("buffer_pos", "has_uint32", "uinteger"):
+        assert got[field] == want[field]
+    for got_a, want_a in ((got["state"]["counter"], want["state"]["counter"]),
+                          (got["state"]["key"], want["state"]["key"]),
+                          (got["buffer"], want["buffer"])):
+        assert np.array_equal(got_a, want_a)
+
+
 class TestRekey:
+    # keyed_generators re-keys through one reused state dict; each re-key
+    # must still reset the counter and the buffered half
     def test_fresh_state(self):
+        keys = rng.philox_keys(9, (rng.RELAY,), np.arange(6)).tolist()
+        for j, gen in enumerate(rng.keyed_generators(keys)):
+            assert_fresh_state(gen.bit_generator, 9, rng.RELAY, j)
+            gen.integers(0, 2 ** 31, size=2 * j + 3)       # odd: a half is buffered
+            assert gen.bit_generator.state["has_uint32"] == 1
+
+    def test_one_dict_serves_every_key(self):
+        # rekey replaces only the key of the dict it is handed, which stays
+        # a fresh state; a Philox's own state dict works too, if slower
         bit_generator = np.random.Philox(0)
-        np.random.Generator(bit_generator).integers(0, 2 ** 31, size=3)
-        key = rng.philox_keys(9, (rng.RELAY,), [4]).tolist()[0]
-        rng.rekey(bit_generator, key)
-        want = rng.substream(9, rng.RELAY, 4).bit_generator.state
-        got = bit_generator.state
-        for field in ("buffer_pos", "has_uint32", "uinteger"):
-            assert got[field] == want[field]
-        for got_a, want_a in ((got["state"]["counter"], want["state"]["counter"]),
-                              (got["state"]["key"], want["state"]["key"]),
-                              (got["buffer"], want["buffer"])):
-            assert np.array_equal(got_a, want_a)
+        gen = np.random.Generator(bit_generator)
+        fresh = np.random.Philox(1).state
+        keys = rng.philox_keys(9, (rng.CROSSING,), np.arange(8)).tolist()
+        for j, key in enumerate(keys):
+            rng.rekey(bit_generator, fresh, key)
+            assert_fresh_state(bit_generator, 9, rng.CROSSING, j)
+            assert fresh["state"]["key"] is key and fresh["has_uint32"] == 0
+            want = rng.substream(9, rng.CROSSING, j).bit_generator.random_raw(j + 1)
+            assert np.array_equal(bit_generator.random_raw(j + 1), want)
+            gen.integers(0, 2 ** 31)
 
     @pytest.mark.parametrize("seed", [7, rng.derived_seed(2, rng.EXPERIMENT, 1, 3)])
     def test_draws_after_a_buffered_half(self, seed):
@@ -81,14 +103,15 @@ class TestRekey:
         # buffered.  Re-keying must drop it, or the next line's draws shift.
         lines = list(range(40))
         keys = rng.philox_keys(seed, (rng.RELAY,), lines).tolist()
-        bit_generator = np.random.Philox(0)
-        gen = np.random.Generator(bit_generator)
+        gens = rng.keyed_generators(keys)
+        gen = None
         bounds = np.array([2, 3, 5, 1, 4, 7, 2], dtype=np.int64)
         buffered = []
-        for j, key in zip(lines, keys):
+        for j in lines:
             k = 2 * j + 1
-            buffered.append(bit_generator.state["has_uint32"])
-            rng.rekey(bit_generator, key)
+            if gen is not None:
+                buffered.append(gen.bit_generator.state["has_uint32"])
+            gen = next(gens)
             got = gen.integers(0, 2 ** 31, size=k), gen.integers(0, bounds[:j % 8])
             ref = rng.substream(seed, rng.RELAY, j)
             want = ref.integers(0, 2 ** 31, size=k), ref.integers(0, bounds[:j % 8])

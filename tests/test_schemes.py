@@ -295,6 +295,57 @@ class TestSupercover:
         ]
         p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
         self.assert_matches_scalar(grid, p0, p1)
+
+    @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3)])
+    def test_block_of_one_cell_walks(self, n, M):
+        # every line stays in its start cell, so the block's crossing and
+        # step arrays have no column at all
+        grid = build_cell_grid(generate_network(n, float(n), seed=n), M)
+        gen = np.random.default_rng(n)
+        corner = gen.integers(0, (grid.columns, grid.rows), size=(300, 2))
+        p0 = (corner + gen.uniform(0.1, 0.9, size=(300, 2))) * grid.cell_side
+        p1 = (corner + gen.uniform(0.1, 0.9, size=(300, 2))) * grid.cell_side
+        p1[:3] = p0[:3]                        # and zero-length segments
+        assert (bin_points(grid, p0) == bin_points(grid, p1)).all()
+        self.assert_matches_scalar(grid, p0, p1)
+
+    @pytest.mark.parametrize("n,M", [(16, 1), (1000, 3)])
+    def test_unstepped_axis_beside_long_lines(self, n, M):
+        # A line that moves along an axis without crossing a cell edge on it
+        # (dx != 0 but no x step) has finite crossing times past its end
+        # cell.  Long lines in the same block give the sort keys columns
+        # for them, which must sort after the line's own crossings, even
+        # when the end point lies one ulp short of the next edge.
+        grid = build_cell_grid(generate_network(n, float(n), seed=n), M)
+        s = grid.cell_side
+        width, height = grid.columns * s, grid.rows * s
+        x_in, y_in = np.nextafter(width, 0.0), np.nextafter(height, 0.0)
+        edge = np.nextafter(s, 0.0)
+        segments = [
+            ((0.5 * s, 0.5 * s), (x_in, y_in)),          # long lines
+            ((x_in, 0.5 * s), (0.5 * s, y_in)),
+            ((0.1 * s, 0.5 * s), (edge, y_in)),         # no x step, edge short
+            ((edge, 0.5 * s), (0.1 * s, y_in)),
+            ((0.5 * s, 0.1 * s), (x_in, edge)),         # no y step, edge short
+            ((x_in, edge), (0.5 * s, 0.1 * s)),
+            ((0.2 * s, 0.2 * s), (edge, edge)),         # one cell, both short
+            ((2.5 * s, 0.5 * s), (2.5 * s + 1e-9 * s, y_in)),   # nearly vertical
+            ((0.5 * s, 2.5 * s), (x_in, 2.5 * s - 1e-9 * s)),   # nearly horizontal
+        ]
+        gen = np.random.default_rng(n + M)
+        col = gen.integers(0, grid.columns, size=200)
+        row = gen.integers(0, grid.rows, size=200)
+        for c, r in zip(col, row):                   # one axis stays put
+            (a, b) = gen.uniform(0.0, 1.0, size=2)
+            segments.append((((c + a) * s, 0.5 * s), ((c + b) * s, y_in)))
+            segments.append(((0.5 * s, (r + a) * s), (x_in, (r + b) * s)))
+        p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
+        c0, c1 = bin_points(grid, p0) % grid.columns, bin_points(grid, p1) % grid.columns
+        unstepped = (c0 == c1) & (p0[:, 0] != p1[:, 0])
+        assert unstepped.sum() > 100 and np.abs(c1 - c0).max() == grid.columns - 1
+        self.assert_matches_scalar(grid, p0, p1)
+
+
 class TestRouting:
     def test_endpoint_rule_and_conservation(self):
         inst = generate_network(128, 128.0, seed=11)
@@ -374,12 +425,14 @@ class TestRouting:
         assert est.aggregate_T == loop_hybrid_aggregate(assignments, node_load,
                                                         relay_rate)
 
-    @pytest.mark.parametrize("n", [16, 128, 1024, 4096])
-    @pytest.mark.parametrize("M", [1, 4, 16])
+    # M = n tiles the network with two cells, so most lines are one-cell
+    @pytest.mark.parametrize("M,n", [(M, n) for n in (16, 128, 1024, 4096)
+                                     for M in (1, 4, 16)]
+                             + [("n", n) for n in (16, 128, 1024)])
     def test_matches_per_line_loop(self, n, M):
         for seed in range(2 if n == 4096 else 3):
             self.assert_matches_loop(generate_network(n, float(n), seed=seed),
-                                     M, seed + 7)
+                                     n if M == "n" else M, seed + 7)
 
     @pytest.mark.parametrize("n", [128, 1024])
     @pytest.mark.parametrize("M", [1, 4])
@@ -457,10 +510,10 @@ class TestRouting:
 
     def test_peak_memory_bounded(self):
         # At n = 4096, M = 1 routing walks 265,108 cells.  simulate_hybrid
-        # peaks at 25 bytes per walked cell (6.66 MB, 0.92 of the routing
+        # peaks at 19 bytes per walked cell (5.08 MB, 0.83 of the routing
         # count): 8 for the intp relay nodes, and one block's walk
-        # temporaries (2.46-2.47 MB).  Walking all 4096 lines in one block
-        # instead of in blocks of 256 takes 38.5-38.7 MB for the walk alone.
+        # temporaries (0.85 MB).  Walking all 4096 lines in one block
+        # instead of in blocks of 256 takes 13.6-13.7 MB for the walk alone.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
         peak, (_, plan, _) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
@@ -468,20 +521,20 @@ class TestRouting:
 
     @staticmethod
     def routing_count(plan, n):
-        """The routing pre-flight's count: 8 bytes a walked cell, 72 bytes a
+        """The routing pre-flight's count: 8 bytes a walked cell, 48 bytes a
         line of a walk block and a grid row or column, 6 words a grid
         cell, 16 KiB, and a line's key list and 16 words of line arrays."""
         grid = plan.grid
         return (8 * int(plan.path_start[-1])
-                + 72 * min(256, n) * (grid.rows + grid.columns)
+                + 48 * min(256, n) * (grid.rows + grid.columns)
                 + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * n)
 
     @pytest.mark.parametrize("M", [1, 4096])
     def test_routing_peak_within_counted_bytes(self, M):
         # At M = 1 the walked cells and the walk block dominate (265,108
-        # cells, peak 0.89 of the count); at M = n, two cells, the keys and
+        # cells, peak 0.80 of the count); at M = n, two cells, the keys and
         # line arrays (0.89).  Over n = 64-16384, M in {1, 4, 16, n} and
-        # seeds 0-3 the peak read 0.68-0.93 of the count.
+        # seeds 0-3 the peak read 0.61-0.92 of the count.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
         grid = build_cell_grid(inst, M)
@@ -518,19 +571,16 @@ def _words_drawn(bit_generator):
 class TestRelayDraws:
     @staticmethod
     def numpy_draws(keys, n_picks, ks, n_ties):
-        """Per-line rekey and ``Generator.integers`` calls: (picks, ties,
+        """Per-line re-keyed ``Generator.integers`` calls: (picks, ties,
         lines whose tie-breaks rejected a word)."""
-        bit_generator = np.random.Philox(0)
-        gen = np.random.Generator(bit_generator)
         picks, ties, rejected, t = [], [], 0, 0
-        for key, size, count in zip(keys, n_picks, n_ties):
-            rng.rekey(bit_generator, key)
+        for gen, size, count in zip(rng.keyed_generators(keys), n_picks, n_ties):
             picks.extend(gen.integers(0, 2 ** 31, size=size).tolist())
             line_ks = ks[t:t + count]
             t += count
             if count:
                 ties.extend(gen.integers(0, line_ks).tolist())
-            rejected += _words_drawn(bit_generator) > size + int((line_ks > 1).sum())
+            rejected += _words_drawn(gen.bit_generator) > size + int((line_ks > 1).sum())
         return picks, ties, rejected
 
     def assert_matches_numpy(self, seed, n_picks, ks, n_ties):
