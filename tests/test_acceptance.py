@@ -5,6 +5,8 @@ summary lines.  Every tolerance is fixed here; nothing is calibrated at
 run time.  Criteria 5, 6b and 8 measure finite-size slope corrections that
 exceed their gates at desk scale; they are asserted at the stated
 tolerances anyway and fail honestly (see the assertion messages).
+Criteria 5-8 draw their values through ``criteria.py``, which the
+finite-size diagnostics share.
 """
 
 import itertools
@@ -18,9 +20,8 @@ import numpy as np
 
 from netregime import (ExperimentConfig, Constants, classify, dof_term_realized,
                        emit_phase_diagram, emit_sweep, generate_network,
-                       hybrid_cell_size, mc_cutset_logdet, multihop_throughput,
-                       partition_nodes, select_cut_width,
-                       simulate_hybrid, snr_total, build_cell_grid,
+                       mc_cutset_logdet, multihop_throughput, partition_nodes,
+                       select_cut_width, snr_total, build_cell_grid,
                        route_sd_lines, build_occupancy_grid, certified_cut,
                        has_open_crossing)
 from netregime import cutset as cutset_module
@@ -28,6 +29,7 @@ from netregime.harness import fit_exponent, operating_point
 from netregime.percolation import analytic_failure_bound, split_by_cut
 from netregime.rng import derived_seed
 
+import criteria
 from helpers import (brute_dhat, brute_snr_total, exists_closed_lr_crossing,
                      fit_full_and_tail, hybrid_analytic_per_pair, pin_cpus,
                      power_profile)
@@ -165,17 +167,8 @@ def test_c4_oracle_equivalence():
 
 def test_c5_dense_regime_slope():
     t0 = time.time()
-    table = []
-    for i, n in enumerate((16, 32, 64, 128, 256)):
-        snr, area = operating_point(n, 2.0, 1.0)
-        vals = []
-        for j in range(3):
-            inst = generate_network(n, area, derived_seed(500, i, j))
-            part = partition_nodes(inst, select_cut_width(snr, n, 2.0))
-            mc = mc_cutset_logdet(inst, part, snr, 2.0, trials=20,
-                                  phase_seed=derived_seed(501, i, j))
-            vals.append(mc.mean)
-        table.append((n, math.fsum(vals) / len(vals)))
+    table = [(n, math.fsum(vals) / len(vals))
+             for n, vals in criteria.dense_cutset((16, 32, 64, 128, 256), 3)]
     full, tail = fit_full_and_tail(table, 1.0)
     ok = 0.8 <= tail.slope <= 1.15
     report("C5 dense-regime slope", ok,
@@ -192,21 +185,15 @@ def test_c5_dense_regime_slope():
 # 6. Multihop closed-form slopes
 # --------------------------------------------------------------------------
 
-def _multihop_tail_slope(beta):
-    table = [(n, multihop_throughput(n, float(n) ** beta, K2=1.0).aggregate_T)
-             for n in (2 ** k for k in range(6, 15))]
-    return fit_full_and_tail(table)[1].slope
-
-
 def test_c6a_multihop_slope_positive_beta():
-    slope = _multihop_tail_slope(0.5)
+    slope = fit_full_and_tail(criteria.multihop_table(0.5, 14))[1].slope
     ok = abs(slope - 0.5) <= 0.02
     assert report("C6a multihop slope (beta=0.5)", ok,
                   f"tail slope {slope:.4f} vs 0.5 +/- 0.02")
 
 
 def test_c6b_multihop_slope_negative_beta():
-    slope = _multihop_tail_slope(-0.25)
+    slope = fit_full_and_tail(criteria.multihop_table(-0.25, 14))[1].slope
     ok = abs(slope - 0.25) <= 0.02
     report("C6b multihop slope (beta=-0.25)", ok,
            f"tail slope {slope:.4f} vs 0.25 +/- 0.02")
@@ -224,17 +211,9 @@ def test_c6b_multihop_slope_negative_beta():
 def test_c7_hybrid_regime_slope():
     t0 = time.time()
     epsilon = 0.05
-    sim, analytic = [], []
-    for i, n in enumerate(2 ** k for k in range(8, 14)):
-        snr, area = operating_point(n, 4.0, 0.5)
-        m = hybrid_cell_size(snr, 4.0, n)
-        vals = []
-        for t in range(20):
-            inst = generate_network(n, area, derived_seed(700, i, t))
-            est, _, _ = simulate_hybrid(inst, snr, 4.0, epsilon=epsilon, M=m)
-            vals.append(est.aggregate_T)
-        sim.append((n, math.fsum(vals) / len(vals)))
-        analytic.append((n, hybrid_analytic_per_pair(n, m, epsilon) * n))
+    points = criteria.hybrid("C7", [2 ** k for k in range(8, 14)], 20)
+    sim = [(n, math.fsum(vals) / len(vals)) for n, _, vals in points]
+    analytic = [(n, hybrid_analytic_per_pair(n, m, epsilon) * n) for n, m, _ in points]
     _, sim_tail = fit_full_and_tail(sim, 0.75)
     ana_fit = fit_exponent(analytic, 0.75)
     ok_sim = 0.60 <= sim_tail.slope <= 0.90
@@ -254,15 +233,7 @@ def test_c7_hybrid_regime_slope():
 def test_c8_hybrid_degenerate_check():
     t0 = time.time()
     ns = (512, 1024, 2048, 4096)
-    hyb = []
-    for i, n in enumerate(ns):
-        _, area = operating_point(n, 4.0, 0.0)
-        vals = []
-        for t in range(16):
-            inst = generate_network(n, area, derived_seed(800, i, t))
-            est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
-            vals.append(est.aggregate_T)
-        hyb.append((n, math.fsum(vals) / len(vals)))
+    hyb = [(n, math.fsum(vals) / len(vals)) for n, _, vals in criteria.hybrid("C8", ns, 16)]
     mh = [(n, multihop_throughput(n, 1.0).aggregate_T) for n in ns]
     diff = abs(fit_exponent(hyb).slope - fit_exponent(mh).slope)
     ok = diff < 0.05

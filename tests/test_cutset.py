@@ -1,5 +1,4 @@
 import math
-import os
 from collections import Counter
 
 import numpy as np
@@ -17,8 +16,8 @@ from netregime.network import ROW_BLOCK, ChannelMatrix, channel_matrix
 from netregime.harness import operating_point
 
 from helpers import (hand_instance, brute_b_set, brute_dhat, brute_snr_total,
-                     eigvalsh_logdet, power_profile, traced_peak,
-                     unblocked_dhat)
+                     eigvalsh_logdet, physical_memory_is, power_profile,
+                     traced_peak, unblocked_dhat)
 from test_golden import (CUTSET_CLI, CUTSET_CLI_CSV, CUTSET_SWEEP, CUTSET_SWEEP_CSV,
                          assert_close_csv, cli_csv, sweep_csv)
 
@@ -403,18 +402,13 @@ class TestPackedGramKernel:
         scratch = max(8 * (height + k) + 16 * np.getbufsize() + 4096,
                       rng.uniform_rows_bytes(height, inst.n_nodes, k))
         need = 8 * k * (k + 1) + 16 * rows * k + 2 * 8 * height * k + 8 * height + scratch
-        real = os.sysconf
-
-        def memory_is(total):
-            monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
-                                else total if name == "SC_PHYS_PAGES" else real(name))
-        memory_is(need - 1)
+        physical_memory_is(monkeypatch, need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2)
-        memory_is(need)
+        physical_memory_is(monkeypatch, need)
         assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
 
-    def test_chunked_trial_built_on_threads(self):
+    def test_chunked_trial_keeps_every_bit(self):
         # chunks of 256, 256, 256 and 221 receive rows, four row blocks each,
         # and the mean keeps every bit
         n, alpha = 1024, 4.0

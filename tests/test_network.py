@@ -273,12 +273,30 @@ def _cut_sets(n, alpha, beta, seed):
     return inst, np.sort(part.left_S), part.right_D
 
 
+def _split_sets(n, m, seed):
+    """Instance at alpha = 4, beta = 0.5, its snr_s, and a random split of its
+    2n nodes into m and 2n - m."""
+    snr_s, area = operating_point(n, 4.0, 0.5)
+    inst = generate_network(n, area, seed)
+    perm = np.random.default_rng(seed).permutation(inst.n_nodes)
+    return inst, snr_s, perm[:m], perm[m:]
+
+
 class TestBlockedChannel:
-    # n = 1500 spans several ROW_BLOCK blocks of receive rows
-    @pytest.mark.parametrize("n,alpha,beta", [(15, 2.0, 1.0), (256, 2.5, 0.0),
-                                              (256, 3.0, 0.5), (1500, 4.0, 0.5)])
-    def test_entries_match_unblocked_oracle(self, n, alpha, beta):
-        inst, tx, rx = _cut_sets(n, alpha, beta, seed=n)
+    # n = 1500 spans several ROW_BLOCK blocks of receive rows.  The random
+    # splits of 2n = 2048 nodes: 100 rows fit one block, 512 fill several
+    # exactly, and 1500 leave a short last block; each set is used on both
+    # sides, so the other side gives 1948, 1536 and 548 rows
+    @pytest.mark.parametrize("case", [(15, 2.0, 1.0), (256, 2.5, 0.0), (256, 3.0, 0.5),
+                                      (1500, 4.0, 0.5), ("split", 100), ("split", 512),
+                                      ("split", 1500)], ids=lambda case: "-".join(map(str, case)))
+    def test_entries_match_unblocked_oracle(self, case):
+        if case[0] == "split":
+            alpha = 4.0
+            inst, _, tx, rx = _split_sets(1024, case[1], seed=case[1])
+        else:
+            n, alpha, beta = case
+            inst, tx, rx = _cut_sets(n, alpha, beta, seed=n)
         assert rx.size > 0 and tx.size > 0
         for stx, srx in ((tx, rx), (rx, tx)):
             h = channel_matrix(inst, alpha, stx, srx, phase_seed=5)
@@ -319,29 +337,10 @@ class TestBlockedChannel:
         assert peak <= network.channel_bytes(rx.size, tx.size, inst.n_nodes)
 
 
-def _split_sets(n, m, seed):
-    """Instance at alpha = 4, beta = 0.5, its snr_s, and a random split of its
-    2n nodes into m and 2n - m."""
-    snr_s, area = operating_point(n, 4.0, 0.5)
-    inst = generate_network(n, area, seed)
-    perm = np.random.default_rng(seed).permutation(inst.n_nodes)
-    return inst, snr_s, perm[:m], perm[m:]
-
-
-class TestRowBlockWorkers:
-    # The row blocks against unblocked oracles: 100 rows fit one block, 512
-    # fill several exactly, and 1500 leave a short last block; each set is
-    # used on both sides, so the other side gives 1948, 1536 and 548 rows
+class TestRowBlocks:
+    # Row-blocked power sums and a degenerate last block, on TestBlockedChannel's splits
     @pytest.mark.parametrize("m", [100, 512, 1500])
-    def test_channel_bytes_independent_of_workers(self, m):
-        inst, _, a, b = _split_sets(1024, m, seed=m)
-        for tx, rx in ((a, b), (b, a)):
-            want = full_channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
-            h = channel_matrix(inst, 4.0, tx, rx, phase_seed=2)
-            assert h.entries.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m", [100, 512, 1500])
-    def test_power_sums_independent_of_workers(self, m):
+    def test_power_sums_match_unblocked_oracle(self, m):
         inst, snr_s, a, b = _split_sets(1024, m, seed=m)
         for sources, targets in ((a, b), (b, a)):
             want = unblocked_dhat(inst, 4.0, targets, sources)
@@ -353,7 +352,7 @@ class TestRowBlockWorkers:
             assert dof_term_realized(inst, part, snr_s, 4.0) == math.fsum(
                 math.log2(1.0 + inst.n_pairs * snr_s * float(w)) for w in want)
 
-    def test_error_in_last_block_raised_after_workers_stop(self):
+    def test_error_in_last_block_raised(self):
         # the last rx node sits on a tx node: block 10 of 10 is degenerate
         inst, snr_s, rx, tx = _split_sets(1024, 600, seed=5)
         positions = inst.positions.copy()

@@ -570,9 +570,7 @@ def recorded_grids(n, c, trials, seed):
 
 def assert_counted(monkeypatch, n, c, peak):
     """_open_grid counts more than ``peak`` bytes for the slab of (n, c)."""
-    real = os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
-                        else peak if name == "SC_PHYS_PAGES" else real(name))
+    physical_memory_is(monkeypatch, peak)
     with pytest.raises(ValueError, match="physical memory"):
         percolation._open_grid(n, float(n), c)
 
