@@ -251,6 +251,13 @@ def _chunk_bounds(n_rx: int) -> list:
     return list(range(0, n_rx, CHUNK_ROWS)) + [n_rx]
 
 
+def trial_bytes(n_rx: int, k: int, n_nodes: int) -> int:
+    """Bytes one Monte-Carlo trial holds for n_rx receivers and k
+    transmitters: the packed Gram, 8 k(k+1) bytes, and the chunk buffer with
+    the row-block buffers that fill it."""
+    return 8 * k * (k + 1) + channel_bytes(min(n_rx, CHUNK_ROWS), k, n_nodes)
+
+
 @dataclass(frozen=True)
 class MCLogdet:
     mean: float
@@ -285,12 +292,9 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
     rx = partition.right_D
     k = tx.size
     bounds = _chunk_bounds(rx.size)
-    rows = min(rx.size, CHUNK_ROWS)
-    # One trial holds the packed Gram, 8 k(k+1) bytes, and the chunk buffer
-    # with the row-block buffers that fill it.
-    check_memory(8 * k * (k + 1) + channel_bytes(rows, k, instance.n_nodes),
+    check_memory(trial_bytes(rx.size, k, instance.n_nodes),
                  f"a cutset trial with {k} transmitters")
-    buffer = _mapped_zeros((rows, k))
+    buffer = _mapped_zeros((min(rx.size, CHUNK_ROWS), k))
     values = []
     discarded = 0
     for t in range(trials):

@@ -117,6 +117,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not all(type(n) is int and n >= 1 for n in self.n_list):
             raise ConfigError(f"n_list entries must be integers >= 1, got {self.n_list!r}")
+        if self.out is not None and type(self.out) is not str:
+            raise ConfigError(f"out must be a file name or null, got {self.out!r}")
         if self.kind != "phase-diagram":
             if not self.n_list:
                 raise ConfigError("n_list must be non-empty")
@@ -398,6 +400,15 @@ def emit_sweep(config: ExperimentConfig, workers: int = 1) -> str:
     return config.out
 
 
+def phase_diagram_bytes(n_beta: int) -> int:
+    """Bytes :func:`emit_phase_diagram` peaks at for n_beta beta cells.  One
+    alpha value's points and grid line and the beta axis peak at up to 174
+    bytes a beta cell besides 160 KiB (5,000-30,000 beta cells, 25 alpha and
+    beta ranges); hashing the CSV for the manifest afterwards peaks at about
+    138 KiB."""
+    return 190 * n_beta + 163840
+
+
 def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
     """Write the classification CSV plus a regime-id grid for plotting.
 
@@ -411,11 +422,7 @@ def emit_phase_diagram(config: ExperimentConfig) -> tuple[str, str]:
     if not config.out:
         raise ConfigError("config.out must name an output file")
     n_alpha, n_beta = config.resolution
-    # One alpha value's points and grid line and the beta axis peak at up
-    # to 174 bytes a beta cell besides 160 KiB (5,000-30,000 beta cells, 25
-    # alpha and beta ranges); hashing the CSV for the manifest afterwards
-    # peaks at about 138 KiB.
-    check_memory(190 * n_beta + 163840,
+    check_memory(phase_diagram_bytes(n_beta),
                  f"a phase diagram of {n_alpha} x {n_beta} cells")
     rows = phase_diagram_rows(config.alpha_range, config.beta_range, config.resolution)
     regime_id = {regime: str(i) for i, regime in enumerate(Regime, start=1)}

@@ -128,6 +128,13 @@ def draw_positions(n_pairs: int, area_A: float, seed: int) -> np.ndarray:
     return positions
 
 
+def instance_bytes(n_pairs: int) -> int:
+    """Bytes :func:`generate_network` peaks at for n_pairs pairs: 102 a pair,
+    48 held (positions and role ids) and 54 of role permutation, masks and
+    the instance's role checks, with at most 4 KiB of small objects besides."""
+    return 102 * n_pairs + 4096
+
+
 def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
 
@@ -136,10 +143,7 @@ def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     that would not fit in physical memory raises ValueError before any
     position is drawn.
     """
-    # The draw peaks at 102 bytes a pair: 48 held (positions and role ids)
-    # and 54 of role permutation, masks and the instance's role checks, with
-    # at most 4 KiB of small objects besides.
-    check_memory(102 * n_pairs + 4096, f"an instance of {n_pairs} pairs")
+    check_memory(instance_bytes(n_pairs), f"an instance of {n_pairs} pairs")
     positions = draw_positions(n_pairs, area_A, seed)
     role_perm = rng.substream(seed, rng.ROLES).permutation(2 * n_pairs)
     is_source = np.zeros(2 * n_pairs, dtype=bool)

@@ -102,6 +102,18 @@ def build_occupancy_grid(instance: NetworkInstance, c: float) -> PercolationGrid
     return grid
 
 
+def slab_bytes(rows: int, cols: int, c: float, trials: int = 0) -> float:
+    """Bytes a run on a slab of rows x cols cells of side c holds, with the keys
+    of a study of ``trials`` crossing trials.  A slab run holds at most 24
+    bytes a cell: a crossing trial 7, certified_cut's BFS about 22.  Binning
+    nodes takes 64 bytes a node, about c^2 a cell, and a cut's path about 150
+    bytes a path cell, one or more a row (200 counted).  A batch of trials
+    adds _BATCH_CELLS cells of 6 bytes and their nodes, and a study holds its
+    trials' keys throughout."""
+    return (rows * (cols * (24 + 64 * c * c) + 200) + _BATCH_CELLS * (6 + 64 * c * c)
+            + trials * rng.KEY_LIST_BYTES)
+
+
 def _open_grid(n: int, area_A: float, c: float, trials: int = 0) -> PercolationGrid:
     """The slab grid of :func:`build_occupancy_grid` for n pairs on area A,
     with every cell open.  Raises ValueError, before it allocates, when a
@@ -119,15 +131,9 @@ def _open_grid(n: int, area_A: float, c: float, trials: int = 0) -> PercolationG
     x0 = side - cell / 2.0 - left_cols * cell
     if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
         raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
-    # A slab run holds at most 24 bytes a cell: a crossing trial 7, certified_cut's
-    # BFS about 22.  Binning nodes takes 64 bytes a node, about c^2 a cell, and a
-    # cut's path about 150 bytes a path cell, one or more a row (200 counted).  A
-    # batch of trials adds _BATCH_CELLS cells of 6 bytes and their nodes, and a
-    # study holds its trials' keys throughout.
-    need = (rows * (cols * (24 + 64 * c * c) + 200) + _BATCH_CELLS * (6 + 64 * c * c)
-            + trials * rng.KEY_LIST_BYTES)
     what = f"a slab of {rows} x {cols} cells"
-    check_memory(need, f"a study of {trials} crossing trials on {what}" if trials else what)
+    check_memory(slab_bytes(rows, cols, c, trials),
+                 f"a study of {trials} crossing trials on {what}" if trials else what)
 
     return PercolationGrid(c, cell, cols, rows, x0, np.zeros((rows, cols), dtype=bool))
 

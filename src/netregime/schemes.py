@@ -302,6 +302,17 @@ class RelayPlan:
         return int(self.cell_load.max())
 
 
+def routing_bytes(lines: int, walked: int, rows: int, columns: int) -> int:
+    """Bytes :func:`route_sd_lines` holds for ``lines`` lines over ``walked``
+    cells of a rows x columns grid: 8 a walked cell (``nodes``), one walk
+    block's temporaries (48 bytes a line of the block and a grid row or
+    column), 6 words a grid cell, 16 KiB and, a line, its key and 16 words of
+    line arrays."""
+    block = min(_WALK_BLOCK, lines)
+    return (8 * walked + 48 * block * (rows + columns) + 48 * rows * columns + 16384
+            + (rng.KEY_LIST_BYTES + 128) * lines)
+
+
 def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
                    seed: int) -> RelayPlan:
     """Route every pair along its straight line and pick one relay per cell.
@@ -341,12 +352,7 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     r1, c1 = np.divmod(grid.cell_of_node[dst], grid.columns)
     lengths = np.abs(r1 - r0) + np.abs(c1 - c0) + 1
     path_start = np.concatenate(([0], np.cumsum(lengths)))
-    # Routing holds 8 bytes a walked cell (``nodes``), one walk block's temporaries
-    # (48 bytes a line of the block and a grid row or column), 6 words a grid
-    # cell, 16 KiB and, a line, its key and 16 words of line arrays.
-    block = min(_WALK_BLOCK, len(lengths))
-    check_memory(8 * int(path_start[-1]) + 48 * block * (grid.rows + grid.columns)
-                 + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * len(lengths),
+    check_memory(routing_bytes(len(lengths), int(path_start[-1]), grid.rows, grid.columns),
                  f"hybrid routing of {len(lengths)} lines over {path_start[-1]} cells")
     # a one-cell line is assigned [source, destination]
     node_start = path_start + np.concatenate(([0], np.cumsum(lengths == 1)))

@@ -11,7 +11,7 @@ import pytest
 
 import netregime
 from netregime import (ChannelMatrix, DegenerateInstanceError,
-                       PathologicalCutError, cli, cutset, harness, rng)
+                       PathologicalCutError, cli, cutset, harness, network, rng)
 from netregime.cli import main
 
 from helpers import instance_from_json, physical_memory_is
@@ -71,10 +71,9 @@ def test_invalid_point_exits_2(argv, tmp_path):
 
 @pytest.mark.parametrize("command", ["gen", "hybrid", "cutset"])
 def test_instance_beyond_memory_exits_2(command, monkeypatch, capsys, tmp_path):
-    # an instance of 1000 pairs counts 102 bytes a pair and 4 KiB; each
-    # command once ran out of memory in the draw and exited 1
+    # each command once ran out of memory in the draw and exited 1
     out = tmp_path / "out"
-    physical_memory_is(monkeypatch, 102 * 1000 + 4095)
+    physical_memory_is(monkeypatch, network.instance_bytes(1000) - 1)
     assert run([command, "--n", "1000", "--out", str(out)]) == 2
     assert "an instance of 1000 pairs" in capsys.readouterr().err
     assert not out.exists()
@@ -286,8 +285,7 @@ class TestScheme:
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "-0.5"]) == 2
 
     def test_routing_beyond_memory_exits_2(self, monkeypatch, capsys):
-        # routing 64 lines counts at least 64 x 272 bytes, their instance
-        # 64 x 102 bytes and 4 KiB
+        # 16 KiB holds the instance of 64 pairs but not its routing
         physical_memory_is(monkeypatch, 16384)
         assert run(["hybrid", "--n", "64", "--alpha", "4", "--beta", "0.5"]) == 2
         assert "hybrid routing of 64 lines" in capsys.readouterr().err
@@ -304,6 +302,15 @@ class TestPercolation:
         doc = json.loads(cut.read_text())
         assert doc["clearance"] >= 0.5 * doc["cell_side"]
         assert all(len(cell) == 2 for cell in doc["path"])
+
+    def test_export_without_a_crossing_exits_3(self, tmp_path, capsys):
+        # the export instance of seed 8 at n = 64 has no crossing at c = 0.52
+        cut = tmp_path / "cut.json"
+        assert run(["percolation", "--n", "64", "--c", "0.52", "--trials", "2",
+                    "--seed", "8", "--out", str(tmp_path / "perc.csv"),
+                    "--export-cut", str(cut)]) == 3
+        assert "no open crossing in the export instance" in capsys.readouterr().err
+        assert not cut.exists()
 
     def test_study_is_a_sweep_point_0(self, tmp_path):
         out = tmp_path / "perc.csv"
@@ -413,7 +420,7 @@ class TestPhaseDiagram:
 
     def test_grid_beyond_memory_exits_2(self, tmp_path, memory_at_most_8gib,
                                         monkeypatch, capsys):
-        # 10^10 beta cells at 190 bytes each; no cell is classified
+        # 10^10 beta cells, about 1.7 TiB; no cell is classified
         monkeypatch.setattr(harness, "phase_diagram_rows",
                             lambda *a: pytest.fail("classified a cell"))
         out = tmp_path / "pd.csv"
@@ -529,6 +536,18 @@ class TestSweep:
         cfg.write_text(json.dumps(dict(field, out=str(out))))
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", [1, True, 7, ["a"]], ids=repr)
+    def test_non_string_out_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # an int or true once wrote the CSV through that file descriptor and
+        # closed it, and a list raised a TypeError
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "scheme", "scheme": "multihop",
+                                   "n_list": [16, 64], "out": out}))
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_overflowing_snr_in_sweep_config_exits_2(self, tmp_path, capsys):
         # 16^200 is finite and 64^200 overflows, which once made a failed unit

@@ -212,6 +212,10 @@ class TestClosedForm:
         assert got == pytest.approx(16 ** 0.75 * math.log(16) ** 2, rel=1e-12)
         assert got == pytest.approx(61.497985, rel=1e-6)
 
+    def test_alpha_two_cubic_log(self):
+        got = closed_form_snr_total_bound(3.0, 64, 2.0, w_hat=2.0, K1=2.0)
+        assert got == pytest.approx(2.0 * 3.0 * 64 * math.log(64) ** 3, rel=1e-12)
+
     def test_alpha_three_cubic_log(self):
         got = closed_form_snr_total_bound(1.0, 64, 3.0, w_hat=2.0, K1=2.0)
         assert got == pytest.approx(2.0 * 8.0 * math.log(64) ** 3, rel=1e-12)
@@ -396,12 +400,7 @@ class TestPackedGramKernel:
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=1)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-        k, m = part.left_S.size, part.right_D.size
-        rows = max(np.diff(cutset._chunk_bounds(m)))
-        height = min(rows, ROW_BLOCK)
-        scratch = max(8 * (height + k) + 16 * np.getbufsize() + 4096,
-                      rng.uniform_rows_bytes(height, inst.n_nodes, k))
-        need = 8 * k * (k + 1) + 16 * rows * k + 2 * 8 * height * k + 8 * height + scratch
+        need = cutset.trial_bytes(part.right_D.size, part.left_S.size, inst.n_nodes)
         physical_memory_is(monkeypatch, need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2)
@@ -530,6 +529,16 @@ class TestEvaluateCutset:
         report = evaluate_cutset(inst, snr, 4.0, trials=2, phase_seed=3,
                                  mode="percolation", c=0.25)
         assert report.mc_logdet <= report.dof_term + report.power_term + 1e-9
+
+    def test_percolation_mode_on_a_blocked_slab(self, monkeypatch):
+        # the slab of seed 0 at n = 64 is blocked at c = 0.52; no phase is drawn
+        n = 64
+        snr, _ = operating_point(n, 4.0, 0.0)
+        inst = generate_network(n, float(n), seed=0)
+        monkeypatch.setattr(cutset, "channel_matrix",
+                            lambda *a, **kw: pytest.fail("phases drawn"))
+        with pytest.raises(PathologicalCutError, match="no node-free crossing in the slab"):
+            evaluate_cutset(inst, snr, 4.0, trials=1, mode="percolation", c=0.52)
 
     @pytest.mark.parametrize("snr,alpha", [(2.0, 1.5), (2.0, math.nan), (2.0, math.inf),
                                            (0.0, 3.0), (-1.0, 3.0), (math.nan, 3.0),

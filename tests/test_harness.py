@@ -366,18 +366,18 @@ class TestEmission:
         assert ids <= {1, 2, 3, 4} and len(ids) == 4
 
     def test_phase_diagram_beyond_memory_refused(self, tmp_path, monkeypatch):
-        # 190 bytes a beta cell and 160 KiB besides, whatever the alpha
-        # cells, counted before any cell is classified
+        # the beta cells alone are counted, whatever the alpha cells, before
+        # any cell is classified
         calls, real = [], harness.phase_diagram_rows
         monkeypatch.setattr(harness, "phase_diagram_rows",
                             lambda *a: calls.append(a) or real(*a))
         config = ExperimentConfig(kind="phase-diagram", resolution=(40, 30),
                                   out=str(tmp_path / "pd.csv"))
-        physical_memory_is(monkeypatch, 190 * 30 + 163839)
+        physical_memory_is(monkeypatch, harness.phase_diagram_bytes(30) - 1)
         with pytest.raises(ValueError, match="phase diagram of 40 x 30 cells"):
             emit_phase_diagram(config)
         assert calls == [] and not (tmp_path / "pd.csv").exists()
-        physical_memory_is(monkeypatch, 190 * 30 + 163840)
+        physical_memory_is(monkeypatch, harness.phase_diagram_bytes(30))
         emit_phase_diagram(config)
         assert len(calls) == 1 and (tmp_path / "pd.csv").exists()
 
@@ -389,7 +389,7 @@ class TestEmission:
                                       out=str(tmp_path / "pd.csv"))
             emit_phase_diagram(config)      # first-use allocations
             peak, _ = traced_peak(emit_phase_diagram, config)
-            assert peak <= 190 * n_beta + 163840, n_beta
+            assert peak <= harness.phase_diagram_bytes(n_beta), n_beta
 
     def test_phase_diagram_peak_flat_in_alpha_cells(self, tmp_path):
         # The files are written one alpha value at a time: 12 alpha values
@@ -548,6 +548,28 @@ class TestOutputFormats:
             "row_block_bytes": {},
             "_dhat": {},
         }
+
+    def test_every_preflight_reads_a_count_function(self):
+        # each stage passes check_memory a call to its own *_bytes function,
+        # which its tests and README read too, never arithmetic of its own
+        modules = sorted(Path(harness.__file__).parent.glob("*.py"))
+        counts = set()
+        for path in modules:
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    func = getattr(node, "func", None)
+                    if getattr(func, "id", getattr(func, "attr", None)) == "check_memory":
+                        count = node.args[0]
+                        counts.add((top.name, ast.unparse(count.func)
+                                    if isinstance(count, ast.Call) else None))
+        assert counts == {("generate_network", "instance_bytes"),
+                          ("mc_cutset_logdet", "trial_bytes"),
+                          ("route_sd_lines", "routing_bytes"),
+                          ("_open_grid", "slab_bytes"),
+                          ("emit_phase_diagram", "phase_diagram_bytes")}
+        # no other function names check_memory, so none calls it another way
+        named = set().union(*(naming_functions(path, "check_memory") for path in modules))
+        assert named - {None, "check_memory"} == {caller for caller, _ in counts}
 
     def test_one_owner_of_the_streams(self):
         # only rng.py builds a bit generator, reads or sets its state, jumps

@@ -74,22 +74,21 @@ class TestGenerate:
             network.draw_positions(4, area, 0)
 
     def test_peak_within_counted_bytes(self):
-        # the pre-flight counts 102 bytes a pair and 4 KiB; at n = 10^5 the
-        # draw peaks at 102 bytes a pair and 1.4 KiB
+        # at n = 10^5 the draw peaks at 102 bytes a pair and 1.4 KiB
         n = 10 ** 5
         generate_network(1, 1.0, seed=0)                  # first-use allocations
         peak, _ = traced_peak(generate_network, n, float(n), seed=1)
-        assert peak <= 102 * n + 4096
+        assert peak <= network.instance_bytes(n)
 
     def test_beyond_memory_refused_before_any_draw(self, monkeypatch):
         n = 1000
-        physical_memory_is(monkeypatch, 102 * n + 4096)
+        physical_memory_is(monkeypatch, network.instance_bytes(n))
         generate_network(n, float(n), seed=0)
 
         def refuse(*args):
             raise AssertionError("a stream opened before the memory pre-flight")
         monkeypatch.setattr(network.rng, "substream", refuse)
-        physical_memory_is(monkeypatch, 102 * n + 4095)
+        physical_memory_is(monkeypatch, network.instance_bytes(n) - 1)
         with pytest.raises(ValueError, match="1000 pairs.*physical memory"):
             generate_network(n, float(n), seed=0)
 

@@ -10,11 +10,11 @@ from scipy.sparse.csgraph import shortest_path
 
 from netregime import (build_occupancy_grid, certified_cut, crossing_probability,
                        extract_cut, find_open_crossing, generate_network,
-                       has_open_crossing, percolation, rng)
-from netregime.percolation import (PercolationGrid, _crossings, _distance_to_bottom,
-                                   _distance_to_polyline, analytic_failure_bound,
-                                   decay_condition_holds, exact_clearance,
-                                   split_by_cut)
+                       has_open_crossing, percolation)
+from netregime.percolation import (ClearanceCertificationError, PercolationGrid, _crossings,
+                                   _distance_to_bottom, _distance_to_polyline,
+                                   analytic_failure_bound, decay_condition_holds,
+                                   exact_clearance, split_by_cut)
 from netregime.harness import cut_json
 
 from helpers import (hand_instance, bfs_open_top_bottom, bfs_closed_left_right,
@@ -389,6 +389,16 @@ class TestExtractCut:
         brute = brute_polyline_clearance(inst2.positions, cut.vertices)
         assert d == pytest.approx(brute, abs=1e-12)
 
+    def test_node_on_the_centerline_fails_certification(self):
+        # the empty slab's straight crossing, certified against an instance
+        # with one more node on its centerline
+        inst = nodes_left_of_slab(32, 32.0, 0.5, seed=4)
+        cut = find_open_crossing(build_occupancy_grid(inst, 0.5))
+        middle = cut.vertices[len(cut.vertices) // 2]
+        on_line = hand_instance(np.vstack([inst.positions, middle, [0.3, 0.2]]), 32.0)
+        with pytest.raises(ClearanceCertificationError, match="below required"):
+            extract_cut(cut, on_line)
+
     def test_certified_cut_chains_grid_crossing_and_certificate(self):
         for seed in range(4):
             inst = generate_network(64, 64.0, seed=seed)
@@ -652,8 +662,7 @@ class TestSlabDraw:
         # short of it, no key is made.
         n, c, trials = 64, 0.25, 1000
         rows, cols = percolation._open_grid(n, float(n), c).closed.shape
-        need = (rows * (cols * (24 + 64 * c * c) + 200)
-                + percolation._BATCH_CELLS * (6 + 64 * c * c) + trials * rng.KEY_LIST_BYTES)
+        need = percolation.slab_bytes(rows, cols, c, trials)
         made = recording_keys(monkeypatch)
         physical_memory_is(monkeypatch, math.ceil(need) - 1)
         with pytest.raises(ValueError, match="1000 crossing trials.*physical memory"):

@@ -10,7 +10,7 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        snr_long)
 from netregime import harness, rng
 from netregime.harness import ExperimentConfig, fit_exponent, operating_point
-from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput
+from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput, routing_bytes
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, physical_memory_is,
@@ -521,13 +521,8 @@ class TestRouting:
 
     @staticmethod
     def routing_count(plan, n):
-        """The routing pre-flight's count: 8 bytes a walked cell, 48 bytes a
-        line of a walk block and a grid row or column, 6 words a grid
-        cell, 16 KiB, and a line's key list and 16 words of line arrays."""
-        grid = plan.grid
-        return (8 * int(plan.path_start[-1])
-                + 48 * min(256, n) * (grid.rows + grid.columns)
-                + 48 * grid.n_cells + 16384 + (rng.KEY_LIST_BYTES + 128) * n)
+        """The routing pre-flight's count for the plan's n lines."""
+        return routing_bytes(n, int(plan.path_start[-1]), plan.grid.rows, plan.grid.columns)
 
     @pytest.mark.parametrize("M", [1, 4096])
     def test_routing_peak_within_counted_bytes(self, M):
