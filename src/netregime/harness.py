@@ -286,12 +286,12 @@ def fit_exponent(table, theory_exponent: float = math.nan) -> FitResult:
         raise ValueError("n values must be >= 1")
     if any(m <= 0 or not math.isfinite(m) for _, m in pts):
         raise ValueError("metrics must be positive and finite")
+    if len({n for n, _ in pts}) == 1:
+        raise ValueError("n values must not be all equal")
     x = np.log([n for n, _ in pts])
     y = np.log([m for _, m in pts])
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0.0:
-        raise ValueError("n values must not be all equal")
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
     intercept = float(ybar - slope * xbar)
     resid = y - (intercept + slope * x)

@@ -142,8 +142,8 @@ def build_cell_grid(instance: NetworkInstance, M: int) -> CellGrid:
 # Segments walked together, lines whose relay draws are decoded together,
 # and lines whose peak loads are gathered together.  A walk block's
 # temporaries grow as its size times rows + columns: at n = 4096, M = 1
-# the largest block's walk peaks at 0.85 MB with blocks of 256 and at
-# 13.7 MB with all 4096 lines in one block.
+# the largest block's walk peaks at 0.67-0.69 MB with blocks of 256 and
+# at 10.5 MB with all 4096 lines in one block.
 _WALK_BLOCK = 256
 
 
@@ -155,7 +155,7 @@ def _crossing_times(edge, start, delta, side: float, k: int):
     running time one crossing after another, as ``t += dt`` would.
     """
     times = np.empty((len(delta), k + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         times[:, 0] = np.where(delta != 0, (edge * side - start) / delta, np.inf)
         times[:, 1:] = np.abs(side / delta)[:, None]           # inf where delta == 0
     return np.cumsum(times, axis=1, out=times)
@@ -167,15 +167,14 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     |row1 - row0| + |col1 - col0| + 1 cells.
 
     A walk steps along x while the next x crossing comes no later than the
-    next y crossing, and along y otherwise; a stable sort of the crossing
-    times with the x crossings first is that same merge.  So an exact
-    corner crossing steps to the horizontal neighbor first, and
-    consecutive cells always share an edge.  The walk stops in its end
-    cell only if x crossing nx comes after y crossing ny - 1 and y crossing
-    ny no earlier than x crossing nx - 1, which is checked; then every
-    crossing past its first nx + ny sorts after all of those, so no sort
-    key is masked.  One cumsum of the sorted steps' flat id offsets, from
-    the start cell, gives the cells.
+    next y crossing, and along y otherwise, so an exact corner crossing
+    steps to the horizontal neighbor first.  The walk stops in its end cell
+    only if x crossing nx comes after y crossing ny - 1 and y crossing ny
+    no earlier than x crossing nx - 1, which is checked; then y step m is
+    step m + 1 + the count of x crossings no later than y crossing m, which
+    is estimated from their spacing and corrected along the nondecreasing x
+    times.  One cumsum of the steps' flat id offsets, each walk's first one
+    from the previous walk's end cell to its own start, gives the cells.
     """
     r0, c0 = np.divmod(cell0, grid.columns)
     r1, c1 = np.divmod(cell1, grid.columns)
@@ -195,17 +194,28 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     ty_last = np.where(ny > 0, ty[line, ny - 1], -np.inf)
     if ((tx[line, nx] <= ty_last) | (ty[line, ny] < tx_last)).any():
         raise AssertionError("cell walk failed to reach the destination cell")
-    kx, ky = tx.shape[1] - 1, ty.shape[1] - 1
-    keys = np.concatenate((tx[:, :kx], ty[:, :ky]), axis=1)
-    del tx, ty          # free each dense array once read: they set the peak
-    is_y = np.argsort(keys, axis=1, kind="stable") >= kx
-    del keys
-    walks = np.empty((len(dx), kx + ky + 1), dtype=np.intp)
-    walks[:, 0] = cell0
-    np.multiply(is_y, (step_r * grid.columns - step_c)[:, None], out=walks[:, 1:])
-    walks[:, 1:] += step_c[:, None]
-    np.cumsum(walks, axis=1, out=walks)
-    return walks[np.arange(walks.shape[1]) < (nx + ny + 1)[:, None]]
+    length = nx + ny + 1
+    start = np.cumsum(length) - length          # where each walk starts
+    first = np.cumsum(ny) - ny                  # each line's first y step, in y
+    y = np.repeat(line, ny)                     # the line of each y step
+    k = np.arange(len(y))
+    t = ty.ravel()[k + (line * ty.shape[1] - first)[y]]
+    del ty
+    at = y * tx.shape[1]                        # into the raveled x times
+    tx = tx.ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # nan where dx == 0
+        count = np.floor((t - tx[at]) / np.abs(s / dx)[y]) + 1
+    nx_y = nx[y]
+    count = np.fmax(np.fmin(count, nx_y), 0).astype(np.intp)
+    while (up := (count < nx_y) & (tx[at + count] <= t)).any():
+        count += up
+    while (down := (count > 0) & (tx[at + count - 1] > t)).any():
+        count -= down
+    del tx, t, at, nx_y     # free each array once read: they set the peak
+    walks = np.repeat(step_c, length)
+    walks[start] = cell0 - np.concatenate(([0], cell1[:-1]))
+    walks[k + (start + 1 - first)[y] + count] = (step_r * grid.columns)[y]
+    return np.cumsum(walks, out=walks)
 
 
 def _nearest_occupied(grid: CellGrid):
@@ -333,10 +343,10 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
     walked into a temporary, drawn, mapped to nodes and added to the cell
     loads in turn; no walk outlives its block.  A block's crossing times
     come from a row-wise cumsum, which rounds as the scalar ``t += dt``
-    does, and merge in one stable sort, x first as in ``t_x <= t_y``; the
-    keys need no mask, as the reachability check puts a line's later
-    crossings after its own, and one cumsum of the sorted steps gives the
-    cells.  Empty cells' nearest-occupied candidates are found once a call.
+    does, and merge by counting, x first as in ``t_x <= t_y``: each y step
+    goes after the line's x crossings no later than it, and one cumsum of
+    the block's steps gives the cells.  Empty cells' nearest-occupied
+    candidates are found once a call.
     Line j draws on substream (seed, RELAY, j) the values that
     ``integers(0, 2**31, size=L)`` for its L path cells, and then one
     ``integers(0, k)`` per empty interior cell in hop order (k the cell's

@@ -459,6 +459,16 @@ class TestFit:
         captured = capsys.readouterr()
         assert captured.out == "" and "n values must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("n", ["6", "10"])
+    def test_all_equal_n_exits_2(self, tmp_path, capsys, n):
+        # the mean of three equal logs of 6 rounds off them, which once fitted
+        # a slope of -1/3 and exited 0
+        csv = tmp_path / "data.csv"
+        csv.write_text(f"n,metric,stderr\n{n},1,0\n{n},2,0\n{n},3,0\n")
+        assert run(["fit", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n values must not be all equal" in captured.err
+
     def test_short_row_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "short.csv"
         csv.write_text("n,metric,stderr\n10,1,0\n32\n100,10,0\n")
@@ -480,6 +490,16 @@ class TestSweep:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"kind": "scheme", "n_list": [8, 4], "out": "x.csv"}')
         assert run(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text,error", [('{"kind": "scheme", ', "not valid JSON"),
+                                            ('[{"kind": "scheme"}]', "a JSON object")])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("field", [{"kind": "cutset", "mode": "ideal"},
                                        {"kind": "scheme", "scheme": "multi"}])

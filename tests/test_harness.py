@@ -61,6 +61,12 @@ class TestFit:
             with pytest.raises(ValueError, match="n values"):
                 fit_exponent([(n, 1.0), (20, 2.0), (40, 3.0)])
 
+    @pytest.mark.parametrize("n", [6, 10, 17])
+    def test_all_equal_n_rejected(self, n):
+        # at n = 6 and 17 the mean of the three logs rounds off them
+        with pytest.raises(ValueError, match="all equal"):
+            fit_exponent([(n, 1.0), (n, 2.0), (n, 3.0)])
+
     def test_tail_selection(self):
         short = [(n, 1.0) for n in (1, 2, 3, 4, 5)]
         assert tail_points(short) == short
@@ -325,6 +331,13 @@ class TestEmission:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert manifest["content_sha256"] == digest
         assert manifest["config"]["kind"] == "scheme"
+
+    def test_sweep_without_out_is_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = ExperimentConfig(kind="scheme", scheme="multihop", n_list=[16, 64])
+        with pytest.raises(ConfigError, match="config.out"):
+            emit_sweep(config)
+        assert list(tmp_path.iterdir()) == []
 
     def test_reemission_byte_identical(self, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        snr_long)
 from netregime import harness, rng
 from netregime.harness import ExperimentConfig, fit_exponent, operating_point
-from netregime.schemes import RelayPlan, _walk_block, hybrid_throughput, routing_bytes
+from netregime.schemes import (RelayPlan, _crossing_times, _walk_block, hybrid_throughput,
+                               routing_bytes)
 
 from helpers import (flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, physical_memory_is,
@@ -42,6 +44,22 @@ def bin_points(grid, points):
     return row * grid.columns + col
 
 
+@functools.cache
+def seeded_grid(n, M):
+    """The cell grid of ``generate_network(n, n, seed=n)`` at M, built once."""
+    return build_cell_grid(generate_network(n, float(n), seed=n), M)
+
+
+def edge_coordinates(cells, side):
+    """Coordinates on the cell edges of an axis of ``cells`` cells, or one ulp
+    to either side of them, inside [0, cells * side)."""
+    def place(edge_and_ulp):
+        edge, ulp = edge_and_ulp
+        x = np.nextafter(edge * side, ulp * np.inf) if ulp else edge * side
+        return float(min(max(x, 0.0), np.nextafter(cells * side, 0.0)))
+    return st.tuples(st.integers(0, cells), st.sampled_from([-1, 0, 1])).map(place)
+
+
 class TestMultihop:
     def test_high_snr_limit(self):
         est = multihop_throughput(100, 1e12, K2=1.0)
@@ -64,6 +82,10 @@ class TestMultihop:
     def test_rejects_bad_k2(self):
         with pytest.raises(ValueError):
             multihop_throughput(10, 1.0, K2=0.0)
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(ValueError, match="n must be"):
+            multihop_throughput(0, 1.0)
 
 
 class TestHierarchical:
@@ -118,6 +140,13 @@ class TestHierarchical:
         # where snr_long underflows to 0 the duty cycle, and the rate, is 0
         assert snr_long(1024.0 ** -106, 1024, 6.0) == 0.0
         assert hc_throughput(1024, 1024.0 ** -106, 6.0, bursty=True).aggregate_T == 0.0
+
+    @pytest.mark.parametrize("bursty", [False, True])
+    def test_rejects_bad_epsilon_or_k3(self, bursty):
+        with pytest.raises(ValueError, match="epsilon"):
+            hc_throughput(256, 1.0, 3.0, epsilon=0.0, bursty=bursty)
+        with pytest.raises(ValueError, match="K3"):
+            hc_throughput(256, 1.0, 3.0, K3=0.0, bursty=bursty)
 
 
 class TestHybridCellSize:
@@ -345,6 +374,83 @@ class TestSupercover:
         assert unstepped.sum() > 100 and np.abs(c1 - c0).max() == grid.columns - 1
         self.assert_matches_scalar(grid, p0, p1)
 
+    @staticmethod
+    def estimate_errors(grid, p0, p1):
+        """Per y step of each segment: the walk's spacing estimate of the x
+        crossings no later than that y crossing, less their exact count."""
+        s = grid.cell_side
+        cell0, cell1 = bin_points(grid, p0), bin_points(grid, p1)
+        (r0, c0), (r1, c1) = np.divmod(cell0, grid.columns), np.divmod(cell1, grid.columns)
+        dx, dy = p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1]
+        nx, ny = np.abs(c1 - c0), np.abs(r1 - r0)
+        tx = _crossing_times(c0 + (dx > 0), p0[:, 0], dx, s, int(nx.max()))
+        ty = _crossing_times(r0 + (dy > 0), p0[:, 1], dy, s, int(ny.max()))
+        errors = []
+        for j in range(len(dx)):
+            for t in ty[j, :ny[j]]:
+                estimate = min(max(math.floor((t - tx[j, 0]) / abs(s / dx[j])) + 1, 0), nx[j])
+                errors.append(estimate - int((tx[j, :nx[j]] <= t).sum()))
+        return errors
+
+    @pytest.mark.parametrize("n,M", [(4096, 1), (16384, 4)])
+    def test_spacing_estimate_corrected_both_ways(self, n, M):
+        # A line through exact cell corners (cells of side 1 and 2 here)
+        # crosses an x edge and a y edge at once, up to rounding, so the
+        # spacing estimate of the x crossings before a y crossing is one too
+        # many or one too few, and the walk must correct it both ways.  Long
+        # shallow lines join them.
+        grid = seeded_grid(n, M)
+        s = grid.cell_side
+        segments = []
+        for p in range(1, 24):
+            for q in range(1, 6):
+                k = min((grid.columns - 1) // p, (grid.rows - 1) // q)
+                segments.append(((0.0, 0.0), (k * p * s, k * q * s)))
+                segments.append(((k * p * s, k * q * s), (0.0, 0.0)))
+        x_in = np.nextafter(grid.columns * s, 0.0)
+        segments += [((0.5 * s, 0.5 * s), (x_in, (0.5 + i / 7) * s)) for i in range(1, 60)]
+        p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
+        errors = self.estimate_errors(grid, p0, p1)
+        assert errors.count(1) > 20 and errors.count(-1) > 5
+        self.assert_matches_scalar(grid, p0, p1)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), shape=st.sampled_from([(16, 1), (1000, 3), (4096, 1)]))
+    def test_matches_scalar_walk_edge_segments(self, data, shape):
+        # Endpoints on cell edges, or one ulp off them, put crossings of the
+        # two axes at or next to one time.  A segment that meets its end cell
+        # only at a corner it passes horizontally first has no walk: the
+        # scalar walk then fails or clamps, and the all-lines walk raises.
+        # A subnormal step's spacing overflows to inf, no crossing, which
+        # the scalar walk warns of and the all-lines walk does not.
+        grid = seeded_grid(*shape)
+        point = st.tuples(edge_coordinates(grid.columns, grid.cell_side),
+                          edge_coordinates(grid.rows, grid.cell_side))
+        segments = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=16))
+        p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
+        cell0, cell1 = bin_points(grid, p0), bin_points(grid, p1)
+        walkable = np.ones(len(p0), dtype=bool)
+        with np.errstate(over="ignore"):
+            for j in range(len(p0)):
+                try:
+                    cells = scalar_supercover(p0[j], p1[j], cell0[j], cell1[j], grid)
+                    walkable[j] = len(set(cells)) == len(cells)
+                except AssertionError:
+                    walkable[j] = False
+            if walkable.any():
+                self.assert_matches_scalar(grid, p0[walkable], p1[walkable])
+        for j in np.flatnonzero(~walkable):
+            with pytest.raises(AssertionError, match="failed to reach"):
+                _walk_block(p0[j:j + 1], p1[j:j + 1], cell0[j:j + 1], cell1[j:j + 1], grid)
+
+    def test_subnormal_step_crosses_nothing(self):
+        # s / dy overflows to inf: the segment never crosses a row edge
+        grid, _ = self.grid()
+        assert walk((0.5, 5e-324), (2.5, 0.0), 0, flat(grid, 0, 2), grid) == [
+            flat(grid, 0, 0), flat(grid, 0, 1), flat(grid, 0, 2)]
+        assert walk((0.0, 0.5), (5e-324, 1.5), 0, flat(grid, 1, 0), grid) == [
+            flat(grid, 0, 0), flat(grid, 1, 0)]
+
 
 class TestRouting:
     def test_endpoint_rule_and_conservation(self):
@@ -510,10 +616,10 @@ class TestRouting:
 
     def test_peak_memory_bounded(self):
         # At n = 4096, M = 1 routing walks 265,108 cells.  simulate_hybrid
-        # peaks at 19 bytes per walked cell (5.08 MB, 0.83 of the routing
+        # peaks at 19 bytes per walked cell (5.06 MB, 0.83 of the routing
         # count): 8 for the intp relay nodes, and one block's walk
-        # temporaries (0.85 MB).  Walking all 4096 lines in one block
-        # instead of in blocks of 256 takes 13.6-13.7 MB for the walk alone.
+        # temporaries (0.67 MB).  Walking all 4096 lines in one block
+        # instead of in blocks of 256 takes 10.5 MB for the walk alone.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
         peak, (_, plan, _) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
@@ -529,7 +635,7 @@ class TestRouting:
         # At M = 1 the walked cells and the walk block dominate (265,108
         # cells, peak 0.80 of the count); at M = n, two cells, the keys and
         # line arrays (0.89).  Over n = 64-16384, M in {1, 4, 16, n} and
-        # seeds 0-3 the peak read 0.61-0.92 of the count.
+        # seeds 0-3 the peak read 0.49-0.92 of the count.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
         grid = build_cell_grid(inst, M)
@@ -630,6 +736,13 @@ class TestHybridThroughput:
         got = rate / np.maximum.reduceat(loads, start)
         want = np.minimum.reduceat(rate / loads, start)
         assert got.tobytes() == want.tobytes()
+
+    def test_rejects_bad_epsilon_or_k3(self):
+        inst = generate_network(64, 64.0, seed=2)
+        plan = route_sd_lines(build_cell_grid(inst, 1), inst, 2)
+        for constants in ({"epsilon": 0.0}, {"K3": 0.0}, {"epsilon": -1.0, "K3": 1.0}):
+            with pytest.raises(ValueError, match="epsilon and K3"):
+                hybrid_throughput(plan, 1, 64, 3.0, 4.0, **constants)
 
     def test_unit_cell_hop_rate(self):
         # M = 1 reduces the per-hop budget to (K3/4) * log2(1 + snr)
