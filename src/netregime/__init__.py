@@ -23,7 +23,6 @@ from .regimes import (
     RegimePoint,
     Scheme,
     classify,
-    phase_diagram,
 )
 from .cutset import (
     CutPartition,

@@ -91,14 +91,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name, ok in (("alpha_range", _is_number), ("beta_range", _is_number),
-                         ("resolution", lambda v: type(v) is int)):
+        for name, ok, least in (("alpha_range", _is_number, 2),
+                                ("beta_range", _is_number, -math.inf),
+                                ("resolution", lambda v: type(v) is int, 1)):
             value = getattr(self, name)
             if len(value) != 2 or not all(map(ok, value)):
                 raise ConfigError(f"{name} must hold two finite numbers "
                                   f"(integers for resolution), got {value!r}")
             if name != "resolution" and value[0] > value[1]:
                 raise ConfigError(f"{name} must be ascending, got {value!r}")
+            if min(value) < least:
+                raise ConfigError(f"{name} entries must be >= {least}, got {value!r}")
             setattr(self, name, tuple(value))
         for f in fields(Constants):
             value = getattr(self.constants, f.name)
@@ -192,7 +195,7 @@ def run_scheme(config: ExperimentConfig, n: int, seed: int):
                              bursty=config.scheme == "bursty_hc"), n, None
     inst = generate_network(n, area, seed)
     M = hybrid_cell_size(snr_s, config.alpha, n)
-    est, plan, _ = simulate_hybrid(inst, snr_s, config.alpha, k.epsilon, k.K3, M=M)
+    est, plan = simulate_hybrid(inst, snr_s, config.alpha, k.epsilon, k.K3, M=M)
     return est, M, plan
 
 

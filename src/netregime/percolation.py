@@ -128,9 +128,10 @@ def _open_grid(n: int, area_A: float, c: float, trials: int = 0) -> PercolationG
     cols = math.ceil(math.log(n))
     rows = math.ceil(math.sqrt(n) / c)
     left_cols = (cols - 1) // 2
+    # The slab fits the network: it reaches at most ln n / 2 + 1 cells of
+    # side c * sqrt(A/n) to either side of the midline x = sqrt(A), and
+    # that is less than sqrt(A) for every n >= 2 when c < 1.
     x0 = side - cell / 2.0 - left_cols * cell
-    if x0 < 0.0 or x0 + cols * cell > 2.0 * side:
-        raise ValueError(f"slab of {cols} cells does not fit the network at n={n}")
     what = f"a slab of {rows} x {cols} cells"
     check_memory(slab_bytes(rows, cols, c, trials),
                  f"a study of {trials} crossing trials on {what}" if trials else what)

@@ -119,20 +119,9 @@ def phase_diagram_rows(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
     (ascending), classified when it is drawn.
 
     Endpoints are included; ``resolution`` is (alpha cells, beta cells).
-    The arguments are checked by this call, before any cell is classified.
+    :class:`harness.ExperimentConfig` checks the arguments before they get
+    here.
     """
     n_alpha, n_beta = resolution
-    if n_alpha < 1 or n_beta < 1:
-        raise ValueError("resolution entries must be >= 1")
-    if alpha_range[0] < 2:
-        raise ValueError("alpha range must stay within alpha >= 2")
     betas = list(_axis(beta_range, n_beta))
     return ([classify(a, b) for b in betas] for a in _axis(alpha_range, n_alpha))
-
-
-def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
-                  resolution=(100, 100)) -> list[RegimePoint]:
-    """Row-major classification grid: alpha varies in the outer loop; the
-    rows of :func:`phase_diagram_rows`, concatenated."""
-    return [point for row in phase_diagram_rows(alpha_range, beta_range, resolution)
-            for point in row]

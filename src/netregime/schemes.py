@@ -168,11 +168,14 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
 
     A walk steps along x while the next x crossing comes no later than the
     next y crossing, and along y otherwise, so an exact corner crossing
-    steps to the horizontal neighbor first.  The walk stops in its end cell
-    only if x crossing nx comes after y crossing ny - 1 and y crossing ny
-    no earlier than x crossing nx - 1, which is checked; then y step m is
-    step m + 1 + the count of x crossings no later than y crossing m, which
-    is estimated from their spacing and corrected along the nondecreasing x
+    steps to the horizontal neighbor first, except in the end column: a
+    segment that ends on a cell corner while it moves left or down ties
+    its x crossing nx with its last y crossing there, and steps along y.
+    The walk stops in its end cell only if x crossing nx comes no earlier
+    than y crossing ny - 1 and y crossing ny no earlier than x crossing
+    nx - 1, which is checked; then y step m is step m + 1 + the count of
+    the first nx x crossings no later than y crossing m, which is
+    estimated from their spacing and corrected along the nondecreasing x
     times.  One cumsum of the steps' flat id offsets, each walk's first one
     from the previous walk's end cell to its own start, gives the cells.
     """
@@ -192,7 +195,7 @@ def _walk_block(p0, p1, cell0, cell1, grid: CellGrid):
     line = np.arange(len(dx))
     tx_last = np.where(nx > 0, tx[line, nx - 1], -np.inf)
     ty_last = np.where(ny > 0, ty[line, ny - 1], -np.inf)
-    if ((tx[line, nx] <= ty_last) | (ty[line, ny] < tx_last)).any():
+    if ((tx[line, nx] < ty_last) | (ty[line, ny] < tx_last)).any():
         raise AssertionError("cell walk failed to reach the destination cell")
     length = nx + ny + 1
     start = np.cumsum(length) - length          # where each walk starts
@@ -279,11 +282,9 @@ class RelayPlan:
     occupied neighbor (each substitution counted in ``reroutes``); the
     first and last are the line's own source and destination.  A line
     whose endpoints share a cell has a one-cell path and the two nodes
-    [source, destination].  ``assignments`` gives the per-line view of
-    ``nodes``.  The walks are not held: ``cells`` (all of them,
-    concatenated) and ``cell_paths`` (one per line) walk the lines of
-    ``instance`` across ``grid`` again, through routing's own block walk,
-    each time they are read.
+    [source, destination].  The walks are not held: ``cell_paths`` (one
+    per line) walks the lines of ``instance`` across ``grid`` again,
+    through routing's own block walk, each time it is read.
     """
 
     path_start: np.ndarray      # n + 1 offsets into the concatenated walks
@@ -296,16 +297,9 @@ class RelayPlan:
     instance: NetworkInstance
 
     @property
-    def cells(self) -> np.ndarray:
-        return np.concatenate([walk for _, _, walk in _walk_blocks(self.grid, self.instance)])
-
-    @property
     def cell_paths(self) -> list:
-        return np.split(self.cells, self.path_start[1:-1])
-
-    @property
-    def assignments(self) -> list:
-        return np.split(self.nodes, self.node_start[1:-1])
+        walks = [walk for _, _, walk in _walk_blocks(self.grid, self.instance)]
+        return np.split(np.concatenate(walks), self.path_start[1:-1])
 
     @property
     def max_cell_load(self) -> int:
@@ -394,9 +388,8 @@ def route_sd_lines(grid: CellGrid, instance: NetworkInstance,
                      grid, instance)
 
 
-def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
-                      alpha: float, epsilon: float = 0.05,
-                      K3: float = 1.0) -> ThroughputEstimate:
+def hybrid_throughput(plan: RelayPlan, M: int, snr_s: float, alpha: float,
+                      epsilon: float = 0.05, K3: float = 1.0) -> ThroughputEstimate:
     """Hybrid aggregate rate from realized relay loads.
 
     Every relay node shares its outbound budget
@@ -418,15 +411,13 @@ def hybrid_throughput(plan: RelayPlan, M: int, n: int, snr_s: float,
     # relay_rate / (a line's peak load) is its minimum share, bit for bit.
     per_pair = relay_rate / peak
     aggregate = fsum(per_pair.tolist())
-    return ThroughputEstimate(aggregate, aggregate / n, Scheme.HYBRID)
+    return ThroughputEstimate(aggregate, aggregate / plan.instance.n_pairs, Scheme.HYBRID)
 
 
 def simulate_hybrid(instance: NetworkInstance, snr_s: float, alpha: float,
                     epsilon: float = 0.05, K3: float = 1.0, *, M: int):
     """Grid of M-node cells + routing on instance.seed + throughput; returns
-    (estimate, plan, grid)."""
-    grid = build_cell_grid(instance, M)
-    plan = route_sd_lines(grid, instance, instance.seed)
-    est = hybrid_throughput(plan, M, instance.n_pairs, snr_s, alpha, epsilon, K3)
-    return est, plan, grid
+    (estimate, plan), whose ``plan.grid`` is the grid."""
+    plan = route_sd_lines(build_cell_grid(instance, M), instance, instance.seed)
+    return hybrid_throughput(plan, M, snr_s, alpha, epsilon, K3), plan
 

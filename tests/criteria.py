@@ -56,7 +56,7 @@ def hybrid(criterion, ns, instances, read=lambda estimate, plan: estimate.aggreg
         values = []
         for t in range(instances):
             inst = generate_network(n, area, derived_seed(seed, i, t))
-            est, plan, _ = simulate_hybrid(inst, snr, 4.0, M=m)
+            est, plan = simulate_hybrid(inst, snr, 4.0, M=m)
             values.append(read(est, plan))
         points.append((n, m, values))
     return points

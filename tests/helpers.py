@@ -20,6 +20,15 @@ from netregime.percolation import (_EIGHT, _FOUR, CrossingStudy, _draw_slab_unit
                                    _open_grid, _unit_cells,
                                    analytic_failure_bound, build_occupancy_grid,
                                    decay_condition_holds, has_open_crossing)
+from netregime.regimes import phase_diagram_rows
+
+
+def phase_diagram(alpha_range=(2.0, 6.0), beta_range=(-1.0, 3.0),
+                  resolution=(100, 100)):
+    """Row-major classification grid: alpha varies in the outer loop; the
+    rows of ``regimes.phase_diagram_rows``, concatenated."""
+    return [point for row in phase_diagram_rows(alpha_range, beta_range, resolution)
+            for point in row]
 
 
 def snr_short(n, area, alpha, G=1, P=1, N0=1, W=1):
@@ -426,13 +435,18 @@ def mean_occupancy(grid):
     return len(grid.cell_of_node) / grid.n_cells
 
 
+def assignments(plan):
+    """Each line's relay nodes of a RelayPlan: per-line views of ``plan.nodes``."""
+    return np.split(plan.nodes, plan.node_start[1:-1])
+
+
 def relay_cells_of(plan, grid):
     """Cell of each relay of a RelayPlan, one per path cell of each line.
 
     A one-cell line's two assignments share its one cell.
     """
     return [grid.cell_of_node[nodes][:len(path)]
-            for path, nodes in zip(plan.cell_paths, plan.assignments)]
+            for path, nodes in zip(plan.cell_paths, assignments(plan))]
 
 
 def cell_pools(grid):
@@ -447,7 +461,9 @@ def scalar_supercover(p0, p1, cell0, cell1, grid):
     """Scalar Amanatides-Woo 4-connected cell walk, one step per loop turn.
 
     The original per-line walk, clamp included: a step that leaves the grid
-    is pulled back onto its edge.
+    is pulled back onto its edge.  An exact tie of the next x and y
+    crossings steps x, except once the walk is in the end column, where it
+    steps y.
     """
     r0, c0 = divmod(int(cell0), grid.columns)
     r1, c1 = divmod(int(cell1), grid.columns)
@@ -475,7 +491,7 @@ def scalar_supercover(p0, p1, cell0, cell1, grid):
     r, c = r0, c0
     limit = grid.rows + grid.columns + 4
     for _ in range(limit):
-        if t_max_x <= t_max_y:
+        if t_max_x < t_max_y or (t_max_x == t_max_y and c != c1):
             c += step_c
             t_max_x += t_dx
         else:

@@ -59,6 +59,9 @@ INVALID_POINTS = [
     ["scheme", "--name", "multihop", "--n", "64", "--beta", "200"],
     ["scheme", "--name", "hc", "--n-list", "16", "64", "--beta", "200"],
     ["hybrid", "--n", "64", "--alpha", "4", "--beta", "200", "--seeds", "1"],
+    # n = 1 passes ExperimentConfig, but a cut and a slab need two pairs
+    ["cutset", "--n", "1", "--trials", "1"],
+    ["percolation", "--n", "1", "--trials", "1"],
 ]
 
 
@@ -399,14 +402,18 @@ class TestPhaseDiagram:
         assert lines[1].split(",")[2] == "IV"
         assert (tmp_path / "pd.csv.grid.txt").read_text().strip() == "4"
 
-    @pytest.mark.parametrize("ranges", [["--alpha-range", "4", "2"],
-                                        ["--beta-range", "1", "-1"],
-                                        ["--alpha-range", "4", "2", "--beta-range", "1", "-1"]])
+    @pytest.mark.parametrize("ranges", [
+        (["--alpha-range", "4", "2"], "ascending"),
+        (["--beta-range", "1", "-1"], "ascending"),
+        (["--alpha-range", "4", "2", "--beta-range", "1", "-1"], "ascending"),
+        (["--alpha-range", "1.5", "4"], "alpha_range entries must be >= 2"),
+        (["--resolution", "3", "0"], "resolution entries must be >= 1")])
     def test_descending_range_exits_2(self, tmp_path, ranges, capsys):
+        flags, message = ranges
         out = tmp_path / "pd.csv"
-        assert run(["phase-diagram", *ranges, "--resolution", "3", "3",
+        assert run(["phase-diagram", "--resolution", "3", "3", *flags,
                     "--out", str(out)]) == 2
-        assert "ascending" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "pd.csv.grid.txt").exists()
 
     def test_descending_range_in_sweep_config_exits_2(self, tmp_path):
@@ -492,7 +499,8 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("text,error", [('{"kind": "scheme", ', "not valid JSON"),
-                                            ('[{"kind": "scheme"}]', "a JSON object")])
+                                            ('[{"kind": "scheme"}]', "a JSON object"),
+                                            ('{"kind": "phase-diagram"}', "config.out")])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "c.json"
         cfg.write_text(text)

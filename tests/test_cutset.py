@@ -224,6 +224,13 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_snr_total_bound(1.0, 64, 4.0, w_hat=8.0)
 
+    @pytest.mark.parametrize("K1,alpha,message", [(0.0, 4.0, "K1 must be positive"),
+                                                  (-1.0, 4.0, "K1 must be positive"),
+                                                  (1.0, 1.5, "alpha must be >= 2")])
+    def test_bad_k1_or_alpha_rejected(self, K1, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            closed_form_snr_total_bound(1.0, 64, alpha, w_hat=2.0, K1=K1)
+
 
 class TestDofTerm:
     def test_zero_when_strip_empty(self):
@@ -280,6 +287,12 @@ class TestMonteCarlo:
                         + snr_total(inst, part, snr, alpha) / LN2)
             for value in mc.values:
                 assert value <= envelope + 1e-9
+
+    def test_no_trials_rejected(self):
+        inst = unit_density_instance(16, seed=1)
+        part = partition_nodes(inst, w_hat=2.0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mc_cutset_logdet(inst, part, 2.0, 3.0, trials=0, phase_seed=0)
 
     def test_trial_prefix_stable(self):
         inst = unit_density_instance(12, seed=6)
@@ -562,6 +575,13 @@ class TestEvaluateCutset:
         inst = generate_network(16, area, seed=1)
         with pytest.raises(ValueError, match="unknown cut mode"):
             evaluate_cutset(inst, 2.0, 3.0, trials=1, mode="ideal")
+
+    @pytest.mark.parametrize("constants", [{"K1": 0.0}, {"epsilon": -1.0}], ids=str)
+    def test_non_positive_constant_rejected(self, constants):
+        _, area = operating_point(16, 3.0, 0.25)   # snr_s = 2
+        inst = generate_network(16, area, seed=1)
+        with pytest.raises(ValueError, match="K1 and epsilon must be positive"):
+            evaluate_cutset(inst, 2.0, 3.0, trials=1, **constants)
 
 
 ANALYTIC = ("snr_total", "dof_term_realized", "closed_form_snr_total_bound")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +200,15 @@ class TestConfig:
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig(kind="scheme", n_list=[4, 8], **{name: value})
 
-    @pytest.mark.parametrize("field", ['"alpha_range": [4, 2]', '"beta_range": [1, -1]',
-                                       '"alpha_range": [6.5, 6.25]'])
-    def test_rejects_descending_ranges(self, field):
-        with pytest.raises(ConfigError, match="ascending"):
+    RANGES = [('"alpha_range": [4, 2]', "ascending"), ('"beta_range": [1, -1]', "ascending"),
+              ('"alpha_range": [6.5, 6.25]', "ascending"),
+              ('"alpha_range": [1.5, 4]', "alpha_range entries must be >= 2"),
+              ('"resolution": [0, 3]', "resolution entries must be >= 1"),
+              ('"resolution": [3, -1]', "resolution entries must be >= 1")]
+
+    @pytest.mark.parametrize("field,message", RANGES, ids=[field for field, _ in RANGES])
+    def test_rejects_descending_ranges(self, field, message):
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_json('{"kind": "phase-diagram", %s}' % field)
 
     def test_accepts_null_k4_and_integer_numbers(self):
@@ -337,6 +343,14 @@ class TestEmission:
         config = ExperimentConfig(kind="scheme", scheme="multihop", n_list=[16, 64])
         with pytest.raises(ConfigError, match="config.out"):
             emit_sweep(config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phase_diagram_is_emitted_and_sweeps_are_run(self, tmp_path):
+        with pytest.raises(ConfigError, match="emitted, not swept"):
+            run_scaling_experiment(ExperimentConfig(kind="phase-diagram"))
+        config = ExperimentConfig(kind="scheme", n_list=[16], out=str(tmp_path / "pd.csv"))
+        with pytest.raises(ConfigError, match="needs kind='phase-diagram'"):
+            emit_phase_diagram(config)
         assert list(tmp_path.iterdir()) == []
 
     def test_reemission_byte_identical(self, tmp_path):
@@ -505,6 +519,14 @@ def naming_functions(path: Path, name: str) -> set:
     return found
 
 
+def read_names(path: Path) -> set:
+    """The names a module reads: its variables, attributes and imported names."""
+    return {name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, ast.alias) else None)
+            if name}
+
+
 class TestOutputFormats:
     @pytest.mark.parametrize("name", sorted(CSV_OUTPUTS))
     def test_rows_have_header_columns(self, tmp_path, name):
@@ -607,6 +629,20 @@ class TestOutputFormats:
         network_py = Path(harness.__file__).parent / "network.py"
         assert naming_functions(network_py, "node_phases") == {"node_phases",
                                                                "channel_matrix"}
+
+    def test_every_export_is_read(self):
+        # each name netregime/__init__.py exports is read by another module of
+        # the package or named in the benchmark's scripts, which are only read
+        package = Path(harness.__file__).parent
+        init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+        exported = {alias.asname or alias.name for node in init.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        read = set().union(*(read_names(path) for path in package.glob("*.py")
+                             if path.name != "__init__.py"))
+        bench = "".join(path.read_text(encoding="utf-8")
+                        for path in (package.parents[1] / "perfbench").glob("*.py"))
+        assert {name for name in exported - read
+                if not re.search(rf"\b{name}\b", bench)} == set()
 
     def test_only_harness_derives_sweep_seed_paths(self):
         # the CLI takes a sweep unit's seeds from harness.unit_seeds; it

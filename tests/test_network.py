@@ -123,10 +123,21 @@ class TestValidation:
         ([0, 1, 2, 2], [4, 5, 6, 7], "exactly once"),
         ([0, 1, 2, 3], [4, 5, 6, 11], r"\[0, 8\)"),
         ([-1, 1, 2, 3], [4, 5, 6, 7], r"\[0, 8\)"),
+        ([0, 1, 2], [4, 5, 6], "exactly n sources"),
     ])
     def test_bad_roles_rejected(self, sources, dests, message):
         with pytest.raises(ValueError, match=message):
             NetworkInstance(4, 1.0, 0, self.POSITIONS, sources, dests)
+
+    @pytest.mark.parametrize("positions,message", [
+        (POSITIONS[:7], "shape"),
+        (np.hstack([POSITIONS, POSITIONS[:, :1]]), "shape"),
+        (np.vstack([POSITIONS[:7], [[2.5, 0.5]]]), "inside"),
+        (np.vstack([POSITIONS[:7], [[0.5, -0.1]]]), "inside"),
+    ])
+    def test_bad_positions_rejected(self, positions, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkInstance(4, 1.0, 0, positions, np.arange(4), np.arange(4, 8))
 
     # an infinite area would make every rescaled distance 0, which
     # path_gain would report as coincident nodes, and a NaN area would pass
@@ -162,6 +173,8 @@ class TestSnrQuantities:
         # n^(1-alpha/2) * snr_s evaluated directly
         assert snr_long(1.0, 100, 2.0) == pytest.approx(1.0)
         assert snr_long(1.0, 100, 4.0) == pytest.approx(0.01)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            snr_long(1.0, 0, 4.0)
 
     def test_beta_of(self):
         assert beta_of(1.0, 50) == pytest.approx(0.0)
@@ -169,6 +182,8 @@ class TestSnrQuantities:
         assert beta_of(16.0, 256) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             beta_of(2.0, 1)
+        with pytest.raises(ValueError, match="snr_s must be positive"):
+            beta_of(0.0, 50)
 
 
 class TestChannel:

@@ -509,6 +509,10 @@ class TestCrossingProbability:
         assert 0.0 <= study.empirical_rate <= 1.0
         assert study.decay_ok
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            crossing_probability(256, 0.25, trials=0, seed=5)
+
     def test_monotone_in_c(self):
         rates = []
         for c in (0.15, 0.3, 0.45):

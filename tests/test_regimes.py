@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netregime import Regime, Scheme, classify, phase_diagram, regimes
+from netregime import Regime, Scheme, classify, regimes
+
+from helpers import phase_diagram
 
 
 def reference_exponent(alpha, beta):

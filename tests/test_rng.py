@@ -49,6 +49,8 @@ class TestPhiloxKeys:
             rng.philox_keys(-1, (rng.RELAY,), [0])
         with pytest.raises(ValueError):
             rng.philox_keys(3, (rng.RELAY,), [0, -2])
+        with pytest.raises(ValueError, match="seed path must be non-negative"):
+            rng.substream(3, rng.RELAY, -2)
 
 
     def test_key_list_bytes_cover_its_peak(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netregime import (OutOfRegimeError, Scheme, build_cell_grid,
                        generate_network, hc_throughput, hybrid_cell_size,
@@ -14,7 +14,7 @@ from netregime.harness import ExperimentConfig, fit_exponent, operating_point
 from netregime.schemes import (RelayPlan, _crossing_times, _walk_block, hybrid_throughput,
                                routing_bytes)
 
-from helpers import (flat, hand_instance, loop_hybrid_aggregate,
+from helpers import (assignments, flat, hand_instance, loop_hybrid_aggregate,
                      loop_route_sd_lines, mean_occupancy, physical_memory_is,
                      recording_keys, relay_cells_of, scalar_supercover, traced_peak)
 
@@ -58,6 +58,15 @@ def edge_coordinates(cells, side):
         x = np.nextafter(edge * side, ulp * np.inf) if ulp else edge * side
         return float(min(max(x, 0.0), np.nextafter(cells * side, 0.0)))
     return st.tuples(st.integers(0, cells), st.sampled_from([-1, 0, 1])).map(place)
+
+
+def edge_segments(shape):
+    """(shape, 1 to 16 segments between edge coordinates of ``seeded_grid(*shape)``)."""
+    grid = seeded_grid(*shape)
+    point = st.tuples(edge_coordinates(grid.columns, grid.cell_side),
+                      edge_coordinates(grid.rows, grid.cell_side))
+    return st.tuples(st.just(shape),
+                     st.lists(st.tuples(point, point), min_size=1, max_size=16))
 
 
 class TestMultihop:
@@ -258,6 +267,12 @@ class TestSupercover:
         rc = [divmod(c, grid.columns) for c in cells]
         assert rc[0] == (0, 0) and rc[-1] == (2, 2)
         assert rc[1] == (0, 1)   # horizontal tie-break at the corner
+        # in its end column a walk steps vertically at a tie, so a segment
+        # that ends on a corner while it moves left or down stays there
+        assert walk((np.nextafter(1.0, 0.0), 0.0), (0.0, 1.0), flat(grid, 0, 0),
+                    flat(grid, 1, 0), grid) == [flat(grid, 0, 0), flat(grid, 1, 0)]
+        assert walk((2.5, 2.5), (1.0, 1.0), flat(grid, 2, 2), flat(grid, 1, 1), grid) == [
+            flat(grid, 2, 2), flat(grid, 2, 1), flat(grid, 1, 1)]
 
 
     def test_unreachable_end_cell_raises(self):
@@ -415,18 +430,21 @@ class TestSupercover:
         self.assert_matches_scalar(grid, p0, p1)
 
     @settings(max_examples=200)
-    @given(data=st.data(), shape=st.sampled_from([(16, 1), (1000, 3), (4096, 1)]))
-    def test_matches_scalar_walk_edge_segments(self, data, shape):
+    @given(drawn=st.sampled_from([(16, 1), (1000, 3), (4096, 1)]).flatmap(edge_segments))
+    @example(drawn=((16, 1), [((np.nextafter(1.0, 0.0), 0.0), (0.0, 1.0)),
+                              ((2.5, 2.5), (1.0, 1.0))]))   # corner ends, unit cells
+    def test_matches_scalar_walk_edge_segments(self, drawn):
         # Endpoints on cell edges, or one ulp off them, put crossings of the
-        # two axes at or next to one time.  A segment that meets its end cell
-        # only at a corner it passes horizontally first has no walk: the
-        # scalar walk then fails or clamps, and the all-lines walk raises.
-        # A subnormal step's spacing overflows to inf, no crossing, which
-        # the scalar walk warns of and the all-lines walk does not.
+        # two axes at or next to one time.  Both walks step y at a tie once
+        # in the end column, so a segment that ends on a corner while it
+        # moves left or down walks.  Where rounded crossing times put an x
+        # crossing past the end column before the last y crossing, or the
+        # reverse, the scalar walk fails or clamps, and the all-lines walk
+        # must raise.  A subnormal step's spacing overflows to inf, no
+        # crossing, which the scalar walk warns of and the all-lines walk
+        # does not.
+        shape, segments = drawn
         grid = seeded_grid(*shape)
-        point = st.tuples(edge_coordinates(grid.columns, grid.cell_side),
-                          edge_coordinates(grid.rows, grid.cell_side))
-        segments = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=16))
         p0, p1 = (np.array(p, dtype=float) for p in zip(*segments))
         cell0, cell1 = bin_points(grid, p0), bin_points(grid, p1)
         walkable = np.ones(len(p0), dtype=bool)
@@ -457,19 +475,19 @@ class TestRouting:
         inst = generate_network(128, 128.0, seed=11)
         grid = build_cell_grid(inst, M=4)
         plan = route_sd_lines(grid, inst, seed=11)
-        for j, nodes in enumerate(plan.assignments):
+        for j, nodes in enumerate(assignments(plan)):
             assert nodes[0] == inst.source_ids[j]
             assert nodes[-1] == inst.dest_ids[j]
         relays = np.concatenate(relay_cells_of(plan, grid))
         assert np.array_equal(plan.cell_load, np.bincount(relays, minlength=grid.n_cells))
-        assert plan.node_load.sum() == sum(len(a) for a in plan.assignments)
+        assert plan.node_load.sum() == sum(len(a) for a in assignments(plan))
 
     def test_deterministic_given_seed(self):
         inst = generate_network(64, 64.0, seed=4)
         grid = build_cell_grid(inst, M=4)
         a = route_sd_lines(grid, inst, seed=7)
         b = route_sd_lines(grid, inst, seed=7)
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(assignments(a), assignments(b)))
         assert np.array_equal(a.cell_load, b.cell_load)
 
     def test_relays_live_in_their_cells(self):
@@ -477,7 +495,7 @@ class TestRouting:
         grid = build_cell_grid(inst, M=4)
         plan = route_sd_lines(grid, inst, seed=7)
         pool_size = np.diff(grid.cell_start)
-        for cells, nodes in zip(plan.cell_paths, plan.assignments):
+        for cells, nodes in zip(plan.cell_paths, assignments(plan)):
             for h in range(1, len(nodes) - 1):
                 if pool_size[cells[h]]:
                     assert grid.cell_of_node[nodes[h]] == cells[h]
@@ -508,27 +526,27 @@ class TestRouting:
     def assert_matches_loop(inst, M, route_seed):
         grid = build_cell_grid(inst, M)
         plan = route_sd_lines(grid, inst, seed=route_seed)
-        paths, relay_cells, assignments, cell_load, node_load, reroutes = (
+        paths, relay_cells, want_nodes, cell_load, node_load, reroutes = (
             loop_route_sd_lines(grid, inst, route_seed))
         assert len(plan.path_start) == len(plan.node_start) == inst.n_pairs + 1
         assert plan.path_start[0] == plan.node_start[0] == 0
-        assert plan.path_start[-1] == len(plan.cells)
+        assert plan.path_start[-1] == sum(map(len, plan.cell_paths))
         assert plan.node_start[-1] == len(plan.nodes)
         one_cell = np.cumsum([len(p) == 1 for p in paths])
         assert np.array_equal(plan.node_start - plan.path_start,
                               np.concatenate(([0], one_cell)))
         assert [p.tolist() for p in plan.cell_paths] == paths
         assert [p.tolist() for p in relay_cells_of(plan, grid)] == relay_cells
-        assert len(plan.assignments) == len(assignments)
-        for got, want in zip(plan.assignments, assignments):
+        assert len(assignments(plan)) == len(want_nodes)
+        for got, want in zip(assignments(plan), want_nodes):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         for got, want in ((plan.cell_load, cell_load), (plan.node_load, node_load)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert plan.reroutes == reroutes and type(plan.reroutes) is int
         snr_s, alpha = 3.0, 4.0
         relay_rate = 0.25 * M ** -0.05 * math.log2(1.0 + M ** (1.0 - alpha / 2) * snr_s)
-        est = hybrid_throughput(plan, M, inst.n_pairs, snr_s, alpha)
-        assert est.aggregate_T == loop_hybrid_aggregate(assignments, node_load,
+        est = hybrid_throughput(plan, M, snr_s, alpha)
+        assert est.aggregate_T == loop_hybrid_aggregate(want_nodes, node_load,
                                                         relay_rate)
 
     # M = n tiles the network with two cells, so most lines are one-cell
@@ -564,20 +582,17 @@ class TestRouting:
 
     def test_simulate_hybrid_reads_only_the_flat_plan(self, monkeypatch):
         inst = generate_network(256, 256.0, seed=3)
-        want, _, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
+        want, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
 
         def refuse(plan):
             raise AssertionError("a per-line view of the plan was read")
 
-        # cells and cell_paths walk the lines again: a sweep must not
-        monkeypatch.setattr(RelayPlan, "cells", property(refuse))
+        # cell_paths walks the lines again: a sweep must not
         monkeypatch.setattr(RelayPlan, "cell_paths", property(refuse))
-        monkeypatch.setattr(RelayPlan, "assignments", property(refuse))
-        got, plan, _ = simulate_hybrid(inst, 3.0, 4.0, M=1)
+        got, plan = simulate_hybrid(inst, 3.0, 4.0, M=1)
         assert got == want
-        for view in ("cells", "cell_paths", "assignments"):
-            with pytest.raises(AssertionError):
-                getattr(plan, view)
+        with pytest.raises(AssertionError):
+            plan.cell_paths
         config = ExperimentConfig(kind="scheme", scheme="hybrid", alpha=4.0,
                                   beta=0.04, n_list=[256])
         snr_s, area = operating_point(256, 4.0, 0.04)
@@ -622,7 +637,7 @@ class TestRouting:
         # instead of in blocks of 256 takes 10.5 MB for the walk alone.
         n = 4096
         inst = generate_network(n, float(n), seed=0)
-        peak, (_, plan, _) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
+        peak, (_, plan) = traced_peak(simulate_hybrid, inst, 3.0, 4.0, M=1)
         assert peak < self.routing_count(plan, n)
 
     @staticmethod
@@ -742,32 +757,32 @@ class TestHybridThroughput:
         plan = route_sd_lines(build_cell_grid(inst, 1), inst, 2)
         for constants in ({"epsilon": 0.0}, {"K3": 0.0}, {"epsilon": -1.0, "K3": 1.0}):
             with pytest.raises(ValueError, match="epsilon and K3"):
-                hybrid_throughput(plan, 1, 64, 3.0, 4.0, **constants)
+                hybrid_throughput(plan, 1, 3.0, 4.0, **constants)
 
     def test_unit_cell_hop_rate(self):
         # M = 1 reduces the per-hop budget to (K3/4) * log2(1 + snr)
         inst = generate_network(64, 64.0, seed=2)
-        est, plan, grid = simulate_hybrid(inst, snr_s=3.0, alpha=4.0,
-                                          epsilon=0.05, K3=2.0, M=1)
+        est, plan = simulate_hybrid(inst, snr_s=3.0, alpha=4.0,
+                                    epsilon=0.05, K3=2.0, M=1)
         rate = (2.0 / 4.0) * math.log2(4.0)
         shares = [min(rate / plan.node_load[v] for v in nodes)
-                  for nodes in plan.assignments]
+                  for nodes in assignments(plan)]
         assert est.aggregate_T == pytest.approx(math.fsum(shares), rel=1e-12)
 
     def test_zero_db_cell_boundary(self):
         # M^(1-alpha/2) * snr = 1 at alpha 4, snr 16, M 16: the per-hop
         # log term is exactly one bit
         inst = generate_network(256, 256.0, seed=3)
-        est, plan, grid = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=16)
+        est, plan = simulate_hybrid(inst, snr_s=16.0, alpha=4.0, M=16)
         budget = 0.25 * 16 ** -0.05 * 1.0
         shares = [min(budget / plan.node_load[v] for v in nodes)
-                  for nodes in plan.assignments]
+                  for nodes in assignments(plan)]
         assert est.aggregate_T == pytest.approx(math.fsum(shares), rel=1e-12)
 
     def test_aggregate_is_n_times_mean_rate(self):
         inst = generate_network(128, 128.0, seed=5)
-        est, _, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0,
-                                    M=hybrid_cell_size(4.0, 4.0, 128))
+        est, _ = simulate_hybrid(inst, snr_s=4.0, alpha=4.0,
+                                 M=hybrid_cell_size(4.0, 4.0, 128))
         assert est.aggregate_T == pytest.approx(128 * est.per_pair_R, rel=1e-12)
 
     def test_degenerate_equivalence_slopes(self):
@@ -780,7 +795,7 @@ class TestHybridThroughput:
             vals = []
             for t in range(6):
                 inst = generate_network(n, area, seed=100 * i + t)
-                est, _, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
+                est, _ = simulate_hybrid(inst, 1.0, 4.0, M=1)
                 vals.append(est.aggregate_T)
             hyb.append((n, sum(vals) / len(vals)))
         mh = [(n, multihop_throughput(n, 1.0).aggregate_T) for n in ns]
