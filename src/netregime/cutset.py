@@ -50,7 +50,7 @@ import scipy   # scipy.linalg loads on first use, by the first log-det
 
 from . import percolation as perc
 from . import rng
-from .network import (NetworkInstance, beta_of, channel_bytes,
+from .network import (PHASE_LEVELS, NetworkInstance, beta_of, channel_bytes,
                       channel_matrix, check_memory, pair_sums, snr_edge)
 
 logger = logging.getLogger(__name__)
@@ -253,9 +253,12 @@ def _chunk_bounds(n_rx: int) -> list:
 
 def trial_bytes(n_rx: int, k: int, n_nodes: int) -> int:
     """Bytes one Monte-Carlo trial holds for n_rx receivers and k
-    transmitters: the packed Gram, 8 k(k+1) bytes, and the chunk buffer with
-    the row-block buffers that fill it."""
-    return 8 * k * (k + 1) + channel_bytes(min(n_rx, CHUNK_ROWS), k, n_nodes)
+    transmitters: the packed Gram, 8 k(k+1) bytes, the chunk buffer with
+    the row-block buffers that fill it, and the phase table with the angles
+    it is built from, 24 bytes an entry, which the first trial of a process
+    makes."""
+    return (8 * k * (k + 1) + channel_bytes(min(n_rx, CHUNK_ROWS), k, n_nodes)
+            + 24 * PHASE_LEVELS)
 
 
 @dataclass(frozen=True)

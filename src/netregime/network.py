@@ -5,8 +5,10 @@ rectangle.  n of them are sources, paired one-to-one with the n
 destinations by a uniformly random bijection that ignores location.
 
 Channel: the gain between nodes i and k has magnitude
-sqrt(G) * r_ik^(-alpha/2) and a uniform random phase, independent across
-node pairs and redrawn independently for every fading realization.  In
+sqrt(G) * r_ik^(-alpha/2) and a phase uniform on the 2^16-th roots of
+unity, independent across node pairs and redrawn independently for every
+fading realization.  Its circular moments E[exp(i p theta)] are those of a
+phase uniform on [0, 2pi) for every 0 < |p| < 2^16.  In
 rescaled coordinates, where distances are measured in units of the typical
 nearest-neighbor spacing sqrt(A/n), the magnitude is rhat_ik^(-alpha/2).
 
@@ -27,6 +29,7 @@ physical memory (:func:`check_memory`).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -41,6 +44,8 @@ from . import rng
 # the block size.  A cutset chunk of cutset.CHUNK_ROWS = 256 receive rows is
 # four blocks.
 ROW_BLOCK = 64
+# Phase factors are the PHASE_LEVELS-th roots of unity, one 16-bit field a pair.
+PHASE_LEVELS = 2 ** 16
 
 
 class DegenerateInstanceError(ValueError):
@@ -193,21 +198,40 @@ class ChannelMatrix:
         self.entries.setflags(write=False)
 
 
+@functools.cache
+def unit_phases() -> np.ndarray:
+    """The read-only table exp(2pi i j / PHASE_LEVELS), j < PHASE_LEVELS, of
+    complex128, whose real and imaginary parts are np.cos and np.sin of
+    2pi * j / PHASE_LEVELS.  The first channel build makes it, not the
+    import, and holds 24 bytes an entry while it does: the table and the
+    angles."""
+    angle = 2.0 * math.pi * np.arange(PHASE_LEVELS) / PHASE_LEVELS
+    table = np.empty(PHASE_LEVELS, dtype=complex)
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    table.setflags(write=False)
+    return table
+
+
 def node_phases(n_nodes: int, phase_seed: int, rows: np.ndarray, cols: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
-    """Uniform [0, 2pi) phases of the node pairs (rows[j], cols[k]), in out[j, k].
+    """Unit phase factors of the node pairs (rows[j], cols[k]), in the complex out[j, k].
 
-    Element (i, k) is that of one (n_nodes, n_nodes) row-major draw
-    ``uniform(0, 2pi)`` from the substream (phase_seed, PHASES), value for
-    value.  ``uniform(0, 2pi)`` is 0 + 2pi * random(), which is exactly
-    random() * 2pi, so the rows are drawn by :func:`rng.uniform_rows` and
-    scaled.  The phase of pair (i, k) is thus a pure function of
-    (phase_seed, i, k), and any submatrix is consistent across calls.  A
-    fresh phase_seed models a fresh fading realization.  This is the one
-    phase path: :func:`channel_matrix` draws every phase through it.
+    Row i is the ceil(n_nodes / 4) raw words of the substream
+    (phase_seed, PHASES, i), from :func:`rng.raw_rows`.  Their 16-bit
+    fields, low field first, are the row's values v, and pair (i, k) has
+    the factor unit_phases()[v[k]], a root of unity picked uniformly.  So
+    the phase of pair (i, k) is a pure function of (phase_seed, i, k), and
+    any submatrix is consistent across calls.  A fresh phase_seed models a
+    fresh fading realization.  This is the one phase path:
+    :func:`channel_matrix` draws every phase through it.
     """
-    rng.uniform_rows(phase_seed, (rng.PHASES,), (n_nodes, n_nodes), rows, cols, out)
-    out *= 2.0 * math.pi
+    if rows.size and (rows.min() < 0 or rows.max() >= n_nodes):
+        raise ValueError(f"rows must lie in [0, {n_nodes})")
+    table = unit_phases()
+    draws = rng.raw_rows(phase_seed, (rng.PHASES,), rows, -(-n_nodes // 4))
+    for j in range(rows.size):       # a row's words are freed before the next is drawn
+        table.take(next(draws).astype("<u8", copy=False).view("<u2").take(cols), out=out[j])
     return out
 
 
@@ -240,13 +264,16 @@ def channel_bytes(n_rx: int, n_tx: int, n_nodes: int) -> int:
     of an instance of n_nodes nodes: the complex128 entries (its result, or
     the caller's ``out``), the two row-block buffers that fill them, a
     block's receive ids, and the larger of its distance scratch and its
-    phase draw.  The distance scratch is the gathered coordinates, two
-    ufunc buffers of ``np.getbufsize()`` doubles that broadcasting takes,
-    and 4 KiB besides."""
+    phase draw, with 4 KiB besides.  The distance scratch is the gathered
+    coordinates and two ufunc buffers of ``np.getbufsize()`` doubles that
+    broadcasting takes.  The phase draw is the block's key list, a row's
+    raw words, and its kept 16-bit fields with the intp copy of them that
+    ``take`` makes.  The table of :func:`unit_phases` is built once a
+    process and not counted here."""
     height = min(n_rx, ROW_BLOCK)
-    scratch = max(8 * (height + n_tx) + 16 * np.getbufsize() + 4096,
-                  rng.uniform_rows_bytes(height, n_nodes, n_tx))
-    return 16 * n_rx * n_tx + 16 * height * n_tx + 8 * height + scratch
+    scratch = max(8 * (height + n_tx) + 16 * np.getbufsize(),
+                  rng.KEY_LIST_BYTES * height + 8 * -(-n_nodes // 4) + 10 * n_tx)
+    return 16 * n_rx * n_tx + 16 * height * n_tx + 8 * height + scratch + 4096
 
 
 def row_blocks(n_rows: int, width: int):
@@ -295,12 +322,11 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
 
     Magnitudes are the path gains rhat^(-alpha/2) of :func:`path_gain`, so
     coincident nodes raise DegenerateInstanceError.  Entry (i, k) has the
-    phase of node pair (rx[i], tx[k]) from :func:`node_phases`.  The matrix
-    is filled in the ROW_BLOCK blocks of receive rows of :func:`row_blocks`.
-    A block draws only its own phase rows and transmit columns.  It writes
-    cos and sin of the phases straight into the real and imaginary parts
-    of the result, which gives the bits of exp(1j * phase), and scales
-    both parts by the magnitude in place.
+    phase factor of node pair (rx[i], tx[k]) from :func:`node_phases`.  The
+    matrix is filled in the ROW_BLOCK blocks of receive rows of
+    :func:`row_blocks`.  A block draws only its own phase rows and transmit
+    columns, writes their factors straight into the result and scales its
+    real and imaginary parts by the magnitude in place; no trig is taken.
     No temporary besides the result grows with |rx|.  Given a complex
     ``out`` of shape (|rx|, |tx|), the entries are written there, and the
     result marks a read-only view of ``out``, so the caller can refill it
@@ -318,12 +344,10 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     elif out.shape != (rx.size, tx.size) or out.dtype != complex:
         raise ValueError(f"out must be a complex array of shape {(rx.size, tx.size)}")
 
-    for rows, theta, magnitude in row_blocks(rx.size, tx.size):
-        path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, theta)
-        node_phases(instance.n_nodes, phase_seed, rx[rows], tx, theta)
+    for rows, magnitude, work in row_blocks(rx.size, tx.size):
+        path_gain(instance, rx[rows], tx, -alpha / 2.0, magnitude, work)
+        node_phases(instance.n_nodes, phase_seed, rx[rows], tx, out[rows])
         re, im = out[rows].real, out[rows].imag
-        np.cos(theta, out=re)
-        np.sin(theta, out=im)
         re *= magnitude
         im *= magnitude
     return ChannelMatrix(out.view())

@@ -9,8 +9,8 @@ paths share a prefix, as the hybrid scheme's relay streams and a
 percolation study's trials do, :func:`philox_keys` derives all their keys in one array pass and
 :func:`rekey` points one generator at each in turn: the same streams,
 without one ``SeedSequence`` per path (:func:`keyed_generators`).  No
-other module builds a bit generator, reads or sets its state, jumps its
-counter (:func:`uniform_rows`) or decodes its raw words (:func:`relay_draws`).
+other module builds a bit generator, reads or sets its state, or draws
+(:func:`raw_rows`) or decodes (:func:`relay_draws`) its raw words.
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -156,42 +156,13 @@ def keyed_generators(keys):
         yield gen
 
 
-def uniform_rows(seed: int, path, shape, rows: np.ndarray, cols: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Write element (rows[j], cols[k]) of one ``shape`` row-major ``random()``
-    draw of the substream (seed, *path) to out[j, k].
-
-    Philox yields four outputs a counter step and ``random()`` takes one
-    a double, so row i of a draw of width w starts i * w // 4 counter
-    steps after the seeded state, with i * w % 4 outputs discarded.  Each
-    requested row, which must lie in the draw, is drawn on its own from
-    the seeded state into one row buffer, and its ``cols`` columns are
-    kept.  An empty row set draws nothing.
-    """
-    height, width = shape
-    rows = rows.tolist()
-    if not rows:
-        return
-    if min(rows) < 0 or max(rows) >= height:
-        raise ValueError(f"rows must lie in [0, {height})")
-    gen = substream(seed, *path)
-    bits = gen.bit_generator
-    seeded = bits.state
-    row = np.empty(width)
-    for j, i in enumerate(rows):
-        bits.state = seeded
-        bits.advance(i * width // 4)
-        bits.random_raw(i * width % 4)
-        gen.random(out=row)
-        row.take(cols, out=out[j])
-
-
-def uniform_rows_bytes(n_rows: int, width: int, n_cols: int) -> int:
-    """Bytes one :func:`uniform_rows` call allocates for n_rows rows of a
-    draw of the given width, keeping n_cols columns: the row buffer, the
-    copy of the kept columns that ``take`` makes, the row list at 40 bytes
-    a row, and 4 KiB of generator state."""
-    return 8 * (width + n_cols) + 40 * n_rows + 4096
+def raw_rows(seed: int, prefix, rows, n_words: int):
+    """Yield the first n_words raw 64-bit words of the substream
+    (seed, *prefix, i) for each i in ``rows``, in order, from one Philox
+    re-keyed to each row's key of one :func:`philox_keys` pass.  Each array
+    is fresh; an empty row set draws nothing."""
+    for gen in keyed_generators(philox_keys(seed, prefix, rows).tolist()):
+        yield gen.bit_generator.random_raw(n_words)
 
 
 def _ragged_arange(first: np.ndarray, counts: np.ndarray) -> np.ndarray:

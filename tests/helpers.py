@@ -4,6 +4,7 @@ Oracles are written in the plainest possible style (double loops, direct
 formulas) so they stay independent of the library's vectorized paths.
 """
 
+import functools
 import json
 import math
 import os
@@ -198,14 +199,32 @@ def brute_snr_total(instance, alpha, snr_s, far_ids, source_ids):
     return total
 
 
+@functools.cache
+def scalar_unit_phases():
+    """exp(2pi i v / 2^16) for every 16-bit v, from one math.cos and one
+    math.sin call each."""
+    return np.array([complex(math.cos(2 * math.pi * v / 65536),
+                             math.sin(2 * math.pi * v / 65536)) for v in range(65536)])
+
+
+def phase_row(n_nodes, phase_seed, i):
+    """Phase oracle of row i: the unit factors of the node pairs (i, k), k <
+    n_nodes.  The raw words of substream (phase_seed, PHASES, i) are cut into
+    16-bit values by shifts, low field first, and each value looked up in
+    :func:`scalar_unit_phases`."""
+    words = rng.substream(phase_seed, rng.PHASES, i).bit_generator.random_raw(-(-n_nodes // 4))
+    k = np.arange(n_nodes)
+    values = (words[k // 4] >> (16 * (k % 4)).astype(np.uint64)) & np.uint64(0xFFFF)
+    return scalar_unit_phases()[values.astype(np.intp)]
+
+
 def full_node_phases(n_nodes, phase_seed):
-    """Phase oracle: the whole (n_nodes, n_nodes) row-major draw at once."""
-    gen = rng.substream(phase_seed, rng.PHASES)
-    return gen.uniform(0.0, 2.0 * math.pi, size=(n_nodes, n_nodes))
+    """Phase oracle: every row of the (n_nodes, n_nodes) factors, one at a time."""
+    return np.array([phase_row(n_nodes, phase_seed, i) for i in range(n_nodes)])
 
 
 def full_channel_matrix(instance, alpha, tx, rx, phase_seed, raw_gain=None):
-    """Channel oracle: one unblocked evaluation from the full phase draw.
+    """Channel oracle: one unblocked evaluation from the per-row phase oracle.
 
     ``raw_gain=G`` gives physical-unit magnitudes sqrt(G) * r^(-alpha/2)
     instead of rhat^(-alpha/2).
@@ -218,8 +237,11 @@ def full_channel_matrix(instance, alpha, tx, rx, phase_seed, raw_gain=None):
         magnitude = (r / instance.nn_scale) ** (-alpha / 2.0)
     else:
         magnitude = math.sqrt(raw_gain) * r ** (-alpha / 2.0)
-    theta = full_node_phases(instance.n_nodes, phase_seed)[np.ix_(rx, tx)]
-    return magnitude * np.exp(1j * theta)
+    phases = np.array([phase_row(instance.n_nodes, phase_seed, i)[tx] for i in rx])
+    entries = np.empty(magnitude.shape, dtype=complex)
+    entries.real = magnitude * phases.real
+    entries.imag = magnitude * phases.imag
+    return entries
 
 
 def eigvalsh_logdet(entries, snr_s):

@@ -85,8 +85,8 @@ MANIFEST_SHA256 = "bc456d08eb273f373d9014cc2f5c2ceca12b59ff9e07df20503ebe4443bbd
 CUTSET_SWEEP = dict(kind="cutset", alpha=3.0, beta=0.5, n_list=[16, 32],
                     trials=2, instances=2)
 CUTSET_SWEEP_CSV = ("n,metric,stderr\n"
-                    "16,8.2851155756499537,0.77695911625445913\n"
-                    "32,23.566776704138217,0.72529672224534991\n")
+                    "16,8.4482425874222198,0.86090919944552136\n"
+                    "32,23.624199504934513,0.39955181015008279\n")
 
 CUTSET_CLI = {
     "idealized": ["cutset", "--n", "64", "--alpha", "3", "--beta", "0.5",
@@ -96,9 +96,9 @@ CUTSET_CLI = {
 }
 CUTSET_CLI_CSV = {
     "idealized": CUTSET_CSV_HEADER + "\n"
-                 '64,3,0.5,8,51,314.4848776631801,0,0,49.507495946254096,0.081369018840382598,nan,4,3\n',
+                 '64,3,0.5,8,51,314.4848776631801,0,0,49.524313406851704,0.15972278898247533,nan,4,3\n',
     "percolation": CUTSET_CSV_HEADER + "\n"
-                   '256,4,0,1,0,0,37.868873126182145,72.088986384805764,26.842904490188722,0.13234656906201003,491.98388625223822,2,3\n',
+                   '256,4,0,1,0,0,37.868873126182145,72.088986384805764,26.764226642401226,0.090836600608193763,491.98388625223822,2,3\n',
 }
 
 

@@ -607,28 +607,35 @@ class TestOutputFormats:
         assert named - {None, "check_memory"} == {caller for caller, _ in counts}
 
     def test_one_owner_of_the_streams(self):
-        # only rng.py builds a bit generator, reads or sets its state, jumps
-        # its counter or decodes its raw words; the old row and relay
-        # decoders outside it, and the row draw's run merging, are gone
+        # only rng.py builds a bit generator, reads or sets its state, or
+        # draws or decodes its raw words; the old row and relay decoders
+        # outside it, the row draw's run merging and its counter jumps are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name for path in modules if naming_functions(path, name)}
                   for name in ("Philox", "bit_generator", "random_raw", "advance",
                                "rekey", "_MASK32", "_MAX_GAP", "_draw_rows",
-                               "_relay_draws")}
+                               "_relay_draws", "uniform_rows")}
         assert owners == {name: {"rng.py"} for name in (
-            "Philox", "bit_generator", "random_raw", "advance", "rekey", "_MASK32")} | {
-            "_MAX_GAP": set(), "_draw_rows": set(), "_relay_draws": set()}
+            "Philox", "bit_generator", "random_raw", "rekey", "_MASK32")} | {
+            "advance": set(), "_MAX_GAP": set(), "_draw_rows": set(),
+            "_relay_draws": set(), "uniform_rows": set()}
 
     def test_one_phase_path(self):
-        # outside rng.py only node_phases draws rows, so every phase, the
-        # channel's included, comes through it
+        # outside rng.py only node_phases draws phase rows, so every phase,
+        # the channel's included, comes through it; the channel takes no
+        # trig, and only the phase table does
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {path.name: found for path in modules
-                  if (found := naming_functions(path, "uniform_rows"))}
-        assert owners == {"rng.py": {"uniform_rows"}, "network.py": {"node_phases"}}
+                  if (found := naming_functions(path, "raw_rows"))}
+        assert owners == {"rng.py": {"raw_rows"}, "network.py": {"node_phases"}}
         network_py = Path(harness.__file__).parent / "network.py"
         assert naming_functions(network_py, "node_phases") == {"node_phases",
                                                                "channel_matrix"}
+        assert naming_functions(network_py, "unit_phases") == {"unit_phases",
+                                                               "node_phases"}
+        trig = {name: set().union(*(naming_functions(path, name) for path in modules))
+                for name in ("cos", "sin", "exp")}
+        assert trig == {"cos": {"unit_phases"}, "sin": {"unit_phases"}, "exp": set()}
 
     def test_every_export_is_read(self):
         # each name netregime/__init__.py exports is read by another module of

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from netregime.network import NetworkInstance, node_phases, pair_sums
 
 from helpers import (full_channel_matrix, full_node_phases, hand_instance,
                      instance_from_json, physical_memory_is, snr_short,
-                     traced_peak, unblocked_dhat, uniform_generate_network)
+                     scalar_unit_phases, traced_peak, unblocked_dhat,
+                     uniform_generate_network)
 
 
 class TestGenerate:
@@ -223,17 +228,49 @@ class TestChannel:
         assert np.allclose(resc.entries, raw * factor, rtol=1e-12)
 
     def test_unit_modulus_phases(self):
-        ph = node_phases(30, 77, np.arange(30), np.arange(30), np.empty((30, 30)))
-        assert np.all((ph >= 0) & (ph < 2 * math.pi))
-        mods = np.abs(np.exp(1j * ph))
-        assert np.allclose(mods, 1.0, atol=1e-14)
+        ph = node_phases(30, 77, np.arange(30), np.arange(30), np.empty((30, 30), complex))
+        assert ph.tobytes() == full_node_phases(30, phase_seed=77).tobytes()
+        assert np.allclose(np.abs(ph), 1.0, rtol=0, atol=1e-15)
 
-    def test_phase_uniformity_ks(self):
-        # >= 1e5 entries against Uniform[0, 2pi) at significance 0.01
-        ph = node_phases(400, 123, np.arange(400), np.arange(400), np.empty((400, 400)))
-        res = stats.kstest(ph.ravel(), stats.uniform(loc=0, scale=2 * math.pi).cdf)
-        assert ph.size >= 10 ** 5
-        assert res.pvalue > 0.01
+    def test_phases_uniform_on_roots_of_unity(self):
+        # every factor is a table entry T[v]; the high bytes of v are uniform
+        # (chi-square at significance 0.01 over 1.6e5 draws), and the table's
+        # circular moments sum_j T[j]^p vanish, as a uniform phase's do
+        table = network.unit_phases()
+        ph = node_phases(400, 123, np.arange(400), np.arange(400),
+                         np.empty((400, 400), complex)).ravel()
+        v = np.rint(np.angle(ph) * (65536 / (2 * math.pi))).astype(np.intp) % 65536
+        assert ph.tobytes() == table[v].tobytes()
+        assert stats.chisquare(np.bincount(v >> 8, minlength=256)).pvalue > 0.01
+        for p in range(1, 9):
+            assert abs((table ** p).sum()) < 1e-9
+        assert table.tobytes() == scalar_unit_phases().tobytes()
+        assert not table.flags.writeable
+
+    def test_bits_independent_of_cpu_dispatch(self):
+        # numpy picks its SIMD kernels by CPU; with every dispatched feature
+        # turned off, a child process draws the same phases and builds the
+        # same channel bit for bit.  At alpha = 2 the magnitude is the
+        # reciprocal rhat^-1; numpy's AVX-512 float power gives other bits
+        # at other exponents, so a channel at alpha = 3 or 4 would differ.
+        script = ("import hashlib, numpy as np\n"
+                  "from netregime import channel_matrix, generate_network, network\n"
+                  "inst = generate_network(40, 40.0, seed=3)\n"
+                  "ph = network.node_phases(80, 9, np.arange(30, 80), np.arange(30),\n"
+                  "                         np.empty((50, 30), complex))\n"
+                  "h = channel_matrix(inst, 2.0, np.arange(30), np.arange(30, 80), 9)\n"
+                  "for a in (ph, h.entries):\n"
+                  "    print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+        inst = generate_network(40, 40.0, seed=3)
+        ph = node_phases(80, 9, np.arange(30, 80), np.arange(30), np.empty((50, 30), complex))
+        h = channel_matrix(inst, 2.0, np.arange(30), np.arange(30, 80), 9)
+        umath = getattr(np, "_core", getattr(np, "core", None))._multiarray_umath
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(network.__file__)))
+        child = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                               capture_output=True, text=True)
+        assert child.stdout.split() == [hashlib.sha256(a.tobytes()).hexdigest()
+                                        for a in (ph, h.entries)]
 
     def test_fresh_seed_fresh_fading(self):
         inst = generate_network(8, 8.0, seed=1)
@@ -256,7 +293,8 @@ class TestChannel:
 
 
 class TestPhaseRows:
-    # 2n = 14, 126 and 1030 give rows that start mid counter step (2n % 4 == 2)
+    # 2n = 2, 14, 126 and 1030 leave two 16-bit fields of a row's last word
+    # unused (2n % 4 == 2)
     @pytest.mark.parametrize("n_nodes", [2, 14, 16, 126, 1030])
     def test_rows_match_full_draw(self, n_nodes):
         full = full_node_phases(n_nodes, phase_seed=31)
@@ -268,15 +306,16 @@ class TestPhaseRows:
         for rows in row_sets:
             rows = np.asarray(rows, dtype=np.intp)
             got = node_phases(n_nodes, 31, rows, np.arange(n_nodes),
-                              np.empty((rows.size, n_nodes)))
+                              np.empty((rows.size, n_nodes), complex))
             assert got.tobytes() == full[rows].tobytes()
-            got = node_phases(n_nodes, 31, rows, cols, np.empty((rows.size, cols.size)))
+            got = node_phases(n_nodes, 31, rows, cols, np.empty((rows.size, cols.size), complex))
             assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
 
     def test_rows_out_of_range_rejected(self):
         for rows in ([-1], [10], [0, 10]):
             with pytest.raises(ValueError):
-                node_phases(10, 3, np.array(rows), np.arange(10), np.empty((len(rows), 10)))
+                node_phases(10, 3, np.array(rows), np.arange(10),
+                            np.empty((len(rows), 10), complex))
 
 
 def _cut_sets(n, alpha, beta, seed):
@@ -337,14 +376,18 @@ class TestBlockedChannel:
 
     # Random receive ids, ids 0-1023 and every other id of 2n = 512 nodes:
     # each row is drawn alone, so the count fits all three.  With 3584
-    # transmitters a block's distances dwarf its phase draw and ufunc buffers.
-    @pytest.mark.parametrize("case", ["random", "consecutive", "every other", "wide"])
+    # transmitters a block's distances dwarf its phase draw and ufunc
+    # buffers; with 2^18 nodes a phase row's 512 KiB of raw words dwarf them.
+    @pytest.mark.parametrize("case", ["random", "consecutive", "every other", "wide",
+                                      "long rows"])
     def test_peak_within_channel_bytes(self, case):
         perm = np.random.default_rng(1).permutation(4096)
         n, rx, tx = {"random": (2048, perm[:1024], perm[1024:1536]),
                      "consecutive": (2048, np.arange(1024), 1024 + perm[perm < 3072][:512]),
                      "every other": (256, np.arange(0, 512, 2), np.arange(1, 512, 2)),
-                     "wide": (2048, perm[:512], perm[512:])}[case]
+                     "wide": (2048, perm[:512], perm[512:]),
+                     "long rows": (2 ** 17, np.arange(0, 2 ** 18, 2 ** 12),
+                                   np.arange(1, 2 ** 18, 2 ** 14))}[case]
         inst = generate_network(n, float(n), seed=5)
         channel_matrix(inst, 4.0, tx, rx, phase_seed=1)   # first-use allocations
         peak, _ = traced_peak(channel_matrix, inst, 4.0, tx, rx, phase_seed=7)

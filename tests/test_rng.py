@@ -153,43 +153,23 @@ class TestKeyedGenerators:
         assert next(gens, None) is None
 
 
-class TestUniformRows:
-    # rows of width 1030 start mid counter step; random rows repeat and come
-    # in any order
-    @pytest.mark.parametrize("shape", [(3, 1030), (40, 6), (7, 130)])
-    def test_matches_one_draw(self, shape):
-        full = rng.substream(2, rng.PHASES, 5).random(shape)
-        gen = np.random.default_rng(shape[1])
-        rows = gen.integers(0, shape[0], size=2 * shape[0])
-        cols = gen.permutation(shape[1])[: shape[1] // 2 + 1]
-        out = np.empty((rows.size, cols.size))
-        rng.uniform_rows(2, (rng.PHASES, 5), shape, rows, cols, out)
-        assert out.tobytes() == full[np.ix_(rows, cols)].tobytes()
+class TestRawRows:
+    # rows repeat, come in any order and may take two seed words
+    @pytest.mark.parametrize("n_words", [1, 5, 258])
+    def test_each_row_is_its_substream(self, n_words):
+        rows = np.array([3, 0, 7, 3, 2 ** 32 + 1, 1])
+        got = list(rng.raw_rows(2, (rng.PHASES,), rows, n_words))
+        assert len(got) == rows.size
+        for i, words in zip(rows.tolist(), got):
+            want = rng.substream(2, rng.PHASES, i).bit_generator.random_raw(n_words)
+            assert words.dtype == np.uint64 and words.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(9, 5), (6, 7), (11, 1031)])
-    def test_edge_rows_match_one_draw(self, shape):
-        # the first and last rows, and rows whose start discards each of
-        # i * w % 4 = 0, 1, 2 and 3 outputs of a counter step
-        height, width = shape
-        rows = np.array([0, height - 1, 1, 2, 3])
-        assert {int(i) * width % 4 for i in rows} == {0, 1, 2, 3}
-        full = rng.substream(6, rng.PHASES).random(shape)
-        for cols in (np.arange(width), np.array([width - 1, 0])):
-            out = np.empty((rows.size, cols.size))
-            rng.uniform_rows(6, (rng.PHASES,), shape, rows, cols, out)
-            assert out.tobytes() == full[np.ix_(rows, cols)].tobytes()
+    def test_no_rows_draw_nothing(self):
+        assert list(rng.raw_rows(2, (rng.PHASES,), np.array([], dtype=np.intp), 4)) == []
 
-    def test_no_rows_draw_nothing(self, monkeypatch):
-        monkeypatch.setattr(rng, "substream", lambda *a: pytest.fail("drew a stream"))
-        out = np.empty((0, 4))
-        rng.uniform_rows(2, (rng.PHASES,), (3, 4), np.array([], dtype=np.intp),
-                         np.arange(4), out)
-
-    def test_rows_out_of_range_rejected(self):
-        out = np.empty((1, 4))
-        for rows in ([-1], [3]):
-            with pytest.raises(ValueError, match=r"\[0, 3\)"):
-                rng.uniform_rows(2, (rng.PHASES,), (3, 4), np.array(rows), np.arange(4), out)
+    def test_negative_rows_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(rng.raw_rows(2, (rng.PHASES,), np.array([1, -1]), 4))
 
 
 def trimmed(path):

@@ -357,9 +357,10 @@ class TestSupercover:
     def test_unstepped_axis_beside_long_lines(self, n, M):
         # A line that moves along an axis without crossing a cell edge on it
         # (dx != 0 but no x step) has finite crossing times past its end
-        # cell.  Long lines in the same block give the sort keys columns
-        # for them, which must sort after the line's own crossings, even
-        # when the end point lies one ulp short of the next edge.
+        # cell.  Long lines in the same block pad the crossing-time columns
+        # out to theirs, and the count of x crossings before each y step
+        # must leave the padded times out, even when the end point lies
+        # one ulp short of the next edge.
         grid = build_cell_grid(generate_network(n, float(n), seed=n), M)
         s = grid.cell_side
         width, height = grid.columns * s, grid.rows * s
