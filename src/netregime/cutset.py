@@ -57,9 +57,9 @@ logger = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 CUT_MODES = ("idealized", "percolation")
-# Receive rows per chunk of a Monte-Carlo trial's H, four ROW_BLOCK blocks.
-# A constant, so the chunks, and the order their Grams are summed in, depend
-# only on the receive set's size.
+# Rows per chunk of a Monte-Carlo trial's H, four ROW_BLOCK blocks.  A
+# constant, so the chunks, and the order their Grams are summed in, depend
+# only on the size of H's rows, the larger side of the cut.
 CHUNK_ROWS = 256
 
 
@@ -240,24 +240,25 @@ def _gram_logdet(chunks, k: int, snr_s: float) -> float:
 
 def identity_logdet(entries: np.ndarray, snr_s: float) -> float:
     """log2 det(I + snr_s * H H*) of one matrix H = ``entries``: the one-chunk
-    case of the Monte-Carlo kernel, which factors the Gram of H's columns."""
-    return _gram_logdet([entries], entries.shape[1], snr_s)
+    case of the Monte-Carlo kernel, which factors the smaller of H's Grams."""
+    h = entries.T if entries.shape[0] < entries.shape[1] else entries
+    return _gram_logdet([h], h.shape[1], snr_s)
 
 
-def _chunk_bounds(n_rx: int) -> list:
-    """Receive-row bounds of the chunks one Monte-Carlo trial builds H in:
+def _chunk_bounds(n_rows: int) -> list:
+    """Row bounds of the chunks one Monte-Carlo trial builds H in:
     CHUNK_ROWS rows each, and the rest in the last.  The split depends only
-    on the receive set's size, never on the machine."""
-    return list(range(0, n_rx, CHUNK_ROWS)) + [n_rx]
+    on the larger side's size, never on the machine."""
+    return list(range(0, n_rows, CHUNK_ROWS)) + [n_rows]
 
 
-def trial_bytes(n_rx: int, k: int, n_nodes: int) -> int:
-    """Bytes one Monte-Carlo trial holds for n_rx receivers and k
-    transmitters: the packed Gram, 8 k(k+1) bytes, the chunk buffer with
-    the row-block buffers that fill it, and the phase table with the angles
-    it is built from, 24 bytes an entry, which the first trial of a process
-    makes."""
-    return (8 * k * (k + 1) + channel_bytes(min(n_rx, CHUNK_ROWS), k, n_nodes)
+def trial_bytes(n_rows: int, k: int, n_nodes: int) -> int:
+    """Bytes one Monte-Carlo trial holds for an H of n_rows rows and k
+    columns, the larger side of the cut and the smaller: the packed Gram,
+    8 k(k+1) bytes, the chunk buffer with the row-block buffers that fill
+    it, and the phase table with the angles it is built from, 24 bytes an
+    entry, which the first trial of a process makes."""
+    return (8 * k * (k + 1) + channel_bytes(min(n_rows, CHUNK_ROWS), k, n_nodes)
             + 24 * PHASE_LEVELS)
 
 
@@ -280,29 +281,31 @@ def mc_cutset_logdet(instance: NetworkInstance, partition: CutPartition,
 
     Each trial redraws every pairwise phase from an independent substream
     of ``phase_seed``, so trial t is reproducible regardless of execution
-    order.  A trial builds H's receive rows with :func:`channel_matrix` in
-    the chunks of :func:`_chunk_bounds`, each into one CHUNK_ROWS x |tx|
-    buffer, and adds each into the packed transmit-side Gram of
-    :func:`_gram_logdet`, so it holds the Gram and one chunk, never all of
-    H.  A trial that would not fit in physical memory raises ValueError
-    before any phase is drawn.  Non-finite trial values are discarded and
-    counted.
+    order.  As log det(I + snr_s H*H) = log det(I + snr_s HH*), a trial
+    factors the Gram of the smaller side: when |rx| < |tx| the two sets
+    swap roles, so H's rows, each with its node's phase row, are the
+    larger side, or the receivers on a tie.  A trial builds H's rows with
+    :func:`channel_matrix` in the chunks of :func:`_chunk_bounds`, each
+    into one CHUNK_ROWS x k buffer, and adds each into the packed k x k
+    Gram of :func:`_gram_logdet`, so it holds the Gram and one chunk, never
+    all of H.  A trial that would not fit in physical memory raises
+    ValueError before any phase is drawn.  Non-finite trial values are
+    discarded and counted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_point(snr_s, alpha)
-    tx = np.sort(partition.left_S)
-    rx = partition.right_D
-    k = tx.size
-    bounds = _chunk_bounds(rx.size)
-    check_memory(trial_bytes(rx.size, k, instance.n_nodes),
-                 f"a cutset trial with {k} transmitters")
-    buffer = _mapped_zeros((min(rx.size, CHUNK_ROWS), k))
+    cols, rows = sorted((np.sort(partition.left_S), partition.right_D), key=len)
+    k = cols.size
+    bounds = _chunk_bounds(rows.size)
+    check_memory(trial_bytes(rows.size, k, instance.n_nodes),
+                 f"a cutset trial with a {k} x {k} Gram")
+    buffer = _mapped_zeros((min(rows.size, CHUNK_ROWS), k))
     values = []
     discarded = 0
     for t in range(trials):
         seed = rng.derived_seed(phase_seed, t)
-        chunks = (channel_matrix(instance, alpha, tx, rx[a:b], phase_seed=seed,
+        chunks = (channel_matrix(instance, alpha, cols, rows[a:b], phase_seed=seed,
                                  out=buffer[:b - a]).entries
                   for a, b in zip(bounds, bounds[1:]))
         v = _gram_logdet(chunks, k, snr_s)

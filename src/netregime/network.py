@@ -112,27 +112,6 @@ class NetworkInstance:
         return math.sqrt(self.area_A / self.n_pairs)
 
 
-def draw_positions(n_pairs: int, area_A: float, seed: int) -> np.ndarray:
-    """2n i.i.d. uniform positions on the rectangle, from substream (seed, POSITIONS).
-
-    Each coordinate is a draw from [0, 1) scaled by the rectangle's side,
-    which keeps it inside the rectangle and has the bits of ``uniform``
-    with a lower bound of 0.  Positions are not checked for coincidence:
-    two given nodes share a position with probability at most 2^-104, and
-    a coincident pair raises :class:`DegenerateInstanceError` from
-    :func:`path_gain`, as it does on a hand-built instance.
-    """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    if not 0 < area_A < math.inf:
-        raise ValueError(f"area_A must be positive and finite, got {area_A}")
-    side = math.sqrt(area_A)
-    positions = rng.substream(seed, rng.POSITIONS).random((2 * n_pairs, 2))
-    positions[:, 0] *= 2 * side
-    positions[:, 1] *= side
-    return positions
-
-
 def instance_bytes(n_pairs: int) -> int:
     """Bytes :func:`generate_network` peaks at for n_pairs pairs: 102 a pair,
     48 held (positions and role ids) and 54 of role permutation, masks and
@@ -143,13 +122,26 @@ def instance_bytes(n_pairs: int) -> int:
 def generate_network(n_pairs: int, area_A: float, seed: int) -> NetworkInstance:
     """Draw a random instance: 2n uniform positions, n sources, a uniform pairing.
 
-    Positions come from :func:`draw_positions`, the roles from substream
-    (seed, ROLES) and the pairing from substream (seed, PAIRING).  A draw
-    that would not fit in physical memory raises ValueError before any
-    position is drawn.
+    The positions come from substream (seed, POSITIONS), the roles from
+    substream (seed, ROLES) and the pairing from substream (seed, PAIRING).
+    Each coordinate is a draw from [0, 1) scaled by the rectangle's side,
+    which keeps it inside the rectangle and has the bits of ``uniform``
+    with a lower bound of 0.  Positions are not checked for coincidence:
+    two given nodes share a position with probability at most 2^-104, and
+    a coincident pair raises :class:`DegenerateInstanceError` from
+    :func:`path_gain`, as it does on a hand-built instance.  A size below
+    1, an area that is not positive and finite, or a draw that would not
+    fit in physical memory raises ValueError before any position is drawn.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not 0 < area_A < math.inf:
+        raise ValueError(f"area_A must be positive and finite, got {area_A}")
     check_memory(instance_bytes(n_pairs), f"an instance of {n_pairs} pairs")
-    positions = draw_positions(n_pairs, area_A, seed)
+    side = math.sqrt(area_A)
+    positions = rng.substream(seed, rng.POSITIONS).random((2 * n_pairs, 2))
+    positions[:, 0] *= 2 * side
+    positions[:, 1] *= side
     role_perm = rng.substream(seed, rng.ROLES).permutation(2 * n_pairs)
     is_source = np.zeros(2 * n_pairs, dtype=bool)
     is_source[role_perm[:n_pairs]] = True
@@ -336,6 +328,8 @@ def channel_matrix(instance: NetworkInstance, alpha: float,
     rx = np.asarray(rx_set, dtype=np.intp)
     if tx.size == 0 or rx.size == 0:
         raise ValueError("tx_set and rx_set must be non-empty")
+    if min(tx.min(), rx.min()) < 0 or max(tx.max(), rx.max()) >= instance.n_nodes:
+        raise ValueError(f"tx_set and rx_set must lie in [0, {instance.n_nodes})")
     if np.intersect1d(tx, rx).size:
         raise ValueError("tx_set and rx_set must be disjoint")
 

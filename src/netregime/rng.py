@@ -7,10 +7,10 @@ without changing a single bit of output.  Short paths that differ only
 by trailing zeros share a stream (see :func:`substream`).  Where many
 paths share a prefix, as the hybrid scheme's relay streams and a
 percolation study's trials do, :func:`philox_keys` derives all their keys in one array pass and
-:func:`rekey` points one generator at each in turn: the same streams,
-without one ``SeedSequence`` per path (:func:`keyed_generators`).  No
-other module builds a bit generator, reads or sets its state, or draws
-(:func:`raw_rows`) or decodes (:func:`relay_draws`) its raw words.
+:func:`keyed_generators` points one generator at each in turn: the same
+streams, without one ``SeedSequence`` per path.  No other module builds a
+bit generator, reads or sets its state, or draws (:func:`raw_rows`) or
+decodes (:func:`relay_draws`) its raw words.
 Independent draws are summarized by one sample mean and standard error.
 """
 
@@ -136,23 +136,17 @@ def philox_keys(seed: int, prefix, last) -> np.ndarray:
     return keys
 
 
-def rekey(bit_generator: np.random.Philox, fresh: dict, key) -> None:
-    """Put ``bit_generator`` in the fresh state of a Philox with ``key``:
-    counter, output buffer and buffered 32-bit half reset.  Only the key of
-    ``fresh``, the state dict :func:`keyed_generators` reuses, is replaced."""
-    fresh["state"]["key"] = key
-    bit_generator.state = fresh
-
-
 def keyed_generators(keys):
-    """Yield one Generator, re-keyed to each key in turn: it draws as the
-    substream of that key's path until the next is taken."""
+    """Yield one Generator, re-keyed to each key in turn, which draws as that
+    key's substream until the next is taken: a re-key sets its Philox to one
+    fresh state dict, counter and buffers reset, with only the key replaced."""
     gen = np.random.Generator(np.random.Philox(0))
     # tuples, which numpy's setter reads faster than a state's own arrays
     fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for key in keys:
-        rekey(gen.bit_generator, fresh, key)
+        fresh["state"]["key"] = key
+        gen.bit_generator.state = fresh
         yield gen
 
 
@@ -180,16 +174,17 @@ def relay_draws(keys: list, n_picks: np.ndarray, ks: np.ndarray, n_ties: np.ndar
     order, n_ties[i] of them for line i.  Returns the picks and the
     tie-breaks as int64, each concatenated over the lines.
 
-    The values are decoded from raw 64-bit words, each split into its low
-    32-bit half and then its high half, as numpy's ``next_uint32`` takes
-    them.  A pick is its word >> 1: numpy's bounded integers use Lemire's
-    multiply-shift, which never rejects for a power-of-two range.  A
-    tie-break among k candidates takes m = word * k and is m >> 32, but
-    rejects the word and takes the next while m & 0xFFFFFFFF < 2**32 % k;
-    k == 1 draws no word.  So a line costs one ``random_raw`` call, as if
-    nothing rejects, and all words are decoded at once.  A line with a
-    rejection (odds about k / 2**32 per tie-break) shifts its later words,
-    so its tie-breaks are drawn again with ``Generator.integers``.
+    The values are decoded from raw 64-bit outputs, each cut into its low
+    32-bit word and then its high word, as numpy's ``next_uint32`` takes
+    them, by a little-endian uint32 view with no copy.  A pick is its
+    word >> 1: numpy's bounded integers use Lemire's multiply-shift, which
+    never rejects for a power-of-two range.  A tie-break among k candidates
+    takes the uint64 m = word * k and is m >> 32, but rejects the word and
+    takes the next while m & 0xFFFFFFFF < 2**32 % k; k == 1 draws no word.
+    So a line costs one ``random_raw`` call, as if nothing rejects, and all
+    words are decoded at once.  A line with a rejection (odds about
+    k / 2**32 per tie-break) shifts its later words, so its tie-breaks are
+    drawn again with ``Generator.integers``.
     """
     draws = ks > 1
     drawn = np.concatenate(([0], np.cumsum(draws)))    # drawn ties before each
@@ -197,9 +192,7 @@ def relay_draws(keys: list, n_picks: np.ndarray, ks: np.ndarray, n_ties: np.ndar
     n_raw = (n_picks + drawn[tie_edges[1:]] - drawn[tie_edges[:-1]] + 1) // 2
     raw = np.concatenate([gen.bit_generator.random_raw(size) for gen, size
                           in zip(keyed_generators(keys), n_raw.tolist())])
-    words = np.empty(2 * len(raw), dtype=np.uint64)
-    words[0::2] = raw & _MASK32
-    words[1::2] = raw >> 32
+    words = raw.astype("<u8", copy=False).view("<u4")
     first = 2 * (np.cumsum(n_raw) - n_raw)              # each line's first word
     picks = (words[_ragged_arange(first, n_picks)] >> 1).astype(np.int64)
 

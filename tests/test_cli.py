@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,25 @@ class TestGen:
 
     def test_bad_n_is_config_error(self):
         assert run(["gen", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("n,code", [(4, 0), (0, 2)])
+    def test_module_entry_point(self, n, code):
+        # ``python -m netregime.cli`` exits with main's code
+        env = dict(os.environ, PYTHONPATH=str(Path(netregime.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "netregime.cli", "gen", "--n", str(n)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert instance_from_json(done.stdout).n_pairs == n
+
+    def test_module_entry_point_in_process(self, monkeypatch):
+        # the same entry point, run in this process, where a line trace of
+        # the suite (tests/trace_src_lines.py) sees it
+        monkeypatch.setattr(sys, "argv", ["netregime", "gen", "--n", "0"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("netregime.cli", run_name="__main__")
+        assert exc.value.code == 2
 
     def test_negative_seed_names_its_flag(self, capsys, tmp_path):
         out = tmp_path / "net.json"

@@ -329,13 +329,10 @@ class TestCholeskyLogdet:
             assert identity_logdet(h, snr) == pytest.approx(want, rel=1e-13)
             assert identity_logdet(h.T.copy(), snr) == pytest.approx(want, rel=1e-13)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the transmit-side Gram I + snr_s H*H of a wide H is "
-                       "singular to working precision at high SNR")
     def test_high_snr_wide_channel_matches_eigvalsh(self):
         # 51 receivers and 69 transmitters at snr_s = 64^12: the 69 x 69
         # Gram has rank 51 and condition number near snr_s * lambda_max, so
-        # its Cholesky factor fails and the trial would be discarded
+        # its Cholesky factor would fail; the 51 x 51 Gram is factored
         n, alpha = 64, 2.0
         snr, area = operating_point(n, alpha, 12.0)
         inst = generate_network(n, area, seed=3)
@@ -413,7 +410,9 @@ class TestPackedGramKernel:
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=1)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-        need = cutset.trial_bytes(part.right_D.size, part.left_S.size, inst.n_nodes)
+        # H's rows are the larger side and the Gram is the smaller side's
+        assert part.left_S.size > part.right_D.size
+        need = cutset.trial_bytes(part.left_S.size, part.right_D.size, inst.n_nodes)
         physical_memory_is(monkeypatch, need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2)
@@ -421,15 +420,28 @@ class TestPackedGramKernel:
         assert mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=2).trials_used == 1
 
     def test_chunked_trial_keeps_every_bit(self):
-        # chunks of 256, 256, 256 and 221 receive rows, four row blocks each,
-        # and the mean keeps every bit
+        # 1025 transmitters and 989 receivers: H's rows are the transmitters,
+        # in chunks of 256 rows, four row blocks each, and one last row, and
+        # the mean keeps every bit
         n, alpha = 1024, 4.0
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=2)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-        assert cutset._chunk_bounds(part.right_D.size) == [0, 256, 512, 768, 989]
+        assert (part.left_S.size, part.right_D.size) == (1025, 989)
+        assert cutset._chunk_bounds(part.left_S.size) == [0, 256, 512, 768, 1024, 1025]
         mc = mc_cutset_logdet(inst, part, snr, alpha, 1, phase_seed=3)
-        assert mc.mean.hex() == "0x1.cc17009a67cbfp+7"
+        assert mc.mean.hex() == "0x1.ca67b0711ede4p+7"
+
+    def test_high_snr_wide_cut_keeps_every_trial(self):
+        # the 51 x 69 cut at snr_s = 64^12: the 51 x 51 Gram factors on
+        # every draw, where the 69 x 69 one failed and discarded them all
+        n, alpha = 64, 2.0
+        snr, area = operating_point(n, alpha, 12.0)
+        inst = generate_network(n, area, seed=3)
+        part = partition_nodes(inst, select_cut_width(snr, n, alpha))
+        assert (part.right_D.size, part.left_S.size) == (51, 69)
+        mc = mc_cutset_logdet(inst, part, snr, alpha, trials=4, phase_seed=3)
+        assert mc.discarded == 0 and mc.trials_used == 4
 
     def test_mapped_zeros(self):
         block = cutset._mapped_zeros((3, 5))
@@ -452,8 +464,8 @@ class TestPackedGramKernel:
         snr, area = operating_point(n, alpha, 0.5)
         inst = generate_network(n, area, seed=2)
         part = partition_nodes(inst, select_cut_width(snr, n, alpha))
-        k, m = part.left_S.size, part.right_D.size
-        assert m > 3 * cutset.CHUNK_ROWS
+        m, k = part.left_S.size, part.right_D.size    # H's rows, the larger side
+        assert m > k and m > 3 * cutset.CHUNK_ROWS
         identity_logdet(np.ones((1, 1), dtype=complex), 1.0)   # loads scipy.linalg
         network.unit_phases.cache_clear()
         first, _ = traced_peak(mc_cutset_logdet, inst, part, snr, alpha, 1, phase_seed=3)

@@ -609,15 +609,16 @@ class TestOutputFormats:
     def test_one_owner_of_the_streams(self):
         # only rng.py builds a bit generator, reads or sets its state, or
         # draws or decodes its raw words; the old row and relay decoders
-        # outside it, the row draw's run merging and its counter jumps are gone
+        # outside it, the row draw's run merging, its counter jumps and the
+        # re-key helper beside keyed_generators are gone
         modules = sorted(Path(harness.__file__).parent.glob("*.py"))
         owners = {name: {path.name for path in modules if naming_functions(path, name)}
                   for name in ("Philox", "bit_generator", "random_raw", "advance",
                                "rekey", "_MASK32", "_MAX_GAP", "_draw_rows",
                                "_relay_draws", "uniform_rows")}
         assert owners == {name: {"rng.py"} for name in (
-            "Philox", "bit_generator", "random_raw", "rekey", "_MASK32")} | {
-            "advance": set(), "_MAX_GAP": set(), "_draw_rows": set(),
+            "Philox", "bit_generator", "random_raw", "_MASK32")} | {
+            "advance": set(), "rekey": set(), "_MAX_GAP": set(), "_draw_rows": set(),
             "_relay_draws": set(), "uniform_rows": set()}
 
     def test_one_phase_path(self):

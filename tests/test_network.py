@@ -76,7 +76,7 @@ class TestGenerate:
         # checked before the draw: a NaN area would draw NaN positions and an
         # infinite one infinite positions
         with pytest.raises(ValueError, match="area_A must be positive and finite"):
-            network.draw_positions(4, area, 0)
+            generate_network(4, area, 0)
 
     def test_peak_within_counted_bytes(self):
         # at n = 10^5 the draw peaks at 102 bytes a pair and 1.4 KiB
@@ -112,10 +112,9 @@ class TestDrawOracle:
         area = float(n) if area is None else area
         for seed in range(20):
             inst = generate_network(n, area, seed)
-            positions = network.draw_positions(n, area, seed)
             want = uniform_generate_network(n, area, seed)
-            for got, ref in ((inst.positions, want[0]), (positions, want[0]),
-                             (inst.source_ids, want[1]), (inst.dest_ids, want[2])):
+            for got, ref in ((inst.positions, want[0]), (inst.source_ids, want[1]),
+                             (inst.dest_ids, want[2])):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
 
@@ -290,6 +289,12 @@ class TestChannel:
             channel_matrix(inst, 4.0, [0, 1], [1, 2], phase_seed=0)
         with pytest.raises(ValueError):
             channel_matrix(inst, 4.0, [], [1], phase_seed=0)
+        # a negative id would wrap to a node at the end, and 2n would not
+        # be a node at all
+        for tx, rx in (([-1, 3], [0, 1]), ([8, 3], [0, 1]), ([2, 3], [0, -8]),
+                       ([2, 3], [0, 8])):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 8\)"):
+                channel_matrix(inst, 4.0, tx, rx, phase_seed=0)
 
 
 class TestPhaseRows:
